@@ -107,7 +107,10 @@ def load_data_dir(data) -> tuple[ingest.OccupancyMatrix, ingest.SpatialGraph]:
     matrix = ingest.load_matrix(data / MATRIX_FILE)
     graph = ingest.load_graph(data / GRAPH_FILE)
     if [v.meter_id for v in graph.vertices] != matrix.meter_ids:
-        raise DataError("graph and matrix list different meters")
+        raise DataError(
+            f"{data / GRAPH_FILE} and {data / MATRIX_FILE} list different "
+            "meters"
+        )
     return matrix, graph
 
 
@@ -257,8 +260,11 @@ def cmd_train(args) -> int:
 def load_checkpoint_bundle(checkpoint, graph):
     params, manifest = model.ModelParams.load(checkpoint, graph)
     if "train" not in manifest:
-        raise DataError("checkpoint lacks training settings")
-    cfg = train.TrainConfig.from_manifest(manifest["train"])
+        raise DataError(f"{checkpoint}: checkpoint lacks training settings")
+    try:
+        cfg = train.TrainConfig.from_manifest(manifest["train"])
+    except DataError as exc:
+        raise DataError(f"{checkpoint}: {exc}") from None
     return params, cfg
 
 

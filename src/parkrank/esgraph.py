@@ -3,9 +3,10 @@
 A row of the occupancy matrix is a path of per-interval cells. Contracting
 every maximal constant run into a single node turns it into an event path:
 the completed runs become (state, duration) turnover events and the final
-run becomes the current state with its age. The event-state graph pairs
-these paths with the spatial proximity graph, so downstream consumers read
-at most a fixed number of events per vertex instead of scanning raw cells.
+run becomes the current state with its age. ``RunTable`` holds these
+paths for every meter at once and serves the newest events at any
+reference interval, so downstream consumers read at most a fixed number of
+events per vertex instead of scanning raw cells.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, DataError
-from .ingest import OccupancyMatrix, SpatialGraph
+from .ingest import OccupancyMatrix
 
 
 @dataclass(frozen=True)
@@ -67,34 +68,6 @@ class EventPath:
             np.full(self.current_duration, self.current_state, dtype=np.bool_)
         )
         return np.concatenate(parts)
-
-
-@dataclass(frozen=True)
-class ESGraph:
-    """Spatial graph plus one event path per vertex at a shared time."""
-
-    spatial: SpatialGraph
-    paths: tuple[EventPath, ...]
-    real_time_state: np.ndarray
-    reference_time: int
-
-    def __post_init__(self):
-        if len(self.paths) != self.spatial.num_vertices:
-            raise DataError("one event path per spatial vertex required")
-        for path in self.paths:
-            if path.reference_time != self.reference_time:
-                raise DataError("all paths must share the reference time")
-        for path, state in zip(self.paths, self.real_time_state):
-            if path.current_state != bool(state):
-                raise DataError("real_time_state disagrees with paths")
-
-    @property
-    def num_vertices(self) -> int:
-        return self.spatial.num_vertices
-
-    @property
-    def num_event_nodes(self) -> int:
-        return sum(p.num_events + 1 for p in self.paths)
 
 
 @dataclass(frozen=True)
@@ -259,55 +232,6 @@ def contract_path(sequence, reference_time: int | None = None) -> EventPath:
         raise DataError("reference_time out of range")
     table = RunTable(seq[np.newaxis, : reference_time + 1])
     return table.path_at(0, reference_time)
-
-
-def merge_esgraph(
-    matrix: OccupancyMatrix, spatial: SpatialGraph, reference_time: int
-) -> ESGraph:
-    """Pair the spatial graph with contracted paths at reference_time."""
-    if matrix.num_locations != spatial.num_vertices:
-        raise DataError(
-            f"matrix has {matrix.num_locations} rows but the spatial graph "
-            f"has {spatial.num_vertices} vertices"
-        )
-    for meter_id, row in matrix.location_index.items():
-        if spatial.vertices[row].meter_id != meter_id:
-            raise DataError(
-                f"row {row} is {meter_id!r} in the matrix but "
-                f"{spatial.vertices[row].meter_id!r} in the spatial graph"
-            )
-    if not (0 <= reference_time < matrix.num_intervals):
-        raise DataError("reference_time out of range")
-    table = RunTable(matrix.states[:, : reference_time + 1])
-    paths = tuple(
-        table.path_at(i, reference_time) for i in range(matrix.num_locations)
-    )
-    return ESGraph(
-        spatial=spatial,
-        paths=paths,
-        real_time_state=matrix.states[:, reference_time].copy(),
-        reference_time=reference_time,
-    )
-
-
-def window_events(graph: ESGraph, alpha: int) -> EventWindow:
-    """Newest min(alpha, available) events per vertex as signed durations."""
-    if alpha < 1:
-        raise ConfigError("alpha must be at least 1")
-    n = graph.num_vertices
-    signed = np.zeros((n, alpha), dtype=np.float64)
-    current = np.empty(n, dtype=np.float64)
-    for i, path in enumerate(graph.paths):
-        newest = path.events[-alpha:]
-        for slot, (state, duration) in zip(
-            range(alpha - len(newest), alpha), newest
-        ):
-            signed[i, slot] = -float(duration) if state else float(duration)
-        cur = float(path.current_duration)
-        current[i] = -cur if path.current_state else cur
-    return EventWindow(
-        signed_durations=signed, current_signed_duration=current, alpha=alpha
-    )
 
 
 def bench_complexity(matrix: OccupancyMatrix, alpha: int) -> ComplexityReport:

@@ -492,6 +492,9 @@ def synth_generate(cfg: SynthConfig) -> tuple[list[MeterLocation], OccupancyMatr
 # ---------------------------------------------------------------------------
 
 
+MATRIX_CELLS = frozenset(("0", "1"))
+
+
 def _meta_path(csv_path: Path) -> Path:
     return csv_path.with_name(csv_path.stem + ".meta.json")
 
@@ -522,27 +525,42 @@ def load_matrix(csv_path) -> OccupancyMatrix:
         raise DataError(f"matrix file not found: {csv_path}")
     if not meta_path.exists():
         raise DataError(f"matrix sidecar not found: {meta_path}")
-    meta = json.loads(meta_path.read_text())
-    with csv_path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            meter_ids = next(reader)
-        except StopIteration:
-            raise EmptyDatasetError("empty matrix file") from None
-        rows = []
-        for record in reader:
-            if len(record) != len(meter_ids):
-                raise ParseError(
-                    "row width does not match header", line=reader.line_num
-                )
-            rows.append([cell == "1" for cell in record])
+    try:
+        meta = json.loads(meta_path.read_text())
+        interval_minutes = int(meta["interval_minutes"])
+        start_time = datetime.fromisoformat(meta["start_time"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{meta_path}: bad matrix sidecar: {exc}") from None
+    try:
+        with csv_path.open(newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                meter_ids = next(reader)
+            except StopIteration:
+                raise EmptyDatasetError("empty matrix file") from None
+            rows = []  # one "0"/"1" string per interval
+            for record in reader:
+                if len(record) != len(meter_ids):
+                    raise ParseError(
+                        f"row width does not match header in {csv_path}",
+                        line=reader.line_num,
+                    )
+                if not set(record) <= MATRIX_CELLS:
+                    raise ParseError(
+                        f"cells must be 0 or 1 in {csv_path}",
+                        line=reader.line_num,
+                    )
+                rows.append("".join(record))
+    except UnicodeDecodeError:
+        raise DataError(f"{csv_path}: undecodable bytes") from None
     if not rows:
         raise EmptyDatasetError("matrix file has no interval rows")
-    states = np.array(rows, dtype=np.bool_).T
+    cells = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
+    states = (cells.reshape(len(rows), len(meter_ids)) == ord("1")).T
     return OccupancyMatrix(
         states=states,
-        interval_minutes=int(meta["interval_minutes"]),
-        start_time=datetime.fromisoformat(meta["start_time"]),
+        interval_minutes=interval_minutes,
+        start_time=start_time,
         location_index={m: i for i, m in enumerate(meter_ids)},
     )
 
@@ -562,13 +580,16 @@ def load_graph(path) -> SpatialGraph:
     path = Path(path)
     if not path.exists():
         raise DataError(f"graph file not found: {path}")
-    payload = json.loads(path.read_text())
-    vertices = tuple(
-        MeterLocation(v["meter_id"], float(v["lat"]), float(v["lon"]))
-        for v in payload["vertices"]
-    )
-    edges = frozenset((int(i), int(j)) for i, j in payload["edges"])
-    return SpatialGraph(vertices=vertices, edges=edges)
+    try:
+        payload = json.loads(path.read_text())
+        vertices = tuple(
+            MeterLocation(v["meter_id"], float(v["lat"]), float(v["lon"]))
+            for v in payload["vertices"]
+        )
+        edges = frozenset((int(i), int(j)) for i, j in payload["edges"])
+        return SpatialGraph(vertices=vertices, edges=edges)
+    except (KeyError, TypeError, ValueError, DataError) as exc:
+        raise DataError(f"{path}: bad graph file: {exc}") from None
 
 
 def save_locations(locations: list[MeterLocation], path) -> None:

@@ -1,19 +1,14 @@
-"""Dual-path numeric kernels: numba-jitted loops with pure-numpy fallbacks.
+"""Numeric kernels behind run encoding, windowing and the synthetic chain.
 
-Each kernel exists twice, as a ``*_numpy`` implementation and (when numba
-is importable) a jitted ``*_numba`` twin. The public names dispatch to the
-active path, chosen once at import time: numba is preferred unless the
-environment variable ``OPR_NUMBA`` is set to ``0``, ``false``, or ``off``.
-
-Both paths are bit-identical, not merely close: every stochastic input is
-pre-drawn with numpy's Generator outside the kernel, transcendentals are
-passed in as precomputed tables, and the arithmetic inside uses the same
-operation order. The flag therefore only changes speed, never results.
+Each kernel is plain numpy over a whole matrix, looping in Python at most
+over rows or time steps: run-length decomposition of occupancy rows,
+signed-duration event windows at a reference column, the two-state
+occupancy chain of the synthetic generator, and next-vacant distances.
+Every stochastic input is pre-drawn with numpy's Generator by the caller,
+so each kernel is a pure function of its arguments.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -25,21 +20,14 @@ __all__ = [
     "next_vacant_steps",
 ]
 
+# Always False: there is no compiled path; perfbench/bootstrap.py reports it.
+NUMBA_ACTIVE = False
+
 # Sentinel for "no vacant interval in range"; larger than any real distance.
 NEVER_VACANT = np.int64(2**31)
 
 
-def _numba_requested() -> bool:
-    flag = os.environ.get("OPR_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off")
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-
-def encode_runs_numpy(states):
+def encode_runs(states):
     """Run-length decomposition of every row of a boolean matrix.
 
     Returns ``(counts, starts, lengths, run_states, run_of)`` where row i
@@ -73,7 +61,7 @@ def encode_runs_numpy(states):
     return counts, starts_out, lengths_out, states_out, run_of
 
 
-def extract_windows_numpy(starts, lengths, run_states, run_of, t, alpha):
+def extract_windows(starts, lengths, run_states, run_of, t, alpha):
     """Signed-duration event windows for every row at reference column t.
 
     Returns ``(signed, current_signed)``: ``signed[i]`` holds the newest
@@ -99,7 +87,7 @@ def extract_windows_numpy(starts, lengths, run_states, run_of, t, alpha):
     return signed, current_signed
 
 
-def markov_occupancy_numpy(
+def markov_occupancy(
     init_u,
     step_u,
     sin_mod,
@@ -144,7 +132,7 @@ def markov_occupancy_numpy(
     return occ
 
 
-def next_vacant_steps_numpy(states):
+def next_vacant_steps(states):
     """Distance (in intervals) from each cell to the next vacant interval.
 
     ``steps[i, t]`` is 0 when row i is vacant at t, otherwise the number of
@@ -159,174 +147,3 @@ def next_vacant_steps_numpy(states):
         nxt = np.where(states[:, t], np.minimum(nxt + 1, NEVER_VACANT), 0)
         steps[:, t] = nxt
     return steps
-
-
-# ---------------------------------------------------------------------------
-# numba twins
-# ---------------------------------------------------------------------------
-
-NUMBA_ACTIVE = False
-encode_runs_numba = None
-extract_windows_numba = None
-markov_occupancy_numba = None
-next_vacant_steps_numba = None
-
-if _numba_requested():
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-    if njit is not None:
-
-        @njit(cache=True)
-        def _count_runs_nb(states):
-            rows, cols = states.shape
-            counts = np.empty(rows, dtype=np.int64)
-            for i in range(rows):
-                k = 1
-                for t in range(1, cols):
-                    if states[i, t] != states[i, t - 1]:
-                        k += 1
-                counts[i] = k
-            return counts
-
-        @njit(cache=True)
-        def _fill_runs_nb(states, counts, max_runs):
-            rows, cols = states.shape
-            starts = np.zeros((rows, max_runs), dtype=np.int64)
-            lengths = np.zeros((rows, max_runs), dtype=np.int64)
-            run_states = np.zeros((rows, max_runs), dtype=np.bool_)
-            run_of = np.empty((rows, cols), dtype=np.int64)
-            for i in range(rows):
-                r = 0
-                starts[i, 0] = 0
-                run_states[i, 0] = states[i, 0]
-                run_of[i, 0] = 0
-                for t in range(1, cols):
-                    if states[i, t] != states[i, t - 1]:
-                        lengths[i, r] = t - starts[i, r]
-                        r += 1
-                        starts[i, r] = t
-                        run_states[i, r] = states[i, t]
-                    run_of[i, t] = r
-                lengths[i, r] = cols - starts[i, r]
-            return starts, lengths, run_states, run_of
-
-        def encode_runs_numba(states):
-            states = np.ascontiguousarray(states, dtype=np.bool_)
-            counts = _count_runs_nb(states)
-            max_runs = int(counts.max())
-            starts, lengths, run_states, run_of = _fill_runs_nb(
-                states, counts, max_runs
-            )
-            return counts, starts, lengths, run_states, run_of
-
-        @njit(cache=True)
-        def extract_windows_numba(starts, lengths, run_states, run_of, t, alpha):
-            rows = starts.shape[0]
-            signed = np.zeros((rows, alpha), dtype=np.float64)
-            current_signed = np.empty(rows, dtype=np.float64)
-            for i in range(rows):
-                r = run_of[i, t]
-                dur = np.float64(t - starts[i, r] + 1)
-                if run_states[i, r]:
-                    current_signed[i] = -dur
-                else:
-                    current_signed[i] = dur
-                for a in range(alpha):
-                    idx = r - alpha + a
-                    if idx >= 0:
-                        length = np.float64(lengths[i, idx])
-                        if run_states[i, idx]:
-                            signed[i, a] = -length
-                        else:
-                            signed[i, a] = length
-            return signed, current_signed
-
-        @njit(cache=True)
-        def markov_occupancy_numba(
-            init_u,
-            step_u,
-            sin_mod,
-            neighbor_w,
-            neighbor_cnt,
-            base,
-            gamma,
-            rho0,
-            hazard_base,
-            hazard_slope,
-            hazard_max,
-            switch_cap,
-        ):
-            rows = init_u.shape[0]
-            steps = step_u.shape[0] + 1
-            occ = np.empty((rows, steps), dtype=np.bool_)
-            prev = np.empty(rows, dtype=np.float64)
-            curr = np.empty(rows, dtype=np.float64)
-            age = np.ones(rows, dtype=np.float64)
-            for i in range(rows):
-                occ[i, 0] = init_u[i] < base
-                prev[i] = 1.0 if occ[i, 0] else 0.0
-            for t in range(1, steps):
-                # prev is read-only within a step: all rows see the t-1 state
-                for i in range(rows):
-                    nbr_sum = 0.0
-                    for j in range(rows):
-                        nbr_sum += neighbor_w[i, j] * prev[j]
-                    if neighbor_cnt[i] > 0.0:
-                        nbr_mean = nbr_sum / max(neighbor_cnt[i], 1.0)
-                    else:
-                        nbr_mean = base
-                    p_occ = base + sin_mod[t] + gamma * (nbr_mean - base)
-                    p_occ = min(max(p_occ, 0.0), 1.0)
-                    hazard = rho0 * min(
-                        hazard_max, hazard_base + hazard_slope * age[i]
-                    )
-                    if prev[i] == 1.0:
-                        q = hazard * (1.0 - p_occ)
-                    else:
-                        q = hazard * p_occ
-                    q = min(q, switch_cap)
-                    if step_u[t - 1, i] < q:
-                        curr[i] = 1.0 - prev[i]
-                        age[i] = 1.0
-                    else:
-                        curr[i] = prev[i]
-                        age[i] = age[i] + 1.0
-                    occ[i, t] = curr[i] == 1.0
-                for i in range(rows):
-                    prev[i] = curr[i]
-            return occ
-
-        @njit(cache=True)
-        def next_vacant_steps_numba(states):
-            rows, cols = states.shape
-            steps = np.empty((rows, cols), dtype=np.int64)
-            for i in range(rows):
-                nxt = NEVER_VACANT
-                for t in range(cols - 1, -1, -1):
-                    if states[i, t]:
-                        nxt = min(nxt + 1, NEVER_VACANT)
-                    else:
-                        nxt = 0
-                    steps[i, t] = nxt
-            return steps
-
-        NUMBA_ACTIVE = True
-
-
-def _numba_wrapped_next_vacant(states):
-    states = np.ascontiguousarray(states, dtype=np.bool_)
-    return next_vacant_steps_numba(states)
-
-
-if NUMBA_ACTIVE:
-    encode_runs = encode_runs_numba
-    extract_windows = extract_windows_numba
-    markov_occupancy = markov_occupancy_numba
-    next_vacant_steps = _numba_wrapped_next_vacant
-else:
-    encode_runs = encode_runs_numpy
-    extract_windows = extract_windows_numpy
-    markov_occupancy = markov_occupancy_numpy
-    next_vacant_steps = next_vacant_steps_numpy

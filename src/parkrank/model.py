@@ -13,13 +13,11 @@ each query's own neighborhood, so only reachable candidates can score.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DataError, DimensionError
-from .esgraph import ESGraph, EventWindow
 from .ingest import SpatialGraph
 
 SCORE_ACTIVATIONS = ("relu", "softmax")
@@ -152,17 +150,24 @@ class ModelParams:
     @classmethod
     def load(cls, path, spatial: SpatialGraph) -> tuple["ModelParams", dict]:
         entries, manifest = T.load_checkpoint(path)
-        config = ModelConfig(
-            alpha=int(manifest["alpha"]),
-            beta=int(manifest["beta"]),
-            conv_channels=int(manifest["conv_channels"]),
-            embed_dim=int(manifest["embed_dim"]),
-            kernel_len=int(manifest["kernel_len"]),
-            score_activation=str(manifest["score_activation"]),
-        )
-        if int(manifest["num_vertices"]) != spatial.num_vertices:
+        try:
+            config = ModelConfig(
+                alpha=int(manifest["alpha"]),
+                beta=int(manifest["beta"]),
+                conv_channels=int(manifest["conv_channels"]),
+                embed_dim=int(manifest["embed_dim"]),
+                kernel_len=int(manifest["kernel_len"]),
+                score_activation=str(manifest["score_activation"]),
+            )
+            num_vertices = int(manifest["num_vertices"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataError(
-                f"checkpoint was trained on {manifest['num_vertices']} "
+                f"{path}: checkpoint manifest lacks or mistypes a model "
+                f"field: {exc}"
+            ) from None
+        if num_vertices != spatial.num_vertices:
+            raise DataError(
+                f"checkpoint was trained on {num_vertices} "
                 f"vertices but the graph has {spatial.num_vertices}"
             )
         params = cls(config, spatial, np.random.default_rng(0))
@@ -178,26 +183,6 @@ class ModelParams:
         return params, manifest
 
 
-@dataclass(frozen=True)
-class ScoreMatrix:
-    """Candidate scores per query row; zero outside each neighborhood."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        if not np.isfinite(self.values).all():
-            raise DataError("scores must be finite")
-
-
-def glu_gate(window: EventWindow) -> np.ndarray:
-    """Squash signed event durations into (-1, 1) gates.
-
-    The sign of the state multiplies the duration before tanh, so one
-    feature per event carries both fields; padding stays exactly zero.
-    """
-    return np.tanh(window.signed_durations)
-
-
 def _dropout(x: T.Tensor, rate: float, rng) -> T.Tensor:
     keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
     return T.mul(x, T.Tensor(keep))
@@ -209,6 +194,61 @@ def real_time_features(
     """Per-vertex pair (state sign, tanh of signed current duration)."""
     sign = np.where(states_now, -1.0, 1.0)
     return np.stack([sign, np.tanh(current_signed)], axis=-1)
+
+
+def event_embed(
+    params: ModelParams,
+    windows: np.ndarray,
+    dropout_rate: float = 0.0,
+    rng=None,
+) -> T.Tensor:
+    """Per-vertex event embedding, [batch, vertices, conv_channels].
+
+    Signed durations pass through tanh, so the sign gates the magnitude
+    and zero padding stays exactly zero; then a 1-D convolution with bias,
+    ReLU, and mean-pooling over positions.
+    """
+    gated = np.tanh(windows)
+    conv = T.conv1d(T.Tensor(gated), params.get("conv.weight"))
+    conv = T.add(
+        conv,
+        T.reshape(
+            params.get("conv.bias"), (1, 1, params.config.conv_channels, 1)
+        ),
+    )
+    h = T.reduce_mean(T.relu(conv), axis=-1)
+    if dropout_rate > 0.0:
+        h = _dropout(h, dropout_rate, rng)
+    return h
+
+
+def graph_rounds(
+    params: ModelParams,
+    real_time: np.ndarray,
+    h,
+    dropout_rate: float = 0.0,
+    rng=None,
+) -> T.Tensor:
+    """Vertex embeddings after beta rounds over the normalized adjacency.
+
+    real_time: [batch, vertices, 2] from real_time_features; h: the event
+    embedding, re-concatenated as a residual every round.
+    """
+    z = T.matmul(T.Tensor(real_time), params.get("gcn.input"))
+    for step in range(1, params.config.beta + 1):
+        mixed = T.matmul(
+            T.neighbor_mix(params.adj_norm, z), params.get(f"gcn.mix.{step}")
+        )
+        stacked = T.concat([mixed, h], axis=-1)
+        z = T.relu(
+            T.add(
+                T.matmul(stacked, params.get(f"gcn.weight.{step}")),
+                params.get(f"gcn.bias.{step}"),
+            )
+        )
+        if dropout_rate > 0.0:
+            z = _dropout(z, dropout_rate, rng)
+    return z
 
 
 def forward_scores(
@@ -241,37 +281,17 @@ def forward_scores(
     use_dropout = training and dropout_rate > 0.0
     if use_dropout and rng is None:
         raise ConfigError("dropout during training needs an rng")
+    rate = dropout_rate if use_dropout else 0.0
 
-    gated = np.tanh(windows)
-    rt = real_time_features(current_signed, states_now)
-    query_feat = np.concatenate([gated, np.tanh(current_signed)[..., None]], -1)
-
-    # events -> per-vertex embedding
-    conv = T.conv1d(T.Tensor(gated), params.get("conv.weight"))
-    conv = T.add(
-        conv, T.reshape(params.get("conv.bias"), (1, 1, cfg.conv_channels, 1))
+    h = event_embed(params, windows, rate, rng)
+    z = graph_rounds(
+        params, real_time_features(current_signed, states_now), h, rate, rng
     )
-    h = T.reduce_mean(T.relu(conv), axis=-1)
-    if use_dropout:
-        h = _dropout(h, dropout_rate, rng)
-
-    # graph rounds over normalized adjacency with event-embedding residual
-    z = T.matmul(T.Tensor(rt), params.get("gcn.input"))
-    for step in range(1, cfg.beta + 1):
-        mixed = T.matmul(
-            T.neighbor_mix(params.adj_norm, z), params.get(f"gcn.mix.{step}")
-        )
-        stacked = T.concat([mixed, h], axis=-1)
-        z = T.relu(
-            T.add(
-                T.matmul(stacked, params.get(f"gcn.weight.{step}")),
-                params.get(f"gcn.bias.{step}"),
-            )
-        )
-        if use_dropout:
-            z = _dropout(z, dropout_rate, rng)
 
     # pairwise readout: query features against candidate embeddings
+    query_feat = np.concatenate(
+        [np.tanh(windows), np.tanh(current_signed)[..., None]], -1
+    )
     q = T.matmul(T.Tensor(query_feat), params.get("readout.query"))
     item = T.matmul(z, params.get("readout.item"))
     pair = T.add(
@@ -290,60 +310,6 @@ def forward_scores(
         return T.relu(pre)
     pre = T.masked_fill(pre, ~params.allowed, MASK_FILL)
     return T.softmax(pre, axis=-1)
-
-
-def event_aggregate(gated: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Per-vertex event embedding from gated features: conv, bias, ReLU,
-    mean-pool over positions."""
-    conv = T.conv1d(T.Tensor(gated[np.newaxis]), params.get("conv.weight"))
-    conv = T.add(
-        conv,
-        T.reshape(
-            params.get("conv.bias"), (1, 1, params.config.conv_channels, 1)
-        ),
-    )
-    return T.reduce_mean(T.relu(conv), axis=-1).data[0]
-
-
-def gcn_update(
-    h: np.ndarray,
-    real_time: np.ndarray,
-    spatial: SpatialGraph,
-    params: ModelParams,
-) -> np.ndarray:
-    """Vertex embeddings after the configured graph rounds."""
-    adj = normalized_adjacency(spatial)
-    z = T.matmul(T.Tensor(real_time[np.newaxis]), params.get("gcn.input"))
-    h_t = T.Tensor(h[np.newaxis])
-    for step in range(1, params.config.beta + 1):
-        mixed = T.matmul(
-            T.neighbor_mix(adj, z), params.get(f"gcn.mix.{step}")
-        )
-        z = T.relu(
-            T.add(
-                T.matmul(
-                    T.concat([mixed, h_t], axis=-1),
-                    params.get(f"gcn.weight.{step}"),
-                ),
-                params.get(f"gcn.bias.{step}"),
-            )
-        )
-    return z.data[0]
-
-
-def score_queries(
-    graph: ESGraph, window: EventWindow, params: ModelParams
-) -> ScoreMatrix:
-    """Full score matrix for one snapshot."""
-    if window.num_vertices != graph.num_vertices:
-        raise DataError("window and graph disagree on vertex count")
-    scores = forward_scores(
-        params,
-        window.signed_durations[np.newaxis],
-        window.current_signed_duration[np.newaxis],
-        np.asarray(graph.real_time_state, dtype=bool)[np.newaxis],
-    )
-    return ScoreMatrix(values=scores.data[0])
 
 
 def rank_candidates(

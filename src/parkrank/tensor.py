@@ -48,9 +48,6 @@ class Tensor:
             )
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return (
             f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -242,26 +239,6 @@ def relu(x) -> Tensor:
     return _node(out, (x,), bw)
 
 
-def tanh(x) -> Tensor:
-    x = as_tensor(x)
-    out = np.tanh(x.data)
-
-    def bw(g):
-        return (g * (1.0 - out * out),)
-
-    return _node(out, (x,), bw)
-
-
-def sigmoid(x) -> Tensor:
-    x = as_tensor(x)
-    out = 1.0 / (1.0 + np.exp(-x.data))
-
-    def bw(g):
-        return (g * out * (1.0 - out),)
-
-    return _node(out, (x,), bw)
-
-
 def softmax(x, axis: int = -1) -> Tensor:
     x = as_tensor(x)
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
@@ -330,18 +307,6 @@ def reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g, x.shape) / count,)
 
     return _node(out, (x,), bw)
-
-
-def transpose(x, axes=None) -> Tensor:
-    x = as_tensor(x)
-    if axes is None:
-        axes = tuple(range(x.ndim))[::-1]
-    inverse = np.argsort(axes)
-
-    def bw(g):
-        return (g.transpose(inverse),)
-
-    return _node(x.data.transpose(axes), (x,), bw)
 
 
 def reshape(x, shape) -> Tensor:
@@ -577,13 +542,23 @@ def load_checkpoint(path) -> tuple[dict, dict]:
         return values
 
     (manifest_len,) = take("<I")
-    manifest = json.loads(raw[offset : offset + manifest_len].decode("utf-8"))
+    try:
+        manifest = json.loads(
+            raw[offset : offset + manifest_len].decode("utf-8")
+        )
+    except ValueError:
+        raise DataError(f"{path}: checkpoint manifest is not JSON") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: checkpoint manifest is not an object")
     offset += manifest_len
     (count,) = take("<I")
     entries = {}
     for _ in range(count):
         (name_len,) = take("<H")
-        name = raw[offset : offset + name_len].decode("utf-8")
+        try:
+            name = raw[offset : offset + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: bad tensor name bytes") from None
         offset += name_len
         (ndim,) = take("<B")
         shape = tuple(take("<I")[0] for _ in range(ndim))

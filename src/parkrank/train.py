@@ -81,10 +81,16 @@ class TrainConfig:
 
     @classmethod
     def from_manifest(cls, payload: dict) -> "TrainConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        extra = set(payload) - known
+        if not isinstance(payload, dict):
+            raise DataError("training settings are not a JSON object")
+        known = {f.name: f.type for f in fields(cls)}
+        extra = set(payload) - set(known)
         if extra:
             raise ConfigError(f"unknown training fields: {sorted(extra)}")
+        for name, value in payload.items():
+            kind = (int, float) if known[name] is float else known[name]
+            if not isinstance(value, kind):
+                raise DataError(f"training field {name} has value {value!r}")
         return cls(**payload)
 
 

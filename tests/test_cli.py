@@ -1,12 +1,14 @@
 """End-to-end subcommand tests through main(argv)."""
 
 import json
+import shutil
 from datetime import timedelta
 
 import numpy as np
 import pytest
 
 from parkrank import cli, esgraph, ingest, model, train
+from parkrank import tensor as T
 
 
 def run(*argv):
@@ -265,3 +267,90 @@ class TestBench:
         run_dir = trained_dir(tmp_path, data)
         assert run("eval", "--data", other, "--checkpoint",
                    run_dir / "checkpoint.bin", "--out", tmp_path / "x") == 2
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _drop_sidecar_key(path):
+    meta = json.loads(path.read_text())
+    del meta["interval_minutes"]
+    path.write_text(json.dumps(meta))
+
+
+def _bad_matrix_cell(path):
+    lines = path.read_text().splitlines()
+    lines[3] = "x" + lines[3][1:]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _bad_leading_byte(path):
+    path.write_bytes(b"\xff" + path.read_bytes()[1:])
+
+
+def _bad_manifest_bytes(path):
+    raw = bytearray(path.read_bytes())
+    raw[len(T.CHECKPOINT_MAGIC) + 4] = 0xFF  # first manifest byte
+    path.write_bytes(bytes(raw))
+
+
+def _drop_manifest_field(path):
+    entries, manifest = T.load_checkpoint(path)
+    del manifest["alpha"]
+    T.save_checkpoint(path, entries, manifest)
+
+
+def _mistype_train_setting(path):
+    entries, manifest = T.load_checkpoint(path)
+    manifest["train"]["horizon_intervals"] = "4"
+    T.save_checkpoint(path, entries, manifest)
+
+
+def _rename_graph_meter(path):
+    payload = json.loads(path.read_text())
+    payload["vertices"][0]["meter_id"] = "zzz"
+    path.write_text(json.dumps(payload))
+
+
+@pytest.fixture(scope="module")
+def pristine_tree(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pristine")
+    trained_dir(root, synth_dir(root))
+    return root
+
+
+@pytest.mark.parametrize(
+    "name, corrupt",
+    [
+        pytest.param("data/graph.json", _truncate, id="truncated-graph"),
+        pytest.param(
+            "data/matrix.meta.json", _drop_sidecar_key, id="sidecar-key"
+        ),
+        pytest.param("data/matrix.csv", _bad_matrix_cell, id="matrix-cell"),
+        pytest.param("data/matrix.csv", _bad_leading_byte, id="matrix-bytes"),
+        pytest.param(
+            "run/checkpoint.bin", _bad_manifest_bytes, id="manifest-bytes"
+        ),
+        pytest.param(
+            "run/checkpoint.bin", _drop_manifest_field, id="manifest-field"
+        ),
+        pytest.param(
+            "run/checkpoint.bin", _mistype_train_setting, id="train-setting"
+        ),
+        pytest.param(
+            "data/graph.json", _rename_graph_meter, id="graph-meter-ids"
+        ),
+    ],
+)
+def test_corrupt_file_exit_2(pristine_tree, tmp_path, capsys, name, corrupt):
+    root = tmp_path / "tree"
+    shutil.copytree(pristine_tree, root)
+    corrupt(root / name)
+    code = run("recommend", "--data", root / "data", "--checkpoint",
+               root / "run" / "checkpoint.bin", "--query", "m000",
+               "--time", 100)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert name.split("/")[-1] in err

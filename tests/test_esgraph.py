@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parkrank import esgraph, ingest
+from parkrank import cli, esgraph, ingest
 from parkrank.errors import ConfigError, DataError
 
 
@@ -126,28 +126,56 @@ def matrix_of(states):
     )
 
 
+def window_oracle(states, reference_time, alpha):
+    """Slow windowing: contract each row's prefix with the groupby oracle,
+    then copy its newest alpha events into the right-aligned slots of a
+    zero row."""
+    n = states.shape[0]
+    signed = np.zeros((n, alpha), dtype=np.float64)
+    current = np.empty(n, dtype=np.float64)
+    for i in range(n):
+        events, cur_state, cur_duration = contract_oracle(
+            states[i, : reference_time + 1].tolist()
+        )
+        newest = events[-alpha:]
+        for slot, (state, duration) in zip(
+            range(alpha - len(newest), alpha), newest
+        ):
+            signed[i, slot] = -float(duration) if state else float(duration)
+        current[i] = -float(cur_duration) if cur_state else float(cur_duration)
+    return signed, current
+
+
 class TestMergeEsgraph:
+    """Pairing a matrix with its spatial graph: cli.load_data_dir checks
+    that both list the same meters, and RunTable serves every row's path
+    at one reference time."""
+
     def test_paths_share_reference_time(self):
         states = small_matrix()
-        g = esgraph.merge_esgraph(matrix_of(states), graph_for(states), 57)
-        assert g.reference_time == 57
-        assert all(p.reference_time == 57 for p in g.paths)
-        assert np.array_equal(g.real_time_state, states[:, 57])
+        table = esgraph.RunTable(states)
+        paths = [table.path_at(i, 57) for i in range(states.shape[0])]
+        assert all(p.reference_time == 57 for p in paths)
+        assert [p.current_state for p in paths] == states[:, 57].tolist()
 
     def test_rows_truncated_to_reference_time(self):
         states = small_matrix(seed=2)
         rt = 40
-        g = esgraph.merge_esgraph(matrix_of(states), graph_for(states), rt)
-        for i, path in enumerate(g.paths):
+        table = esgraph.RunTable(states)
+        for i in range(states.shape[0]):
+            path = table.path_at(i, rt)
             assert np.array_equal(path.expand(), states[i, : rt + 1])
 
-    def test_size_mismatch_rejected(self):
+    def test_size_mismatch_rejected(self, tmp_path):
         states = small_matrix()
         wrong = graph_for(small_matrix(rows=5))
-        with pytest.raises(DataError, match="vertices"):
-            esgraph.merge_esgraph(matrix_of(states), wrong, 0)
+        cli.write_data_dir(
+            tmp_path, list(wrong.vertices), matrix_of(states), wrong
+        )
+        with pytest.raises(DataError, match="different meters"):
+            cli.load_data_dir(tmp_path)
 
-    def test_id_mismatch_rejected(self):
+    def test_id_mismatch_rejected(self, tmp_path):
         states = small_matrix(rows=3)
         locs = [
             ingest.MeterLocation("x0", 22.30, 114.17),
@@ -155,53 +183,45 @@ class TestMergeEsgraph:
             ingest.MeterLocation("x2", 22.30, 114.1708),
         ]
         graph = ingest.build_adjacency(locs)
-        with pytest.raises(DataError, match="m000"):
-            esgraph.merge_esgraph(matrix_of(states), graph, 0)
+        cli.write_data_dir(tmp_path, locs, matrix_of(states), graph)
+        with pytest.raises(DataError, match="graph.json"):
+            cli.load_data_dir(tmp_path)
 
     def test_reference_time_bounds(self):
-        states = small_matrix()
+        table = esgraph.RunTable(small_matrix())
         with pytest.raises(DataError):
-            esgraph.merge_esgraph(matrix_of(states), graph_for(states), 120)
+            table.window_at(120, 2)
 
 
 class TestWindowEvents:
     def test_zero_padding_oldest_side(self):
         # vacant 2, occupied 3, then vacant at the reference interval
         states = np.array([[0, 0, 1, 1, 1, 0]], dtype=bool)
-        g = esgraph.merge_esgraph(matrix_of(states), graph_for(states), 5)
-        window = esgraph.window_events(g, alpha=5)
+        window = esgraph.RunTable(states).window_at(5, alpha=5)
         assert window.signed_durations[0].tolist() == [0, 0, 0, 2.0, -3.0]
         assert window.current_signed_duration[0] == 1.0
 
     def test_keeps_newest_events(self):
         states = np.array([[0, 1, 0, 1, 0, 1]], dtype=bool)
-        g = esgraph.merge_esgraph(matrix_of(states), graph_for(states), 5)
-        window = esgraph.window_events(g, alpha=2)
+        window = esgraph.RunTable(states).window_at(5, alpha=2)
         assert window.signed_durations[0].tolist() == [-1.0, 1.0]
         assert window.current_signed_duration[0] == -1.0
 
     def test_alpha_must_be_positive(self):
-        states = small_matrix(rows=2)
-        g = esgraph.merge_esgraph(matrix_of(states), graph_for(states), 10)
+        table = esgraph.RunTable(small_matrix(rows=2))
         with pytest.raises(ConfigError):
-            esgraph.window_events(g, alpha=0)
+            table.window_at(10, alpha=0)
 
     def test_matches_run_table_fast_path(self):
         states = small_matrix(seed=5, rows=6, cols=90)
-        mat = matrix_of(states)
-        spatial = graph_for(states)
         table = esgraph.RunTable(states)
         for rt in (0, 3, 44, 89):
-            g = esgraph.merge_esgraph(mat, spatial, rt)
             for alpha in (1, 3, 6):
-                slow = esgraph.window_events(g, alpha)
+                slow_signed, slow_current = window_oracle(states, rt, alpha)
                 fast = table.window_at(rt, alpha)
+                assert np.array_equal(slow_signed, fast.signed_durations)
                 assert np.array_equal(
-                    slow.signed_durations, fast.signed_durations
-                )
-                assert np.array_equal(
-                    slow.current_signed_duration,
-                    fast.current_signed_duration,
+                    slow_current, fast.current_signed_duration
                 )
 
 

@@ -1,9 +1,8 @@
-"""Kernel tests: independent oracles plus numpy/numba path equality."""
+"""Kernel tests against independent oracles."""
 
 from itertools import groupby
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -173,42 +172,4 @@ class TestMarkovOccupancy:
         kw = self._inputs(rng)
         a = kernels.markov_occupancy(**kw)
         b = kernels.markov_occupancy(**kw)
-        assert np.array_equal(a, b)
-
-
-@pytest.mark.skipif(not kernels.NUMBA_ACTIVE, reason="numba path not active")
-class TestPathEquality:
-    """The numba path must match the numpy path bit for bit."""
-
-    def test_encode_runs(self):
-        rng = np.random.default_rng(21)
-        states = make_rows(rng, 40, 333, p=0.35)
-        a = kernels.encode_runs_numpy(states)
-        b = kernels.encode_runs_numba(states)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
-
-    def test_extract_windows(self):
-        rng = np.random.default_rng(22)
-        states = make_rows(rng, 25, 200)
-        table = kernels.encode_runs_numpy(states)[1:]
-        for t in (0, 1, 57, 199):
-            for alpha in (1, 2, 5):
-                sa, ca = kernels.extract_windows_numpy(*table, t, alpha)
-                sb, cb = kernels.extract_windows_numba(*table, t, alpha)
-                assert np.array_equal(sa, sb)
-                assert np.array_equal(ca, cb)
-
-    def test_markov_occupancy(self):
-        rng = np.random.default_rng(23)
-        kw = TestMarkovOccupancy()._inputs(rng, rows=9, steps=600)
-        a = kernels.markov_occupancy_numpy(**kw)
-        b = kernels.markov_occupancy_numba(**kw)
-        assert np.array_equal(a, b)
-
-    def test_next_vacant_steps(self):
-        rng = np.random.default_rng(24)
-        states = make_rows(rng, 30, 240, p=0.7)
-        a = kernels.next_vacant_steps_numpy(states)
-        b = kernels.next_vacant_steps_numba(states)
         assert np.array_equal(a, b)

@@ -1,4 +1,5 @@
-"""Model tests: gate values, aggregation, graph rounds, masked scoring."""
+"""Model tests: the forward stages (gate, event embedding, graph rounds)
+and masked scoring."""
 
 import numpy as np
 import pytest
@@ -22,49 +23,53 @@ def make_params(graph, seed=0, **kw):
     return model.ModelParams(cfg, graph, np.random.default_rng(seed))
 
 
-def window_of(signed, current):
-    signed = np.asarray(signed, dtype=float)
-    return esgraph.EventWindow(
-        signed_durations=signed,
-        current_signed_duration=np.asarray(current, dtype=float),
-        alpha=signed.shape[1],
+def embed_single_channel(windows, kernel):
+    """event_embed of one snapshot through a single conv channel with the
+    given kernel and zero bias, one value per vertex."""
+    windows = np.asarray(windows, dtype=float)
+    kernel = np.asarray(kernel, dtype=float)
+    params = make_params(
+        grid_graph(windows.shape[0]),
+        alpha=windows.shape[1],
+        kernel_len=kernel.size,
+        conv_channels=1,
+        embed_dim=2,
     )
+    params.get("conv.weight").data = kernel.reshape(1, -1)
+    return model.event_embed(params, windows[np.newaxis]).data[0, :, 0]
 
 
 class TestGluGate:
+    """The tanh gate at the front of event_embed, read through a kernel
+    that picks out one event position."""
+
     def test_vacant_two_intervals(self):
-        w = window_of([[0.0, 2.0]], [1.0])
-        gated = model.glu_gate(w)
-        assert gated[0, 1] == pytest.approx(TANH_2, abs=1e-12)
+        h = embed_single_channel([[0.0, 2.0]], [0.0, 1.0])
+        assert h[0] == pytest.approx(TANH_2, abs=1e-12)
 
     def test_occupied_negates(self):
-        w = window_of([[-2.0, 3.0]], [1.0])
-        gated = model.glu_gate(w)
-        assert gated[0, 0] == pytest.approx(-TANH_2, abs=1e-12)
-        assert gated[0, 1] > 0
+        assert embed_single_channel([[-2.0, 3.0]], [1.0, 0.0])[0] == 0.0
+        h = embed_single_channel([[-2.0, 3.0]], [-1.0, 0.0])
+        assert h[0] == pytest.approx(TANH_2, abs=1e-12)
+        assert embed_single_channel([[-2.0, 3.0]], [0.0, 1.0])[0] > 0
 
     def test_padding_maps_to_zero(self):
-        w = window_of([[0.0, 5.0]], [2.0])
-        assert model.glu_gate(w)[0, 0] == 0.0
+        for kernel in ([1.0, 0.0], [-1.0, 0.0]):
+            assert embed_single_channel([[0.0, 5.0]], kernel)[0] == 0.0
 
     def test_output_bounded(self):
         rng = np.random.default_rng(0)
-        w = window_of(rng.integers(-50, 50, (6, 4)).astype(float), np.ones(6))
-        gated = model.glu_gate(w)
-        assert (np.abs(gated) < 1.0).all() | (gated == 0.0).any()
+        windows = rng.integers(-50, 50, (6, 4)).astype(float)
+        for kernel in ([1.0], [-1.0]):
+            h = embed_single_channel(windows, kernel)
+            assert ((h >= 0.0) & (h <= 1.0)).all()
 
 
 class TestEventAggregate:
     def test_identity_kernel_single_channel(self):
         # kernel [1], bias 0: embedding is the mean of the (non-negative)
         # gated entries, since ReLU passes them through
-        graph = grid_graph(4)
-        params = make_params(
-            graph, alpha=3, kernel_len=1, conv_channels=1, embed_dim=2
-        )
-        params.get("conv.weight").data = np.array([[1.0]])
-        params.get("conv.bias").data = np.zeros(1)
-        gated = np.array(
+        windows = np.array(
             [
                 [0.2, 0.5, 0.9],
                 [0.0, 0.1, 0.4],
@@ -72,29 +77,25 @@ class TestEventAggregate:
                 [0.0, 0.0, 0.7],
             ]
         )
-        h = model.event_aggregate(gated, params)
-        assert h.shape == (4, 1)
-        assert np.allclose(h[:, 0], gated.mean(axis=1))
+        h = embed_single_channel(windows, [1.0])
+        assert h.shape == (4,)
+        assert np.allclose(h, np.tanh(windows).mean(axis=1), atol=1e-12)
 
     def test_negative_inputs_clipped_before_pooling(self):
-        graph = grid_graph(4)
-        params = make_params(
-            graph, alpha=2, kernel_len=1, conv_channels=1, embed_dim=2
-        )
-        params.get("conv.weight").data = np.array([[1.0]])
-        params.get("conv.bias").data = np.zeros(1)
-        gated = np.array([[-0.5, 0.5], [0.0, 0.0], [-1.0, -1.0], [0.2, 0.4]])
-        h = model.event_aggregate(gated, params)
+        windows = np.array([[-0.5, 0.5], [0.0, 0.0], [-1.0, -1.0], [0.2, 0.4]])
+        h = embed_single_channel(windows, [1.0])
         assert np.allclose(
-            h[:, 0], np.maximum(gated, 0.0).mean(axis=1)
+            h, np.maximum(np.tanh(windows), 0.0).mean(axis=1), atol=1e-12
         )
 
     def test_valid_conv_output_positions(self):
         graph = grid_graph(4)
         params = make_params(graph, alpha=5, kernel_len=2, conv_channels=3)
-        gated = np.random.default_rng(1).random((4, 5))
-        conv = T.conv1d(T.Tensor(gated), params.get("conv.weight"))
+        windows = np.random.default_rng(1).random((4, 5))
+        conv = T.conv1d(T.Tensor(windows), params.get("conv.weight"))
         assert conv.shape == (4, 3, 4)  # alpha - kernel_len + 1 positions
+        h = model.event_embed(params, windows[np.newaxis])
+        assert h.shape == (1, 4, 3)
 
 
 class TestNormalizedAdjacency:
@@ -145,7 +146,7 @@ class TestGcnUpdate:
         )
         h = np.random.default_rng(2).random((1, 3))
         rt = np.array([[1.0, 0.5]])
-        z = model.gcn_update(h, rt, graph, params)
+        z = model.graph_rounds(params, rt[np.newaxis], h[np.newaxis]).data[0]
         z0 = rt @ params.get("gcn.input").data
         mixed = z0 @ params.get("gcn.mix.1").data  # adj is [[1.0]]
         expected = np.maximum(
@@ -163,7 +164,7 @@ class TestGcnUpdate:
         params = make_params(graph, alpha=2, beta=2, conv_channels=3, embed_dim=4)
         h = rng.random((n, 3))
         rt = rng.random((n, 2))
-        z = model.gcn_update(h, rt, graph, params)
+        z = model.graph_rounds(params, rt[np.newaxis], h[np.newaxis]).data[0]
 
         perm = rng.permutation(n)
         inv = np.argsort(perm)
@@ -180,7 +181,9 @@ class TestGcnUpdate:
         for name, t in params.named.items():
             if name != "mask.weights":
                 params_p.get(name).data = t.data.copy()
-        z_p = model.gcn_update(h[perm], rt[perm], graph_p, params_p)
+        z_p = model.graph_rounds(
+            params_p, rt[perm][np.newaxis], h[perm][np.newaxis]
+        ).data[0]
         assert np.allclose(z_p, z[perm], atol=1e-10)
 
     def test_beta_rounds_widen_reach(self):
@@ -191,16 +194,18 @@ class TestGcnUpdate:
             for i in range(5)
         ]
         graph = ingest.build_adjacency(locs, 35.0)
-        params = make_params(graph, alpha=2, beta=1, conv_channels=2, embed_dim=3)
-        h = np.zeros((5, 2))
-        rt_a = np.zeros((5, 2))
-        rt_b = rt_a.copy()
-        rt_b[4] = 7.0  # flip the far end only
-        za = model.gcn_update(h, rt_a, graph, params)
-        zb = model.gcn_update(h, rt_b, graph, params)
-        diff = np.abs(za - zb).sum(axis=1)
-        assert diff[3] > 0 or diff[4] > 0
-        assert diff[0] == 0.0  # one round cannot reach hop 4
+        h = np.zeros((2, 5, 2))
+        rt = np.zeros((2, 5, 2))
+        rt[1, 4] = 7.0  # flip the far end only, in the second snapshot
+        for beta in (1, 2, 4):
+            params = make_params(
+                graph, alpha=2, beta=beta, conv_channels=2, embed_dim=3
+            )
+            za, zb = model.graph_rounds(params, rt, h).data
+            diff = np.abs(za - zb).sum(axis=1)
+            # beta rounds reach exactly the vertices within beta hops
+            assert (diff[: 4 - beta] == 0.0).all()
+            assert diff[4 - beta] > 0
 
 
 class TestForwardScores:
@@ -231,17 +236,16 @@ class TestForwardScores:
         locs = [ingest.MeterLocation("a", 22.30, 114.17)]
         graph = ingest.build_adjacency(locs, 50.0)
         params = make_params(graph, alpha=2, beta=1)
-        mat = ingest.OccupancyMatrix(
-            states=np.array([[0, 1, 0]], dtype=bool),
-            interval_minutes=5,
-            start_time=ingest.SYNTH_START,
-            location_index={"a": 0},
-        )
-        g = esgraph.merge_esgraph(mat, graph, 2)
-        window = esgraph.window_events(g, 2)
-        result = model.score_queries(g, window, params)
-        assert result.values.shape == (1, 1)
-        assert result.values[0, 0] >= 0.0
+        table = esgraph.RunTable(np.array([[0, 1, 0]], dtype=bool))
+        window = table.window_at(2, 2)
+        scores = model.forward_scores(
+            params,
+            window.signed_durations[np.newaxis],
+            window.current_signed_duration[np.newaxis],
+            table.states[:, 2][np.newaxis],
+        ).data
+        assert scores.shape == (1, 1, 1)
+        assert scores[0, 0, 0] >= 0.0
 
     def test_dropout_needs_rng_and_is_seeded(self):
         graph = grid_graph(4)

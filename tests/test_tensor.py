@@ -56,12 +56,6 @@ class TestForwardOracles:
         out = T.masked_fill(x, mask, -5.0)
         assert out.data.tolist() == [[-5.0, 2.0], [3.0, -5.0]]
 
-    def test_tanh_known_values(self):
-        out = T.tanh(T.Tensor([2.0, -2.0, 0.0]))
-        assert out.data[0] == pytest.approx(0.9640, abs=5e-5)
-        assert out.data[1] == pytest.approx(-0.9640, abs=5e-5)
-        assert out.data[2] == 0.0
-
 
 class TestShapeErrors:
     def test_matmul_mismatch_names_op(self):
@@ -113,9 +107,7 @@ class TestGradients:
     def test_activations(self):
         rng = np.random.default_rng(13)
         x = leaf(rng, 3, 3)
-        self.check(
-            lambda: T.reduce_sum(T.tanh(T.sigmoid(T.relu(x)))), [x]
-        )
+        self.check(lambda: T.reduce_sum(T.mul(T.relu(x), x)), [x])
 
     def test_softmax(self):
         rng = np.random.default_rng(14)
@@ -149,16 +141,13 @@ class TestGradients:
             [x],
         )
 
-    def test_transpose_concat(self):
+    def test_concat(self):
         rng = np.random.default_rng(17)
         a = leaf(rng, 2, 3)
         b = leaf(rng, 2, 3)
         self.check(
             lambda: T.reduce_sum(
-                T.mul(
-                    T.concat([a, b], axis=1),
-                    T.transpose(T.concat([a, b], axis=1), (0, 1)),
-                )
+                T.mul(T.concat([a, b], axis=1), T.concat([b, a], axis=1))
             ),
             [a, b],
         )
