@@ -159,17 +159,20 @@ def cmd_ingest(args) -> int:
     records = Path(args.records)
     if not records.exists():
         raise DataError(f"records file not found: {records}")
-    with records.open(newline="") as fh:
-        if args.kind == "space":
-            matrix = ingest.parse_space_records(
-                fh, interval_minutes=opts["interval_minutes"]
-            )
-        else:
-            matrix = ingest.parse_street_records(
-                fh,
-                full_loaded_ratio=opts["full_ratio"],
-                interval_minutes=opts["interval_minutes"],
-            )
+    try:
+        with records.open(newline="") as fh:
+            if args.kind == "space":
+                matrix = ingest.parse_space_records(
+                    fh, interval_minutes=opts["interval_minutes"]
+                )
+            else:
+                matrix = ingest.parse_street_records(
+                    fh,
+                    full_loaded_ratio=opts["full_ratio"],
+                    interval_minutes=opts["interval_minutes"],
+                )
+    except UnicodeDecodeError:
+        raise DataError(f"{records}: undecodable bytes") from None
     by_id = {loc.meter_id: loc for loc in ingest.load_locations(args.locations)}
     missing = [mid for mid in matrix.meter_ids if mid not in by_id]
     if missing:

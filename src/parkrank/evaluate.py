@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import kernels
+from . import kernels, model
 from .errors import ConfigError, DataError
 from .ingest import OccupancyMatrix, SpatialGraph
 
@@ -240,13 +240,8 @@ def baseline_predict_then_recommend(
     if predictor == "historical_mean" and train_end is None:
         raise ConfigError("historical_mean needs the training range")
     scores = _PREDICTORS[predictor](matrix, t, train_end)
-    n = spatial.num_vertices
     hops = spatial.all_hop_distances()
-    out = np.empty((n, n), dtype=np.int64)
-    ids = np.arange(n)
-    for d in range(n):
-        out[d] = np.lexsort((ids, hops[d], -scores))
-    return out
+    return model.rank_candidates(np.broadcast_to(scores, hops.shape), hops)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ of the grid are dropped.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 import math
@@ -116,7 +117,10 @@ class OccupancyMatrix:
 class SpatialGraph:
     """Proximity graph over meter locations.
 
-    Edges are unordered index pairs stored as (i, j) with i < j.
+    Edges are unordered index pairs stored as (i, j) with i < j. The
+    adjacency, candidate mask and hop table are derived on first use, once
+    per instance, and returned read-only. The hop table stays lazy because
+    graph construction runs in every set-up, which must not pay for a BFS.
     """
 
     vertices: tuple[MeterLocation, ...]
@@ -132,47 +136,50 @@ class SpatialGraph:
     def num_vertices(self) -> int:
         return len(self.vertices)
 
-    def neighbors(self, i: int) -> list[int]:
-        out = [b if a == i else a for a, b in self.edges if i in (a, b)]
-        return sorted(out)
-
-    def adjacency_matrix(self) -> np.ndarray:
+    @functools.cached_property
+    def _adjacency(self) -> np.ndarray:
         n = self.num_vertices
         adj = np.zeros((n, n), dtype=np.bool_)
         for i, j in self.edges:
             adj[i, j] = True
             adj[j, i] = True
+        adj.flags.writeable = False
         return adj
+
+    @functools.cached_property
+    def _allowed(self) -> np.ndarray:
+        mask = self._adjacency | np.eye(self.num_vertices, dtype=np.bool_)
+        mask.flags.writeable = False
+        return mask
+
+    @functools.cached_property
+    def _hops(self) -> np.ndarray:
+        # BFS from every source at once: frontier row s holds the vertices
+        # first reached from s at the current depth
+        n = self.num_vertices
+        frontier = np.eye(n, dtype=np.bool_)
+        hops = np.where(frontier, 0, n + 1).astype(np.int64)
+        depth = 0
+        while frontier.any():
+            depth += 1
+            frontier = (frontier @ self._adjacency) & (hops > n)
+            hops[frontier] = depth
+        hops.flags.writeable = False
+        return hops
+
+    def adjacency_matrix(self) -> np.ndarray:
+        return self._adjacency
 
     def allowed_mask(self) -> np.ndarray:
         """Candidate mask per query: its neighbors plus the vertex itself."""
-        mask = self.adjacency_matrix().copy()
-        np.fill_diagonal(mask, True)
-        return mask
+        return self._allowed
 
     def hop_distances(self, source: int) -> np.ndarray:
         """BFS hop counts from source; unreachable vertices get n + 1."""
-        n = self.num_vertices
-        adj = self.adjacency_matrix()
-        hops = np.full(n, n + 1, dtype=np.int64)
-        hops[source] = 0
-        frontier = [source]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for v in frontier:
-                for w in np.flatnonzero(adj[v]):
-                    if hops[w] > n:
-                        hops[w] = d
-                        nxt.append(int(w))
-            frontier = nxt
-        return hops
+        return self._hops[source]
 
     def all_hop_distances(self) -> np.ndarray:
-        return np.stack(
-            [self.hop_distances(i) for i in range(self.num_vertices)]
-        )
+        return self._hops
 
 
 @dataclass(frozen=True)
@@ -604,20 +611,23 @@ def load_locations(path) -> list[MeterLocation]:
     path = Path(path)
     if not path.exists():
         raise DataError(f"locations file not found: {path}")
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        cols = _read_header(reader, ("meter_id", "lat", "lon"))
-        out = []
-        for record in reader:
-            if not record:
-                continue
-            line = reader.line_num
-            try:
-                lat = float(record[cols["lat"]])
-                lon = float(record[cols["lon"]])
-            except (ValueError, IndexError):
-                raise ParseError("invalid coordinate", line=line) from None
-            out.append(MeterLocation(record[cols["meter_id"]], lat, lon))
+    try:
+        with path.open(newline="") as fh:
+            reader = csv.reader(fh)
+            cols = _read_header(reader, ("meter_id", "lat", "lon"))
+            out = []
+            for record in reader:
+                if not record:
+                    continue
+                line = reader.line_num
+                try:
+                    lat = float(record[cols["lat"]])
+                    lon = float(record[cols["lon"]])
+                except (ValueError, IndexError):
+                    raise ParseError("invalid coordinate", line=line) from None
+                out.append(MeterLocation(record[cols["meter_id"]], lat, lon))
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: undecodable bytes") from None
     if not out:
         raise EmptyDatasetError("locations file has no rows")
     return out

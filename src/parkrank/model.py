@@ -64,8 +64,7 @@ class ModelConfig:
 
 def normalized_adjacency(spatial: SpatialGraph) -> np.ndarray:
     """Symmetric normalization of adjacency plus self-loops."""
-    a = spatial.adjacency_matrix().astype(np.float64)
-    np.fill_diagonal(a, 1.0)
+    a = spatial.allowed_mask().astype(np.float64)
     inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
     return a * inv_sqrt[:, None] * inv_sqrt[None, :]
 
@@ -160,10 +159,10 @@ class ModelParams:
                 score_activation=str(manifest["score_activation"]),
             )
             num_vertices = int(manifest["num_vertices"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
             raise DataError(
-                f"{path}: checkpoint manifest lacks or mistypes a model "
-                f"field: {exc}"
+                f"{path}: checkpoint manifest has a missing, mistyped or "
+                f"invalid model field: {exc}"
             ) from None
         if num_vertices != spatial.num_vertices:
             raise DataError(
@@ -312,12 +311,14 @@ def forward_scores(
     return T.softmax(pre, axis=-1)
 
 
-def rank_candidates(
-    scores_row: np.ndarray, hops_row: np.ndarray
-) -> np.ndarray:
-    """Order candidates by score descending, ties by hop then by index."""
-    n = scores_row.shape[0]
-    return np.lexsort((np.arange(n), hops_row, -scores_row))
+def rank_candidates(scores: np.ndarray, hops: np.ndarray) -> np.ndarray:
+    """Order candidates along the last axis: score descending, ties by hop
+    then by index. Leading axes rank row by row; hops broadcast to the
+    scores' shape, so one [n, n] hop table serves a [batch, n, n] batch.
+    """
+    hops = np.broadcast_to(hops, scores.shape)
+    ids = np.broadcast_to(np.arange(scores.shape[-1]), scores.shape)
+    return np.lexsort((ids, hops, -scores))
 
 
 def recommend_top_n(

@@ -91,7 +91,10 @@ class TrainConfig:
             kind = (int, float) if known[name] is float else known[name]
             if not isinstance(value, kind):
                 raise DataError(f"training field {name} has value {value!r}")
-        return cls(**payload)
+        try:
+            return cls(**payload)
+        except ConfigError as exc:
+            raise DataError(f"bad training settings: {exc}") from None
 
 
 @dataclass
@@ -275,36 +278,37 @@ def _forward_batch(params, dataset: Dataset, idx, training=False, rate=0.0, rng=
     )
 
 
+def _query_results(dataset: Dataset, spatial: SpatialGraph, idx, cfg, rankings):
+    """One result per (snapshot, query) of idx from [B, n, n] rankings."""
+    labels = _batch_labels(dataset, spatial, idx, cfg)
+    hoods = [np.flatnonzero(row) for row in spatial.allowed_mask()]
+    results = []
+    for b, i in enumerate(idx):
+        t = int(dataset.times[i])
+        for q, hood in enumerate(hoods):
+            results.append(
+                evaluate.make_result(
+                    q, t, t + dataset.horizon, rankings[b, q], labels[b, q], hood
+                )
+            )
+    return results
+
+
 def split_results(
     params: model.ModelParams,
     dataset: Dataset,
     spatial: SpatialGraph,
     split_idx: np.ndarray,
     cfg: TrainConfig,
-    chunk: int = 128,
 ) -> list[evaluate.RankedQueryResult]:
     """Rank every query at every snapshot of a split with the model."""
-    allowed = spatial.allowed_mask()
     hops = spatial.all_hop_distances()
     results = []
-    for lo in range(0, len(split_idx), chunk):
-        idx = split_idx[lo : lo + chunk]
+    for lo in range(0, len(split_idx), 128):
+        idx = split_idx[lo : lo + 128]
         scores = _forward_batch(params, dataset, idx).data
-        labels = _batch_labels(dataset, spatial, idx, cfg)
-        for b, i in enumerate(idx):
-            t = int(dataset.times[i])
-            for q in range(dataset.num_vertices):
-                ranking = model.rank_candidates(scores[b, q], hops[q])
-                results.append(
-                    evaluate.make_result(
-                        q,
-                        t,
-                        t + dataset.horizon,
-                        ranking,
-                        labels[b, q],
-                        np.flatnonzero(allowed[q]),
-                    )
-                )
+        rankings = model.rank_candidates(scores, hops)
+        results += _query_results(dataset, spatial, idx, cfg, rankings)
     return results
 
 
@@ -317,27 +321,16 @@ def baseline_split_results(
     cfg: TrainConfig,
 ) -> list[evaluate.RankedQueryResult]:
     """Same queries and labels as the model path, ranked by a baseline."""
-    allowed = spatial.allowed_mask()
     train_end = dataset.train_end_time()
-    labels = _batch_labels(dataset, spatial, split_idx, cfg)
-    results = []
-    for b, i in enumerate(split_idx):
-        t = int(dataset.times[i])
-        rankings = evaluate.baseline_predict_then_recommend(
-            matrix, spatial, t, predictor, train_end=train_end
-        )
-        for q in range(dataset.num_vertices):
-            results.append(
-                evaluate.make_result(
-                    q,
-                    t,
-                    t + dataset.horizon,
-                    rankings[q],
-                    labels[b, q],
-                    np.flatnonzero(allowed[q]),
-                )
+    rankings = np.stack(
+        [
+            evaluate.baseline_predict_then_recommend(
+                matrix, spatial, int(dataset.times[i]), predictor, train_end
             )
-    return results
+            for i in split_idx
+        ]
+    )
+    return _query_results(dataset, spatial, split_idx, cfg, rankings)
 
 
 def split_ndcg(
@@ -346,21 +339,19 @@ def split_ndcg(
     spatial: SpatialGraph,
     split_idx: np.ndarray,
     cfg: TrainConfig,
-    n: int = 1,
 ) -> float:
-    """Mean NDCG over all queries of a split, used for model selection."""
+    """Mean NDCG@1 over all queries of a split, used for model selection."""
     hops = spatial.all_hop_distances()
-    total, count = 0.0, 0
+    width = dataset.num_vertices
+    total = 0.0
     for lo in range(0, len(split_idx), 128):
         idx = split_idx[lo : lo + 128]
         scores = _forward_batch(params, dataset, idx).data
-        labels = _batch_labels(dataset, spatial, idx, cfg)
-        for b in range(len(idx)):
-            for q in range(dataset.num_vertices):
-                ranking = model.rank_candidates(scores[b, q], hops[q])
-                total += evaluate.ndcg_at(ranking, labels[b, q], n)
-                count += 1
-    return total / count
+        rankings = model.rank_candidates(scores, hops).reshape(-1, width)
+        labels = _batch_labels(dataset, spatial, idx, cfg).reshape(-1, width)
+        for ranking, row in zip(rankings, labels):
+            total += evaluate.ndcg_at(ranking, row, 1)
+    return total / (len(split_idx) * width)
 
 
 @dataclass
@@ -396,7 +387,6 @@ def train_loop(
 
     params = model.ModelParams(cfg.model_config(), spatial, init_rng)
     opt = T.AdamState(params.tensors, learning_rate=cfg.learning_rate)
-    allowed = spatial.allowed_mask()
 
     train_idx = dataset.train_idx
     order = shuffle_rng.permutation(train_idx)
@@ -416,7 +406,7 @@ def train_loop(
         )
         labels = _batch_labels(dataset, spatial, batch, cfg)
         loss = training_loss(
-            labels, scores, params, cfg.softmax_weight, cfg.l2_coeff, allowed
+            labels, scores, params, cfg.softmax_weight, cfg.l2_coeff, params.allowed
         )
         loss_val = loss.item()
         if not np.isfinite(loss_val):

@@ -225,7 +225,8 @@ class TestRecommend:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
         matrix, graph = cli.load_data_dir(data)
-        hood = {matrix.meter_ids[v] for v in graph.neighbors(4)} | {"m004"}
+        adj = graph.adjacency_matrix()
+        hood = {matrix.meter_ids[v] for v in np.flatnonzero(adj[4])} | {"m004"}
         for line in lines:
             mid, score = line.split("\t")
             assert mid in hood
@@ -307,6 +308,18 @@ def _mistype_train_setting(path):
     T.save_checkpoint(path, entries, manifest)
 
 
+def _invalid_model_field(path):
+    entries, manifest = T.load_checkpoint(path)
+    manifest["kernel_len"] = 9  # well typed, but longer than alpha 3
+    T.save_checkpoint(path, entries, manifest)
+
+
+def _invalid_train_setting(path):
+    entries, manifest = T.load_checkpoint(path)
+    manifest["train"]["batch_size"] = 0
+    T.save_checkpoint(path, entries, manifest)
+
+
 def _rename_graph_meter(path):
     payload = json.loads(path.read_text())
     payload["vertices"][0]["meter_id"] = "zzz"
@@ -339,6 +352,12 @@ def pristine_tree(tmp_path_factory):
             "run/checkpoint.bin", _mistype_train_setting, id="train-setting"
         ),
         pytest.param(
+            "run/checkpoint.bin", _invalid_model_field, id="model-value"
+        ),
+        pytest.param(
+            "run/checkpoint.bin", _invalid_train_setting, id="train-value"
+        ),
+        pytest.param(
             "data/graph.json", _rename_graph_meter, id="graph-meter-ids"
         ),
     ],
@@ -354,3 +373,36 @@ def test_corrupt_file_exit_2(pristine_tree, tmp_path, capsys, name, corrupt):
     err = capsys.readouterr().err
     assert "error:" in err
     assert name.split("/")[-1] in err
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [
+        pytest.param("space", "loc.csv", id="locations"),
+        pytest.param("space", "rec.csv", id="space-records"),
+        pytest.param("street", "rec.csv", id="street-records"),
+    ],
+)
+def test_undecodable_ingest_input_exit_2(tmp_path, capsys, kind, name):
+    cfg = ingest.SynthConfig(num_locations=4, num_intervals=20, rng_seed=0)
+    locations, matrix = ingest.synth_generate(cfg)
+    ingest.save_locations(locations, tmp_path / "loc.csv")
+    if kind == "space":
+        lines = ["meter_id,timestamp,state"]
+    else:
+        lines = ["street_id,timestamp,occupied_count,capacity"]
+    for i, mid in enumerate(matrix.meter_ids):
+        for t in range(20):
+            ts = matrix.start_time + timedelta(minutes=5 * t)
+            row = f"{mid},{ts.isoformat()},{int(matrix.states[i, t])}"
+            lines.append(row if kind == "space" else row + ",1")
+    (tmp_path / "rec.csv").write_text("\n".join(lines) + "\n")
+    target = tmp_path / name
+    raw = target.read_bytes()
+    target.write_bytes(raw[:40] + b"\xff" + raw[41:])
+    code = run("ingest", "--records", tmp_path / "rec.csv", "--locations",
+               tmp_path / "loc.csv", "--kind", kind, "--out", tmp_path / "x")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert name in err

@@ -74,9 +74,24 @@ class TestNdcg:
         rng = np.random.default_rng(1)
         scores = rng.random(10)
         hops = rng.integers(0, 4, 10)
-        base = model.rank_candidates(scores, hops)
-        shifted = model.rank_candidates(3.0 * scores + 7.0, hops)
-        assert np.array_equal(base, shifted)
+        # a [batch, query, candidate] block with many score ties, ranked
+        # against one [query, candidate] hop table
+        batch = rng.integers(0, 3, (4, 10, 10)) / 2.0
+        table = rng.integers(0, 4, (10, 10))
+        for s, h in ((scores, hops), (batch, table)):
+            base = model.rank_candidates(s, h)
+            shifted = model.rank_candidates(3.0 * s + 7.0, h)
+            assert np.array_equal(base, shifted)
+        for b in range(4):
+            for q in range(10):
+                row = batch[b, q]
+                expected = sorted(
+                    range(10), key=lambda i: (-row[i], table[q, i], i)
+                )
+                assert base[b, q].tolist() == expected
+                assert np.array_equal(
+                    base[b, q], model.rank_candidates(row, table[q])
+                )
 
 
 class TestMap:

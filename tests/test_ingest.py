@@ -67,10 +67,10 @@ class TestBuildAdjacency:
             ingest.SynthConfig(num_locations=9, num_intervals=1)
         )
         graph = ingest.build_adjacency(locs, 50.0)
-        for i in range(9):
-            for j in graph.neighbors(i):
-                assert i in graph.neighbors(j)
         adj = graph.adjacency_matrix()
+        for i in range(9):
+            for j in np.flatnonzero(adj[i]):
+                assert i in np.flatnonzero(adj[j])
         assert np.array_equal(adj, adj.T)
         assert not adj.diagonal().any()
 
@@ -91,6 +91,93 @@ class TestBuildAdjacency:
         ]
         graph = ingest.build_adjacency(locs, 50.0)
         assert graph.hop_distances(0)[1] == 3  # n + 1
+
+
+def bfs_oracle(graph, source):
+    """Hop counts from one source by a plain level-by-level BFS."""
+    n = graph.num_vertices
+    adj = graph.adjacency_matrix()
+    hops = np.full(n, n + 1, dtype=np.int64)
+    hops[source] = 0
+    frontier = [source]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for v in frontier:
+            for w in np.flatnonzero(adj[v]):
+                if hops[w] > n:
+                    hops[w] = d
+                    nxt.append(int(w))
+        frontier = nxt
+    return hops
+
+
+def random_graph(rng, n, threshold_m):
+    # scattered over roughly 200 m x 200 m, so 50 m leaves several islands
+    locs = [
+        ingest.MeterLocation(
+            f"m{i}", 22.28 + rng.random() * 0.002, 114.16 + rng.random() * 0.002
+        )
+        for i in range(n)
+    ]
+    return ingest.build_adjacency(locs, threshold_m)
+
+
+class TestDerivedArrays:
+    @pytest.mark.parametrize(
+        "n, threshold_m",
+        # one vertex, no edges (1 cm), islands, connected, complete
+        [(1, 50.0), (6, 0.01), (12, 50.0), (25, 50.0), (25, 90.0), (40, 300.0)],
+    )
+    def test_hop_table_matches_per_source_bfs(self, n, threshold_m):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            graph = random_graph(rng, n, threshold_m)
+            table = graph.all_hop_distances()
+            assert table.dtype == np.int64
+            assert table.shape == (n, n)
+            for s in range(n):
+                assert np.array_equal(table[s], bfs_oracle(graph, s))
+                assert np.array_equal(graph.hop_distances(s), table[s])
+
+    def test_read_only_and_computed_once(self):
+        graph = random_graph(np.random.default_rng(3), 10, 90.0)
+        for get in (
+            graph.adjacency_matrix,
+            graph.allowed_mask,
+            graph.all_hop_distances,
+        ):
+            arr = get()
+            assert get() is arr
+            with pytest.raises(ValueError):
+                arr[0, 0] = arr[0, 1]
+        with pytest.raises(ValueError):
+            graph.hop_distances(0)[0] = 1
+
+    def test_allowed_mask_adds_self(self):
+        graph = random_graph(np.random.default_rng(4), 10, 90.0)
+        expected = graph.adjacency_matrix() | np.eye(10, dtype=bool)
+        assert np.array_equal(graph.allowed_mask(), expected)
+
+    def test_construction_builds_no_hop_table(self, tmp_path):
+        graph = random_graph(np.random.default_rng(5), 8, 90.0)
+        ingest.save_graph(graph, tmp_path / "graph.json")
+        loaded = ingest.load_graph(tmp_path / "graph.json")
+        for g in (graph, loaded):
+            assert "_hops" not in vars(g)
+
+    def test_equality_and_hash_ignore_caches(self):
+        rng = np.random.default_rng(6)
+        graph = random_graph(rng, 8, 90.0)
+        twin = ingest.SpatialGraph(graph.vertices, graph.edges)
+        graph.all_hop_distances()
+        graph.allowed_mask()
+        assert graph == twin
+        assert hash(graph) == hash(twin)
+        twin.all_hop_distances()
+        assert graph == twin
+        assert hash(graph) == hash(twin)
 
 
 class TestParseSpaceRecords:
