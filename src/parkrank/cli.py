@@ -173,6 +173,8 @@ def cmd_ingest(args) -> int:
                 )
     except UnicodeDecodeError:
         raise DataError(f"{records}: undecodable bytes") from None
+    except ParseError as exc:
+        raise exc.in_file(records) from None
     by_id = {loc.meter_id: loc for loc in ingest.load_locations(args.locations)}
     missing = [mid for mid in matrix.meter_ids if mid not in by_id]
     if missing:

@@ -22,6 +22,12 @@ class ParseError(DataError):
             message = f"line {line}: {message}"
         super().__init__(message)
 
+    def in_file(self, path) -> "ParseError":
+        """The same error with the file it came from named in front."""
+        named = ParseError(f"{path}: {self}")
+        named.line = self.line
+        return named
+
 
 class ConfigError(ParkrankError):
     """Invalid configuration value or combination of values."""

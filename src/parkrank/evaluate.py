@@ -1,5 +1,10 @@
 """Ranking and waiting-time evaluation, baselines, scenario slicing.
 
+Ranked queries travel as ``QueryResults`` batches of arrays, one row per
+query. Every metric is computed along the last axis of those arrays, and
+``summarize``, ``awtp_rnwtr`` and ``slice_scenarios`` take a sequence of
+batches, concatenated once per call.
+
 Ranking quality uses NDCG with linear gain and MAP with labels binarized
 at y > 0. Waiting-time quality simulates following the recommendations:
 the achieved waiting time of a top-n list is the best waiting time among
@@ -11,7 +16,7 @@ candidates to the query's neighborhood, where labels live.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,26 +32,31 @@ BASELINE_NAMES = ("persistence", "historical_mean")
 
 
 @dataclass(frozen=True)
-class RankedQueryResult:
-    """One query's predicted ranking with its ground-truth label row.
+class QueryResults:
+    """Q ranked queries as arrays: [Q] vertex and times, [Q, n] the rest.
 
-    ranking is a permutation of all vertex ids, best first. neighborhood
-    lists the query's candidate set (itself plus spatial neighbors) in
-    index order; labels are zero outside it by construction.
+    Each ranking row is a permutation of all vertex ids, best first. The
+    neighborhood mask marks the query's candidates (itself plus spatial
+    neighbors); labels are zero outside it by construction. Consumers
+    take a sequence of batches.
     """
 
-    query_vertex: int
-    query_time: int
-    horizon_time: int
-    ranking: tuple[int, ...]
+    query_vertex: np.ndarray
+    query_time: np.ndarray
+    horizon_time: np.ndarray
+    ranking: np.ndarray
     labels: np.ndarray
-    neighborhood: tuple[int, ...]
+    neighborhood: np.ndarray
 
     def __post_init__(self):
-        if sorted(self.ranking) != list(range(len(self.ranking))):
+        width = self.ranking.shape[-1]
+        if not (np.sort(self.ranking, axis=-1) == np.arange(width)).all():
             raise DataError("ranking must be a permutation of vertex ids")
-        if len(self.labels) != len(self.ranking):
+        if self.labels.shape != self.ranking.shape:
             raise DataError("label row length must match ranking length")
+
+    def __len__(self) -> int:
+        return len(self.query_time)
 
 
 def make_result(
@@ -56,14 +66,30 @@ def make_result(
     ranking,
     labels,
     neighborhood,
-) -> RankedQueryResult:
-    return RankedQueryResult(
-        query_vertex=int(query_vertex),
-        query_time=int(query_time),
-        horizon_time=int(horizon_time),
-        ranking=tuple(int(i) for i in ranking),
-        labels=np.asarray(labels, dtype=np.float64),
-        neighborhood=tuple(int(i) for i in neighborhood),
+) -> QueryResults:
+    """A one-row batch, for consumers that take a sequence of batches.
+
+    neighborhood lists the query's candidate vertex ids.
+    """
+    ranking = np.asarray(ranking, dtype=np.int64)[np.newaxis]
+    hood = np.isin(np.arange(ranking.shape[1]), neighborhood)
+    return QueryResults(
+        query_vertex=np.array([query_vertex], dtype=np.int64),
+        query_time=np.array([query_time], dtype=np.int64),
+        horizon_time=np.array([horizon_time], dtype=np.int64),
+        ranking=ranking,
+        labels=np.asarray(labels, dtype=np.float64)[np.newaxis],
+        neighborhood=hood[np.newaxis],
+    )
+
+
+def _concat(results: Sequence[QueryResults]) -> QueryResults:
+    """All rows of a non-empty sequence of batches as one batch."""
+    if len(results) == 1:
+        return results[0]
+    names = [f.name for f in fields(QueryResults)]
+    return QueryResults(
+        *(np.concatenate([getattr(b, k) for b in results]) for k in names)
     )
 
 
@@ -72,48 +98,45 @@ def make_result(
 # ---------------------------------------------------------------------------
 
 
-def ndcg_at(ranking, labels, n: int) -> float:
+def ndcg_at(ranking, labels, n: int):
     """Discounted cumulative gain at n over the ideal ordering.
 
     Linear gain; rank i contributes labels[ranking[i]] / log2(i + 2).
     Returns 1.0 when the ideal is zero (an all-zero label row ranks
-    perfectly by convention).
+    perfectly by convention). Rows lie along the last axis; one row
+    gives a float.
     """
     if n < 1:
         raise ConfigError("n must be at least 1")
     labels = np.asarray(labels, dtype=np.float64)
     ranking = np.asarray(ranking, dtype=np.int64)
     discounts = 1.0 / np.log2(np.arange(2, n + 2, dtype=np.float64))
-    gains = labels[ranking[:n]]
-    dcg = float((gains * discounts[: gains.size]).sum())
-    ideal = np.sort(labels)[::-1][:n]
-    idcg = float((ideal * discounts[: ideal.size]).sum())
-    if idcg == 0.0:
-        return 1.0
-    return dcg / idcg
+    gains = np.take_along_axis(labels, ranking[..., :n], axis=-1)
+    dcg = (gains * discounts[: gains.shape[-1]]).sum(axis=-1)
+    ideal = np.sort(labels, axis=-1)[..., ::-1][..., :n]
+    idcg = (ideal * discounts[: ideal.shape[-1]]).sum(axis=-1)
+    out = np.divide(dcg, idcg, out=np.ones_like(dcg), where=idcg != 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
-def map_at(ranking, labels, n: int) -> float:
+def map_at(ranking, labels, n: int):
     """Mean average precision at n with labels binarized at y > 0.
 
     The AP denominator is min(number of relevant items, n); a row with no
-    relevant items scores 0.
+    relevant items scores 0. Rows lie along the last axis; one row gives
+    a float.
     """
     if n < 1:
         raise ConfigError("n must be at least 1")
-    labels = np.asarray(labels, dtype=np.float64)
+    relevant = np.asarray(labels, dtype=np.float64) > 0.0
     ranking = np.asarray(ranking, dtype=np.int64)
-    relevant = labels > 0.0
-    total = int(relevant.sum())
-    if total == 0:
-        return 0.0
-    hits = 0
-    ap = 0.0
-    for i in range(min(n, ranking.size)):
-        if relevant[ranking[i]]:
-            hits += 1
-            ap += hits / (i + 1)
-    return ap / min(total, n)
+    hits = np.take_along_axis(relevant, ranking[..., :n], axis=-1)
+    precision = np.cumsum(hits, axis=-1) / np.arange(1, hits.shape[-1] + 1)
+    # a running sum adds the hit terms in rank order, as a scalar loop would
+    ap = np.cumsum(np.where(hits, precision, 0.0), axis=-1)[..., -1]
+    denom = np.minimum(relevant.sum(axis=-1), n)
+    out = np.divide(ap, denom, out=np.zeros_like(ap), where=denom > 0)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -121,31 +144,34 @@ def map_at(ranking, labels, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def waiting_time(
-    matrix: OccupancyMatrix,
-    vertex: int,
-    arrival_time: int,
-    max_wait: int = DEFAULT_MAX_WAIT,
-) -> int:
-    """Intervals a driver waits at vertex from arrival_time until vacant.
+def _best_waits(batch: QueryResults, matrix: OccupancyMatrix, max_wait: int):
+    """[Q, n] running minima of the capped waits at each query's horizon.
 
-    0 when already vacant; capped at max_wait, which is also the value
-    when the vertex never becomes vacant in range.
+    Column j is the best wait among the first j + 1 ranked candidates in
+    the query's neighborhood; the last column covers the whole of it.
     """
-    if not (0 <= arrival_time < matrix.num_intervals):
-        raise DataError("arrival_time out of range")
-    row = matrix.states[vertex, arrival_time:]
-    vacant = np.flatnonzero(~row)
-    wait = int(vacant[0]) if vacant.size else int(kernels.NEVER_VACANT)
-    return min(wait, max_wait)
+    waits = np.minimum(kernels.next_vacant_steps(matrix.states), max_wait)
+    ranked = waits[batch.ranking, batch.horizon_time[:, np.newaxis]]
+    in_hood = np.take_along_axis(batch.neighborhood, batch.ranking, axis=-1)
+    if not in_hood.any(axis=-1).all():
+        raise DataError("every query needs a non-empty neighborhood")
+    # in-neighborhood candidates first, in rank order; the rest wait max_wait
+    packed = np.argsort(~in_hood, axis=-1, kind="stable")
+    ranked = np.where(in_hood, ranked, max_wait)
+    return np.minimum.accumulate(np.take_along_axis(ranked, packed, -1), -1)
 
 
-def _wait_table(matrix: OccupancyMatrix, max_wait: int) -> np.ndarray:
-    return np.minimum(kernels.next_vacant_steps(matrix.states), max_wait)
+def _wait_scores(best: np.ndarray, n: int) -> tuple[float, float, float]:
+    """(achieved, ideal, ratio) at list size n from _best_waits rows."""
+    if n < 1:
+        raise ConfigError("n must be at least 1")
+    awtp = float(best[:, min(n, best.shape[1]) - 1].sum()) / len(best)
+    iawtp = float(best[:, -1].sum()) / len(best)
+    return awtp, iawtp, 1.0 if awtp == 0.0 else iawtp / awtp
 
 
 def awtp_rnwtr(
-    results: Sequence[RankedQueryResult],
+    results: Sequence[QueryResults],
     matrix: OccupancyMatrix,
     n: int,
     max_wait: int = DEFAULT_MAX_WAIT,
@@ -157,24 +183,9 @@ def awtp_rnwtr(
     value uses the oracle ordering of the same candidates. The ratio is
     ideal / achieved, taken as 1.0 when the achieved value is 0.
     """
-    if n < 1:
-        raise ConfigError("n must be at least 1")
-    if not results:
+    if not sum(map(len, results)):
         raise DataError("no query results to evaluate")
-    waits = _wait_table(matrix, max_wait)
-    achieved_total = 0.0
-    ideal_total = 0.0
-    for res in results:
-        hood = set(res.neighborhood)
-        in_hood = [v for v in res.ranking if v in hood]
-        top = in_hood[: min(n, len(in_hood))]
-        t = res.horizon_time
-        achieved_total += min(waits[v, t] for v in top)
-        ideal_total += min(waits[v, t] for v in res.neighborhood)
-    awtp = achieved_total / len(results)
-    iawtp = ideal_total / len(results)
-    rnwtr = 1.0 if awtp == 0.0 else iawtp / awtp
-    return awtp, iawtp, rnwtr
+    return _wait_scores(_best_waits(_concat(results), matrix, max_wait), n)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +319,36 @@ def empty_report(model: str, scenario: str) -> MetricsReport:
     )
 
 
+def _reports(batch, matrix, model_name, masks, rank_ns, wait_ns, max_wait):
+    """One report per named [Q] mask; per-query values are computed once."""
+    ndcg = {n: ndcg_at(batch.ranking, batch.labels, n) for n in rank_ns}
+    mean_ap = {n: map_at(batch.ranking, batch.labels, n) for n in rank_ns}
+    best = _best_waits(batch, matrix, max_wait)
+    out = {}
+    for name, mask in masks.items():
+        if not mask.any():
+            out[name] = empty_report(model_name, name)
+            continue
+        waits = {n: _wait_scores(best[mask], n) for n in wait_ns}
+        out[name] = MetricsReport(
+            model=model_name,
+            scenario=name,
+            num_queries=int(mask.sum()),
+            ndcg={n: _mean_std(v[mask]) for n, v in ndcg.items()},
+            mean_ap={n: _mean_std(v[mask]) for n, v in mean_ap.items()},
+            awtp={n: w[0] for n, w in waits.items()},
+            iawtp=waits[wait_ns[-1]][1] if wait_ns else 0.0,
+            rnwtr={n: w[2] for n, w in waits.items()},
+        )
+    return out
+
+
+def _mean_std(values: np.ndarray) -> tuple[float, float]:
+    return float(values.mean()), float(values.std())
+
+
 def summarize(
-    results: Sequence[RankedQueryResult],
+    results: Sequence[QueryResults],
     matrix: OccupancyMatrix,
     model_name: str,
     scenario: str = "all",
@@ -320,91 +359,34 @@ def summarize(
     """Aggregate per-query metrics into one report (means and stds)."""
     if not results:
         return empty_report(model_name, scenario)
-    ndcg: dict[int, tuple[float, float]] = {}
-    mean_ap: dict[int, tuple[float, float]] = {}
-    for n in rank_ns:
-        vals = np.array(
-            [ndcg_at(r.ranking, r.labels, n) for r in results]
-        )
-        ndcg[n] = (float(vals.mean()), float(vals.std()))
-        vals = np.array([map_at(r.ranking, r.labels, n) for r in results])
-        mean_ap[n] = (float(vals.mean()), float(vals.std()))
-    awtp: dict[int, float] = {}
-    rnwtr: dict[int, float] = {}
-    iawtp = 0.0
-    for n in wait_ns:
-        a, i, r = awtp_rnwtr(results, matrix, n, max_wait)
-        awtp[n] = a
-        rnwtr[n] = r
-        iawtp = i
-    return MetricsReport(
-        model=model_name,
-        scenario=scenario,
-        num_queries=len(results),
-        ndcg=ndcg,
-        mean_ap=mean_ap,
-        awtp=awtp,
-        iawtp=iawtp,
-        rnwtr=rnwtr,
-    )
-
-
-@dataclass(frozen=True)
-class Calendar:
-    """Maps interval indices to weekday and hour of day."""
-
-    start_hour: int
-    start_minute: int
-    start_weekday: int
-    interval_minutes: int
-
-    @classmethod
-    def of(cls, matrix: OccupancyMatrix) -> "Calendar":
-        return cls(
-            start_hour=matrix.start_time.hour,
-            start_minute=matrix.start_time.minute,
-            start_weekday=matrix.start_time.weekday(),
-            interval_minutes=matrix.interval_minutes,
-        )
-
-    def minute_of_day(self, t: int) -> int:
-        total = (
-            self.start_hour * 60
-            + self.start_minute
-            + t * self.interval_minutes
-        )
-        return total % (24 * 60)
-
-    def hour(self, t: int) -> int:
-        return self.minute_of_day(t) // 60
-
-    def weekday(self, t: int) -> int:
-        total = (
-            self.start_hour * 60
-            + self.start_minute
-            + t * self.interval_minutes
-        )
-        return (self.start_weekday + total // (24 * 60)) % 7
+    batch = _concat(results)
+    masks = {scenario: np.ones(len(batch), dtype=bool)}
+    return _reports(
+        batch, matrix, model_name, masks, rank_ns, wait_ns, max_wait
+    )[scenario]
 
 
 SCENARIOS = ("workday", "weekend", "daytime", "nighttime")
 
 
-def scenario_of(calendar: Calendar, t: int) -> dict[str, bool]:
-    """Scenario membership for a query time; daytime is 07:00-18:59."""
-    weekday = calendar.weekday(t)
-    hour = calendar.hour(t)
-    day = 7 <= hour < 19
+def scenario_masks(matrix: OccupancyMatrix, times) -> dict[str, np.ndarray]:
+    """Scenario membership of interval indices; daytime is 07:00-18:59."""
+    start = matrix.start_time
+    times = np.asarray(times, dtype=np.int64)
+    minutes = start.hour * 60 + start.minute + times * matrix.interval_minutes
+    weekday = (start.weekday() + minutes // (24 * 60)) % 7
+    hour = minutes % (24 * 60) // 60
+    day = (7 <= hour) & (hour < 19)
     return {
         "workday": weekday < 5,
         "weekend": weekday >= 5,
         "daytime": day,
-        "nighttime": not day,
+        "nighttime": ~day,
     }
 
 
 def slice_scenarios(
-    results: Sequence[RankedQueryResult],
+    results: Sequence[QueryResults],
     matrix: OccupancyMatrix,
     model_name: str,
     rank_ns: tuple[int, ...] = (1, 5),
@@ -415,24 +397,15 @@ def slice_scenarios(
     Scenario membership is decided by the query time. Empty slices yield
     a zero-query report rather than an error.
     """
-    calendar = Calendar.of(matrix)
-    out = {
-        "all": summarize(
-            results, matrix, model_name, "all", rank_ns, max_wait=max_wait
-        )
-    }
-    for name in SCENARIOS:
-        subset = [
-            r
-            for r in results
-            if scenario_of(calendar, r.query_time)[name]
-        ]
-        out[name] = (
-            summarize(subset, matrix, model_name, name, rank_ns, max_wait=max_wait)
-            if subset
-            else empty_report(model_name, name)
-        )
-    return out
+    if not results:
+        names = ("all", *SCENARIOS)
+        return {name: empty_report(model_name, name) for name in names}
+    batch = _concat(results)
+    masks = {"all": np.ones(len(batch), dtype=bool)}
+    masks.update(scenario_masks(matrix, batch.query_time))
+    return _reports(
+        batch, matrix, model_name, masks, rank_ns, WAIT_NS, max_wait
+    )
 
 
 def reports_to_json(reports: dict[str, dict[str, MetricsReport]]) -> str:

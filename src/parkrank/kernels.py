@@ -139,11 +139,10 @@ def next_vacant_steps(states):
     intervals until its first vacant column at or after t, or NEVER_VACANT
     when the row stays occupied through the end.
     """
-    states = np.ascontiguousarray(states, dtype=np.bool_)
-    rows, cols = states.shape
-    steps = np.empty((rows, cols), dtype=np.int64)
-    nxt = np.full(rows, NEVER_VACANT, dtype=np.int64)
-    for t in range(cols - 1, -1, -1):
-        nxt = np.where(states[:, t], np.minimum(nxt + 1, NEVER_VACANT), 0)
-        steps[:, t] = nxt
-    return steps
+    states = np.asarray(states, dtype=np.bool_)
+    t = np.arange(states.shape[1], dtype=np.int64)
+    # next vacant column at or after t; occupied cells point so far past the
+    # end that a row with no vacancy ahead caps at NEVER_VACANT
+    never = t.size + NEVER_VACANT
+    nxt = np.minimum.accumulate(np.where(states, never, t)[:, ::-1], axis=1)
+    return np.minimum(nxt[:, ::-1] - t, NEVER_VACANT)

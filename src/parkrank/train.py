@@ -279,19 +279,18 @@ def _forward_batch(params, dataset: Dataset, idx, training=False, rate=0.0, rng=
 
 
 def _query_results(dataset: Dataset, spatial: SpatialGraph, idx, cfg, rankings):
-    """One result per (snapshot, query) of idx from [B, n, n] rankings."""
+    """One batch of the (snapshot, query) pairs of idx from [B, n, n] rankings."""
     labels = _batch_labels(dataset, spatial, idx, cfg)
-    hoods = [np.flatnonzero(row) for row in spatial.allowed_mask()]
-    results = []
-    for b, i in enumerate(idx):
-        t = int(dataset.times[i])
-        for q, hood in enumerate(hoods):
-            results.append(
-                evaluate.make_result(
-                    q, t, t + dataset.horizon, rankings[b, q], labels[b, q], hood
-                )
-            )
-    return results
+    width = dataset.num_vertices
+    times = np.repeat(dataset.times[idx], width)
+    return evaluate.QueryResults(
+        query_vertex=np.tile(np.arange(width), len(idx)),
+        query_time=times,
+        horizon_time=times + dataset.horizon,
+        ranking=rankings.reshape(-1, width),
+        labels=labels.reshape(-1, width),
+        neighborhood=np.tile(spatial.allowed_mask(), (len(idx), 1)),
+    )
 
 
 def split_results(
@@ -300,15 +299,15 @@ def split_results(
     spatial: SpatialGraph,
     split_idx: np.ndarray,
     cfg: TrainConfig,
-) -> list[evaluate.RankedQueryResult]:
-    """Rank every query at every snapshot of a split with the model."""
+) -> list[evaluate.QueryResults]:
+    """Rank every query of a split with the model, one batch per 128 snapshots."""
     hops = spatial.all_hop_distances()
     results = []
     for lo in range(0, len(split_idx), 128):
         idx = split_idx[lo : lo + 128]
         scores = _forward_batch(params, dataset, idx).data
         rankings = model.rank_candidates(scores, hops)
-        results += _query_results(dataset, spatial, idx, cfg, rankings)
+        results.append(_query_results(dataset, spatial, idx, cfg, rankings))
     return results
 
 
@@ -319,7 +318,7 @@ def baseline_split_results(
     spatial: SpatialGraph,
     split_idx: np.ndarray,
     cfg: TrainConfig,
-) -> list[evaluate.RankedQueryResult]:
+) -> list[evaluate.QueryResults]:
     """Same queries and labels as the model path, ranked by a baseline."""
     train_end = dataset.train_end_time()
     rankings = np.stack(
@@ -330,7 +329,7 @@ def baseline_split_results(
             for i in split_idx
         ]
     )
-    return _query_results(dataset, spatial, split_idx, cfg, rankings)
+    return [_query_results(dataset, spatial, split_idx, cfg, rankings)]
 
 
 def split_ndcg(
@@ -341,17 +340,10 @@ def split_ndcg(
     cfg: TrainConfig,
 ) -> float:
     """Mean NDCG@1 over all queries of a split, used for model selection."""
-    hops = spatial.all_hop_distances()
-    width = dataset.num_vertices
-    total = 0.0
-    for lo in range(0, len(split_idx), 128):
-        idx = split_idx[lo : lo + 128]
-        scores = _forward_batch(params, dataset, idx).data
-        rankings = model.rank_candidates(scores, hops).reshape(-1, width)
-        labels = _batch_labels(dataset, spatial, idx, cfg).reshape(-1, width)
-        for ranking, row in zip(rankings, labels):
-            total += evaluate.ndcg_at(ranking, row, 1)
-    return total / (len(split_idx) * width)
+    batches = split_results(params, dataset, spatial, split_idx, cfg)
+    ndcg = np.concatenate([evaluate.ndcg_at(b.ranking, b.labels, 1) for b in batches])
+    # summed in query order: np.sum's pairwise order would move the low bits
+    return float(np.add.accumulate(ndcg)[-1]) / len(ndcg)
 
 
 @dataclass

@@ -197,6 +197,13 @@ class TestEval:
         assert len(csv_lines) == 1 + 3 * 5
         plot_lines = (out / "plot_data.csv").read_text().splitlines()
         assert plot_lines[0] == "model,metric,scenario,value,std"
+        # every value cell is a plain number
+        for line in csv_lines[1:]:
+            for cell in line.split(",")[2:]:
+                float(cell)
+        for line in plot_lines[1:]:
+            for cell in line.split(",")[3:]:
+                float(cell)
 
     def test_eval_deterministic(self, tmp_path):
         data = synth_dir(tmp_path)
@@ -375,15 +382,8 @@ def test_corrupt_file_exit_2(pristine_tree, tmp_path, capsys, name, corrupt):
     assert name.split("/")[-1] in err
 
 
-@pytest.mark.parametrize(
-    "kind, name",
-    [
-        pytest.param("space", "loc.csv", id="locations"),
-        pytest.param("space", "rec.csv", id="space-records"),
-        pytest.param("street", "rec.csv", id="street-records"),
-    ],
-)
-def test_undecodable_ingest_input_exit_2(tmp_path, capsys, kind, name):
+def _write_ingest_inputs(tmp_path, kind):
+    """Valid loc.csv and rec.csv (space or street records) in tmp_path."""
     cfg = ingest.SynthConfig(num_locations=4, num_intervals=20, rng_seed=0)
     locations, matrix = ingest.synth_generate(cfg)
     ingest.save_locations(locations, tmp_path / "loc.csv")
@@ -397,6 +397,18 @@ def test_undecodable_ingest_input_exit_2(tmp_path, capsys, kind, name):
             row = f"{mid},{ts.isoformat()},{int(matrix.states[i, t])}"
             lines.append(row if kind == "space" else row + ",1")
     (tmp_path / "rec.csv").write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [
+        pytest.param("space", "loc.csv", id="locations"),
+        pytest.param("space", "rec.csv", id="space-records"),
+        pytest.param("street", "rec.csv", id="street-records"),
+    ],
+)
+def test_undecodable_ingest_input_exit_2(tmp_path, capsys, kind, name):
+    _write_ingest_inputs(tmp_path, kind)
     target = tmp_path / name
     raw = target.read_bytes()
     target.write_bytes(raw[:40] + b"\xff" + raw[41:])
@@ -405,4 +417,32 @@ def test_undecodable_ingest_input_exit_2(tmp_path, capsys, kind, name):
     assert code == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    assert name in err
+
+
+@pytest.mark.parametrize(
+    "kind, name, edit",
+    [
+        pytest.param(
+            "space", "loc.csv", lambda row: row.replace(",", ",north", 1),
+            id="latitude",
+        ),
+        pytest.param("space", "rec.csv", lambda row: row[:-1] + "x", id="state"),
+        pytest.param(
+            "street", "rec.csv", lambda row: row[: row.rindex(",")] + ",many",
+            id="capacity",
+        ),
+    ],
+)
+def test_ingest_parse_error_names_file(tmp_path, capsys, kind, name, edit):
+    _write_ingest_inputs(tmp_path, kind)
+    target = tmp_path / name
+    lines = target.read_text().splitlines()
+    lines[2] = edit(lines[2])
+    target.write_text("\n".join(lines) + "\n")
+    code = run("ingest", "--records", tmp_path / "rec.csv", "--locations",
+               tmp_path / "loc.csv", "--kind", kind, "--out", tmp_path / "x")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "line 3:" in err
     assert name in err

@@ -37,6 +37,23 @@ def matrix_of(states):
     )
 
 
+def waiting_time(matrix, vertex, arrival_time, max_wait=evaluate.DEFAULT_MAX_WAIT):
+    """Intervals spent waiting at vertex from arrival_time until vacant.
+
+    0 when already vacant; capped at max_wait, which is also the value
+    when the vertex never becomes vacant in range.
+    """
+    vacant = np.flatnonzero(~matrix.states[vertex, arrival_time:])
+    return min(int(vacant[0]), max_wait) if vacant.size else max_wait
+
+
+def table_wait(matrix, vertex, t, max_wait=evaluate.DEFAULT_MAX_WAIT):
+    """The wait the metrics read: AWTP@1 with vertex as the only candidate."""
+    n = matrix.num_locations
+    res = evaluate.make_result(vertex, t, t, range(n), np.zeros(n), [vertex])
+    return evaluate.awtp_rnwtr([res], matrix, 1, max_wait)[0]
+
+
 class TestNdcg:
     def test_reversed_pair_at_1_is_zero(self):
         assert evaluate.ndcg_at([1, 0], [1.0, 0.0], 1) == 0.0
@@ -57,9 +74,11 @@ class TestNdcg:
 
     def test_matches_reference_on_random_rows(self):
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            labels = rng.random(8) * (rng.random(8) < 0.6)
-            ranking = rng.permutation(8)
+        rows = [
+            (rng.permutation(8), rng.random(8) * (rng.random(8) < 0.6))
+            for _ in range(50)
+        ]
+        for ranking, labels in rows:
             for n in (1, 3, 8):
                 gains = labels[ranking[:n]]
                 ideal = np.sort(labels)[::-1][:n]
@@ -69,6 +88,13 @@ class TestNdcg:
                 )
                 got = evaluate.ndcg_at(ranking, labels, n)
                 assert abs(got - expected) < 1e-12
+        # the same rows as one [Q, n] batch give the 1-D values exactly
+        rankings, labels = (np.stack(col) for col in zip(*rows))
+        for n in (1, 3, 5, 8, 12):
+            batch = evaluate.ndcg_at(rankings, labels, n)
+            assert batch.shape == (50,)
+            for q in range(50):
+                assert batch[q] == evaluate.ndcg_at(rankings[q], labels[q], n)
 
     def test_rank_invariance_under_monotone_scores(self):
         rng = np.random.default_rng(1)
@@ -106,13 +132,22 @@ class TestMap:
 
     def test_matches_reference_on_random_rows(self):
         rng = np.random.default_rng(2)
+        rows = []
         for _ in range(50):
             labels = rng.random(9) * (rng.random(9) < 0.5)
             ranking = rng.permutation(9)
+            rows.append((ranking, labels))
             for n in (1, 4, 9):
                 flags = [bool(labels[i] > 0) for i in ranking]
                 expected = _ap_reference(flags, n)
                 assert abs(evaluate.map_at(ranking, labels, n) - expected) < 1e-12
+        # the same rows as one [Q, n] batch give the 1-D values exactly
+        rankings, labels = (np.stack(col) for col in zip(*rows))
+        for n in (1, 4, 5, 9, 12):
+            batch = evaluate.map_at(rankings, labels, n)
+            assert batch.shape == (50,)
+            for q in range(50):
+                assert batch[q] == evaluate.map_at(rankings[q], labels[q], n)
 
     def test_denominator_capped_by_n(self):
         # three relevant items but n=1: a hit at rank 1 gives full credit
@@ -121,24 +156,31 @@ class TestMap:
 
 
 class TestWaitingTime:
+    """The oracle above, and the wait table the metrics read, agree."""
+
     def test_worked_example(self):
         mat = matrix_of([[1, 1, 0, 0]])
-        assert evaluate.waiting_time(mat, 0, 0) == 2
+        assert waiting_time(mat, 0, 0) == 2
+        assert table_wait(mat, 0, 0) == 2
 
     def test_already_vacant(self):
         mat = matrix_of([[0, 1]])
-        assert evaluate.waiting_time(mat, 0, 0) == 0
+        assert waiting_time(mat, 0, 0) == 0
+        assert table_wait(mat, 0, 0) == 0
 
     def test_never_vacant_capped(self):
         mat = matrix_of([np.ones(40, dtype=bool)])
-        assert evaluate.waiting_time(mat, 0, 0) == 24
-        assert evaluate.waiting_time(mat, 0, 0, max_wait=7) == 7
+        assert waiting_time(mat, 0, 0) == 24
+        assert waiting_time(mat, 0, 0, max_wait=7) == 7
+        assert table_wait(mat, 0, 0) == 24
+        assert table_wait(mat, 0, 0, max_wait=7) == 7
 
     def test_long_wait_capped_too(self):
         states = np.ones((1, 40), dtype=bool)
         states[0, 30] = False
         mat = matrix_of(states)
-        assert evaluate.waiting_time(mat, 0, 0) == 24
+        assert waiting_time(mat, 0, 0) == 24
+        assert table_wait(mat, 0, 0) == 24
 
 
 def result_of(query, t, horizon_t, ranking, labels, hood):
@@ -176,6 +218,9 @@ class TestAwtpRnwtr:
         awtp, iawtp, _ = evaluate.awtp_rnwtr([res], mat, 1)
         assert awtp == 1.0
         assert iawtp == 1.0
+        empty = result_of(0, 0, 0, [1, 2, 0], [0.0, 0.0, 0.0], ())
+        with pytest.raises(DataError, match="neighborhood"):
+            evaluate.awtp_rnwtr([res, empty], mat, 1)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=30, deadline=None)
@@ -183,7 +228,7 @@ class TestAwtpRnwtr:
         rng = np.random.default_rng(seed)
         states = rng.random((6, 30)) < 0.6
         mat = matrix_of(states)
-        results = []
+        results, rows = [], []
         for q in range(6):
             hood = tuple(sorted(set([q]) | set(
                 int(v) for v in rng.choice(6, size=2)
@@ -193,10 +238,15 @@ class TestAwtpRnwtr:
             for v in hood:
                 labels[v] = rng.random()
             results.append(result_of(q, 3, 7, ranking, labels, hood))
+            rows.append(([v for v in ranking if v in hood], hood))
         for n in (1, 3, 5):
             awtp, iawtp, rnwtr = evaluate.awtp_rnwtr(results, mat, n)
             assert iawtp <= awtp + 1e-12
             assert 0.0 <= rnwtr <= 1.0 + 1e-12
+            # the per-query loop the wait table replaces, on the oracle
+            top = [min(waiting_time(mat, v, 7) for v in r[:n]) for r, _ in rows]
+            best = [min(waiting_time(mat, v, 7) for v in h) for _, h in rows]
+            assert (awtp, iawtp) == (sum(top) / 6, sum(best) / 6)
         # larger lists never hurt
         a1 = evaluate.awtp_rnwtr(results, mat, 1)[0]
         a5 = evaluate.awtp_rnwtr(results, mat, 5)[0]
@@ -267,26 +317,22 @@ class TestBaselines:
 
 
 class TestCalendarScenarios:
-    def cal(self):
-        mat = matrix_of(np.zeros((1, 10), dtype=bool))
-        return evaluate.Calendar.of(mat)  # starts Monday 00:00
+    def masks(self, times):
+        mat = matrix_of(np.zeros((1, 10), dtype=bool))  # starts Monday 00:00
+        return evaluate.scenario_masks(mat, np.array(times))
 
     def test_daytime_boundary(self):
-        cal = self.cal()
-        # 06:55 and 06:59 are nighttime; 07:00 flips to daytime
-        assert evaluate.scenario_of(cal, 83)["nighttime"]
-        assert not evaluate.scenario_of(cal, 83)["daytime"]
-        assert evaluate.scenario_of(cal, 84)["daytime"]
-        # 18:55 is daytime, 19:00 is nighttime
-        assert evaluate.scenario_of(cal, 227)["daytime"]
-        assert evaluate.scenario_of(cal, 228)["nighttime"]
+        # 06:55 is nighttime, 07:00 flips to daytime; 18:55 is daytime,
+        # 19:00 is nighttime
+        masks = self.masks([83, 84, 227, 228])
+        assert masks["nighttime"].tolist() == [True, False, False, True]
+        assert masks["daytime"].tolist() == [False, True, True, False]
 
     def test_weekday_weekend(self):
-        cal = self.cal()
-        assert evaluate.scenario_of(cal, 0)["workday"]  # Monday
-        saturday = 5 * 288
-        assert evaluate.scenario_of(cal, saturday)["weekend"]
-        assert not evaluate.scenario_of(cal, saturday)["workday"]
+        # Monday 00:00, Saturday 00:00, Sunday 23:55, next Monday 00:00
+        masks = self.masks([0, 5 * 288, 7 * 288 - 1, 7 * 288])
+        assert masks["workday"].tolist() == [True, False, False, True]
+        assert masks["weekend"].tolist() == [False, True, True, False]
 
     def test_empty_slice_flagged_not_error(self):
         states = np.zeros((2, 300), dtype=bool)

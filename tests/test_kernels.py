@@ -95,16 +95,27 @@ class TestExtractWindows:
 class TestNextVacantSteps:
     def test_scan_oracle(self):
         rng = np.random.default_rng(5)
-        states = make_rows(rng, 12, 90, p=0.6)
-        steps = kernels.next_vacant_steps(states)
-        for i in range(12):
-            for t in range(90):
-                expected = kernels.NEVER_VACANT
-                for u in range(t, 90):
-                    if not states[i, u]:
-                        expected = u - t
-                        break
-                assert steps[i, t] == expected
+        ends_occupied = make_rows(rng, 1, 20, p=0.6)
+        ends_occupied[0, -3:] = True
+        inputs = [
+            make_rows(rng, 12, 90, p=0.6),
+            np.ones((1, 1), dtype=bool),
+            np.zeros((1, 1), dtype=bool),
+            np.zeros((1, 15), dtype=bool),  # all vacant
+            ends_occupied,
+        ]
+        for states in inputs:
+            rows, cols = states.shape
+            steps = kernels.next_vacant_steps(states)
+            assert steps.shape == states.shape and steps.dtype == np.int64
+            for i in range(rows):
+                for t in range(cols):
+                    expected = kernels.NEVER_VACANT
+                    for u in range(t, cols):
+                        if not states[i, u]:
+                            expected = u - t
+                            break
+                    assert steps[i, t] == expected
 
     def test_all_occupied_row(self):
         states = np.ones((1, 6), dtype=bool)

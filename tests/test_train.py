@@ -240,11 +240,16 @@ class TestTrainLoop:
         result = train.train_loop(matrix, graph, cfg)
         ds = result.dataset
         res = train.split_results(result.params, ds, graph, ds.val_idx, cfg)
-        assert len(res) == len(ds.val_idx) * graph.num_vertices
+        rows = sum(len(batch) for batch in res)
+        assert rows == len(ds.val_idx) * graph.num_vertices
         report = evaluate.summarize(res, matrix, "model")
-        assert report.num_queries == len(res)
+        assert report.num_queries == rows
         base = train.baseline_split_results(
             "persistence", matrix, ds, graph, ds.val_idx, cfg
         )
-        assert len(base) == len(res)
-        assert base[0].query_time == res[0].query_time
+        assert sum(len(batch) for batch in base) == rows
+        for field in ("query_vertex", "query_time", "horizon_time", "labels"):
+            assert np.array_equal(
+                np.concatenate([getattr(b, field) for b in base]),
+                np.concatenate([getattr(b, field) for b in res]),
+            )
