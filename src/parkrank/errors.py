@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import copy
+
 
 class ParkrankError(Exception):
     """Base class for every package-specific error."""
@@ -7,6 +9,13 @@ class ParkrankError(Exception):
 
 class DataError(ParkrankError):
     """Malformed, inconsistent, or insufficient input data."""
+
+    def in_file(self, path) -> "DataError":
+        """The same error, type and fields kept, with the file it came
+        from named in front."""
+        named = copy.copy(self)
+        named.args = (f"{path}: {self}",)
+        return named
 
 
 class EmptyDatasetError(DataError):
@@ -21,12 +30,6 @@ class ParseError(DataError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-    def in_file(self, path) -> "ParseError":
-        """The same error with the file it came from named in front."""
-        named = ParseError(f"{path}: {self}")
-        named.line = self.line
-        return named
 
 
 class ConfigError(ParkrankError):

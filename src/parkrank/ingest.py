@@ -628,8 +628,8 @@ def load_locations(path) -> list[MeterLocation]:
                 out.append(MeterLocation(record[cols["meter_id"]], lat, lon))
     except UnicodeDecodeError:
         raise DataError(f"{path}: undecodable bytes") from None
-    except ParseError as exc:
+    except DataError as exc:
         raise exc.in_file(path) from None
     if not out:
-        raise EmptyDatasetError("locations file has no rows")
+        raise EmptyDatasetError(f"{path}: locations file has no rows")
     return out

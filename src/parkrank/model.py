@@ -5,9 +5,12 @@ positive, occupied negative), squashed by tanh so the sign gates the
 magnitude. A 1-D convolution with bias, ReLU, and mean-pooling summarizes
 them into an event embedding. Graph iterations then mix embeddings over
 the symmetric-normalized adjacency, each round re-concatenating the event
-embedding as a residual. A pairwise readout scores every (query, candidate)
-pair and multiplies by a learnable mask that is structurally zero outside
-each query's own neighborhood, so only reachable candidates can score.
+embedding as a residual. A pairwise readout scores only the allowed
+(query, candidate) pairs, each candidate in the query's own neighborhood,
+over an edge list, and multiplies each by a learnable mask weight. The
+scores are scattered into a [batch, query, candidate] matrix whose entries
+outside the neighborhoods are structural zeros, so only reachable
+candidates can score.
 """
 
 from __future__ import annotations
@@ -81,6 +84,9 @@ class ModelParams:
         self.config = config
         self.num_vertices = spatial.num_vertices
         self.allowed = spatial.allowed_mask()
+        # allowed pairs in row-major order: by query, then by candidate
+        self.src, self.dst = np.nonzero(self.allowed)
+        self.pair_index = self.src * self.num_vertices + self.dst
         self.adj_norm = normalized_adjacency(spatial)
         a, d, m = config.alpha, config.embed_dim, config.conv_channels
         k = config.kernel_len
@@ -105,7 +111,8 @@ class ModelParams:
         )
         self._tensors["readout.item"] = tensor_of(_glorot(rng, d, d, (d, d)))
         self._tensors["readout.bias"] = tensor_of(np.zeros(d))
-        # mask weights live on allowed positions only; the rest stay zero
+        # only allowed positions are read; the rest stay zero, so the
+        # checkpoint keeps its dense [n, n] layout
         self._tensors["mask.weights"] = tensor_of(
             self.allowed.astype(np.float64)
         )
@@ -259,11 +266,14 @@ def forward_scores(
     dropout_rate: float = 0.0,
     rng=None,
 ) -> T.Tensor:
-    """Score every (query, candidate) pair for a batch of snapshots.
+    """Score the allowed (query, candidate) pairs of a batch of snapshots.
 
     windows: [batch, vertices, alpha] signed durations;
     current_signed: [batch, vertices]; states_now: [batch, vertices] bool.
-    Returns a [batch, vertices, vertices] tensor, query along axis 1.
+    Returns a [batch, vertices, vertices] tensor, query along axis 1. The
+    readout runs over the edge list (params.src, params.dst) only; its
+    scores are scattered into the matrix, so every pair outside
+    params.allowed holds an exact zero before the activation.
     """
     if windows.ndim != 3:
         raise DimensionError(
@@ -287,24 +297,23 @@ def forward_scores(
         params, real_time_features(current_signed, states_now), h, rate, rng
     )
 
-    # pairwise readout: query features against candidate embeddings
+    # pairwise readout over the allowed pairs: query features against
+    # candidate embeddings, [batch, pairs, embed_dim]
     query_feat = np.concatenate(
         [np.tanh(windows), np.tanh(current_signed)[..., None]], -1
     )
     q = T.matmul(T.Tensor(query_feat), params.get("readout.query"))
     item = T.matmul(z, params.get("readout.item"))
-    pair = T.add(
-        T.reshape(q, (batch, n, 1, cfg.embed_dim)),
-        T.reshape(item, (batch, 1, n, cfg.embed_dim)),
-    )
+    pair = T.add(T.take(q, params.src, 1), T.take(item, params.dst, 1))
     pair = T.relu(T.add(pair, params.get("readout.bias")))
     raw = T.reduce_sum(pair, axis=-1)
 
-    mask = T.mul(
-        params.get("mask.weights"),
-        T.Tensor(params.allowed.astype(np.float64)),
+    mask = T.take(
+        T.reshape(params.get("mask.weights"), (n * n,)), params.pair_index, 0
     )
-    pre = T.mul(raw, mask)
+    pre = T.reshape(
+        T.scatter(T.mul(raw, mask), params.pair_index, n * n), (batch, n, n)
+    )
     if cfg.score_activation == "relu":
         return T.relu(pre)
     pre = T.masked_fill(pre, ~params.allowed, MASK_FILL)

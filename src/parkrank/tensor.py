@@ -2,9 +2,10 @@
 
 Tensors form a dynamic computation graph; each op records its parents and
 a backward rule returning per-parent gradient arrays. ``backward`` runs a
-topological sweep from a scalar loss, accumulating into ``.grad`` of every
-tensor that requires gradients. The module also carries the Adam update,
-a central-difference gradient checker, and a binary checkpoint container.
+topological sweep from a scalar loss and accumulates into ``.grad`` of the
+leaves only (tensors created with requires_grad, not by an op); gradients
+of intermediate nodes live just long enough to reach their parents. The
+module also carries the Adam update and a binary checkpoint container.
 """
 
 from __future__ import annotations
@@ -229,6 +230,40 @@ def concat(parts: Sequence, axis: int = -1) -> Tensor:
     return _node(data, tensors, bw)
 
 
+def take(x, index: np.ndarray, axis: int) -> Tensor:
+    """Gather entries along one axis, like np.take; indices may repeat."""
+    x = as_tensor(x)
+    index = np.asarray(index, dtype=np.intp)
+    axis = axis % x.ndim
+
+    def bw(g):
+        gx = np.zeros_like(x.data)
+        # unbuffered, in index order: repeats add up like a dense sum
+        np.add.at(gx, (slice(None),) * axis + (index,), g)
+        return (gx,)
+
+    return _node(np.take(x.data, index, axis=axis), (x,), bw)
+
+
+def scatter(x, index: np.ndarray, size: int) -> Tensor:
+    """Place the last axis of x at distinct positions of a zero last axis
+    of length size: out[..., index[e]] = x[..., e]."""
+    x = as_tensor(x)
+    index = np.asarray(index, dtype=np.intp)
+    if index.shape != x.shape[-1:]:
+        raise DimensionError(
+            f"scatter: indices {index.shape} do not match the last axis of "
+            f"{x.shape}"
+        )
+    out = np.zeros(x.shape[:-1] + (size,))
+    out[..., index] = x.data
+
+    def bw(g):
+        return (g[..., index],)
+
+    return _node(out, (x,), bw)
+
+
 def relu(x) -> Tensor:
     x = as_tensor(x)
     out = np.maximum(x.data, 0.0)
@@ -330,10 +365,13 @@ def reshape(x, shape) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d loss / d tensor into .grad across the graph.
+    """Accumulate d loss / d leaf into the .grad of every leaf.
 
-    Repeated calls without zeroing keep adding, matching gradient
-    accumulation over several forward passes.
+    A leaf is a tensor that requires gradients and was not made by an op;
+    each gets its own .grad array. Intermediate nodes keep .grad as None:
+    their pass gradient is dropped once handed to their parents. Repeated
+    calls without zeroing keep adding, matching gradient accumulation
+    over several forward passes.
     """
     if loss.data.size != 1:
         raise DimensionError(
@@ -366,16 +404,15 @@ def backward(loss: Tensor) -> None:
         g = pass_grads.pop(id(node), None)
         if g is None:
             continue
-        if node._backward_fn is not None:
-            for parent, pg in zip(node._parents, node._backward_fn(g)):
-                if pg is None or not parent.requires_grad:
-                    continue
-                held = pass_grads.get(id(parent))
-                pass_grads[id(parent)] = pg if held is None else held + pg
-        if node.requires_grad:
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-            node.grad = node.grad + g
+        if node._backward_fn is None:
+            # ops may hand one array to several parents, so copy
+            node.grad = g.copy() if node.grad is None else node.grad + g
+            continue
+        for parent, pg in zip(node._parents, node._backward_fn(g)):
+            if pg is None or not parent.requires_grad:
+                continue
+            held = pass_grads.get(id(parent))
+            pass_grads[id(parent)] = pg if held is None else held + pg
 
 
 # ---------------------------------------------------------------------------
@@ -425,72 +462,6 @@ def adam_step(params: Sequence[Tensor], state: AdamState) -> None:
         v_hat = v / (1.0 - b2**t)
         p.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
         p.grad = None
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-
-def grad_check(
-    f: Callable[[], Tensor],
-    params: Sequence[Tensor],
-    h: float = 1e-5,
-    kink_filter: bool = False,
-) -> float:
-    """Max relative error between analytic and central-difference grads.
-
-    Relative error per entry is |analytic - numeric| / max(1, |numeric|);
-    f must rebuild the graph (deterministically) on every call.
-
-    With kink_filter, every entry is probed at step h and h/2 and
-    skipped when the two estimates disagree: the central difference
-    converges only where the loss is smooth, so disagreement marks a
-    perturbation that crosses a hinge point, where no finite-difference
-    reference exists. A skip rate above 5% raises, so a wrong backward
-    pass cannot hide behind the filter.
-    """
-
-    def central(idx_ref, flat, original, step):
-        flat[idx_ref] = original + step
-        plus = f().item()
-        flat[idx_ref] = original - step
-        minus = f().item()
-        flat[idx_ref] = original
-        return (plus - minus) / (2.0 * step)
-
-    for p in params:
-        p.grad = None
-    backward(f())
-    analytic = [
-        p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-        for p in params
-    ]
-    worst = 0.0
-    skipped = 0
-    total = 0
-    for p, ref in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        ref_flat = ref.reshape(-1)
-        for idx in range(flat.size):
-            total += 1
-            original = flat[idx]
-            numeric = central(idx, flat, original, h)
-            if kink_filter:
-                finer = central(idx, flat, original, h / 2.0)
-                if abs(numeric - finer) / max(1.0, abs(finer)) > 1e-6:
-                    skipped += 1
-                    continue
-            err = abs(ref_flat[idx] - numeric) / max(1.0, abs(numeric))
-            worst = max(worst, err)
-    for p in params:
-        p.grad = None
-    if kink_filter and skipped > 0.05 * total:
-        raise DimensionError(
-            f"grad_check: {skipped} of {total} entries sit on hinge "
-            "points; inputs are unsuitable for finite differences"
-        )
-    return worst
 
 
 # ---------------------------------------------------------------------------

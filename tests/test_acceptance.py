@@ -12,6 +12,7 @@ from datetime import datetime
 
 import numpy as np
 
+from gradcheck import grad_check
 from parkrank import cli, esgraph, evaluate, ingest, model, train
 from parkrank import tensor as T
 
@@ -119,7 +120,7 @@ def test_criterion_3_gradient_correctness():
             )
 
         worst = max(
-            worst, T.grad_check(build, params.tensors, kink_filter=True)
+            worst, grad_check(build, params.tensors, kink_filter=True)
         )
     _verdict(
         worst < 1e-4,

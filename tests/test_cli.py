@@ -420,29 +420,54 @@ def test_undecodable_ingest_input_exit_2(tmp_path, capsys, kind, name):
     assert name in err
 
 
+def _on_row_3(edit):
+    """A file edit that rewrites the third line (the second record)."""
+    return lambda lines: [*lines[:2], edit(lines[2]), *lines[3:]]
+
+
 @pytest.mark.parametrize(
-    "kind, name, edit",
+    "kind, name, edit, says",
     [
         pytest.param(
-            "space", "loc.csv", lambda row: row.replace(",", ",north", 1),
+            "space", "loc.csv",
+            _on_row_3(lambda row: row.replace(",", ",north", 1)), "line 3:",
             id="latitude",
         ),
-        pytest.param("space", "rec.csv", lambda row: row[:-1] + "x", id="state"),
         pytest.param(
-            "street", "rec.csv", lambda row: row[: row.rindex(",")] + ",many",
-            id="capacity",
+            "space", "rec.csv", _on_row_3(lambda row: row[:-1] + "x"),
+            "line 3:", id="state",
+        ),
+        pytest.param(
+            "street", "rec.csv",
+            _on_row_3(lambda row: row[: row.rindex(",")] + ",many"),
+            "line 3:", id="capacity",
+        ),
+        pytest.param(
+            "space", "loc.csv", lambda lines: [], "no header row",
+            id="empty-locations",
+        ),
+        pytest.param(
+            "space", "loc.csv", lambda lines: lines[:1], "no rows",
+            id="header-only-locations",
+        ),
+        pytest.param(
+            "space", "rec.csv", lambda lines: [], "no header row",
+            id="empty-records",
+        ),
+        pytest.param(
+            "street", "rec.csv", lambda lines: lines[:1], "no records",
+            id="header-only-records",
         ),
     ],
 )
-def test_ingest_parse_error_names_file(tmp_path, capsys, kind, name, edit):
+def test_ingest_parse_error_names_file(tmp_path, capsys, kind, name, edit, says):
     _write_ingest_inputs(tmp_path, kind)
     target = tmp_path / name
-    lines = target.read_text().splitlines()
-    lines[2] = edit(lines[2])
-    target.write_text("\n".join(lines) + "\n")
+    lines = edit(target.read_text().splitlines())
+    target.write_text("".join(line + "\n" for line in lines))
     code = run("ingest", "--records", tmp_path / "rec.csv", "--locations",
                tmp_path / "loc.csv", "--kind", kind, "--out", tmp_path / "x")
     assert code == 2
     err = capsys.readouterr().err
-    assert "error:" in err and "line 3:" in err
+    assert "error:" in err and says in err
     assert name in err

@@ -4,7 +4,7 @@ and masked scoring."""
 import numpy as np
 import pytest
 
-from parkrank import esgraph, ingest, model
+from parkrank import esgraph, ingest, model, train
 from parkrank import tensor as T
 from parkrank.errors import ConfigError, DataError
 
@@ -292,6 +292,127 @@ class TestForwardScores:
         T.backward(T.reduce_sum(scores))
         grad = params.get("mask.weights").grad
         assert (grad[~params.allowed] == 0.0).all()
+
+
+def dense_readout_scores(params, windows, current, states, rate, rng):
+    """Oracle: forward_scores with the dense [batch, n, n, embed_dim] pair
+    readout over every (query, candidate) pair, masked afterwards."""
+    batch, n, d = windows.shape[0], params.num_vertices, params.config.embed_dim
+    h = model.event_embed(params, windows, rate, rng)
+    z = model.graph_rounds(
+        params, model.real_time_features(current, states), h, rate, rng
+    )
+    query_feat = np.concatenate(
+        [np.tanh(windows), np.tanh(current)[..., None]], -1
+    )
+    q = T.matmul(T.Tensor(query_feat), params.get("readout.query"))
+    item = T.matmul(z, params.get("readout.item"))
+    pair = T.add(
+        T.reshape(q, (batch, n, 1, d)), T.reshape(item, (batch, 1, n, d))
+    )
+    pair = T.relu(T.add(pair, params.get("readout.bias")))
+    raw = T.reduce_sum(pair, axis=-1)
+    mask = T.mul(
+        params.get("mask.weights"), T.Tensor(params.allowed.astype(float))
+    )
+    pre = T.mul(raw, mask)
+    if params.config.score_activation == "relu":
+        return T.relu(pre)
+    pre = T.masked_fill(pre, ~params.allowed, model.MASK_FILL)
+    return T.softmax(pre, axis=-1)
+
+
+def graph_of(kind):
+    if kind == "single-vertex":
+        return ingest.build_adjacency([ingest.MeterLocation("a", 22.3, 114.17)])
+    if kind == "no-edges":
+        return ingest.build_adjacency(
+            [ingest.MeterLocation(f"m{i}", 22.3 + 0.01 * i, 114.17)
+             for i in range(4)]
+        )
+    if kind == "complete":
+        return ingest.build_adjacency(
+            [ingest.MeterLocation(f"m{i}", 22.3 + 1e-5 * i, 114.17)
+             for i in range(5)]
+        )
+    return grid_graph(9)
+
+
+class TestEdgeListReadout:
+    """The edge-list readout against the dense-readout oracle: equal bits
+    for the scores, the loss and every parameter gradient, with no
+    [batch, n, n, embed_dim] array built on the way."""
+
+    @pytest.mark.parametrize("activation", ["relu", "softmax"])
+    @pytest.mark.parametrize(
+        "kind", ["single-vertex", "no-edges", "grid", "complete"]
+    )
+    def test_matches_dense_oracle(self, monkeypatch, activation, kind):
+        graph = graph_of(kind)
+        n = graph.num_vertices
+        params = make_params(
+            graph, alpha=3, beta=2, conv_channels=3, embed_dim=4,
+            score_activation=activation,
+        )
+        rng = np.random.default_rng(11)
+        for t in params.tensors:
+            t.data = rng.standard_normal(t.shape)
+        # training keeps mask weights outside the neighborhoods at zero
+        params.get("mask.weights").data[~params.allowed] = 0.0
+        batch = 6
+        signs = rng.choice([-1.0, 1.0], (batch, n, 3))
+        windows = rng.integers(1, 7, (batch, n, 3)) * signs
+        current = rng.integers(1, 5, (batch, n)).astype(float)
+        states = rng.random((batch, n)) < 0.5
+        labels = train.make_labels(
+            graph, rng.random((batch, n)) < 0.6,
+            rng.integers(1, 15, (batch, n)), 0.5, 0.5, 12,
+        )
+        dense_shape = (batch, n, n, 4)
+
+        def run(forward):
+            shapes = []
+            make_node = T._node
+
+            def recording_node(data, parents, backward_fn):
+                shapes.append(np.shape(data))
+
+                def bw(g):
+                    grads = backward_fn(g)
+                    shapes.extend(np.shape(pg) for pg in grads)
+                    return grads
+
+                return make_node(data, parents, bw)
+
+            monkeypatch.setattr(T, "_node", recording_node)
+            scores = forward(np.random.default_rng(5))
+            loss = train.training_loss(
+                labels, scores, params, 0.3, 1e-4, params.allowed
+            )
+            T.backward(loss)
+            monkeypatch.setattr(T, "_node", make_node)
+            grads = {k: t.grad for k, t in params.named.items()}
+            for t in params.tensors:
+                t.grad = None
+            return scores.data, loss.data, grads, shapes
+
+        scores, loss, grads, shapes = run(
+            lambda r: model.forward_scores(
+                params, windows, current, states, training=True,
+                dropout_rate=0.3, rng=r,
+            )
+        )
+        want_scores, want_loss, want_grads, oracle_shapes = run(
+            lambda r: dense_readout_scores(
+                params, windows, current, states, 0.3, r
+            )
+        )
+        assert scores.tobytes() == want_scores.tobytes()
+        assert loss.tobytes() == want_loss.tobytes()
+        for name, want in want_grads.items():
+            assert grads[name].tobytes() == want.tobytes(), name
+        assert dense_shape in oracle_shapes  # the recorder sees it
+        assert dense_shape not in shapes
 
 
 class TestRecommendTopN:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
 from parkrank import tensor as T
 from parkrank.errors import DataError, DimensionError
 
@@ -80,7 +81,7 @@ class TestGradients:
     """Central-difference checks, one op at a time."""
 
     def check(self, build, params):
-        err = T.grad_check(build, params, h=1e-5)
+        err = grad_check(build, params, h=1e-5)
         assert err < TOL, f"gradient error {err}"
 
     def test_add_sub_mul_broadcast(self):
@@ -158,6 +159,30 @@ class TestGradients:
         x = leaf(rng, 2, 5, 3)
         self.check(lambda: T.reduce_sum(T.neighbor_mix(weights, x)), [x])
 
+    def test_take_repeated_indices(self):
+        rng = np.random.default_rng(20)
+        x = leaf(rng, 4, 5, 3)
+        w0 = T.Tensor(rng.standard_normal((6, 5, 3)))
+        w1 = T.Tensor(rng.standard_normal((4, 7, 3)))
+        rows = np.array([3, 0, 3, 1, 3, 2])
+        cols = np.array([0, 4, 4, 2, 0, 0, 1])
+        self.check(
+            lambda: T.add(
+                T.reduce_sum(T.mul(T.take(x, rows, 0), w0)),
+                T.reduce_sum(T.mul(T.take(x, cols, 1), w1)),
+            ),
+            [x],
+        )
+
+    def test_scatter(self):
+        rng = np.random.default_rng(21)
+        x = leaf(rng, 2, 4)
+        w = T.Tensor(rng.standard_normal((2, 9)))
+        index = np.array([7, 0, 3, 5])
+        self.check(
+            lambda: T.reduce_sum(T.mul(T.scatter(x, index, 9), w)), [x]
+        )
+
     def test_composite_two_layer(self):
         rng = np.random.default_rng(19)
         x = T.Tensor(rng.standard_normal((4, 3)))
@@ -186,6 +211,17 @@ class TestBackwardSemantics:
         z = T.reduce_sum(T.add(y, y))  # 2 x^2 -> dz/dx = 4x = 12
         T.backward(z)
         assert np.allclose(x.grad, [12.0])
+
+    def test_grads_kept_on_leaves_only(self):
+        a = T.Tensor([1.0, 2.0], requires_grad=True)
+        b = T.Tensor([3.0, 4.0], requires_grad=True)
+        total = T.add(a, b)  # add hands one gradient array to both
+        out = T.mul(total, total)
+        T.backward(T.reduce_sum(out))
+        assert total.grad is None and out.grad is None
+        assert np.array_equal(a.grad, [8.0, 12.0])
+        assert np.array_equal(b.grad, [8.0, 12.0])
+        assert not np.shares_memory(a.grad, b.grad)
 
     def test_constant_inputs_get_no_grad(self):
         x = T.Tensor([1.0, 2.0])
@@ -243,7 +279,7 @@ class TestGradCheckHarness:
             )
             return T.reduce_sum(out)
 
-        assert T.grad_check(build, [x]) > 0.5
+        assert grad_check(build, [x]) > 0.5
 
     def test_kink_filter_skips_hinge_entries(self):
         # w[0] sits within the probe step of the relu hinge; every other
@@ -255,8 +291,8 @@ class TestGradCheckHarness:
         def build():
             return T.reduce_sum(T.relu(w))
 
-        assert T.grad_check(build, [w]) > 0.1
-        assert T.grad_check(build, [w], kink_filter=True) < 1e-8
+        assert grad_check(build, [w]) > 0.1
+        assert grad_check(build, [w], kink_filter=True) < 1e-8
 
     def test_kink_filter_refuses_saturated_inputs(self):
         w = T.Tensor(np.full(4, 1e-6), requires_grad=True)
@@ -265,7 +301,7 @@ class TestGradCheckHarness:
             return T.reduce_sum(T.relu(w))
 
         with pytest.raises(DimensionError, match="hinge"):
-            T.grad_check(build, [w], kink_filter=True)
+            grad_check(build, [w], kink_filter=True)
 
     def test_kink_filter_still_reports_sabotage(self):
         x = T.Tensor([1.5, -0.75], requires_grad=True)
@@ -278,7 +314,7 @@ class TestGradCheckHarness:
             )
             return T.reduce_sum(out)
 
-        assert T.grad_check(build, [x], kink_filter=True) > 0.5
+        assert grad_check(build, [x], kink_filter=True) > 0.5
 
 
 class TestCheckpoint:
