@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,18 +35,23 @@ def read_config(path, allowed_keys) -> dict[str, str]:
     if not path.exists():
         raise DataError(f"config file not found: {path}")
     options: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError("expected key=value", line=lineno)
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in allowed_keys:
-            raise ConfigError(f"unknown config key: {key}")
-        if not value:
-            raise ParseError(f"empty value for {key}", line=lineno)
-        options[key] = value
+    try:
+        for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ParseError("expected key=value", line=lineno)
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in allowed_keys:
+                raise ConfigError(f"unknown config key: {key}")
+            if not value:
+                raise ParseError(f"empty value for {key}", line=lineno)
+            options[key] = value
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: undecodable bytes") from None
+    except ParseError as exc:
+        raise exc.in_file(path) from None
     return options
 
 
@@ -193,47 +199,22 @@ def cmd_ingest(args) -> int:
     return 0
 
 
+# every training field is an option, except rng_seed, which the shared
+# "seed" option (flag, config file, then OPR_SEED) sets, and
+# select_best_val, which the CLI always leaves on
 TRAIN_SPEC = {
     "seed": (int, 0),
-    "alpha": (int, 6),
-    "beta": (int, 2),
-    "conv_channels": (int, 8),
-    "embed_dim": (int, 16),
-    "kernel_len": (int, 3),
-    "score_activation": (str, "relu"),
-    "horizon_intervals": (int, 4),
-    "prox_weight": (float, 0.5),
-    "dur_weight": (float, 0.5),
-    "duration_cap": (int, 12),
-    "softmax_weight": (float, 0.1),
-    "l2_coeff": (float, 1e-6),
-    "dropout_rate": (float, 0.0),
-    "batch_size": (int, 128),
-    "iterations": (int, 1000),
-    "learning_rate": (float, 0.002),
-    "eval_every": (int, 25),
+    **{
+        f.name: (f.type, f.default)
+        for f in fields(train.TrainConfig)
+        if f.name not in ("rng_seed", "select_best_val")
+    },
 }
 
 
 def train_config_from(opts) -> train.TrainConfig:
     return train.TrainConfig(
-        alpha=opts["alpha"],
-        beta=opts["beta"],
-        conv_channels=opts["conv_channels"],
-        embed_dim=opts["embed_dim"],
-        kernel_len=opts["kernel_len"],
-        score_activation=opts["score_activation"],
-        horizon_intervals=opts["horizon_intervals"],
-        prox_weight=opts["prox_weight"],
-        dur_weight=opts["dur_weight"],
-        duration_cap=opts["duration_cap"],
-        softmax_weight=opts["softmax_weight"],
-        l2_coeff=opts["l2_coeff"],
-        dropout_rate=opts["dropout_rate"],
-        batch_size=opts["batch_size"],
-        iterations=opts["iterations"],
-        learning_rate=opts["learning_rate"],
-        eval_every=opts["eval_every"],
+        **{key: opts[key] for key in TRAIN_SPEC if key != "seed"},
         rng_seed=opts["seed"],
     )
 
@@ -396,7 +377,7 @@ def cmd_bench(args) -> int:
     curve = esgraph.complexity_curve(matrix, opts["points"])
     out = _ensure_dir(args.out)
     (out / "complexity.json").write_text(
-        json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
+        json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
     )
     with (out / "complexity_curve.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)

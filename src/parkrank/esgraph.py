@@ -1,73 +1,23 @@
-"""Turnover-event graph: occupancy rows contracted into event paths.
+"""Turnover-event graph: occupancy rows contracted into run tables.
 
 A row of the occupancy matrix is a path of per-interval cells. Contracting
-every maximal constant run into a single node turns it into an event path:
-the completed runs become (state, duration) turnover events and the final
-run becomes the current state with its age. ``RunTable`` holds these
-paths for every meter at once and serves the newest events at any
-reference interval, so downstream consumers read at most a fixed number of
-events per vertex instead of scanning raw cells.
+every maximal constant run into a single node turns it into turnover
+events: the completed runs become (state, duration) events and the final
+run becomes the current state with its age. ``RunTable`` holds the runs of
+every meter at once and serves the newest events at any reference interval
+as an ``EventWindow``, so downstream consumers read at most a fixed number
+of events per vertex instead of scanning raw cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import kernels
 from .errors import ConfigError, DataError
 from .ingest import OccupancyMatrix
-
-
-@dataclass(frozen=True)
-class EventPath:
-    """Contracted history of one location up to a reference interval.
-
-    ``events`` holds completed runs oldest first as (state, duration);
-    consecutive events always alternate state, durations are positive, and
-    the newest event's state differs from ``current_state``.
-    """
-
-    events: tuple[tuple[bool, int], ...]
-    current_state: bool
-    current_duration: int
-    reference_time: int
-
-    def __post_init__(self):
-        if self.current_duration < 1:
-            raise DataError("current_duration must be at least 1")
-        if self.reference_time < 0:
-            raise DataError("reference_time must be non-negative")
-        prev: Optional[bool] = None
-        for state, duration in self.events:
-            if duration < 1:
-                raise DataError("event durations must be positive")
-            if prev is not None and state == prev:
-                raise DataError("adjacent events must alternate state")
-            prev = state
-        if prev is not None and prev == self.current_state:
-            raise DataError("newest event must differ from current state")
-
-    @property
-    def num_events(self) -> int:
-        return len(self.events)
-
-    @property
-    def total_length(self) -> int:
-        return sum(d for _, d in self.events) + self.current_duration
-
-    def expand(self) -> np.ndarray:
-        """Reconstruct the raw boolean sequence this path was built from."""
-        parts = [
-            np.full(duration, state, dtype=np.bool_)
-            for state, duration in self.events
-        ]
-        parts.append(
-            np.full(self.current_duration, self.current_state, dtype=np.bool_)
-        )
-        return np.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -90,10 +40,6 @@ class EventWindow:
         ):
             raise DataError("window shape does not match alpha")
 
-    @property
-    def num_vertices(self) -> int:
-        return self.signed_durations.shape[0]
-
 
 @dataclass(frozen=True)
 class ComplexityReport:
@@ -115,30 +61,12 @@ class ComplexityReport:
     task2_steps_st: int
     task2_steps_es: int
 
-    def as_dict(self) -> dict:
-        return {
-            "num_locations": self.num_locations,
-            "num_intervals": self.num_intervals,
-            "alpha": self.alpha,
-            "stgraph_cells": self.stgraph_cells,
-            "esgraph_nodes": self.esgraph_nodes,
-            "esgraph_edges": self.esgraph_edges,
-            "task1_steps_st": self.task1_steps_st,
-            "task1_steps_es": self.task1_steps_es,
-            "task2_steps_st": self.task2_steps_st,
-            "task2_steps_es": self.task2_steps_es,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ComplexityReport":
-        return cls(**{k: int(payload[k]) for k in cls.__dataclass_fields__})
-
 
 class RunTable:
     """Run decomposition of a whole occupancy matrix, for fast windowing.
 
     Wraps the padded run arrays from the kernel layer and serves event
-    paths, event windows, and remaining-run queries for any reference
+    windows, prefix run counts and remaining-run queries for any reference
     column without rescanning raw cells.
     """
 
@@ -156,10 +84,6 @@ class RunTable:
         ) = kernels.encode_runs(states)
 
     @property
-    def num_locations(self) -> int:
-        return self.states.shape[0]
-
-    @property
     def num_intervals(self) -> int:
         return self.states.shape[1]
 
@@ -173,19 +97,6 @@ class RunTable:
         if not (1 <= prefix_len <= self.num_intervals):
             raise DataError("prefix length out of range")
         return int((self.run_of[:, prefix_len - 1] + 1).sum())
-
-    def path_at(self, row: int, reference_time: int) -> EventPath:
-        r = int(self.run_of[row, reference_time])
-        events = tuple(
-            (bool(self.run_states[row, k]), int(self.lengths[row, k]))
-            for k in range(r)
-        )
-        return EventPath(
-            events=events,
-            current_state=bool(self.run_states[row, r]),
-            current_duration=int(reference_time - self.starts[row, r] + 1),
-            reference_time=int(reference_time),
-        )
 
     def window_at(self, reference_time: int, alpha: int) -> EventWindow:
         if alpha < 1:
@@ -213,25 +124,6 @@ class RunTable:
         start = np.take_along_axis(self.starts, r[:, None], axis=1)[:, 0]
         length = np.take_along_axis(self.lengths, r[:, None], axis=1)[:, 0]
         return start + length - reference_time
-
-
-def contract_path(sequence, reference_time: int | None = None) -> EventPath:
-    """Contract a raw boolean sequence into its event path.
-
-    Each maximal constant run except the last becomes one turnover event;
-    the last run becomes the current state with its age. When
-    reference_time is given the sequence is truncated to [0, reference_time]
-    first; by default the whole sequence is used.
-    """
-    seq = np.asarray(sequence, dtype=np.bool_).ravel()
-    if seq.size == 0:
-        raise DataError("cannot contract an empty sequence")
-    if reference_time is None:
-        reference_time = seq.size - 1
-    if not (0 <= reference_time < seq.size):
-        raise DataError("reference_time out of range")
-    table = RunTable(seq[np.newaxis, : reference_time + 1])
-    return table.path_at(0, reference_time)
 
 
 def bench_complexity(matrix: OccupancyMatrix, alpha: int) -> ComplexityReport:

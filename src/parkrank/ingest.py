@@ -620,10 +620,12 @@ def load_locations(path) -> list[MeterLocation]:
                 if not record:
                     continue
                 line = reader.line_num
+                if len(record) <= max(cols.values()):
+                    raise ParseError("too few fields", line=line)
                 try:
                     lat = float(record[cols["lat"]])
                     lon = float(record[cols["lon"]])
-                except (ValueError, IndexError):
+                except ValueError:
                     raise ParseError("invalid coordinate", line=line) from None
                 out.append(MeterLocation(record[cols["meter_id"]], lat, lon))
     except UnicodeDecodeError:

@@ -15,7 +15,7 @@ candidates can score.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -138,12 +138,7 @@ class ModelParams:
     def save(self, path, extra_manifest: dict | None = None) -> None:
         manifest = {
             "kind": "parkrank-model",
-            "alpha": self.config.alpha,
-            "beta": self.config.beta,
-            "conv_channels": self.config.conv_channels,
-            "embed_dim": self.config.embed_dim,
-            "kernel_len": self.config.kernel_len,
-            "score_activation": self.config.score_activation,
+            **asdict(self.config),
             "num_vertices": self.num_vertices,
             "sign_convention": "vacant=+1,occupied=-1",
         }

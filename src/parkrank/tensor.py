@@ -11,6 +11,7 @@ module also carries the Adam update and a binary checkpoint container.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -533,7 +534,7 @@ def load_checkpoint(path) -> tuple[dict, dict]:
         offset += name_len
         (ndim,) = take("<B")
         shape = tuple(take("<I")[0] for _ in range(ndim))
-        size = int(np.prod(shape)) if shape else 1
+        size = math.prod(shape)
         nbytes = size * 8
         if offset + nbytes > len(raw):
             raise DataError(f"{path}: truncated checkpoint")

@@ -68,12 +68,7 @@ class TrainConfig:
 
     def model_config(self) -> model.ModelConfig:
         return model.ModelConfig(
-            alpha=self.alpha,
-            beta=self.beta,
-            conv_channels=self.conv_channels,
-            embed_dim=self.embed_dim,
-            kernel_len=self.kernel_len,
-            score_activation=self.score_activation,
+            **{f.name: getattr(self, f.name) for f in fields(model.ModelConfig)}
         )
 
     def to_manifest(self) -> dict:

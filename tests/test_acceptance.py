@@ -46,11 +46,19 @@ def test_criterion_1_contraction_oracle():
     for _ in range(1000):
         length = int(rng.integers(1, 501))
         seq = rng.random(length) < rng.uniform(0.2, 0.8)
-        path = esgraph.contract_path(seq)
+        table = esgraph.RunTable(seq[np.newaxis])
+        # alpha = the prefix length, so the window holds every event
+        window = table.window_at(length - 1, alpha=length)
+        signed = window.signed_durations[0]
+        runs = np.append(signed[signed != 0], window.current_signed_duration)
         groups = [(k, len(list(g))) for k, g in itertools.groupby(seq)]
-        assert path.events == tuple(groups[:-1])
-        assert (path.current_state, path.current_duration) == groups[-1]
-        assert np.array_equal(path.expand(), seq)
+        assert [(v < 0, int(abs(v))) for v in runs] == groups
+        assert table.runs_in_prefix(length) == len(groups)
+        mid = length // 2
+        left = [d - i for _, d in groups for i in range(d)]
+        assert table.remaining_run_lengths(mid)[0] == left[mid]
+        rebuilt = np.repeat(runs < 0, np.abs(runs).astype(int))
+        assert np.array_equal(rebuilt, seq)
     elapsed = time.perf_counter() - t0
     _verdict(
         elapsed < 5.0,

@@ -2,6 +2,8 @@
 
 import json
 import shutil
+import struct
+from dataclasses import asdict
 from datetime import timedelta
 
 import numpy as np
@@ -261,7 +263,7 @@ class TestBench:
         assert run("bench", "--data", data, "--out", out, "--alpha", 4) == 0
         payload = json.loads((out / "complexity.json").read_text())
         matrix, _ = cli.load_data_dir(data)
-        expected = esgraph.bench_complexity(matrix, 4).as_dict()
+        expected = asdict(esgraph.bench_complexity(matrix, 4))
         assert payload == expected
         lines = (out / "complexity_curve.csv").read_text().splitlines()
         assert lines[0] == "prefix_len,cell_count,event_node_count"
@@ -275,6 +277,25 @@ class TestBench:
         run_dir = trained_dir(tmp_path, data)
         assert run("eval", "--data", other, "--checkpoint",
                    run_dir / "checkpoint.bin", "--out", tmp_path / "x") == 2
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(b"alpha = 3\niterations = \xff\n", id="undecodable"),
+        pytest.param(b"alpha 3\n", id="no-equals"),
+        pytest.param(b"alpha = 3\nbeta =\n", id="empty-value"),
+    ],
+)
+def test_bad_config_file_exit_2(tmp_path, capsys, content):
+    data = synth_dir(tmp_path)
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_bytes(content)
+    code = run("train", "--data", data, "--out", tmp_path / "x",
+               "--config", cfg_file)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "bad.cfg" in err
 
 
 def _truncate(path):
@@ -327,6 +348,19 @@ def _invalid_train_setting(path):
     T.save_checkpoint(path, entries, manifest)
 
 
+def _overflowing_tensor_shape(path):
+    """Cut after the first tensor's name, then declare a rank-4 tensor of
+    (2**32 - 1)-long dims whose element count overflows int64."""
+    raw = path.read_bytes()
+    offset = len(T.CHECKPOINT_MAGIC)
+    (manifest_len,) = struct.unpack_from("<I", raw, offset)
+    offset += 4 + manifest_len + 4  # manifest, then the entry count
+    (name_len,) = struct.unpack_from("<H", raw, offset)
+    offset += 2 + name_len
+    dims = struct.pack("<B4I", 4, *[2**32 - 1] * 4)
+    path.write_bytes(raw[:offset] + dims + bytes(8))
+
+
 def _rename_graph_meter(path):
     payload = json.loads(path.read_text())
     payload["vertices"][0]["meter_id"] = "zzz"
@@ -366,6 +400,10 @@ def pristine_tree(tmp_path_factory):
         ),
         pytest.param(
             "data/graph.json", _rename_graph_meter, id="graph-meter-ids"
+        ),
+        pytest.param(
+            "run/checkpoint.bin", _overflowing_tensor_shape,
+            id="tensor-shape",
         ),
     ],
 )
@@ -420,6 +458,15 @@ def test_undecodable_ingest_input_exit_2(tmp_path, capsys, kind, name):
     assert name in err
 
 
+def _short_location_row(lines):
+    """Columns reordered to lat,lon,meter_id; the second record then
+    lacks its id field."""
+    rows = [line.split(",") for line in lines]
+    rows = [[*row[1:], row[0]] for row in rows]
+    rows[2] = rows[2][:2]
+    return [",".join(row) for row in rows]
+
+
 def _on_row_3(edit):
     """A file edit that rewrites the third line (the second record)."""
     return lambda lines: [*lines[:2], edit(lines[2]), *lines[3:]]
@@ -441,6 +488,10 @@ def _on_row_3(edit):
             "street", "rec.csv",
             _on_row_3(lambda row: row[: row.rindex(",")] + ",many"),
             "line 3:", id="capacity",
+        ),
+        pytest.param(
+            "space", "loc.csv", _short_location_row, "line 3:",
+            id="short-location-row",
         ),
         pytest.param(
             "space", "loc.csv", lambda lines: [], "no header row",

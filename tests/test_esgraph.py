@@ -1,5 +1,6 @@
 """Event-graph tests: contraction oracle, windows, complexity accounting."""
 
+import json
 from itertools import groupby
 
 import numpy as np
@@ -28,84 +29,136 @@ def small_matrix(seed=0, rows=8, cols=120, p=0.5):
     return rng.random((rows, cols)) < p
 
 
+def full_window(bits, reference_time=None):
+    """RunTable window of one row with alpha = the prefix length, so it
+    holds every completed event up to reference_time (default: the last
+    interval)."""
+    table = esgraph.RunTable(np.array([bits], dtype=bool))
+    if reference_time is None:
+        reference_time = len(bits) - 1
+    return table.window_at(reference_time, alpha=reference_time + 1)
+
+
+def rebuild_rows(window):
+    """Cells each row's window covers, from its signed durations plus the
+    current run; occupied runs are negative."""
+    rows = []
+    for signed, current in zip(
+        window.signed_durations, window.current_signed_duration
+    ):
+        runs = np.append(signed[signed != 0], current)
+        rows.append(np.repeat(runs < 0, np.abs(runs).astype(int)))
+    return rows
+
+
 class TestContractPath:
+    """A one-row run table read with alpha = the prefix length is the
+    contraction of that prefix."""
+
     def test_mixed_sequence(self):
-        path = esgraph.contract_path([0, 0, 1, 1, 1, 0])
-        assert path.events == ((False, 2), (True, 3))
-        assert path.current_state is False
-        assert path.current_duration == 1
-        assert path.reference_time == 5
+        window = full_window([0, 0, 1, 1, 1, 0])
+        assert window.signed_durations[0].tolist() == [0, 0, 0, 0, 2.0, -3.0]
+        assert window.current_signed_duration[0] == 1.0
 
     def test_constant_sequence_has_no_events(self):
-        path = esgraph.contract_path([1, 1, 1, 1])
-        assert path.events == ()
-        assert path.current_state is True
-        assert path.current_duration == 4
+        window = full_window([1, 1, 1, 1])
+        assert not window.signed_durations.any()
+        assert window.current_signed_duration[0] == -4.0
 
     def test_single_element(self):
-        path = esgraph.contract_path([0])
-        assert path.events == ()
-        assert path.current_duration == 1
+        window = full_window([0])
+        assert window.signed_durations[0].tolist() == [0]
+        assert window.current_signed_duration[0] == 1.0
 
     def test_reference_time_truncates(self):
-        path = esgraph.contract_path([0, 0, 1, 1, 1, 0], reference_time=3)
-        assert path.events == ((False, 2),)
-        assert path.current_state is True
-        assert path.current_duration == 2
+        window = full_window([0, 0, 1, 1, 1, 0], reference_time=3)
+        assert window.signed_durations[0].tolist() == [0, 0, 0, 2.0]
+        assert window.current_signed_duration[0] == -2.0
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(DataError, match="empty"):
-            esgraph.contract_path([])
+            esgraph.RunTable(np.zeros((1, 0), dtype=bool))
 
     def test_reference_time_out_of_range(self):
+        table = esgraph.RunTable(np.array([[0, 1]], dtype=bool))
         with pytest.raises(DataError):
-            esgraph.contract_path([0, 1], reference_time=2)
+            table.window_at(2, alpha=2)
 
     @given(st.lists(st.booleans(), min_size=1, max_size=120))
     @settings(max_examples=80, deadline=None)
     def test_property_matches_oracle_and_round_trips(self, bits):
-        path = esgraph.contract_path(bits)
+        table = esgraph.RunTable(np.array([bits], dtype=bool))
+        window = table.window_at(len(bits) - 1, alpha=len(bits))
         events, state, duration = contract_oracle(bits)
-        assert path.events == events
-        assert path.current_state == state
-        assert path.current_duration == duration
-        assert np.array_equal(path.expand(), np.array(bits, dtype=bool))
+        signed = window.signed_durations[0]
+        padding = len(bits) - len(events)
+        assert not signed[:padding].any()
+        assert signed[padding:].tolist() == [
+            -float(d) if s else float(d) for s, d in events
+        ]
+        assert window.current_signed_duration[0] == (
+            -duration if state else duration
+        )
+        assert np.array_equal(
+            rebuild_rows(window)[0], np.array(bits, dtype=bool)
+        )
+        remaining = [
+            left for _, d in rle_oracle(bits) for left in range(d, 0, -1)
+        ]
+        assert [
+            int(table.remaining_run_lengths(t)[0]) for t in range(len(bits))
+        ] == remaining
 
     @given(st.lists(st.booleans(), min_size=1, max_size=120))
     @settings(max_examples=80, deadline=None)
     def test_property_node_count_bounded_by_length(self, bits):
-        path = esgraph.contract_path(bits)
-        assert path.num_events + 1 <= len(bits)
-        assert path.total_length == len(bits)
+        table = esgraph.RunTable(np.array([bits], dtype=bool))
+        window = table.window_at(len(bits) - 1, alpha=len(bits))
+        num_events = int(np.count_nonzero(window.signed_durations))
+        assert table.runs_in_prefix(len(bits)) == num_events + 1
+        assert num_events + 1 <= len(bits)
+        covered = np.abs(window.signed_durations).sum() + abs(
+            window.current_signed_duration[0]
+        )
+        assert covered == len(bits)
+
+
+def random_windows():
+    """window_at output on random matrices of varied density, at several
+    reference times and window sizes."""
+    for seed, p in ((20, 0.5), (21, 0.2), (22, 0.9)):
+        table = esgraph.RunTable(small_matrix(seed=seed, rows=10, p=p))
+        for rt in (0, 7, 63, 119):
+            for alpha in (1, 4, 120):
+                yield table.window_at(rt, alpha)
 
 
 class TestEventPathValidation:
+    """Structural invariants of every event window."""
+
     def test_adjacent_events_must_alternate(self):
-        with pytest.raises(DataError, match="alternate"):
-            esgraph.EventPath(
-                events=((True, 2), (True, 1)),
-                current_state=False,
-                current_duration=1,
-                reference_time=3,
-            )
+        for window in random_windows():
+            for signed in window.signed_durations:
+                events = signed[signed != 0]
+                assert np.all(np.sign(events[1:]) != np.sign(events[:-1]))
 
     def test_newest_event_differs_from_current(self):
-        with pytest.raises(DataError, match="differ"):
-            esgraph.EventPath(
-                events=((True, 2),),
-                current_state=True,
-                current_duration=1,
-                reference_time=2,
+        for window in random_windows():
+            newest = window.signed_durations[:, -1]
+            current = window.current_signed_duration
+            had_event = newest != 0
+            assert np.all(
+                np.sign(newest[had_event]) != np.sign(current[had_event])
             )
 
     def test_positive_durations(self):
-        with pytest.raises(DataError):
-            esgraph.EventPath(
-                events=((True, 0),),
-                current_state=False,
-                current_duration=1,
-                reference_time=0,
-            )
+        for window in random_windows():
+            signed = window.signed_durations
+            assert np.all(np.abs(window.current_signed_duration) >= 1)
+            assert np.all(np.abs(signed[signed != 0]) >= 1)
+            # zero padding sits only on the oldest side
+            seen_event = np.logical_or.accumulate(signed != 0, axis=1)
+            assert np.all(signed[seen_event] != 0)
 
 
 def graph_for(matrix):
@@ -148,23 +201,23 @@ def window_oracle(states, reference_time, alpha):
 
 class TestMergeEsgraph:
     """Pairing a matrix with its spatial graph: cli.load_data_dir checks
-    that both list the same meters, and RunTable serves every row's path
-    at one reference time."""
+    that both list the same meters, and RunTable serves every row's
+    window at one reference time."""
 
     def test_paths_share_reference_time(self):
         states = small_matrix()
-        table = esgraph.RunTable(states)
-        paths = [table.path_at(i, 57) for i in range(states.shape[0])]
-        assert all(p.reference_time == 57 for p in paths)
-        assert [p.current_state for p in paths] == states[:, 57].tolist()
+        window = esgraph.RunTable(states).window_at(57, alpha=58)
+        assert [len(row) for row in rebuild_rows(window)] == [58] * 8
+        assert (window.current_signed_duration < 0).tolist() == (
+            states[:, 57].tolist()
+        )
 
     def test_rows_truncated_to_reference_time(self):
         states = small_matrix(seed=2)
         rt = 40
-        table = esgraph.RunTable(states)
-        for i in range(states.shape[0]):
-            path = table.path_at(i, rt)
-            assert np.array_equal(path.expand(), states[i, : rt + 1])
+        window = esgraph.RunTable(states).window_at(rt, alpha=rt + 1)
+        for i, row in enumerate(rebuild_rows(window)):
+            assert np.array_equal(row, states[i, : rt + 1])
 
     def test_size_mismatch_rejected(self, tmp_path):
         states = small_matrix()
@@ -291,10 +344,17 @@ class TestBenchComplexity:
         assert report.esgraph_nodes <= report.stgraph_cells
         assert report.task1_steps_es <= report.task1_steps_st
 
-    def test_report_round_trips_through_dict(self):
+    def test_report_round_trips_through_dict(self, tmp_path):
         states = small_matrix(seed=11)
+        graph = graph_for(states)
+        data, out = tmp_path / "data", tmp_path / "bench"
+        cli.write_data_dir(data, list(graph.vertices), matrix_of(states), graph)
+        assert cli.main(
+            ["bench", "--data", str(data), "--out", str(out), "--alpha", "2"]
+        ) == 0
+        payload = json.loads((out / "complexity.json").read_text())
         report = esgraph.bench_complexity(matrix_of(states), alpha=2)
-        assert esgraph.ComplexityReport.from_dict(report.as_dict()) == report
+        assert esgraph.ComplexityReport(**payload) == report
 
     def test_curve_monotone_and_bounded(self):
         states = small_matrix(seed=12, rows=6, cols=400)
