@@ -44,7 +44,9 @@ def read_config(path, allowed_keys) -> dict[str, str]:
                 raise ParseError("expected key=value", line=lineno)
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in allowed_keys:
-                raise ConfigError(f"unknown config key: {key}")
+                raise ConfigError(
+                    f"{path}: line {lineno}: unknown config key: {key}"
+                )
             if not value:
                 raise ParseError(f"empty value for {key}", line=lineno)
             options[key] = value
@@ -69,10 +71,8 @@ class Resolver:
     def __init__(self, args, spec: dict):
         self.args = args
         self.spec = spec
-        config_path = getattr(args, "config", None)
-        self.file_options = (
-            read_config(config_path, set(spec)) if config_path else {}
-        )
+        path = self.config_path = getattr(args, "config", None)
+        self.file_options = read_config(path, set(spec)) if path else {}
 
     def __getitem__(self, key: str):
         cast, default = self.spec[key]
@@ -84,7 +84,9 @@ class Resolver:
             try:
                 return cast(raw)
             except ValueError:
-                raise ConfigError(f"bad value for {key}: {raw!r}")
+                raise ConfigError(
+                    f"{self.config_path}: bad value for {key}: {raw!r}"
+                )
         if key == "seed":
             return _env_seed()
         return default
@@ -124,9 +126,9 @@ SYNTH_SPEC = {
     "seed": (int, 0),
     "locations": (int, 30),
     "intervals": (int, 2016),
-    "spacing": (float, 40.0),
-    "base_rate": (float, 0.45),
-    "correlation": (float, 0.5),
+    "spacing": (float, ingest.SynthConfig.grid_spacing_m),
+    "base_rate": (float, ingest.SynthConfig.base_occupancy_rate),
+    "correlation": (float, ingest.SynthConfig.spatial_correlation),
     "adjacency_m": (float, ingest.DEFAULT_ADJACENCY_M),
 }
 

@@ -4,9 +4,9 @@ A row of the occupancy matrix is a path of per-interval cells. Contracting
 every maximal constant run into a single node turns it into turnover
 events: the completed runs become (state, duration) events and the final
 run becomes the current state with its age. ``RunTable`` holds the runs of
-every meter at once and serves the newest events at any reference interval
-as an ``EventWindow``, so downstream consumers read at most a fixed number
-of events per vertex instead of scanning raw cells.
+every meter at once and serves the newest events at one or many reference
+intervals as an ``EventWindow``, so downstream consumers read at most a
+fixed number of events per vertex instead of scanning raw cells.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ from .ingest import OccupancyMatrix
 class EventWindow:
     """Newest events per vertex as signed durations, vacant positive.
 
-    ``signed_durations[i]`` lists up to ``alpha`` completed events of
-    vertex i oldest first, zero-padded on the oldest side;
-    ``current_signed_duration[i]`` is the signed age of the ongoing run.
+    ``signed_durations[..., i, :]`` lists up to ``alpha`` completed events
+    of vertex i oldest first, zero-padded on the oldest side;
+    ``current_signed_duration[..., i]`` is the signed age of the ongoing
+    run; leading axes follow the reference times.
     """
 
     signed_durations: np.ndarray
@@ -34,10 +35,8 @@ class EventWindow:
     alpha: int
 
     def __post_init__(self):
-        if self.signed_durations.shape != (
-            self.current_signed_duration.shape[0],
-            self.alpha,
-        ):
+        current = self.current_signed_duration
+        if self.signed_durations.shape != current.shape + (self.alpha,):
             raise DataError("window shape does not match alpha")
 
 
@@ -66,8 +65,9 @@ class RunTable:
     """Run decomposition of a whole occupancy matrix, for fast windowing.
 
     Wraps the padded run arrays from the kernel layer and serves event
-    windows, prefix run counts and remaining-run queries for any reference
-    column without rescanning raw cells.
+    windows, prefix run counts and remaining-run queries without rescanning
+    raw cells. A reference time is an int or an int array; an array adds
+    its shape in front of each answer.
     """
 
     def __init__(self, states: np.ndarray):
@@ -94,15 +94,20 @@ class RunTable:
     def runs_in_prefix(self, prefix_len: int) -> int:
         """Total maximal runs over all rows restricted to the first
         prefix_len columns."""
-        if not (1 <= prefix_len <= self.num_intervals):
-            raise DataError("prefix length out of range")
-        return int((self.run_of[:, prefix_len - 1] + 1).sum())
+        _, run = self._current_run(prefix_len - 1)
+        return int((run + 1).sum())
 
-    def window_at(self, reference_time: int, alpha: int) -> EventWindow:
+    def _current_run(self, reference_time):
+        """(row, run) index of the run holding each row's reference time."""
+        t = np.asarray(reference_time)
+        if t.min(initial=0) < 0 or t.max(initial=0) >= self.num_intervals:
+            raise DataError(f"interval out of range [0, {self.num_intervals})")
+        return np.arange(self.run_of.shape[0]), self.run_of.T[t]
+
+    def window_at(self, reference_time, alpha: int) -> EventWindow:
         if alpha < 1:
             raise ConfigError("alpha must be at least 1")
-        if not (0 <= reference_time < self.num_intervals):
-            raise DataError("reference_time out of range")
+        self._current_run(reference_time)  # range check only
         signed, current = kernels.extract_windows(
             self.starts,
             self.lengths,
@@ -117,13 +122,12 @@ class RunTable:
             alpha=alpha,
         )
 
-    def remaining_run_lengths(self, reference_time: int) -> np.ndarray:
+    def remaining_run_lengths(self, reference_time) -> np.ndarray:
         """Intervals from reference_time to the end of each row's current
         run, inclusive of reference_time."""
-        r = self.run_of[:, reference_time]
-        start = np.take_along_axis(self.starts, r[:, None], axis=1)[:, 0]
-        length = np.take_along_axis(self.lengths, r[:, None], axis=1)[:, 0]
-        return start + length - reference_time
+        run = self._current_run(reference_time)
+        end = self.starts[run] + self.lengths[run]
+        return end - np.asarray(reference_time)[..., np.newaxis]
 
 
 def bench_complexity(matrix: OccupancyMatrix, alpha: int) -> ComplexityReport:
@@ -137,18 +141,10 @@ def bench_complexity(matrix: OccupancyMatrix, alpha: int) -> ComplexityReport:
     nodes = table.total_runs
     edges = int((table.counts - 1).sum())
 
-    # task 2: the cell grid must span the same events it reads
-    last = n - 1
-    r = table.run_of[:, last]
-    cur_start = np.take_along_axis(table.starts, r[:, None], axis=1)[:, 0]
-    spanned = (last - cur_start + 1).astype(np.int64)
-    for i in range(m):
-        completed = int(r[i])
-        take = min(alpha, completed)
-        if take:
-            spanned[i] += int(
-                table.lengths[i, completed - take : completed].sum()
-            )
+    # task 2: the cell grid must span the same events it reads: the newest
+    # alpha completed runs plus the current one, all contiguous
+    rows, r = table._current_run(n - 1)
+    spanned = n - table.starts[rows, r - np.minimum(alpha, r)]
     return ComplexityReport(
         num_locations=m,
         num_intervals=n,
@@ -167,15 +163,14 @@ def complexity_curve(
     matrix: OccupancyMatrix, num_points: int = 12
 ) -> list[tuple[int, int, int]]:
     """(prefix_len, cell_count, event_node_count) at growing history sizes."""
+    if num_points < 1:
+        raise ConfigError("num_points must be at least 1")
     table = RunTable(matrix.states)
     n = matrix.num_intervals
     lens = np.unique(
         np.geomspace(1, n, num=min(num_points, n)).round().astype(int)
     )
-    out = []
-    for prefix in lens:
-        p = int(prefix)
-        out.append(
-            (p, matrix.num_locations * p, table.runs_in_prefix(p))
-        )
-    return out
+    return [
+        (p, matrix.num_locations * p, table.runs_in_prefix(p))
+        for p in lens.tolist()
+    ]

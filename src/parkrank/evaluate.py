@@ -150,6 +150,8 @@ def _best_waits(batch: QueryResults, matrix: OccupancyMatrix, max_wait: int):
     Column j is the best wait among the first j + 1 ranked candidates in
     the query's neighborhood; the last column covers the whole of it.
     """
+    if max_wait < 1:
+        raise ConfigError("max_wait must be at least 1")
     waits = np.minimum(kernels.next_vacant_steps(matrix.states), max_wait)
     ranked = waits[batch.ranking, batch.horizon_time[:, np.newaxis]]
     in_hood = np.take_along_axis(batch.neighborhood, batch.ranking, axis=-1)

@@ -535,6 +535,8 @@ def load_matrix(csv_path) -> OccupancyMatrix:
     try:
         meta = json.loads(meta_path.read_text())
         interval_minutes = int(meta["interval_minutes"])
+        if interval_minutes <= 0:
+            raise ValueError("interval_minutes must be positive")
         start_time = datetime.fromisoformat(meta["start_time"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{meta_path}: bad matrix sidecar: {exc}") from None
@@ -544,7 +546,11 @@ def load_matrix(csv_path) -> OccupancyMatrix:
             try:
                 meter_ids = next(reader)
             except StopIteration:
-                raise EmptyDatasetError("empty matrix file") from None
+                raise EmptyDatasetError(f"{csv_path}: empty file") from None
+            index = {m: i for i, m in enumerate(meter_ids)}
+            dup = [m for i, m in enumerate(meter_ids) if index[m] != i]
+            if dup:
+                raise DataError(f"{csv_path}: duplicate meter id {dup[0]!r}")
             rows = []  # one "0"/"1" string per interval
             for record in reader:
                 if len(record) != len(meter_ids):
@@ -561,14 +567,14 @@ def load_matrix(csv_path) -> OccupancyMatrix:
     except UnicodeDecodeError:
         raise DataError(f"{csv_path}: undecodable bytes") from None
     if not rows:
-        raise EmptyDatasetError("matrix file has no interval rows")
+        raise EmptyDatasetError(f"{csv_path}: no interval rows")
     cells = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
     states = (cells.reshape(len(rows), len(meter_ids)) == ord("1")).T
     return OccupancyMatrix(
         states=states,
         interval_minutes=interval_minutes,
         start_time=start_time,
-        location_index={m: i for i, m in enumerate(meter_ids)},
+        location_index=index,
     )
 
 

@@ -1,9 +1,9 @@
 """Numeric kernels behind run encoding, windowing and the synthetic chain.
 
-Each kernel is plain numpy over a whole matrix, looping in Python at most
-over rows or time steps: run-length decomposition of occupancy rows,
-signed-duration event windows at a reference column, the two-state
-occupancy chain of the synthetic generator, and next-vacant distances.
+Each kernel is plain numpy over a whole matrix: run-length decomposition
+of occupancy rows, signed-duration event windows at one or many reference
+columns, next-vacant distances, and the two-state occupancy chain of the
+synthetic generator, the only one that loops (over its time steps).
 Every stochastic input is pre-drawn with numpy's Generator by the caller,
 so each kernel is a pure function of its arguments.
 """
@@ -37,53 +37,41 @@ def encode_runs(states):
     """
     states = np.ascontiguousarray(states, dtype=np.bool_)
     rows, cols = states.shape
-    counts = np.empty(rows, dtype=np.int64)
-    starts_per_row = []
-    for i in range(rows):
-        row = states[i]
-        boundaries = np.flatnonzero(row[1:] != row[:-1]) + 1
-        starts = np.concatenate((np.zeros(1, dtype=np.int64), boundaries))
-        starts_per_row.append(starts)
-        counts[i] = starts.size
-    max_runs = int(counts.max())
-    starts_out = np.zeros((rows, max_runs), dtype=np.int64)
-    lengths_out = np.zeros((rows, max_runs), dtype=np.int64)
-    states_out = np.zeros((rows, max_runs), dtype=np.bool_)
-    run_of = np.empty((rows, cols), dtype=np.int64)
-    for i in range(rows):
-        starts = starts_per_row[i]
-        k = int(counts[i])
-        ends = np.concatenate((starts[1:], np.array([cols], dtype=np.int64)))
-        starts_out[i, :k] = starts
-        lengths_out[i, :k] = ends - starts
-        states_out[i, :k] = states[i, starts]
-        run_of[i] = np.repeat(np.arange(k, dtype=np.int64), lengths_out[i, :k])
-    return counts, starts_out, lengths_out, states_out, run_of
+    change = states[:, 1:] != states[:, :-1]
+    counts = np.count_nonzero(change, axis=1) + 1
+    slots = np.arange(counts.max())
+    valid = slots < counts[:, np.newaxis]
+    # padded starts sit at cols, so the gaps give 0 for every padded length
+    starts = np.full(valid.shape, cols, dtype=np.int64)
+    starts[:, 0] = 0
+    starts[:, 1:][valid[:, 1:]] = np.flatnonzero(change) % (cols - 1) + 1
+    lengths = np.diff(starts, axis=1, append=cols)
+    starts[~valid] = 0
+    run_states = np.take_along_axis(states, starts, axis=1) & valid
+    run_of = np.repeat(np.tile(slots, rows), lengths.ravel()).reshape(rows, cols)
+    return counts, starts, lengths, run_states, run_of
 
 
 def extract_windows(starts, lengths, run_states, run_of, t, alpha):
     """Signed-duration event windows for every row at reference column t.
 
-    Returns ``(signed, current_signed)``: ``signed[i]`` holds the newest
-    ``alpha`` completed runs of row i as sign * duration (vacant +, occupied
-    -), oldest first, zero-padded on the oldest side when fewer exist;
-    ``current_signed[i]`` is the signed age of the run containing t.
+    Returns ``(signed, current_signed)``: ``signed[..., i, :]`` holds the
+    newest ``alpha`` completed runs of row i as sign * duration (vacant +,
+    occupied -), oldest first, zero-padded on the oldest side when fewer
+    exist; ``current_signed[..., i]`` is the signed age of the run
+    containing t. An int array t adds its shape in front of both.
     """
-    rows = starts.shape[0]
-    cur = run_of[:, t]
-    cur_start = np.take_along_axis(starts, cur[:, None], axis=1)[:, 0]
-    cur_state = np.take_along_axis(run_states, cur[:, None], axis=1)[:, 0]
-    cur_sign = np.where(cur_state, -1.0, 1.0)
-    current_signed = cur_sign * (t - cur_start + 1).astype(np.float64)
+    rows = np.arange(starts.shape[0])
+    cur = run_of.T[t]
+    cur_sign = np.where(run_states[rows, cur], -1.0, 1.0)
+    age = np.asarray(t)[..., np.newaxis] - starts[rows, cur] + 1
+    current_signed = cur_sign * age.astype(np.float64)
 
-    idx = cur[:, None] - alpha + np.arange(alpha, dtype=np.int64)[None, :]
-    valid = idx >= 0
-    safe = np.maximum(idx, 0)
-    ev_len = np.take_along_axis(lengths, safe, axis=1).astype(np.float64)
-    ev_state = np.take_along_axis(run_states, safe, axis=1)
-    ev_sign = np.where(ev_state, -1.0, 1.0)
-    signed = np.where(valid, ev_sign * ev_len, 0.0)
-    assert signed.shape == (rows, alpha)
+    idx = cur[..., np.newaxis] - alpha + np.arange(alpha, dtype=np.int64)
+    safe = (rows[:, np.newaxis], np.maximum(idx, 0))
+    ev_len = lengths[safe].astype(np.float64)
+    ev_sign = np.where(run_states[safe], -1.0, 1.0)
+    signed = np.where(idx >= 0, ev_sign * ev_len, 0.0)
     return signed, current_signed
 
 

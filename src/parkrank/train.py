@@ -132,7 +132,7 @@ def build_dataset(
     matrix: OccupancyMatrix, cfg: TrainConfig
 ) -> Dataset:
     states = matrix.states
-    num_locs, num_intervals = states.shape
+    num_intervals = states.shape[1]
     first = 1
     last = num_intervals - cfg.horizon_intervals
     if last - first < 3:
@@ -142,15 +142,8 @@ def build_dataset(
         )
     times = np.arange(first, last, dtype=np.int64)
     table = RunTable(states)
-
-    windows = np.empty((len(times), num_locs, cfg.alpha))
-    current = np.empty((len(times), num_locs))
-    remaining = np.empty((len(times), num_locs), dtype=np.int64)
-    for i, t in enumerate(times):
-        win = table.window_at(int(t), cfg.alpha)
-        windows[i] = win.signed_durations
-        current[i] = win.current_signed_duration
-        remaining[i] = table.remaining_run_lengths(int(t) + cfg.horizon_intervals)
+    window = table.window_at(times, cfg.alpha)
+    remaining = table.remaining_run_lengths(times + cfg.horizon_intervals)
     states_now = states[:, times].T.copy()
     vacant_future = ~states[:, times + cfg.horizon_intervals].T
 
@@ -160,8 +153,8 @@ def build_dataset(
     idx = np.arange(len(times))
     return Dataset(
         times=times,
-        windows=windows,
-        current_signed=current,
+        windows=window.signed_durations,
+        current_signed=window.current_signed_duration,
         states_now=states_now,
         vacant_future=vacant_future,
         remaining_future=remaining,

@@ -298,6 +298,27 @@ def test_bad_config_file_exit_2(tmp_path, capsys, content):
     assert "error:" in err and "bad.cfg" in err
 
 
+@pytest.mark.parametrize(
+    "content, says",
+    [
+        pytest.param(b"alpha = x\n", "bad value for alpha", id="bad-value"),
+        pytest.param(
+            b"alpha = 3\nwarp = 1\n", "line 2: unknown config key: warp",
+            id="unknown-key",
+        ),
+    ],
+)
+def test_bad_config_option_names_file(tmp_path, capsys, content, says):
+    data = synth_dir(tmp_path)
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_bytes(content)
+    code = run("train", "--data", data, "--out", tmp_path / "x",
+               "--config", cfg_file)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"{cfg_file}: " in err and says in err
+
+
 def _truncate(path):
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
@@ -361,6 +382,23 @@ def _overflowing_tensor_shape(path):
     path.write_bytes(raw[:offset] + dims + bytes(8))
 
 
+def _repeat_header_id(path):
+    lines = path.read_text().splitlines()
+    ids = lines[0].split(",")
+    lines[0] = ",".join([ids[0], ids[0], *ids[2:]])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _header_only(path):
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+
+
+def _zero_interval_minutes(path):
+    meta = json.loads(path.read_text())
+    meta["interval_minutes"] = 0
+    path.write_text(json.dumps(meta))
+
+
 def _rename_graph_meter(path):
     payload = json.loads(path.read_text())
     payload["vertices"][0]["meter_id"] = "zzz"
@@ -381,7 +419,18 @@ def pristine_tree(tmp_path_factory):
         pytest.param(
             "data/matrix.meta.json", _drop_sidecar_key, id="sidecar-key"
         ),
+        pytest.param(
+            "data/matrix.meta.json", _zero_interval_minutes,
+            id="sidecar-interval",
+        ),
         pytest.param("data/matrix.csv", _bad_matrix_cell, id="matrix-cell"),
+        pytest.param(
+            "data/matrix.csv", _repeat_header_id, id="matrix-duplicate-id"
+        ),
+        pytest.param("data/matrix.csv", _header_only, id="matrix-no-rows"),
+        pytest.param(
+            "data/matrix.csv", lambda p: p.write_text(""), id="matrix-empty"
+        ),
         pytest.param("data/matrix.csv", _bad_leading_byte, id="matrix-bytes"),
         pytest.param(
             "run/checkpoint.bin", _bad_manifest_bytes, id="manifest-bytes"
@@ -418,6 +467,25 @@ def test_corrupt_file_exit_2(pristine_tree, tmp_path, capsys, name, corrupt):
     err = capsys.readouterr().err
     assert "error:" in err
     assert name.split("/")[-1] in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        pytest.param("bench", "--points", -1, id="points-negative"),
+        pytest.param("bench", "--points", 0, id="points-zero"),
+        pytest.param("eval", "--max-wait", -3, id="max-wait-negative"),
+    ],
+)
+def test_out_of_range_option_exit_3(
+    pristine_tree, tmp_path, capsys, command, flag, value
+):
+    checkpoint = pristine_tree / "run" / "checkpoint.bin"
+    extra = ["--checkpoint", checkpoint] if command == "eval" else []
+    code = run(command, "--data", pristine_tree / "data", *extra,
+               "--out", tmp_path / "x", flag, value)
+    assert code == 3
+    assert "error:" in capsys.readouterr().err
 
 
 def _write_ingest_inputs(tmp_path, kind):

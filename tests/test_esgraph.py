@@ -278,6 +278,12 @@ class TestWindowEvents:
                 )
 
 
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and (
+        a.tobytes() == b.tobytes()
+    )
+
+
 class TestRunTable:
     def test_remaining_run_lengths(self):
         states = np.array([[0, 0, 1, 1, 1, 0]], dtype=bool)
@@ -286,6 +292,39 @@ class TestRunTable:
         assert table.remaining_run_lengths(2)[0] == 3
         assert table.remaining_run_lengths(4)[0] == 1
         assert table.remaining_run_lengths(5)[0] == 1
+
+    def test_time_array_matches_one_time_per_call(self):
+        for seed, p in ((30, 0.5), (31, 0.15), (32, 0.85)):
+            table = esgraph.RunTable(small_matrix(seed=seed, rows=7, p=p))
+            times = np.random.default_rng(seed).integers(0, 120, size=40)
+            times[:2] = (0, 119)
+            for alpha in (1, 2, 5, 120):
+                batch = table.window_at(times, alpha)
+                one = [table.window_at(int(t), alpha) for t in times]
+                assert same_bytes(
+                    batch.signed_durations,
+                    np.stack([w.signed_durations for w in one]),
+                )
+                assert same_bytes(
+                    batch.current_signed_duration,
+                    np.stack([w.current_signed_duration for w in one]),
+                )
+            assert same_bytes(
+                table.remaining_run_lengths(times),
+                np.stack([table.remaining_run_lengths(int(t)) for t in times]),
+            )
+
+    @pytest.mark.parametrize(
+        "times",
+        [-1, 6, [0, 6, 2], [3, -1]],
+        ids=["minus-one", "num-intervals", "array-past-end", "array-negative"],
+    )
+    def test_reference_time_out_of_range(self, times):
+        table = esgraph.RunTable(np.array([[0, 0, 1, 1, 1, 0]], dtype=bool))
+        with pytest.raises(DataError, match="out of range"):
+            table.remaining_run_lengths(np.array(times))
+        with pytest.raises(DataError, match="out of range"):
+            table.window_at(np.array(times), alpha=2)
 
     def test_runs_in_prefix_monotone(self):
         states = small_matrix(seed=7, rows=5, cols=60)
@@ -330,6 +369,18 @@ class TestBenchComplexity:
         assert report.task2_steps_st == 6
         report1 = esgraph.bench_complexity(matrix_of(states), alpha=1)
         assert report1.task2_steps_st == 4
+
+    def test_task2_cell_grid_matches_oracle(self):
+        for seed, p in ((40, 0.5), (41, 0.1), (42, 0.9)):
+            states = small_matrix(seed=seed, rows=9, cols=150, p=p)
+            for alpha in (1, 2, 3, 4):
+                report = esgraph.bench_complexity(matrix_of(states), alpha)
+                # cells of the newest alpha completed runs plus the current
+                expected = sum(
+                    sum(d for _, d in rle_oracle(row.tolist())[-alpha - 1 :])
+                    for row in states
+                )
+                assert report.task2_steps_st == expected
 
     @given(
         st.integers(min_value=1, max_value=6),

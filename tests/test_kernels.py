@@ -54,6 +54,35 @@ class TestEncodeRuns:
         assert bool(run_states[0, 0]) is True
         assert (run_of[0] == 0).all()
 
+    def test_one_column_matrix(self):
+        states = np.array([[True], [False], [True]])
+        counts, starts, lengths, run_states, run_of = kernels.encode_runs(states)
+        assert counts.tolist() == [1, 1, 1]
+        assert starts.tolist() == [[0], [0], [0]]
+        assert lengths.tolist() == [[1], [1], [1]]
+        assert run_states.tolist() == [[True], [False], [True]]
+        assert run_of.tolist() == [[0], [0], [0]]
+
+    def test_one_row_matrix(self):
+        states = np.array([[0, 1, 1, 0, 0, 0, 1]], dtype=bool)
+        table = kernels.encode_runs(states)
+        assert [a.dtype for a in table] == [np.int64] * 3 + [bool, np.int64]
+        counts, starts, lengths, run_states, run_of = table
+        assert counts.tolist() == [4]
+        assert starts.tolist() == [[0, 1, 3, 6]]
+        assert lengths.tolist() == [[1, 2, 3, 1]]
+        assert run_states.tolist() == [[False, True, False, True]]
+        assert run_of.tolist() == [[0, 1, 1, 2, 2, 2, 3]]
+
+    def test_padding_is_zero(self):
+        # row 0 has 3 runs, row 1 one: its slots 1 and 2 are padding
+        states = np.array([[1, 0, 0, 1], [1, 1, 1, 1]], dtype=bool)
+        counts, starts, lengths, run_states, _ = kernels.encode_runs(states)
+        assert counts.tolist() == [3, 1]
+        assert starts.tolist() == [[0, 1, 3], [0, 0, 0]]
+        assert lengths.tolist() == [[1, 2, 1], [4, 0, 0]]
+        assert run_states.tolist() == [[True, False, True], [True, False, False]]
+
     @given(st.lists(st.booleans(), min_size=1, max_size=200))
     @settings(max_examples=60, deadline=None)
     def test_property_reconstruction(self, bits):
