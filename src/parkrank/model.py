@@ -78,7 +78,14 @@ def _glorot(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
 
 
 class ModelParams:
-    """All learnable tensors plus the constants derived from the graph."""
+    """All learnable tensors plus the constants derived from the graph.
+
+    The constants: allowed, the [n, n] candidate mask; src, dst and
+    pair_index, the allowed pairs as an edge list; adj_norm, the
+    normalized adjacency; and the ordered neighbour tables the ops sum
+    over, built once here: src_table, dst_table and pair_table over
+    src, dst and pair_index, and mix_table over adj_norm.
+    """
 
     def __init__(self, config: ModelConfig, spatial: SpatialGraph, rng):
         self.config = config
@@ -88,6 +95,11 @@ class ModelParams:
         self.src, self.dst = np.nonzero(self.allowed)
         self.pair_index = self.src * self.num_vertices + self.dst
         self.adj_norm = normalized_adjacency(spatial)
+        n = self.num_vertices
+        self.src_table = T.NeighborTable(self.src, n)
+        self.dst_table = T.NeighborTable(self.dst, n)
+        self.pair_table = T.NeighborTable(self.pair_index, n * n)
+        self.mix_table = T.mix_tables(self.adj_norm)
         a, d, m = config.alpha, config.embed_dim, config.conv_channels
         k = config.kernel_len
 
@@ -238,7 +250,7 @@ def graph_rounds(
     z = T.matmul(T.Tensor(real_time), params.get("gcn.input"))
     for step in range(1, params.config.beta + 1):
         mixed = T.matmul(
-            T.neighbor_mix(params.adj_norm, z), params.get(f"gcn.mix.{step}")
+            T.neighbor_mix(params.mix_table, z), params.get(f"gcn.mix.{step}")
         )
         stacked = T.concat([mixed, h], axis=-1)
         z = T.relu(
@@ -299,15 +311,17 @@ def forward_scores(
     )
     q = T.matmul(T.Tensor(query_feat), params.get("readout.query"))
     item = T.matmul(z, params.get("readout.item"))
-    pair = T.add(T.take(q, params.src, 1), T.take(item, params.dst, 1))
+    pair = T.add(
+        T.take(q, params.src_table, 1), T.take(item, params.dst_table, 1)
+    )
     pair = T.relu(T.add(pair, params.get("readout.bias")))
     raw = T.reduce_sum(pair, axis=-1)
 
     mask = T.take(
-        T.reshape(params.get("mask.weights"), (n * n,)), params.pair_index, 0
+        T.reshape(params.get("mask.weights"), (n * n,)), params.pair_table, 0
     )
     pre = T.reshape(
-        T.scatter(T.mul(raw, mask), params.pair_index, n * n), (batch, n, n)
+        T.scatter(T.mul(raw, mask), params.pair_table, n * n), (batch, n, n)
     )
     if cfg.score_activation == "relu":
         return T.relu(pre)

@@ -14,7 +14,7 @@ import json
 import math
 import struct
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -159,25 +159,125 @@ def matmul(a, b) -> Tensor:
     return _node(a.data @ b.data, (a, b), bw)
 
 
-def neighbor_mix(weights: np.ndarray, x) -> Tensor:
-    """Mix vertex features with a constant square matrix:
-    out[..., i, :] = sum_j weights[i, j] * x[..., j, :]."""
-    x = as_tensor(x)
+class NeighborTable:
+    """Entries grouped by the target each lands on, in entry order.
+
+    index[e] in [0, size) is the target of entry e. slots is [size, K]:
+    row t lists the sources of the entries that land on t, in increasing
+    entry order, padded with -1, which reads the zero that sum appends
+    after the last source; K is the most entries any target has. A
+    source is the entry's own position unless sources gives one per
+    entry. weights, when given, scales each entry (padding scales by 0).
+    """
+
+    __slots__ = ("index", "slots", "weights")
+
+    def __init__(self, index, size: int, sources=None, weights=None):
+        self.index = np.asarray(index, dtype=np.intp)
+        if self.index.ndim != 1:
+            raise DimensionError(
+                f"index must be 1-D, got shape {self.index.shape}"
+            )
+        if self.index.size and (
+            self.index.min() < 0 or self.index.max() >= size
+        ):
+            raise DimensionError(f"index out of range [0, {size})")
+        counts = np.bincount(self.index, minlength=size)
+        order = np.argsort(self.index, kind="stable")
+        rank = np.arange(order.size) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
+        slot = (self.index[order], rank)
+        self.slots = np.full((size, counts.max(initial=0)), -1, np.intp)
+        self.slots[slot] = order if sources is None else sources[order]
+        self.weights = None
+        if weights is not None:
+            self.weights = np.zeros(self.slots.shape)
+            self.weights[slot] = weights[order]
+
+    @property
+    def size(self) -> int:
+        return self.slots.shape[0]
+
+    def sum(self, values: np.ndarray, axis: int) -> np.ndarray:
+        """Per target, the sum over its entries of (weight times) the
+        source's slice of values along axis; axis becomes length size.
+
+        Each target's terms are added one slot at a time, in entry
+        order, to a +0.0 start. Padding reads a zero appended after the
+        last source, so it adds +0.0, which changes no such sum.
+        """
+        axis = axis % values.ndim
+        pad = list(values.shape)
+        pad[axis] = 1
+        padded = np.concatenate([values, np.zeros(pad)], axis=axis)
+        out = np.zeros(
+            values.shape[:axis] + (self.size,) + values.shape[axis + 1 :]
+        )
+        term = np.empty_like(out)
+        weights = self.weights
+        if weights is not None:
+            weights = weights.reshape(
+                weights.shape + (1,) * (values.ndim - axis - 1)
+            )
+        for k in range(self.slots.shape[1]):
+            # "wrap" reads -1 as "raise" would, without buffering out
+            np.take(padded, self.slots[:, k], axis, out=term, mode="wrap")
+            if weights is not None:
+                term *= weights[:, k]
+            out += term
+        return out
+
+
+class MixTables(NamedTuple):
+    """The nonzeros of a square weight matrix, row-major, as neighbour
+    tables: by_row sums each row (the mix), by_col each column (its
+    transpose), both with the weights w[i, j]."""
+
+    by_row: NeighborTable
+    by_col: NeighborTable
+
+
+def mix_tables(weights: np.ndarray) -> MixTables:
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
         raise DimensionError(
             f"neighbor_mix: weights must be square, got {weights.shape}"
         )
-    if x.ndim < 2 or x.shape[-2] != weights.shape[0]:
+    rows, cols = np.nonzero(weights)
+    w = weights[rows, cols]
+    n = weights.shape[0]
+    return MixTables(
+        NeighborTable(rows, n, cols, w), NeighborTable(cols, n, rows, w)
+    )
+
+
+def neighbor_mix(weights, x) -> Tensor:
+    """Mix vertex features with a constant square matrix:
+    out[..., i, :] = sum_j weights[i, j] * x[..., j, :].
+
+    weights is the matrix or its mix_tables; build those once per graph,
+    since a matrix is turned into tables on every call. Only nonzero
+    weights are read: the forward sums each row of the table by row, the
+    backward each column of the table by column, adding the j (or i)
+    terms in increasing order from +0.0. np.einsum("ij,...jd->...id")
+    adds them in that order too when the feature width d is above 1 (at
+    d = 1 it reorders), and dropping zero terms cannot change such a
+    sum, so the bits match the dense einsum's.
+    """
+    x = as_tensor(x)
+    tables = weights if isinstance(weights, MixTables) else mix_tables(weights)
+    n = tables.by_row.size
+    if x.ndim < 2 or x.shape[-2] != n:
         raise DimensionError(
             f"neighbor_mix: vertex axis {x.shape} does not match "
-            f"{weights.shape}"
+            f"{(n, n)} weights"
         )
 
     def bw(g):
-        return (np.einsum("ji,...jd->...id", weights, g),)
+        return (tables.by_col.sum(g, -2),)
 
-    return _node(np.einsum("ij,...jd->...id", weights, x.data), (x,), bw)
+    return _node(tables.by_row.sum(x.data, -2), (x,), bw)
 
 
 def conv1d(x, w) -> Tensor:
@@ -231,31 +331,57 @@ def concat(parts: Sequence, axis: int = -1) -> Tensor:
     return _node(data, tensors, bw)
 
 
-def take(x, index: np.ndarray, axis: int) -> Tensor:
-    """Gather entries along one axis, like np.take; indices may repeat."""
+def _index_table(op: str, index, size: int) -> NeighborTable:
+    """index as a NeighborTable over size targets; a table passes through."""
+    if not isinstance(index, NeighborTable):
+        try:
+            index = NeighborTable(index, size)
+        except DimensionError as exc:
+            raise DimensionError(f"{op}: {exc}") from None
+    if index.size != size:
+        raise DimensionError(
+            f"{op}: index table has {index.size} targets, expected {size}"
+        )
+    return index
+
+
+def take(x, index, axis: int) -> Tensor:
+    """Gather entries along one axis, like np.take with a 1-D index;
+    indices may repeat.
+
+    index is the array or its NeighborTable over x.shape[axis] targets;
+    build that once per graph, since an array is turned into a table on
+    every call. The backward sums the gathered gradient into each target
+    through the table, in index order from +0.0, as np.add.at would, so
+    repeats add up to the same bits as a dense sum.
+    """
     x = as_tensor(x)
-    index = np.asarray(index, dtype=np.intp)
     axis = axis % x.ndim
+    table = _index_table("take", index, x.shape[axis])
 
     def bw(g):
-        gx = np.zeros_like(x.data)
-        # unbuffered, in index order: repeats add up like a dense sum
-        np.add.at(gx, (slice(None),) * axis + (index,), g)
-        return (gx,)
+        return (table.sum(g, axis),)
 
-    return _node(np.take(x.data, index, axis=axis), (x,), bw)
+    return _node(np.take(x.data, table.index, axis=axis), (x,), bw)
 
 
-def scatter(x, index: np.ndarray, size: int) -> Tensor:
+def scatter(x, index, size: int) -> Tensor:
     """Place the last axis of x at distinct positions of a zero last axis
-    of length size: out[..., index[e]] = x[..., e]."""
+    of length size: out[..., index[e]] = x[..., e].
+
+    index is the array or its NeighborTable over size targets; a
+    position that repeats raises DimensionError.
+    """
     x = as_tensor(x)
-    index = np.asarray(index, dtype=np.intp)
+    table = _index_table("scatter", index, size)
+    index = table.index
     if index.shape != x.shape[-1:]:
         raise DimensionError(
             f"scatter: indices {index.shape} do not match the last axis of "
             f"{x.shape}"
         )
+    if table.slots.shape[1] > 1:
+        raise DimensionError("scatter: positions must be distinct")
     out = np.zeros(x.shape[:-1] + (size,))
     out[..., index] = x.data
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcheck import grad_check
 from parkrank import tensor as T
@@ -195,6 +197,99 @@ class TestGradients:
             ),
             [w1, b1, w2],
         )
+
+
+def forward_and_grad(op, x, g):
+    """op(x) and the gradient it hands x for the upstream gradient g."""
+    leaf_x = T.Tensor(x, requires_grad=True)
+    out = op(leaf_x)
+    T.backward(T.reduce_sum(T.mul(out, T.Tensor(g))))
+    return out.data, leaf_x.grad
+
+
+def add_at_oracle(shape, index, axis, g):
+    """The take backward by np.add.at: unbuffered, in index order."""
+    gx = np.zeros(shape)
+    np.add.at(gx, (slice(None),) * (axis % len(shape)) + (index,), g)
+    return gx
+
+
+class TestOrderedTables:
+    """neighbor_mix and the take backward against the dense sums they
+    replace, bit for bit (tobytes): np.einsum over every column for the
+    mix, np.add.at for the gather."""
+
+    def mix_weights(self, rng, n):
+        w = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.4)
+        w[1] = 0.0  # a row that is all zero
+        w[0, 2], w[2, 0] = -0.75, 0.0  # not symmetric
+        return w
+
+    @pytest.mark.parametrize("shape", [(7, 3), (4, 7, 5), (2, 7, 16)])
+    def test_neighbor_mix_matches_einsum(self, shape):
+        rng = np.random.default_rng(30)
+        w = self.mix_weights(rng, 7)
+        x = rng.standard_normal(shape)
+        g = rng.standard_normal(shape)
+        for weights in (w, T.mix_tables(w)):
+            out, gx = forward_and_grad(
+                lambda t: T.neighbor_mix(weights, t), x, g
+            )
+            want = np.einsum("ij,...jd->...id", w, x)
+            want_gx = np.einsum("ji,...jd->...id", w, g)
+            assert out.tobytes() == want.tobytes()
+            assert gx.tobytes() == want_gx.tobytes()
+
+    @pytest.mark.parametrize(
+        "shape, index, axis",
+        [
+            ((6, 3), [3, 0, 3, 1, 3, 2, 0], 0),
+            ((2, 5, 3), [4, 4, 0, 2, 0, 0, 1], 1),
+            ((2, 3, 5), [2, 4, 2, 2, 0], -1),  # vertex 1 and 3 never hit
+            ((2, 3, 5), [], -1),
+        ],
+    )
+    def test_take_backward_matches_add_at(self, shape, index, axis):
+        rng = np.random.default_rng(31)
+        index = np.array(index, dtype=np.intp)
+        x = rng.standard_normal(shape)
+        g = rng.standard_normal(np.take(x, index, axis=axis).shape)
+        table = T.NeighborTable(index, shape[axis])
+        for ix in (index, table):
+            out, gx = forward_and_grad(lambda t: T.take(t, ix, axis), x, g)
+            assert out.tobytes() == np.take(x, index, axis=axis).tobytes()
+            assert gx.tobytes() == add_at_oracle(shape, index, axis, g).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_take_backward_property(self, data):
+        ndim = data.draw(st.integers(1, 3))
+        shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=ndim,
+                                         max_size=ndim)))
+        axis = data.draw(st.integers(-ndim, ndim - 1))
+        index = np.array(
+            data.draw(st.lists(st.integers(0, shape[axis] - 1), max_size=9)),
+            dtype=np.intp,
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = rng.standard_normal(shape)
+        g = rng.standard_normal(np.take(x, index, axis=axis).shape)
+        _, gx = forward_and_grad(lambda t: T.take(t, index, axis), x, g)
+        assert gx.tobytes() == add_at_oracle(shape, index, axis, g).tobytes()
+
+    def test_scatter_rejects_repeated_positions(self):
+        x = T.Tensor(np.ones((2, 3)))
+        with pytest.raises(DimensionError, match="distinct"):
+            T.scatter(x, np.array([4, 1, 4]), 6)
+        with pytest.raises(DimensionError, match="distinct"):
+            T.scatter(x, T.NeighborTable([4, 1, 4], 6), 6)
+
+    def test_index_out_of_range_rejected(self):
+        x = T.Tensor(np.ones((2, 3)))
+        with pytest.raises(DimensionError, match="take"):
+            T.take(x, np.array([0, 3]), 1)
+        with pytest.raises(DimensionError, match="scatter"):
+            T.scatter(x, np.array([0, 1, 5]), 5)
 
 
 class TestBackwardSemantics:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from parkrank import evaluate, ingest, model, train
+from parkrank import tensor as T
 from parkrank.errors import ConfigError, DataError
 
 
@@ -253,3 +254,38 @@ class TestTrainLoop:
                 np.concatenate([getattr(b, field) for b in base]),
                 np.concatenate([getattr(b, field) for b in res]),
             )
+
+    def test_neighbour_tables_built_only_with_params(self, monkeypatch):
+        # building the tables inside each op call made recommend slower
+        builds = {"with params": 0, "elsewhere": 0}
+        building = []
+        init_table = T.NeighborTable.__init__
+        init_params = model.ModelParams.__init__
+
+        def counting_table(self, *args, **kwargs):
+            builds["with params" if building else "elsewhere"] += 1
+            init_table(self, *args, **kwargs)
+
+        def marked_params(self, *args, **kwargs):
+            building.append(True)
+            try:
+                init_params(self, *args, **kwargs)
+            finally:
+                building.pop()
+
+        monkeypatch.setattr(T.NeighborTable, "__init__", counting_table)
+        monkeypatch.setattr(model.ModelParams, "__init__", marked_params)
+        matrix, graph = small_world(seed=2)
+        cfg = train.TrainConfig(
+            alpha=3, beta=2, conv_channels=3, embed_dim=4, kernel_len=2,
+            horizon_intervals=2, iterations=3, batch_size=16, eval_every=3,
+        )
+        result = train.train_loop(matrix, graph, cfg)
+        ds = result.dataset
+        i = ds.test_idx[:1]
+        model.forward_scores(
+            result.params, ds.windows[i], ds.current_signed[i],
+            ds.states_now[i],
+        )
+        assert builds["with params"] > 0
+        assert builds["elsewhere"] == 0
