@@ -174,6 +174,10 @@ class SpatialGraph:
         """Candidate mask per query: its neighbors plus the vertex itself."""
         return self._allowed
 
+    def allowed_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(query, candidate) indices of the allowed pairs, row-major."""
+        return np.nonzero(self._allowed)
+
     def hop_distances(self, source: int) -> np.ndarray:
         """BFS hop counts from source; unreachable vertices get n + 1."""
         return self._hops[source]

@@ -7,10 +7,11 @@ them into an event embedding. Graph iterations then mix embeddings over
 the symmetric-normalized adjacency, each round re-concatenating the event
 embedding as a residual. A pairwise readout scores only the allowed
 (query, candidate) pairs, each candidate in the query's own neighborhood,
-over an edge list, and multiplies each by a learnable mask weight. The
-scores are scattered into a [batch, query, candidate] matrix whose entries
-outside the neighborhoods are structural zeros, so only reachable
-candidates can score.
+over an edge list, and multiplies each by a learnable mask weight; the
+activation runs on that list too, so training stays on it through the
+loss. For ranking, the scores are scattered into a [batch, query,
+candidate] matrix whose entries outside the neighborhoods are structural
+zeros, so only reachable candidates can score.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from .errors import ConfigError, DataError, DimensionError
 from .ingest import SpatialGraph
 
 SCORE_ACTIVATIONS = ("relu", "softmax")
-# pre-activation fill for masked softmax entries; -inf would poison grads
-MASK_FILL = -1e30
 
 
 @dataclass(frozen=True)
@@ -34,8 +33,8 @@ class ModelConfig:
 
     alpha: events read per vertex; beta: graph mixing rounds;
     conv_channels and embed_dim size the event and vertex embeddings.
-    score_activation picks the final squash; sigmoid is excluded because it
-    maps the masked zeros to 0.5 and breaks the structural-zero contract.
+    score_activation picks the final squash of each pair's score: relu, or
+    a softmax over each query's pairs.
     """
 
     alpha: int = 2
@@ -92,7 +91,7 @@ class ModelParams:
         self.num_vertices = spatial.num_vertices
         self.allowed = spatial.allowed_mask()
         # allowed pairs in row-major order: by query, then by candidate
-        self.src, self.dst = np.nonzero(self.allowed)
+        self.src, self.dst = spatial.allowed_pairs()
         self.pair_index = self.src * self.num_vertices + self.dst
         self.adj_norm = normalized_adjacency(spatial)
         n = self.num_vertices
@@ -264,7 +263,7 @@ def graph_rounds(
     return z
 
 
-def forward_scores(
+def edge_scores(
     params: ModelParams,
     windows: np.ndarray,
     current_signed: np.ndarray,
@@ -277,23 +276,20 @@ def forward_scores(
 
     windows: [batch, vertices, alpha] signed durations;
     current_signed: [batch, vertices]; states_now: [batch, vertices] bool.
-    Returns a [batch, vertices, vertices] tensor, query along axis 1. The
-    readout runs over the edge list (params.src, params.dst) only; its
-    scores are scattered into the matrix, so every pair outside
-    params.allowed holds an exact zero before the activation.
+    Returns [batch, pairs] over the edge list (params.src, params.dst),
+    after the activation; softmax normalizes over each query's pairs.
     """
     if windows.ndim != 3:
         raise DimensionError(
-            f"forward_scores: windows must be 3-D, got {windows.shape}"
+            f"edge_scores: windows must be 3-D, got {windows.shape}"
         )
     cfg = params.config
     n = params.num_vertices
     if windows.shape[1] != n or windows.shape[2] != cfg.alpha:
         raise DimensionError(
-            f"forward_scores: windows {windows.shape} do not match "
+            f"edge_scores: windows {windows.shape} do not match "
             f"{n} vertices and alpha {cfg.alpha}"
         )
-    batch = windows.shape[0]
     use_dropout = training and dropout_rate > 0.0
     if use_dropout and rng is None:
         raise ConfigError("dropout during training needs an rng")
@@ -320,13 +316,18 @@ def forward_scores(
     mask = T.take(
         T.reshape(params.get("mask.weights"), (n * n,)), params.pair_table, 0
     )
-    pre = T.reshape(
-        T.scatter(T.mul(raw, mask), params.pair_table, n * n), (batch, n, n)
-    )
+    pre = T.mul(raw, mask)
     if cfg.score_activation == "relu":
         return T.relu(pre)
-    pre = T.masked_fill(pre, ~params.allowed, MASK_FILL)
-    return T.softmax(pre, axis=-1)
+    return T.softmax(pre, params.pair_table, (n, n))
+
+
+def forward_scores(params: ModelParams, *args, **kwargs) -> T.Tensor:
+    """edge_scores (same arguments) scattered into a [batch, query,
+    candidate] tensor for ranking; pairs outside params.allowed hold 0."""
+    n = params.num_vertices
+    scores = edge_scores(params, *args, **kwargs)
+    return T.reshape(T.scatter(scores, params.pair_table, n * n), (-1, n, n))
 
 
 def rank_candidates(scores: np.ndarray, hops: np.ndarray) -> np.ndarray:

@@ -401,27 +401,85 @@ def relu(x) -> Tensor:
     return _node(out, (x,), bw)
 
 
-def softmax(x, axis: int = -1) -> Tensor:
+def _grid(op: str, x: Tensor, index, shape) -> tuple[np.ndarray, np.ndarray]:
+    """The flat positions in a [rows, width] grid of the cells that the
+    last axis of x holds, increasing (index: the array or its
+    NeighborTable), and the row of each."""
+    positions = _index_table(op, index, shape[0] * shape[1]).index
+    if positions.shape != x.shape[-1:]:
+        raise DimensionError(
+            f"{op}: indices {positions.shape} do not match the last axis of "
+            f"{x.shape}"
+        )
+    if np.any(np.diff(positions) <= 0):
+        raise DimensionError(
+            f"{op}: positions must be distinct and increasing"
+        )
+    return positions, positions // shape[1]
+
+
+def _row_sums(values: np.ndarray, positions: np.ndarray, shape) -> np.ndarray:
+    """Per grid row, the dense sum(-1) of a zero buffer holding values at
+    positions: each row adds the terms and zeros of a dense zero-filled
+    grid in the same order, so the bits match."""
+    buffer = np.zeros(values.shape[:-1] + (shape[0] * shape[1],))
+    buffer[..., positions] = values
+    return buffer.reshape(values.shape[:-1] + tuple(shape)).sum(-1)
+
+
+def row_max(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per entry of the last axis, the largest entry of its row; rows gives
+    each entry's row and must not decrease."""
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    peaks = np.maximum.reduceat(values, starts, axis=-1)
+    return np.repeat(peaks, np.diff(starts, append=rows.size), axis=-1)
+
+
+def row_sum(x, index, shape) -> Tensor:
+    """Per row of a [rows, width] grid, the sum of its cells, [..., rows].
+
+    The last axis of x holds the cells at flat positions index (see
+    _grid); the other cells are zero. The bits equal those of the dense
+    sum(-1) over the zero-filled grid.
+    """
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    positions, rows = _grid("row_sum", x, index, shape)
 
     def bw(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
+        return (g[..., rows],)
+
+    return _node(_row_sums(x.data, positions, shape), (x,), bw)
+
+
+def softmax(x, index, shape) -> Tensor:
+    """Softmax along each row of a grid laid out as in row_sum, over the
+    cells x holds; the others count as -inf, so the output holds the
+    same cells. The bits equal those of a dense softmax over the grid
+    with the other cells filled far below every cell: the row max and
+    row sums see the same values, and every other step is per cell."""
+    x = as_tensor(x)
+    positions, rows = _grid("softmax", x, index, shape)
+    e = np.exp(x.data - row_max(x.data, rows))
+    out = e / _row_sums(e, positions, shape)[..., rows]
+
+    def bw(g):
+        inner = _row_sums(g * out, positions, shape)[..., rows]
         return (out * (g - inner),)
 
     return _node(out, (x,), bw)
 
 
-def log_softmax(x, axis: int = -1) -> Tensor:
+def log_softmax(x, index, shape) -> Tensor:
+    """Log of softmax(x, index, shape), as shifted cells minus the log of
+    their row's sum of exponentials."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    positions, rows = _grid("log_softmax", x, index, shape)
+    shifted = x.data - row_max(x.data, rows)
+    lse = np.log(_row_sums(np.exp(shifted), positions, shape)[..., rows])
     out = shifted - lse
 
     def bw(g):
-        return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
+        return (g - np.exp(out) * _row_sums(g, positions, shape)[..., rows],)
 
     return _node(out, (x,), bw)
 

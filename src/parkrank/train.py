@@ -4,6 +4,11 @@ The dataset is a sequence of snapshots, one per interval: event windows
 and current run ages feed the scorer, and labels grade every allowed
 (query, candidate) pair by whether the candidate is vacant at the
 arrival horizon, how long it stays vacant, and how close it is.
+
+Training keeps labels, scores and the loss on the edge list of allowed
+pairs, [batch, pairs]. Each per-query sum whose order matters goes
+through tensor.row_sum, so the loss and its gradients have the bits of
+the same computation over dense [batch, query, candidate] arrays.
 """
 
 from dataclasses import dataclass, fields
@@ -165,7 +170,7 @@ def build_dataset(
     )
 
 
-def make_labels(
+def edge_labels(
     spatial: SpatialGraph,
     vacant_future: np.ndarray,
     remaining_future: np.ndarray,
@@ -173,68 +178,70 @@ def make_labels(
     dur_weight: float,
     duration_cap: int,
 ) -> np.ndarray:
-    """Relevance grades for every (query, candidate) pair.
+    """Relevance grades of the allowed (query, candidate) pairs, [..., pairs]
+    in the order of spatial.allowed_pairs(), for [..., vertices] inputs.
 
-    A candidate scores only if it is recommendable from the query and
-    vacant at the horizon; grade = proximity term + capped vacancy
-    duration term, then each query row is scaled to peak at 1.
+    A candidate scores only if it is vacant at the horizon; grade =
+    proximity term + capped vacancy duration term, then each query's
+    grades are scaled to peak at 1.
     """
-    vacant = np.atleast_2d(np.asarray(vacant_future, dtype=bool))
-    rem = np.atleast_2d(np.asarray(remaining_future, dtype=np.float64))
+    vacant = np.asarray(vacant_future, dtype=bool)
+    rem = np.asarray(remaining_future, dtype=np.float64)
     if vacant.shape != rem.shape:
         raise DataError("vacancy and duration arrays must align")
-    allowed = spatial.allowed_mask()
-    hops = spatial.all_hop_distances()
-    prox_term = np.where(allowed, prox_weight / (1.0 + hops), 0.0)
+    src, dst = spatial.allowed_pairs()
+    prox = prox_weight / (1.0 + spatial.all_hop_distances()[src, dst])
     dur = dur_weight * np.minimum(rem, duration_cap) / duration_cap
-    y = prox_term[np.newaxis] + np.where(allowed[np.newaxis], dur[:, np.newaxis, :], 0.0)
-    y = y * vacant[:, np.newaxis, :]
-    peak = y.max(axis=-1, keepdims=True)
-    y = np.divide(y, peak, out=np.zeros_like(y), where=peak > 0)
-    if np.asarray(vacant_future).ndim == 1:
-        return y[0]
-    return y
+    y = (prox + dur[..., dst]) * vacant[..., dst]
+    peak = T.row_max(y, src)
+    return np.divide(y, peak, out=np.zeros_like(y), where=peak > 0)
 
 
-def squared_error(labels, scores) -> T.Tensor:
-    """Per-query sum of squared score errors, averaged over queries."""
-    s = scores if isinstance(scores, T.Tensor) else T.Tensor(scores)
-    diff = T.sub(T.Tensor(np.asarray(labels, dtype=np.float64)), s)
-    return T.reduce_mean(T.reduce_sum(T.mul(diff, diff), axis=-1))
+def make_labels(spatial: SpatialGraph, *args) -> np.ndarray:
+    """edge_labels (same arguments) scattered into [..., query, candidate]
+    grades; pairs outside the neighborhoods grade 0."""
+    y = edge_labels(spatial, *args)
+    n = spatial.num_vertices
+    src, dst = spatial.allowed_pairs()
+    dense = np.zeros(y.shape[:-1] + (n, n))
+    dense[..., src, dst] = y
+    return dense
 
 
-def listwise_nll(labels, scores, allowed: np.ndarray | None = None) -> T.Tensor:
-    """Negative label-weighted log-softmax over each candidate row.
+def squared_error(labels, scores, index, shape) -> T.Tensor:
+    """Per-query sum of squared score errors, averaged over queries.
 
-    Blocked pairs are pushed out before the softmax and their log
-    probabilities zeroed afterwards so they contribute nothing.
+    labels and scores ([..., pairs]) hold the cells of a [queries,
+    candidates] grid at flat positions index; see tensor.row_sum.
     """
-    s = scores if isinstance(scores, T.Tensor) else T.Tensor(scores)
-    y = np.asarray(labels, dtype=np.float64)
-    if allowed is not None:
-        blocked = ~np.broadcast_to(allowed, s.shape)
-        s = T.masked_fill(s, blocked, model.MASK_FILL)
-    logp = T.log_softmax(s, axis=-1)
-    if allowed is not None:
-        logp = T.masked_fill(logp, blocked, 0.0)
-    weighted = T.reduce_sum(T.mul(T.Tensor(y), logp), axis=-1)
+    diff = T.sub(T.Tensor(np.asarray(labels, dtype=np.float64)), scores)
+    return T.reduce_mean(T.row_sum(T.mul(diff, diff), index, shape))
+
+
+def listwise_nll(labels, scores, index, shape) -> T.Tensor:
+    """Negative label-weighted log-softmax over each query's pairs, laid
+    out as in squared_error; other candidates take no part."""
+    logp = T.log_softmax(scores, index, shape)
+    weighted = T.row_sum(T.mul(T.Tensor(labels), logp), index, shape)
     return T.scale(T.reduce_mean(weighted), -1.0)
 
 
 def training_loss(
     labels,
     scores,
-    params: model.ModelParams | None = None,
+    params: model.ModelParams,
     softmax_weight: float = 0.0,
     l2_coeff: float = 0.0,
-    allowed: np.ndarray | None = None,
 ) -> T.Tensor:
-    total = squared_error(labels, scores)
+    """Squared error plus weighted listwise NLL and L2 penalty over the
+    per-pair labels and scores ([batch, pairs]) of params' edge list."""
+    n = params.num_vertices
+    grid = (params.pair_table, (n, n))
+    total = squared_error(labels, scores, *grid)
     if softmax_weight > 0:
-        total = T.add(
-            total, T.scale(listwise_nll(labels, scores, allowed), softmax_weight)
-        )
-    if params is not None and l2_coeff > 0:
+        nll = listwise_nll(labels, scores, *grid)
+        total = T.add(total, T.scale(nll, softmax_weight))
+    if l2_coeff > 0:
         penalty = None
         for p in params.tensors:
             sq = T.reduce_sum(T.mul(p, p))
@@ -243,9 +250,8 @@ def training_loss(
     return total
 
 
-def _batch_labels(dataset: Dataset, spatial: SpatialGraph, idx, cfg: TrainConfig):
-    return make_labels(
-        spatial,
+def _label_args(dataset: Dataset, idx, cfg: TrainConfig):
+    return (
         dataset.vacant_future[idx],
         dataset.remaining_future[idx],
         cfg.prox_weight,
@@ -254,21 +260,17 @@ def _batch_labels(dataset: Dataset, spatial: SpatialGraph, idx, cfg: TrainConfig
     )
 
 
-def _forward_batch(params, dataset: Dataset, idx, training=False, rate=0.0, rng=None):
-    return model.forward_scores(
-        params,
+def _inputs(dataset: Dataset, idx):
+    return (
         dataset.windows[idx],
         dataset.current_signed[idx],
         dataset.states_now[idx],
-        training=training,
-        dropout_rate=rate,
-        rng=rng,
     )
 
 
 def _query_results(dataset: Dataset, spatial: SpatialGraph, idx, cfg, rankings):
     """One batch of the (snapshot, query) pairs of idx from [B, n, n] rankings."""
-    labels = _batch_labels(dataset, spatial, idx, cfg)
+    labels = make_labels(spatial, *_label_args(dataset, idx, cfg))
     width = dataset.num_vertices
     times = np.repeat(dataset.times[idx], width)
     return evaluate.QueryResults(
@@ -293,7 +295,7 @@ def split_results(
     results = []
     for lo in range(0, len(split_idx), 128):
         idx = split_idx[lo : lo + 128]
-        scores = _forward_batch(params, dataset, idx).data
+        scores = model.forward_scores(params, *_inputs(dataset, idx)).data
         rankings = model.rank_candidates(scores, hops)
         results.append(_query_results(dataset, spatial, idx, cfg, rankings))
     return results
@@ -381,12 +383,13 @@ def train_loop(
         batch = order[cursor : cursor + cfg.batch_size]
         cursor += cfg.batch_size
 
-        scores = _forward_batch(
-            params, dataset, batch, True, cfg.dropout_rate, dropout_rng
+        scores = model.edge_scores(
+            params, *_inputs(dataset, batch), True, cfg.dropout_rate,
+            dropout_rng,
         )
-        labels = _batch_labels(dataset, spatial, batch, cfg)
+        labels = edge_labels(spatial, *_label_args(dataset, batch, cfg))
         loss = training_loss(
-            labels, scores, params, cfg.softmax_weight, cfg.l2_coeff, params.allowed
+            labels, scores, params, cfg.softmax_weight, cfg.l2_coeff
         )
         loss_val = loss.item()
         if not np.isfinite(loss_val):

@@ -1,0 +1,124 @@
+"""Dense [batch, query, candidate] oracles for the edge-list scores, labels
+and loss.
+
+These compute over every (query, candidate) pair and mask the pairs
+outside the neighborhoods afterwards, as parkrank did before it kept
+training on the edge list. The production path must match them bit for
+bit: scores, labels, loss and every parameter gradient.
+"""
+
+import numpy as np
+
+from parkrank import model
+from parkrank import tensor as T
+
+# pre-activation fill for masked softmax entries; -inf would poison grads
+MASK_FILL = -1e30
+
+
+def softmax(x) -> T.Tensor:
+    """Softmax over the last axis of a dense array."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=-1, keepdims=True)
+
+    def bw(g):
+        inner = (g * out).sum(axis=-1, keepdims=True)
+        return (out * (g - inner),)
+
+    return T._node(out, (x,), bw)
+
+
+def log_softmax(x) -> T.Tensor:
+    """Log-softmax over the last axis of a dense array."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    out = shifted - lse
+
+    def bw(g):
+        return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
+
+    return T._node(out, (x,), bw)
+
+
+def scores(
+    params, windows, current, states, training=False, dropout_rate=0.0,
+    rng=None,
+):
+    """forward_scores with the dense [batch, n, n, embed_dim] pair readout
+    over every (query, candidate) pair, masked afterwards."""
+    rate = dropout_rate if training else 0.0
+    batch, n, d = windows.shape[0], params.num_vertices, params.config.embed_dim
+    h = model.event_embed(params, windows, rate, rng)
+    z = model.graph_rounds(
+        params, model.real_time_features(current, states), h, rate, rng
+    )
+    query_feat = np.concatenate(
+        [np.tanh(windows), np.tanh(current)[..., None]], -1
+    )
+    q = T.matmul(T.Tensor(query_feat), params.get("readout.query"))
+    item = T.matmul(z, params.get("readout.item"))
+    pair = T.add(
+        T.reshape(q, (batch, n, 1, d)), T.reshape(item, (batch, 1, n, d))
+    )
+    pair = T.relu(T.add(pair, params.get("readout.bias")))
+    raw = T.reduce_sum(pair, axis=-1)
+    mask = T.mul(
+        params.get("mask.weights"), T.Tensor(params.allowed.astype(float))
+    )
+    pre = T.mul(raw, mask)
+    if params.config.score_activation == "relu":
+        return T.relu(pre)
+    return softmax(T.masked_fill(pre, ~params.allowed, MASK_FILL))
+
+
+def labels(
+    spatial, vacant_future, remaining_future, prox_weight, dur_weight,
+    duration_cap,
+):
+    """Relevance grades for every (query, candidate) pair."""
+    vacant = np.atleast_2d(np.asarray(vacant_future, dtype=bool))
+    rem = np.atleast_2d(np.asarray(remaining_future, dtype=np.float64))
+    allowed = spatial.allowed_mask()
+    hops = spatial.all_hop_distances()
+    prox_term = np.where(allowed, prox_weight / (1.0 + hops), 0.0)
+    dur = dur_weight * np.minimum(rem, duration_cap) / duration_cap
+    y = prox_term[np.newaxis] + np.where(
+        allowed[np.newaxis], dur[:, np.newaxis, :], 0.0
+    )
+    y = y * vacant[:, np.newaxis, :]
+    peak = y.max(axis=-1, keepdims=True)
+    y = np.divide(y, peak, out=np.zeros_like(y), where=peak > 0)
+    if np.asarray(vacant_future).ndim == 1:
+        return y[0]
+    return y
+
+
+def squared_error(labels, scores) -> T.Tensor:
+    diff = T.sub(T.Tensor(np.asarray(labels, dtype=np.float64)), scores)
+    return T.reduce_mean(T.reduce_sum(T.mul(diff, diff), axis=-1))
+
+
+def listwise_nll(labels, scores, allowed) -> T.Tensor:
+    blocked = ~np.broadcast_to(allowed, scores.shape)
+    logp = log_softmax(T.masked_fill(scores, blocked, MASK_FILL))
+    logp = T.masked_fill(logp, blocked, 0.0)
+    weighted = T.reduce_sum(T.mul(T.Tensor(labels), logp), axis=-1)
+    return T.scale(T.reduce_mean(weighted), -1.0)
+
+
+def training_loss(
+    labels, scores, params, softmax_weight=0.0, l2_coeff=0.0
+) -> T.Tensor:
+    """The training loss over dense labels and scores."""
+    total = squared_error(labels, scores)
+    if softmax_weight > 0:
+        nll = listwise_nll(labels, scores, params.allowed)
+        total = T.add(total, T.scale(nll, softmax_weight))
+    if l2_coeff > 0:
+        penalty = None
+        for p in params.tensors:
+            sq = T.reduce_sum(T.mul(p, p))
+            penalty = sq if penalty is None else T.add(penalty, sq)
+        total = T.add(total, T.scale(penalty, l2_coeff))
+    return total

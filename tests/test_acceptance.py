@@ -99,7 +99,6 @@ def test_criterion_2_complexity_bounds():
 
 def test_criterion_3_gradient_correctness():
     locs, graph = grid_world(6)
-    allowed = graph.allowed_mask()
     cfg = model.ModelConfig(
         alpha=3, beta=2, conv_channels=4, embed_dim=4, kernel_len=2,
         score_activation="relu",
@@ -114,7 +113,7 @@ def test_criterion_3_gradient_correctness():
         current = rng.integers(1, 5, (2, 6)).astype(np.float64)
         states = rng.random((2, 6)) < 0.5
         current = np.where(states, -current, current)
-        labels = train.make_labels(
+        labels = train.edge_labels(
             graph,
             rng.random((2, 6)) < 0.5,
             rng.integers(1, 15, (2, 6)),
@@ -122,10 +121,8 @@ def test_criterion_3_gradient_correctness():
         )
 
         def build():
-            scores = model.forward_scores(params, windows, current, states)
-            return train.training_loss(
-                labels, scores, params, 0.3, 1e-4, allowed
-            )
+            scores = model.edge_scores(params, windows, current, states)
+            return train.training_loss(labels, scores, params, 0.3, 1e-4)
 
         worst = max(
             worst, grad_check(build, params.tensors, kink_filter=True)
@@ -279,10 +276,14 @@ def test_criterion_5_metric_oracles():
 
 def test_criterion_6_loss_sanity():
     rng = np.random.default_rng(1006)
-    y = rng.random((3, 5, 5))
-    zero = train.training_loss(y, y.copy()).item()
+    _, graph = grid_world(5)
+    params = model.ModelParams(model.ModelConfig(), graph, rng)
+    y = rng.random((3, len(params.src)))
+    zero = train.training_loss(y, y.copy(), params).item()
     assert zero == 0.0
-    closed = train.listwise_nll([1.0, 0.0], [10.0, -10.0]).item()
+    closed = train.listwise_nll(
+        [1.0, 0.0], [10.0, -10.0], np.arange(2), (1, 2)
+    ).item()
     expected = math.log1p(math.exp(-20.0))
     assert abs(closed - expected) < 1e-12
     _verdict(

@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracle
 from gradcheck import grad_check
 from parkrank import tensor as T
 from parkrank.errors import DataError, DimensionError
 
 TOL = 1e-7
+# six cells of a 3 x 4 grid, row-major: two in row 0, one in row 1, three
+# in row 2
+GRID = np.array([1, 3, 6, 8, 9, 11])
 
 
 def leaf(rng, *shape):
@@ -43,14 +47,16 @@ class TestForwardOracles:
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
-        out = T.softmax(T.Tensor(rng.standard_normal((4, 6))), axis=-1)
-        assert np.allclose(out.data.sum(axis=-1), 1.0)
+        out = T.softmax(T.Tensor(rng.standard_normal((4, 6))), GRID, (3, 4))
+        rows = GRID // 4
+        for r in range(3):
+            assert np.allclose(out.data[:, rows == r].sum(axis=-1), 1.0)
 
     def test_log_softmax_matches_log_of_softmax(self):
         rng = np.random.default_rng(2)
-        x = rng.standard_normal((3, 5))
-        a = T.log_softmax(T.Tensor(x), axis=-1).data
-        b = np.log(T.softmax(T.Tensor(x), axis=-1).data)
+        x = rng.standard_normal((3, 6))
+        a = T.log_softmax(T.Tensor(x), GRID, (3, 4)).data
+        b = np.log(T.softmax(T.Tensor(x), GRID, (3, 4)).data)
         assert np.allclose(a, b, atol=1e-12)
 
     def test_masked_fill_replaces_only_masked(self):
@@ -114,25 +120,31 @@ class TestGradients:
 
     def test_softmax(self):
         rng = np.random.default_rng(14)
-        x = leaf(rng, 4, 5)
-        w = T.Tensor(rng.standard_normal((4, 5)))
+        x = leaf(rng, 4, 6)
+        w = T.Tensor(rng.standard_normal((4, 6)))
         self.check(
-            lambda: T.reduce_sum(T.mul(T.softmax(x, axis=-1), w)), [x]
+            lambda: T.reduce_sum(T.mul(T.softmax(x, GRID, (3, 4)), w)), [x]
         )
 
     def test_log_softmax_with_mask(self):
+        # the grid cells off the index are the masked ones
         rng = np.random.default_rng(15)
         x = leaf(rng, 3, 6)
-        mask = rng.random((3, 6)) < 0.3
-        mask[:, 0] = False  # keep at least one live entry per row
-        y = T.Tensor(np.where(mask, 0.0, rng.random((3, 6))))
+        y = T.Tensor(rng.random((3, 6)))
 
         def build():
-            masked = T.masked_fill(x, mask, -1e30)
-            logp = T.masked_fill(T.log_softmax(masked, axis=-1), mask, 0.0)
+            logp = T.log_softmax(x, GRID, (3, 4))
             return T.scale(T.reduce_sum(T.mul(y, logp)), -1.0)
 
         self.check(build, [x])
+
+    def test_row_sum(self):
+        rng = np.random.default_rng(22)
+        x = leaf(rng, 2, 6)
+        w = T.Tensor(rng.standard_normal((2, 3)))
+        self.check(
+            lambda: T.reduce_sum(T.mul(T.row_sum(x, GRID, (3, 4)), w)), [x]
+        )
 
     def test_reductions_and_reshape(self):
         rng = np.random.default_rng(16)
@@ -290,6 +302,89 @@ class TestOrderedTables:
             T.take(x, np.array([0, 3]), 1)
         with pytest.raises(DimensionError, match="scatter"):
             T.scatter(x, np.array([0, 1, 5]), 5)
+
+
+class TestRowOps:
+    """row_sum, softmax and log_softmax over the cells of a grid against
+    the dense zero-filled (or -1e30-filled) arrays they stand for, bit for
+    bit (tobytes)."""
+
+    @staticmethod
+    def cells(rng, lead, shape, density):
+        """Increasing positions (at least one per row, one row left empty
+        when there are several) and values for them."""
+        rows, width = shape
+        keep = rng.random(shape) < density
+        keep[:, 0] = True
+        if rows > 2:
+            keep[1] = False
+        index = np.flatnonzero(keep)
+        return index, rng.standard_normal(lead + index.shape)
+
+    @staticmethod
+    def dense(values, index, shape, fill=0.0):
+        out = np.full(values.shape[:-1] + (shape[0] * shape[1],), fill)
+        out[..., index] = values
+        return out.reshape(values.shape[:-1] + tuple(shape))
+
+    # leading axes, grid; 130 columns cross numpy's 128-term pairwise block
+    SHAPES = [
+        ((), (1, 1)), ((3,), (4, 7)), ((2, 5), (30, 30)), ((4,), (9, 130)),
+    ]
+
+    @pytest.mark.parametrize("lead, shape", SHAPES)
+    def test_row_sum_matches_dense_sum(self, lead, shape):
+        rng = np.random.default_rng(40)
+        index, x = self.cells(rng, lead, shape, 0.2)
+        g = rng.standard_normal(lead + (shape[0],))
+        want = self.dense(x, index, shape).sum(-1)
+        for ix in (index, T.NeighborTable(index, shape[0] * shape[1])):
+            out, gx = forward_and_grad(lambda t: T.row_sum(t, ix, shape), x, g)
+            assert out.tobytes() == want.tobytes()
+            assert gx.tobytes() == g[..., index // shape[1]].tobytes()
+
+    def test_row_sum_of_signed_zeros(self):
+        # rows of zero terms only: every cell -0.0 (row 0), -0.0 and +0.0
+        # cells (row 1), -0.0 cells among zero fill (rows 2 and 3)
+        shape = (4, 4)
+        index = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 13])
+        x = np.array([[-0.0] * 5 + [0.0] + [-0.0] * 5])
+        for values in (x, np.stack([x, -x])):
+            want = self.dense(values, index, shape).sum(-1)
+            out = T.row_sum(T.Tensor(values), index, shape).data
+            assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lead, shape", SHAPES)
+    def test_softmax_matches_dense(self, lead, shape):
+        rng = np.random.default_rng(41)
+        index, x = self.cells(rng, lead, shape, 0.2)
+        g = rng.standard_normal(x.shape)
+        for op, oracle in (
+            (T.softmax, dense_oracle.softmax),
+            (T.log_softmax, dense_oracle.log_softmax),
+        ):
+            out, gx = forward_and_grad(lambda t: op(t, index, shape), x, g)
+            want, want_gx = forward_and_grad(
+                oracle, self.dense(x, index, shape, -1e30),
+                self.dense(g, index, shape),
+            )
+            assert out.tobytes() == want.reshape(lead + (-1,))[
+                ..., index].tobytes()
+            assert gx.tobytes() == want_gx.reshape(lead + (-1,))[
+                ..., index].tobytes()
+
+    @pytest.mark.parametrize("op", [T.row_sum, T.softmax, T.log_softmax])
+    def test_bad_positions_rejected(self, op):
+        x = T.Tensor(np.ones((2, 3)))
+        for index in ([4, 1, 4], [1, 4, 4], T.NeighborTable([1, 4, 4], 6)):
+            with pytest.raises(DimensionError, match="distinct"):
+                op(x, index, (2, 3))
+        with pytest.raises(DimensionError, match="increasing"):
+            op(x, [4, 1, 2], (2, 3))
+        with pytest.raises(DimensionError, match=op.__name__):
+            op(x, [0, 1, 6], (2, 3))
+        with pytest.raises(DimensionError, match="last axis"):
+            op(x, [0, 1], (2, 3))
 
 
 class TestBackwardSemantics:

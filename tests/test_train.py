@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import dense_oracle
 from parkrank import evaluate, ingest, model, train
 from parkrank import tensor as T
 from parkrank.errors import ConfigError, DataError
@@ -84,46 +85,55 @@ class TestMakeLabels:
             assert np.array_equal(batch[b], single)
 
 
+ROW_OF_2 = (np.arange(2), (1, 2))  # one query, both pairs allowed
+
+
 class TestLossClosedForms:
     def test_squared_error_unit_example(self):
-        got = train.squared_error([1.0, 0.0], [0.0, 1.0]).item()
+        got = train.squared_error([1.0, 0.0], [0.0, 1.0], *ROW_OF_2).item()
         assert got == pytest.approx(2.0, abs=1e-12)
 
     def test_squared_error_batch_mean(self):
         y = np.array([[1.0, 0.0], [0.0, 0.0]])
         s = np.array([[0.0, 1.0], [0.0, 2.0]])
         # rows cost 2 and 4, mean 3
-        assert train.squared_error(y, s).item() == pytest.approx(3.0, abs=1e-12)
+        got = train.squared_error(y, s, *ROW_OF_2).item()
+        assert got == pytest.approx(3.0, abs=1e-12)
 
     def test_listwise_confident_correct(self):
-        got = train.listwise_nll([1.0, 0.0], [10.0, -10.0]).item()
+        got = train.listwise_nll([1.0, 0.0], [10.0, -10.0], *ROW_OF_2).item()
         assert abs(got - math.log1p(math.exp(-20.0))) < 1e-12
 
     def test_listwise_uniform_scores(self):
         # equal scores over k candidates cost log k per unit of label
-        got = train.listwise_nll([1.0, 0.0, 0.0], [3.0, 3.0, 3.0]).item()
+        got = train.listwise_nll(
+            [1.0, 0.0, 0.0], [3.0, 3.0, 3.0], np.arange(3), (1, 3)
+        ).item()
         assert got == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_listwise_mask_excludes_blocked(self):
-        allowed = np.array([True, True, False])
+        # the third candidate is blocked: it has no pair to score
         got = train.listwise_nll(
-            [1.0, 0.0, 0.0], [0.0, 0.0, 99.0], allowed=allowed
+            [1.0, 0.0], [0.0, 0.0], np.array([0, 1]), (1, 3)
         ).item()
         assert got == pytest.approx(math.log(2.0), abs=1e-12)
 
+    def chain_params(self):
+        cfg = train.TrainConfig(alpha=2, beta=1, conv_channels=2, embed_dim=2,
+                                kernel_len=2)
+        return model.ModelParams(
+            cfg.model_config(), chain_graph(3), np.random.default_rng(0)
+        )
+
     def test_perfect_scores_zero_loss(self):
-        y = np.array([[0.2, 1.0, 0.0]])
-        total = train.training_loss(y, y.copy()).item()
+        params = self.chain_params()
+        y = np.random.default_rng(1).random((2, len(params.src)))
+        total = train.training_loss(y, y.copy(), params, 0.0, 0.0).item()
         assert total == 0.0
 
     def test_l2_counts_once(self):
-        g = chain_graph(3)
-        cfg = train.TrainConfig(alpha=2, beta=1, conv_channels=2, embed_dim=2,
-                                kernel_len=2)
-        params = model.ModelParams(
-            cfg.model_config(), g, np.random.default_rng(0)
-        )
-        y = np.zeros((1, 3, 3))
+        params = self.chain_params()
+        y = np.zeros((1, len(params.src)))
         base = train.training_loss(y, y.copy(), params, 0.0, 0.0).item()
         with_l2 = train.training_loss(y, y.copy(), params, 0.0, 0.5).item()
         expected = 0.5 * sum(
@@ -254,6 +264,39 @@ class TestTrainLoop:
                 np.concatenate([getattr(b, field) for b in base]),
                 np.concatenate([getattr(b, field) for b in res]),
             )
+
+    @pytest.mark.parametrize(
+        "variant",
+        [{}, {"score_activation": "softmax", "dropout_rate": 0.3, "beta": 2}],
+        ids=["relu", "softmax-dropout"],
+    )
+    def test_edge_list_training_matches_dense(self, monkeypatch, tmp_path,
+                                              variant):
+        # criterion 9's shape and settings, trained on the edge list and
+        # then with the dense scores, labels and loss patched in
+        matrix, graph = small_world(seed=4, locs=9, intervals=150)
+        settings = dict(
+            alpha=3, beta=1, conv_channels=3, embed_dim=4, kernel_len=2,
+            horizon_intervals=2, batch_size=8, iterations=6, eval_every=3,
+            rng_seed=1,
+        )
+        cfg = train.TrainConfig(**{**settings, **variant})
+        edge = train.train_loop(matrix, graph, cfg)
+        for owner, name, oracle in (
+            (model, "edge_scores", dense_oracle.scores),
+            (model, "forward_scores", dense_oracle.scores),
+            (train, "edge_labels", dense_oracle.labels),
+            (train, "make_labels", dense_oracle.labels),
+            (train, "training_loss", dense_oracle.training_loss),
+        ):
+            monkeypatch.setattr(owner, name, oracle)
+        dense = train.train_loop(matrix, graph, cfg)
+        assert edge.log == dense.log
+        edge.params.save(tmp_path / "edge.bin")
+        dense.params.save(tmp_path / "dense.bin")
+        assert (tmp_path / "edge.bin").read_bytes() == (
+            tmp_path / "dense.bin"
+        ).read_bytes()
 
     def test_neighbour_tables_built_only_with_params(self, monkeypatch):
         # building the tables inside each op call made recommend slower
