@@ -308,14 +308,9 @@ def cmd_eval(args) -> int:
     params, cfg = load_checkpoint_bundle(args.checkpoint, graph)
     dataset = train.build_dataset(matrix, cfg)
     split = opts["split"]
-    try:
-        split_idx = {
-            "train": dataset.train_idx,
-            "val": dataset.val_idx,
-            "test": dataset.test_idx,
-        }[split]
-    except KeyError:
+    if split not in ("train", "val", "test"):
         raise ConfigError(f"split must be train, val, or test, got {split!r}")
+    split_idx = getattr(dataset, f"{split}_idx")
 
     reports: dict[str, dict[str, evaluate.MetricsReport]] = {}
     results = train.split_results(params, dataset, graph, split_idx, cfg)

@@ -11,6 +11,9 @@ the achieved waiting time of a top-n list is the best waiting time among
 its candidates, averaged over queries (AWTP); its ratio to the oracle
 ranking's value (RNWTR) is 1.0 for a perfect ranking. Both restrict
 candidates to the query's neighborhood, where labels live.
+
+The persistence and historical-mean baselines rank by a per-vertex
+availability score. Each is scored and ranked once per split.
 """
 
 from __future__ import annotations
@@ -195,35 +198,48 @@ def awtp_rnwtr(
 # ---------------------------------------------------------------------------
 
 
+def _check_times(matrix: OccupancyMatrix, t) -> np.ndarray:
+    times = np.asarray(t)
+    if ((times < 0) | (times >= matrix.num_intervals)).any():
+        raise DataError(f"time must lie in [0, {matrix.num_intervals}), got {t}")
+    return times
+
+
 def persistence_scores(
-    matrix: OccupancyMatrix, t: int, train_end: int | None = None
+    matrix: OccupancyMatrix, t: int | np.ndarray, train_end: int | None = None
 ) -> np.ndarray:
-    """1.0 for vertices vacant at t, else 0.0."""
-    return (~matrix.states[:, t]).astype(np.float64)
+    """1.0 where vacant at t, else 0.0; [n] at an int t, [S, n] at S times."""
+    return (~matrix.states.T[_check_times(matrix, t)]).astype(np.float64)
 
 
 def historical_mean_scores(
-    matrix: OccupancyMatrix, t: int, train_end: int
+    matrix: OccupancyMatrix, t: int | np.ndarray, train_end: int
 ) -> np.ndarray:
-    """Vacancy frequency at this time of day over the training range.
+    """Vacancy frequency at t's time of day over the training range.
 
-    Buckets are absolute time-of-day slots. A bucket with no training
-    samples for a location falls back to that location's overall training
-    vacancy rate.
+    Buckets are absolute time-of-day slots. One [per_day, n] table holds
+    each bucket's vacancy count over its training columns divided by their
+    number; a bucket with no training column falls back, for every
+    location at once, to each location's overall training vacancy rate.
+    [n] at an int t, [S, n] at a 1-D array of S times.
     """
-    if train_end < 1:
-        raise DataError("train_end must leave at least one training interval")
+    times = _check_times(matrix, t)
+    if not 1 <= train_end <= matrix.num_intervals:
+        raise DataError(f"train_end must lie in [1, {matrix.num_intervals}]")
     per_day = max(1, round(24 * 60 / matrix.interval_minutes))
-    offset = (
-        matrix.start_time.hour * 60 + matrix.start_time.minute
-    ) // matrix.interval_minutes
-    bucket = (offset + t) % per_day
-    train_times = np.arange(train_end)
-    in_bucket = (offset + train_times) % per_day == bucket
+    start = matrix.start_time.hour * 60 + matrix.start_time.minute
+    offset = start // matrix.interval_minutes % per_day
     vacant = ~matrix.states[:, :train_end]
-    if in_bucket.any():
-        return vacant[:, in_bucket].mean(axis=1)
-    return vacant.mean(axis=1)
+    # the training columns laid over whole days: row b of each day is bucket b
+    days = -(-(offset + train_end) // per_day)
+    laid = np.zeros((days * per_day, len(vacant)), dtype=bool)
+    laid[offset : offset + train_end] = vacant.T
+    counts = laid.reshape(days, per_day, -1).sum(axis=0)
+    buckets = (offset + np.arange(train_end)) % per_day
+    size = np.bincount(buckets, minlength=per_day)[:, np.newaxis]
+    # 0/1 counts add up exactly, so each entry has the bits of a bucket mean
+    means = np.where(size > 0, counts / np.maximum(size, 1), vacant.mean(axis=1))
+    return means[(offset + times) % per_day]
 
 
 _PREDICTORS: dict[str, Callable] = {
@@ -235,15 +251,17 @@ _PREDICTORS: dict[str, Callable] = {
 def baseline_predict_then_recommend(
     matrix: OccupancyMatrix,
     spatial: SpatialGraph,
-    t: int,
+    t: int | np.ndarray,
     predictor: str,
     train_end: int | None = None,
 ) -> np.ndarray:
     """Per-query candidate rankings from a per-vertex availability score.
 
-    The predictor scores each vertex once; every query then ranks all
-    vertices by that score, breaking ties toward fewer hops and lower
-    index. Returns an integer matrix, one ranking row per query vertex.
+    The predictor scores each vertex once per time; every query then ranks
+    all vertices by that score, breaking ties toward fewer hops and lower
+    index. An int t gives [n, n], one ranking row per query vertex; a 1-D
+    array of S times, such as a whole split, is scored once and ranked
+    model.RANK_BLOCK snapshots at a time into [S, n, n].
     """
     if predictor not in _PREDICTORS:
         raise ConfigError(
@@ -254,7 +272,13 @@ def baseline_predict_then_recommend(
         raise ConfigError("historical_mean needs the training range")
     scores = _PREDICTORS[predictor](matrix, t, train_end)
     hops = spatial.all_hop_distances()
-    return model.rank_candidates(np.broadcast_to(scores, hops.shape), hops)
+    flat = scores.reshape(-1, 1, len(hops))
+    rows = np.broadcast_to(flat, (len(flat), *hops.shape))
+    out = np.empty(rows.shape, dtype=np.intp)
+    for lo in range(0, len(rows), model.RANK_BLOCK):
+        block = slice(lo, lo + model.RANK_BLOCK)
+        out[block] = model.rank_candidates(rows[block], hops)
+    return out.reshape(scores.shape[:-1] + hops.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -293,32 +317,16 @@ class MetricsReport:
         }
 
     def plot_rows(self) -> list[tuple[str, str, str, float, float]]:
-        rows = []
-        for k, (mean, std) in sorted(self.ndcg.items()):
-            rows.append((self.model, f"ndcg@{k}", self.scenario, mean, std))
-        for k, (mean, std) in sorted(self.mean_ap.items()):
-            rows.append((self.model, f"map@{k}", self.scenario, mean, std))
-        for k in sorted(self.awtp):
-            rows.append((self.model, f"awtp@{k}", self.scenario, self.awtp[k], 0.0))
-        rows.append((self.model, "iawtp", self.scenario, self.iawtp, 0.0))
-        for k in sorted(self.rnwtr):
-            rows.append(
-                (self.model, f"rnwtr@{k}", self.scenario, self.rnwtr[k], 0.0)
-            )
-        return rows
+        cells = [(f"ndcg@{k}", *v) for k, v in sorted(self.ndcg.items())]
+        cells += [(f"map@{k}", *v) for k, v in sorted(self.mean_ap.items())]
+        cells += [(f"awtp@{k}", v, 0.0) for k, v in sorted(self.awtp.items())]
+        cells.append(("iawtp", self.iawtp, 0.0))
+        cells += [(f"rnwtr@{k}", v, 0.0) for k, v in sorted(self.rnwtr.items())]
+        return [(self.model, m, self.scenario, v, s) for m, v, s in cells]
 
 
 def empty_report(model: str, scenario: str) -> MetricsReport:
-    return MetricsReport(
-        model=model,
-        scenario=scenario,
-        num_queries=0,
-        ndcg={},
-        mean_ap={},
-        awtp={},
-        iawtp=0.0,
-        rnwtr={},
-    )
+    return MetricsReport(model, scenario, 0, {}, {}, {}, 0.0, {})
 
 
 def _reports(batch, matrix, model_name, masks, rank_ns, wait_ns, max_wait):
@@ -331,7 +339,8 @@ def _reports(batch, matrix, model_name, masks, rank_ns, wait_ns, max_wait):
         if not mask.any():
             out[name] = empty_report(model_name, name)
             continue
-        waits = {n: _wait_scores(best[mask], n) for n in wait_ns}
+        sliced = best[mask]
+        waits = {n: _wait_scores(sliced, n) for n in wait_ns}
         out[name] = MetricsReport(
             model=model_name,
             scenario=name,
@@ -400,8 +409,7 @@ def slice_scenarios(
     a zero-query report rather than an error.
     """
     if not results:
-        names = ("all", *SCENARIOS)
-        return {name: empty_report(model_name, name) for name in names}
+        return {k: empty_report(model_name, k) for k in ("all", *SCENARIOS)}
     batch = _concat(results)
     masks = {"all": np.ones(len(batch), dtype=bool)}
     masks.update(scenario_masks(matrix, batch.query_time))

@@ -25,6 +25,7 @@ from .errors import ConfigError, DataError, DimensionError
 from .ingest import SpatialGraph
 
 SCORE_ACTIVATIONS = ("relu", "softmax")
+RANK_BLOCK = 128  # snapshots per rank_candidates call over a split
 
 
 @dataclass(frozen=True)

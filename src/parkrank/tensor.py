@@ -82,9 +82,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
+def _broadcast_op(op: str, ufunc, a: Tensor, b: Tensor) -> np.ndarray:
+    """ufunc over both operands' data; shapes that do not broadcast raise."""
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        return ufunc(a.data, b.data)
     except ValueError:
         raise DimensionError(
             f"{op}: shapes {a.shape} and {b.shape} do not broadcast"
@@ -98,27 +99,24 @@ def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast("add", a, b)
 
     def bw(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return _node(a.data + b.data, (a, b), bw)
+    return _node(_broadcast_op("add", np.add, a, b), (a, b), bw)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast("sub", a, b)
 
     def bw(g):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
-    return _node(a.data - b.data, (a, b), bw)
+    return _node(_broadcast_op("sub", np.subtract, a, b), (a, b), bw)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast("mul", a, b)
 
     def bw(g):
         return (
@@ -126,7 +124,7 @@ def mul(a, b) -> Tensor:
             _unbroadcast(g * a.data, b.shape),
         )
 
-    return _node(a.data * b.data, (a, b), bw)
+    return _node(_broadcast_op("mul", np.multiply, a, b), (a, b), bw)
 
 
 def scale(a, factor: float) -> Tensor:

@@ -290,11 +290,11 @@ def split_results(
     split_idx: np.ndarray,
     cfg: TrainConfig,
 ) -> list[evaluate.QueryResults]:
-    """Rank every query of a split with the model, one batch per 128 snapshots."""
+    """Rank every query of a split with the model, in RANK_BLOCK batches."""
     hops = spatial.all_hop_distances()
     results = []
-    for lo in range(0, len(split_idx), 128):
-        idx = split_idx[lo : lo + 128]
+    for lo in range(0, len(split_idx), model.RANK_BLOCK):
+        idx = split_idx[lo : lo + model.RANK_BLOCK]
         scores = model.forward_scores(params, *_inputs(dataset, idx)).data
         rankings = model.rank_candidates(scores, hops)
         results.append(_query_results(dataset, spatial, idx, cfg, rankings))
@@ -309,15 +309,11 @@ def baseline_split_results(
     split_idx: np.ndarray,
     cfg: TrainConfig,
 ) -> list[evaluate.QueryResults]:
-    """Same queries and labels as the model path, ranked by a baseline."""
-    train_end = dataset.train_end_time()
-    rankings = np.stack(
-        [
-            evaluate.baseline_predict_then_recommend(
-                matrix, spatial, int(dataset.times[i]), predictor, train_end
-            )
-            for i in split_idx
-        ]
+    """Same queries and labels as the model path, ranked by a baseline
+    that scores and ranks the whole split in one call."""
+    times, train_end = dataset.times[split_idx], dataset.train_end_time()
+    rankings = evaluate.baseline_predict_then_recommend(
+        matrix, spatial, times, predictor, train_end
     )
     return [_query_results(dataset, spatial, split_idx, cfg, rankings)]
 

@@ -1,0 +1,79 @@
+"""Per-snapshot baselines and report slicing, as oracles for the batched code.
+
+Each baseline here scores one time per call and ranks one [n, n] table
+per snapshot, and the report loop slices the wait table once per list
+size. The production code scores and ranks a whole split per call and
+slices once per scenario; tests compare the two by bytes.
+"""
+
+import numpy as np
+
+from parkrank import evaluate, model, train
+
+
+def persistence_scores(matrix, t, train_end=None):
+    return (~matrix.states[:, t]).astype(np.float64)
+
+
+def historical_mean_scores(matrix, t, train_end):
+    per_day = max(1, round(24 * 60 / matrix.interval_minutes))
+    offset = (
+        matrix.start_time.hour * 60 + matrix.start_time.minute
+    ) // matrix.interval_minutes
+    bucket = (offset + t) % per_day
+    in_bucket = (offset + np.arange(train_end)) % per_day == bucket
+    vacant = ~matrix.states[:, :train_end]
+    if in_bucket.any():
+        return vacant[:, in_bucket].mean(axis=1)
+    return vacant.mean(axis=1)
+
+
+PREDICTORS = {
+    "persistence": persistence_scores,
+    "historical_mean": historical_mean_scores,
+}
+
+
+def predict_then_recommend(matrix, spatial, t, predictor, train_end=None):
+    """[n, n] rankings at one time."""
+    scores = PREDICTORS[predictor](matrix, t, train_end)
+    hops = spatial.all_hop_distances()
+    return model.rank_candidates(np.broadcast_to(scores, hops.shape), hops)
+
+
+def baseline_split_results(predictor, matrix, dataset, spatial, split_idx, cfg):
+    """train.baseline_split_results with one baseline call per snapshot."""
+    train_end = dataset.train_end_time()
+    rankings = np.stack(
+        [
+            predict_then_recommend(
+                matrix, spatial, int(dataset.times[i]), predictor, train_end
+            )
+            for i in split_idx
+        ]
+    )
+    return [train._query_results(dataset, spatial, split_idx, cfg, rankings)]
+
+
+def reports(batch, matrix, model_name, masks, rank_ns, wait_ns, max_wait):
+    """evaluate._reports slicing the wait table once per list size."""
+    ndcg = {n: evaluate.ndcg_at(batch.ranking, batch.labels, n) for n in rank_ns}
+    mean_ap = {n: evaluate.map_at(batch.ranking, batch.labels, n) for n in rank_ns}
+    best = evaluate._best_waits(batch, matrix, max_wait)
+    out = {}
+    for name, mask in masks.items():
+        if not mask.any():
+            out[name] = evaluate.empty_report(model_name, name)
+            continue
+        waits = {n: evaluate._wait_scores(best[mask], n) for n in wait_ns}
+        out[name] = evaluate.MetricsReport(
+            model=model_name,
+            scenario=name,
+            num_queries=int(mask.sum()),
+            ndcg={n: evaluate._mean_std(v[mask]) for n, v in ndcg.items()},
+            mean_ap={n: evaluate._mean_std(v[mask]) for n, v in mean_ap.items()},
+            awtp={n: w[0] for n, w in waits.items()},
+            iawtp=waits[wait_ns[-1]][1] if wait_ns else 0.0,
+            rnwtr={n: w[2] for n, w in waits.items()},
+        )
+    return out

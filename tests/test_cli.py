@@ -9,7 +9,8 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
-from parkrank import cli, esgraph, ingest, model, train
+import baseline_oracle
+from parkrank import cli, esgraph, evaluate, ingest, model, train
 from parkrank import tensor as T
 
 
@@ -215,6 +216,33 @@ class TestEval:
             assert run("eval", "--data", data, "--checkpoint",
                        run_dir / "checkpoint.bin", "--out", out) == 0
         assert (a / "metrics.json").read_bytes() == (b / "metrics.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "intervals, split",
+        [(150, "test"), (700, "test"), (700, "train")],
+        ids=["short-test", "multiday-test", "multiday-train"],
+    )
+    def test_batched_baselines_match_per_snapshot(
+        self, monkeypatch, tmp_path, intervals, split
+    ):
+        # the eval files with each baseline scored and ranked once per
+        # split, then with the per-snapshot loop and per-list-size wait
+        # slicing patched in; 150 intervals leave training under a day,
+        # and the 700-interval train split spans several ranking blocks
+        data = synth_dir(tmp_path, intervals=intervals)
+        checkpoint = trained_dir(tmp_path, data) / "checkpoint.bin"
+
+        def eval_files(out):
+            assert run("eval", "--data", data, "--checkpoint", checkpoint,
+                       "--out", out, "--split", split) == 0
+            names = ("metrics.json", "metrics.csv", "plot_data.csv")
+            return [(out / name).read_bytes() for name in names]
+
+        batched = eval_files(tmp_path / "batched")
+        monkeypatch.setattr(train, "baseline_split_results",
+                            baseline_oracle.baseline_split_results)
+        monkeypatch.setattr(evaluate, "_reports", baseline_oracle.reports)
+        assert eval_files(tmp_path / "looped") == batched
 
     def test_bad_split_exit_3(self, tmp_path):
         data = synth_dir(tmp_path)

@@ -1,12 +1,14 @@
 """Metric tests against independently coded textbook references."""
 
 import math
+from datetime import datetime
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import baseline_oracle
 from parkrank import evaluate, ingest, model
 from parkrank.errors import ConfigError, DataError
 
@@ -314,6 +316,107 @@ class TestBaselines:
         graph = ingest.build_adjacency(locs)
         with pytest.raises(ConfigError, match="unknown predictor"):
             evaluate.baseline_predict_then_recommend(mat, graph, 0, "magic")
+
+
+def synth_graph(num_locations):
+    locs = ingest.synth_locations(
+        ingest.SynthConfig(num_locations=num_locations, num_intervals=1)
+    )
+    return ingest.build_adjacency(locs)
+
+
+class TestBatchedBaselines:
+    """A whole split scored and ranked per call, against one call per time."""
+
+    @pytest.mark.parametrize(
+        "interval, start, num_intervals, train_end",
+        [
+            (5, ingest.SYNTH_START, 3 * 288 + 40, 2 * 288 + 7),
+            (15, datetime(2022, 8, 3, 13, 35), 300, 200),
+            (5, datetime(2022, 8, 6, 21, 40), 150, 100),  # under one day
+        ],
+        ids=["5min-multiday", "15min-afternoon", "short-train-range"],
+    )
+    @pytest.mark.parametrize("predictor", evaluate.BASELINE_NAMES)
+    def test_bits_match_per_snapshot_loop(
+        self, predictor, interval, start, num_intervals, train_end
+    ):
+        rng = np.random.default_rng(interval + num_intervals)
+        mat = ingest.OccupancyMatrix(
+            states=rng.random((9, num_intervals)) < 0.4,
+            interval_minutes=interval,
+            start_time=start,
+            location_index={f"m{i:03d}": i for i in range(9)},
+        )
+        graph = synth_graph(9)
+        times = np.arange(num_intervals)  # more than two ranking blocks
+        scores = evaluate._PREDICTORS[predictor](mat, times, train_end)
+        want = np.stack(
+            [
+                baseline_oracle.PREDICTORS[predictor](mat, int(t), train_end)
+                for t in times
+            ]
+        )
+        assert scores.tobytes() == want.tobytes()
+        rankings = evaluate.baseline_predict_then_recommend(
+            mat, graph, times, predictor, train_end
+        )
+        want = np.stack(
+            [
+                baseline_oracle.predict_then_recommend(
+                    mat, graph, int(t), predictor, train_end
+                )
+                for t in times
+            ]
+        )
+        assert rankings.dtype == want.dtype
+        assert rankings.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("predictor", evaluate.BASELINE_NAMES)
+    def test_scalar_and_array_shapes(self, predictor):
+        mat = matrix_of(np.random.default_rng(0).random((4, 30)) < 0.5)
+        graph = synth_graph(4)
+        score = evaluate._PREDICTORS[predictor]
+        for t in (3, np.int64(3)):
+            assert score(mat, t, 20).shape == (4,)
+            assert evaluate.baseline_predict_then_recommend(
+                mat, graph, t, predictor, 20
+            ).shape == (4, 4)
+        times = np.array([3, 29, 0])
+        assert score(mat, times, 20).shape == (3, 4)
+        rankings = evaluate.baseline_predict_then_recommend(
+            mat, graph, times, predictor, 20
+        )
+        assert rankings.shape == (3, 4, 4)
+        for row, t in zip(rankings, times):
+            assert np.array_equal(
+                row,
+                evaluate.baseline_predict_then_recommend(
+                    mat, graph, int(t), predictor, 20
+                ),
+            )
+
+    @pytest.mark.parametrize("predictor", evaluate.BASELINE_NAMES)
+    @pytest.mark.parametrize("t", [-1, 30, np.array([0, 30]), np.array([-2, 4])])
+    def test_time_outside_matrix_rejected(self, predictor, t):
+        mat = matrix_of(np.zeros((2, 30), dtype=bool))
+        graph = synth_graph(2)
+        with pytest.raises(DataError, match=r"time must lie in \[0, 30\)"):
+            evaluate._PREDICTORS[predictor](mat, t, 20)
+        with pytest.raises(DataError, match=r"\[0, 30\)"):
+            evaluate.baseline_predict_then_recommend(
+                mat, graph, t, predictor, 20
+            )
+
+    @pytest.mark.parametrize("train_end", [0, -3, 31])
+    def test_train_end_outside_matrix_rejected(self, train_end):
+        mat = matrix_of(np.zeros((2, 30), dtype=bool))
+        with pytest.raises(DataError, match=r"train_end must lie in \[1, 30\]"):
+            evaluate.historical_mean_scores(mat, 5, train_end)
+
+    def test_train_end_may_cover_the_matrix(self):
+        mat = matrix_of(np.zeros((2, 30), dtype=bool))  # always vacant
+        assert evaluate.historical_mean_scores(mat, 29, 30).tolist() == [1.0, 1.0]
 
 
 class TestCalendarScenarios:
