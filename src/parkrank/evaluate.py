@@ -19,7 +19,7 @@ availability score. Each is scored and ranked once per split.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,7 +41,8 @@ class QueryResults:
     Each ranking row is a permutation of all vertex ids, best first. The
     neighborhood mask marks the query's candidates (itself plus spatial
     neighbors); labels are zero outside it by construction. Consumers
-    take a sequence of batches.
+    take a sequence of batches. checked skips the permutation check, for
+    rows taken from batches that passed it.
     """
 
     query_vertex: np.ndarray
@@ -50,10 +51,11 @@ class QueryResults:
     ranking: np.ndarray
     labels: np.ndarray
     neighborhood: np.ndarray
+    checked: InitVar[bool] = False
 
-    def __post_init__(self):
-        width = self.ranking.shape[-1]
-        if not (np.sort(self.ranking, axis=-1) == np.arange(width)).all():
+    def __post_init__(self, checked: bool):
+        ids = np.arange(self.ranking.shape[-1])
+        if not checked and (np.sort(self.ranking, axis=-1) != ids).any():
             raise DataError("ranking must be a permutation of vertex ids")
         if self.labels.shape != self.ranking.shape:
             raise DataError("label row length must match ranking length")
@@ -92,7 +94,8 @@ def _concat(results: Sequence[QueryResults]) -> QueryResults:
         return results[0]
     names = [f.name for f in fields(QueryResults)]
     return QueryResults(
-        *(np.concatenate([getattr(b, k) for b in results]) for k in names)
+        *(np.concatenate([getattr(b, k) for b in results]) for k in names),
+        checked=True,
     )
 
 

@@ -336,8 +336,10 @@ def rank_candidates(scores: np.ndarray, hops: np.ndarray) -> np.ndarray:
     then by index. Leading axes rank row by row; hops broadcast to the
     scores' shape, so one [n, n] hop table serves a [batch, n, n] batch.
     """
-    hops = np.broadcast_to(hops, scores.shape)
-    ids = np.broadcast_to(np.arange(scores.shape[-1]), scores.shape)
+    ids = np.arange(scores.shape[-1])
+    if scores.ndim > 1:
+        hops = np.broadcast_to(hops, scores.shape)
+        ids = np.broadcast_to(ids, scores.shape)
     return np.lexsort((ids, hops, -scores))
 
 

@@ -62,10 +62,12 @@ def as_tensor(value) -> Tensor:
 
 def _node(data, parents: Sequence[Tensor], backward_fn) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = tuple(parents)
+            out._backward_fn = backward_fn
+            break
     return out
 
 
@@ -157,18 +159,22 @@ def matmul(a, b) -> Tensor:
     return _node(a.data @ b.data, (a, b), bw)
 
 
+GATHER_BYTES = 1 << 18  # most bytes one NeighborTable.sum gather fills
+
+
 class NeighborTable:
     """Entries grouped by the target each lands on, in entry order.
 
-    index[e] in [0, size) is the target of entry e. slots is [size, K]:
-    row t lists the sources of the entries that land on t, in increasing
-    entry order, padded with -1, which reads the zero that sum appends
-    after the last source; K is the most entries any target has. A
-    source is the entry's own position unless sources gives one per
-    entry. weights, when given, scales each entry (padding scales by 0).
+    index[e] in [0, size) is the target of entry e. slots is [K, size],
+    slot-major: column t lists the sources of the entries that land on
+    t, in increasing entry order, padded with -1, which reads the zero
+    that sum appends after the last source; K is the most entries any
+    target has. A source is the entry's own position unless sources
+    gives one per entry. weights, when given, scales each entry (padding
+    scales by 0).
     """
 
-    __slots__ = ("index", "slots", "weights")
+    __slots__ = ("index", "slots", "weights", "_broadcast")
 
     def __init__(self, index, size: int, sources=None, weights=None):
         self.index = np.asarray(index, dtype=np.intp)
@@ -185,17 +191,18 @@ class NeighborTable:
         rank = np.arange(order.size) - np.repeat(
             np.cumsum(counts) - counts, counts
         )
-        slot = (self.index[order], rank)
-        self.slots = np.full((size, counts.max(initial=0)), -1, np.intp)
+        slot = (rank, self.index[order])
+        self.slots = np.full((counts.max(initial=0), size), -1, np.intp)
         self.slots[slot] = order if sources is None else sources[order]
         self.weights = None
+        self._broadcast = {}  # weights as [K, size, *tail], per tail
         if weights is not None:
             self.weights = np.zeros(self.slots.shape)
             self.weights[slot] = weights[order]
 
     @property
     def size(self) -> int:
-        return self.slots.shape[0]
+        return self.slots.shape[1]
 
     def sum(self, values: np.ndarray, axis: int) -> np.ndarray:
         """Per target, the sum over its entries of (weight times) the
@@ -203,27 +210,34 @@ class NeighborTable:
 
         Each target's terms are added one slot at a time, in entry
         order, to a +0.0 start. Padding reads a zero appended after the
-        last source, so it adds +0.0, which changes no such sum.
+        last source, so it adds +0.0, which changes no such sum. Each
+        np.take gathers as many whole slots as fit in GATHER_BYTES (the
+        whole table for one snapshot, one slot for a big batch) into one
+        reused buffer, and the weights scale a whole gather at once.
+        Every term is still the same product, added in the same order,
+        so how the slots are grouped cannot change the bits.
         """
         axis = axis % values.ndim
-        pad = list(values.shape)
-        pad[axis] = 1
-        padded = np.concatenate([values, np.zeros(pad)], axis=axis)
-        out = np.zeros(
-            values.shape[:axis] + (self.size,) + values.shape[axis + 1 :]
-        )
-        term = np.empty_like(out)
-        weights = self.weights
-        if weights is not None:
-            weights = weights.reshape(
-                weights.shape + (1,) * (values.ndim - axis - 1)
-            )
-        for k in range(self.slots.shape[1]):
+        lead, tail = values.shape[:axis], values.shape[axis + 1 :]
+        padded = np.concatenate([values, np.zeros(lead + (1,) + tail)], axis)
+        out = np.zeros(lead + (self.size,) + tail)
+        weights = self._broadcast.get(tail)
+        if weights is None and self.weights is not None:
+            w = self.weights.reshape(self.slots.shape + (1,) * len(tail))
+            weights = np.broadcast_to(w, self.slots.shape + tail).copy()
+            self._broadcast[tail] = weights
+        chunk = max(1, GATHER_BYTES // max(out.nbytes, 1))
+        buffer = np.empty(min(chunk, len(self.slots)) * out.size)
+        for lo in range(0, len(self.slots), chunk):
+            slots = self.slots[lo : lo + chunk]
+            shape = lead + slots.shape + tail
+            terms = buffer[: math.prod(shape)].reshape(shape)
             # "wrap" reads -1 as "raise" would, without buffering out
-            np.take(padded, self.slots[:, k], axis, out=term, mode="wrap")
+            np.take(padded, slots, axis, out=terms, mode="wrap")
             if weights is not None:
-                term *= weights[:, k]
-            out += term
+                terms *= weights[lo : lo + chunk]
+            for k in range(len(slots)):
+                out += terms[(slice(None),) * axis + (k,)]
         return out
 
 
@@ -282,6 +296,8 @@ def conv1d(x, w) -> Tensor:
     """Valid-mode correlation over the last axis of x.
 
     x: [..., L]; w: [channels, k]; out: [..., channels, L - k + 1].
+    The windows are an as_strided view with the shape and strides
+    sliding_window_view would give, built without its Python checks.
     """
     x, w = as_tensor(x), as_tensor(w)
     if w.ndim != 2:
@@ -292,9 +308,10 @@ def conv1d(x, w) -> Tensor:
         raise DimensionError(
             f"conv1d: input length {length} shorter than kernel {k}"
         )
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=-1)
-    out = np.einsum("...pk,mk->...mp", windows, w.data)
     positions = length - k + 1
+    view = x.shape[:-1] + (positions, k), x.data.strides + x.data.strides[-1:]
+    windows = np.lib.stride_tricks.as_strided(x.data, *view, writeable=False)
+    out = np.einsum("...pk,mk->...mp", windows, w.data)
 
     def bw(g):
         flat_win = windows.reshape(-1, positions, k)
@@ -378,7 +395,7 @@ def scatter(x, index, size: int) -> Tensor:
             f"scatter: indices {index.shape} do not match the last axis of "
             f"{x.shape}"
         )
-    if table.slots.shape[1] > 1:
+    if table.slots.shape[0] > 1:
         raise DimensionError("scatter: positions must be distinct")
     out = np.zeros(x.shape[:-1] + (size,))
     out[..., index] = x.data
@@ -515,8 +532,10 @@ def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
 
 def reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
-    out = x.data.mean(axis=axis, keepdims=keepdims)
     count = x.data.size if axis is None else x.shape[axis]
+    # what ndarray.mean computes: the same add.reduce, divided in place
+    out = np.add.reduce(x.data, axis=axis, keepdims=keepdims)
+    out /= count
 
     def bw(g):
         g = np.asarray(g)

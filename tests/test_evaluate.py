@@ -467,3 +467,40 @@ class TestSummarize:
     def test_result_validation(self):
         with pytest.raises(DataError, match="permutation"):
             result_of(0, 0, 1, [0, 0], [1.0, 0.0], (0,))
+
+    def test_direct_construction_rejects_non_permutation(self):
+        def batch(ranking):
+            ranking = np.array(ranking, dtype=np.int64)
+            times = np.zeros(len(ranking), dtype=np.int64)
+            return evaluate.QueryResults(
+                times, times, times + 1, ranking,
+                np.zeros(ranking.shape), np.ones(ranking.shape, dtype=bool),
+            )
+
+        assert len(batch([[1, 0, 2], [2, 0, 1]])) == 2
+        for bad in ([[1, 1, 2]], [[0, 1, 3]], [[0, 1, 2], [2, 2, 0]]):
+            with pytest.raises(DataError, match="permutation"):
+                batch(bad)
+        with pytest.raises(DataError, match="permutation"):
+            evaluate.make_result(0, 0, 1, [2, 0, 2], [0.0, 1.0, 0.5], (0,))
+
+    def test_concat_keeps_rows_without_recheck(self, monkeypatch):
+        states = np.array([[0, 0, 1, 1], [1, 0, 0, 0]], dtype=bool)
+        res = [
+            result_of(0, 0, 1, [0, 1], [1.0, 0.2], (0, 1)),
+            result_of(1, 1, 2, [1, 0], [0.3, 0.8], (0, 1)),
+        ]
+        want = evaluate.summarize(res, matrix_of(states), "model")
+        sorts, real_sort = [], np.sort
+
+        def counting_sort(*args, **kwargs):
+            sorts.append(args[0].shape)
+            return real_sort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", counting_sort)
+        batch = evaluate._concat(res)
+        assert sorts == []
+        assert batch.ranking.tolist() == [[0, 1], [1, 0]]
+        monkeypatch.undo()
+        got = evaluate.summarize([batch], matrix_of(states), "model")
+        assert got == want

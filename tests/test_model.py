@@ -431,6 +431,28 @@ class TestRecommendTopN:
             model.recommend_top_n(np.ones(4), 0, graph, 0)
 
 
+class TestRankCandidates:
+    def test_one_row_matches_broadcast_lexsort(self):
+        """A 1-D row ranks as the broadcast lexsort of [batch, n, n] does,
+        bit for bit, on score ties, -0.0 against 0.0 and equal hops."""
+        rng = np.random.default_rng(36)
+        n = 12
+        scores = rng.integers(-2, 3, (6, n)) / 2.0  # many ties
+        scores[scores == 0.0] = rng.choice([0.0, -0.0], (scores == 0.0).sum())
+        scores[0] = 0.0
+        scores[1] = -0.0
+        hops = rng.integers(0, 3, (6, n))
+        hops[2] = 1  # every hop equal
+        ids = np.broadcast_to(np.arange(n), scores.shape)
+        want = np.lexsort((ids, hops, -scores))
+        for row in range(6):
+            got = model.rank_candidates(scores[row], hops[row])
+            assert got.tobytes() == want[row].tobytes()
+        assert (
+            model.rank_candidates(scores, hops).tobytes() == want.tobytes()
+        )
+
+
 class TestModelConfig:
     def test_kernel_longer_than_alpha_rejected(self):
         with pytest.raises(ConfigError, match="kernel_len"):

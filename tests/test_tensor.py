@@ -219,6 +219,14 @@ def forward_and_grad(op, x, g):
     return out.data, leaf_x.grad
 
 
+def signed_zeros(rng, shape):
+    """Normal draws with about a third of them +0.0 or -0.0."""
+    x = rng.standard_normal(shape)
+    x[rng.random(shape) < 0.2] = 0.0
+    x[rng.random(shape) < 0.2] = -0.0
+    return x
+
+
 def add_at_oracle(shape, index, axis, g):
     """The take backward by np.add.at: unbuffered, in index order."""
     gx = np.zeros(shape)
@@ -289,6 +297,72 @@ class TestOrderedTables:
         _, gx = forward_and_grad(lambda t: T.take(t, index, axis), x, g)
         assert gx.tobytes() == add_at_oracle(shape, index, axis, g).tobytes()
 
+    # slots per np.take in NeighborTable.sum, as GATHER_BYTES set from
+    # the bytes of one slot: one, two (2 + 2 + 1 of K = 5), or all
+    REGIMES = {"one": 0, "two": 2, "all": 1 << 30}
+
+    def gathers(self, monkeypatch, regime, slot_bytes):
+        """Set the gather budget for regime; the returned list collects
+        the slot count of each np.take that NeighborTable.sum makes."""
+        budget = self.REGIMES[regime] * slot_bytes
+        monkeypatch.setattr(T, "GATHER_BYTES", budget)
+        counts, real_take = [], np.take
+
+        def counting_take(a, indices, *args, **kwargs):
+            if "out" in kwargs:
+                counts.append(np.shape(indices)[0])
+            return real_take(a, indices, *args, **kwargs)
+
+        monkeypatch.setattr(np, "take", counting_take)
+        return counts
+
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    @pytest.mark.parametrize("shape", [(7, 3), (1, 7, 5), (3, 7, 2)])
+    def test_neighbor_mix_gather_regimes(self, monkeypatch, regime, shape):
+        rng = np.random.default_rng(32)
+        # row 3 and column 1 hold K = 5 weights, every other row and
+        # column fewer; the einsum also reads the -0.0 weights off the
+        # mask, and -0.0 inputs give -0.0 terms
+        mask = np.eye(7, k=1, dtype=bool)
+        mask[3, [0, 2, 5, 6]] = True
+        mask[[0, 2, 4, 5, 6], 1] = True
+        w = rng.standard_normal((7, 7)) * mask
+        x, g = signed_zeros(rng, shape), signed_zeros(rng, shape)
+        tables = T.mix_tables(w)
+        assert len(tables.by_row.slots) == len(tables.by_col.slots) == 5
+        counts = self.gathers(monkeypatch, regime, x.nbytes)
+        out, gx = forward_and_grad(lambda t: T.neighbor_mix(tables, t), x, g)
+        per_sum = {"one": [1] * 5, "two": [2, 2, 1], "all": [5]}[regime]
+        assert counts == per_sum * 2
+        assert out.tobytes() == np.einsum("ij,...jd->...id", w, x).tobytes()
+        assert gx.tobytes() == np.einsum("ji,...jd->...id", w, g).tobytes()
+
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    @pytest.mark.parametrize(
+        "shape, index, axis",
+        [
+            ((2, 1, 3), [0] * 9, 1),  # one target hit 9 times
+            ((1, 4), [1, 3, 1, 1, 0, 1, 3, 1, 1, 1], -1),
+            ((6, 1), [3, 0, 3, 1, 3, 2, 0, 3, 3, 5, 3, 3, 3], 0),
+        ],
+    )
+    def test_take_backward_gather_regimes(
+        self, monkeypatch, regime, shape, index, axis
+    ):
+        rng = np.random.default_rng(33)
+        index = np.array(index, dtype=np.intp)
+        x = signed_zeros(rng, shape)
+        g = signed_zeros(rng, np.take(x, index, axis=axis).shape)
+        table = T.NeighborTable(index, shape[axis])
+        depth = table.slots.shape[0]
+        assert depth >= 6
+        counts = self.gathers(monkeypatch, regime, x.nbytes)
+        _, gx = forward_and_grad(lambda t: T.take(t, table, axis), x, g)
+        chunk = {"one": 1, "two": 2, "all": depth}[regime]
+        want = [min(chunk, depth - lo) for lo in range(0, depth, chunk)]
+        assert counts == want
+        assert gx.tobytes() == add_at_oracle(shape, index, axis, g).tobytes()
+
     def test_scatter_rejects_repeated_positions(self):
         x = T.Tensor(np.ones((2, 3)))
         with pytest.raises(DimensionError, match="distinct"):
@@ -302,6 +376,39 @@ class TestOrderedTables:
             T.take(x, np.array([0, 3]), 1)
         with pytest.raises(DimensionError, match="scatter"):
             T.scatter(x, np.array([0, 1, 5]), 5)
+
+
+class TestNumpyEquivalents:
+    """conv1d's strided window view and reduce_mean's add.reduce against
+    the numpy helpers they stand for, bit for bit (tobytes)."""
+
+    @pytest.mark.parametrize(
+        "shape, k",
+        [((4,), 2), ((3, 5, 7), 2), ((2, 120, 2), 2), ((2, 3, 9), 9),
+         ((5, 6), 1)],
+    )
+    def test_conv1d_matches_sliding_window_view(self, shape, k):
+        rng = np.random.default_rng(34)
+        w = rng.standard_normal((4, k))
+        base = signed_zeros(rng, shape + (2,))
+        # a contiguous input, and one whose last axis is strided
+        for x in (np.ascontiguousarray(base[..., 0]), base[..., 1]):
+            window = np.lib.stride_tricks.sliding_window_view(x, k, axis=-1)
+            want = np.einsum("...pk,mk->...mp", window, w)
+            out = T.conv1d(T.Tensor(x), T.Tensor(w)).data
+            assert out.tobytes() == want.tobytes()
+
+    # 130 and 300 terms cross numpy's 128-term pairwise summation block
+    @pytest.mark.parametrize("shape", [(5,), (3, 130), (2, 4, 300), (1, 1)])
+    @pytest.mark.parametrize("axis", [None, 0, -1])
+    def test_reduce_mean_matches_np_mean(self, shape, axis):
+        rng = np.random.default_rng(35)
+        x = signed_zeros(rng, shape) * 1e3
+        for keepdims in (False, True):
+            out = T.reduce_mean(T.Tensor(x), axis, keepdims).data
+            want = np.mean(x, axis=axis, keepdims=keepdims)
+            assert np.shape(out) == np.shape(want)
+            assert np.asarray(out).tobytes() == np.asarray(want).tobytes()
 
 
 class TestRowOps:
