@@ -1,9 +1,8 @@
 """Ranking and waiting-time evaluation, baselines, scenario slicing.
 
 Ranked queries travel as ``QueryResults`` batches of arrays, one row per
-query. Every metric is computed along the last axis of those arrays, and
-``summarize``, ``awtp_rnwtr`` and ``slice_scenarios`` take a sequence of
-batches, concatenated once per call.
+query. ``summarize``, ``awtp_rnwtr`` and ``slice_scenarios`` take a
+sequence of batches, concatenated once per call.
 
 Ranking quality uses NDCG with linear gain and MAP with labels binarized
 at y > 0. Waiting-time quality simulates following the recommendations:
@@ -11,6 +10,18 @@ the achieved waiting time of a top-n list is the best waiting time among
 its candidates, averaged over queries (AWTP); its ratio to the oracle
 ranking's value (RNWTR) is 1.0 for a perfect ranking. Both restrict
 candidates to the query's neighborhood, where labels live.
+
+A neighborhood holds a few vertices against the n of a ranking row, so
+each batch is packed once into [Q, K] arrays, K the largest
+neighborhood, holding each candidate's rank position, label and capped
+wait in rank order (``_Pack``); the metrics run on the pack, not on
+[Q, n]. The bits
+match a computation over the whole row: DCG terms go back to their rank
+positions in a zero buffer before the same row sum, the ideal ordering
+is the packed labels sorted and zero-padded (labels are non-negative and
+zero outside the neighborhood), MAP's running sum only skips +0.0 terms,
+and the wait columns hold the same integers. ``ndcg_at`` and ``map_at``
+pack the nonzero labels of their rows and run the same code.
 
 The persistence and historical-mean baselines rank by a per-vertex
 availability score. Each is scored and ranked once per split.
@@ -40,9 +51,9 @@ class QueryResults:
 
     Each ranking row is a permutation of all vertex ids, best first. The
     neighborhood mask marks the query's candidates (itself plus spatial
-    neighbors); labels are zero outside it by construction. Consumers
-    take a sequence of batches. checked skips the permutation check, for
-    rows taken from batches that passed it.
+    neighbors); labels must be zero outside it, which the ranking
+    metrics check. Consumers take a sequence of batches. checked skips
+    the permutation check, for rows taken from batches that passed it.
     """
 
     query_vertex: np.ndarray
@@ -100,8 +111,105 @@ def _concat(results: Sequence[QueryResults]) -> QueryResults:
 
 
 # ---------------------------------------------------------------------------
+# the candidate pack
+# ---------------------------------------------------------------------------
+
+
+class _Pack:
+    """The candidates each row of a [Q, n] vertex mask marks, in the rank
+    order of the [Q, n] rankings, packed into [Q, K] arrays.
+
+    K is the largest candidate count (at least 1). position holds each
+    candidate's rank position; padding slots sit at position n. rows,
+    slots and vertex place each packed candidate.
+    """
+
+    def __init__(self, ranking: np.ndarray, mask: np.ndarray):
+        self.length = ranking.shape[-1]
+        # nonzero walks row by row, so each row's candidates come in rank order
+        self.rows, position = np.nonzero(
+            np.take_along_axis(mask, ranking, axis=-1)
+        )
+        self.counts = np.bincount(self.rows, minlength=len(ranking))
+        starts = np.cumsum(self.counts) - self.counts
+        self.slots = np.arange(len(self.rows)) - starts[self.rows]
+        self.shape = (len(ranking), max(1, int(self.counts.max(initial=0))))
+        self.vertex = ranking[self.rows, position]
+        self.position = self.spread(position, self.length)
+
+    def spread(self, values: np.ndarray, fill) -> np.ndarray:
+        """[Q, K] with the per-candidate values in place, fill elsewhere."""
+        out = np.full(self.shape, fill, dtype=values.dtype)
+        out[self.rows, self.slots] = values
+        return out
+
+    def labels(self, labels: np.ndarray) -> np.ndarray:
+        """[Q, K] packed labels, 0 in padding. Every nonzero label must be
+        packed and none may be negative, or the metrics would differ from
+        the same metrics over whole rows."""
+        packed = self.spread(labels[self.rows, self.vertex], 0.0)
+        if np.count_nonzero(packed) != np.count_nonzero(labels):
+            outside = np.count_nonzero(labels, axis=-1) != np.count_nonzero(
+                packed, axis=-1
+            )
+            raise DataError(
+                f"query {int(np.argmax(outside))} has a nonzero label "
+                "outside its neighborhood"
+            )
+        if (packed < 0.0).any():
+            raise DataError("labels must be non-negative")
+        return packed
+
+
+# ---------------------------------------------------------------------------
 # ranking metrics
 # ---------------------------------------------------------------------------
+
+
+def _ndcg(pack: _Pack, label: np.ndarray, n: int) -> np.ndarray:
+    """[Q] NDCG at n from packed labels; see ndcg_at."""
+    if n < 1:
+        raise ConfigError("n must be at least 1")
+    width = min(n, pack.length)
+    discounts = (1.0 / np.log2(np.arange(2, n + 2, dtype=np.float64)))[:width]
+    rows, slots = np.nonzero(pack.position < width)
+    at = pack.position[rows, slots]
+    # each gain at its rank position, zero elsewhere, as over the whole row
+    gains = np.zeros((len(label), width))
+    gains[rows, at] = label[rows, slots] * discounts[at]
+    dcg = gains.sum(axis=-1)
+    top = np.sort(label, axis=-1)[:, ::-1][:, :width]
+    ideal = np.zeros((len(label), width))
+    ideal[:, : top.shape[1]] = top
+    idcg = (ideal * discounts).sum(axis=-1)
+    return np.divide(dcg, idcg, out=np.ones_like(dcg), where=idcg != 0.0)
+
+
+def _map(pack: _Pack, label: np.ndarray, n: int) -> np.ndarray:
+    """[Q] MAP at n from packed labels; see map_at."""
+    if n < 1:
+        raise ConfigError("n must be at least 1")
+    relevant = label > 0.0
+    hits = relevant & (pack.position < n)
+    precision = np.cumsum(hits, axis=-1) / (pack.position + 1)
+    # a running sum adds the hit terms in rank order, as a scalar loop would
+    ap = np.cumsum(np.where(hits, precision, 0.0), axis=-1)[:, -1]
+    denom = np.minimum(relevant.sum(axis=-1), n)
+    return np.divide(ap, denom, out=np.zeros_like(ap), where=denom > 0)
+
+
+def _row_metric(metric, ranking, labels, n):
+    """metric over the rows along the last axis of same-shape ranking and
+    labels, on the pack of each row's nonzero labels."""
+    ranking = np.asarray(ranking, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.float64)
+    if ranking.shape != labels.shape or ranking.ndim < 1:
+        raise DataError("ranking and labels must have the same shape")
+    rows = (-1, ranking.shape[-1])
+    label_rows = labels.reshape(rows)
+    pack = _Pack(ranking.reshape(rows), label_rows != 0.0)
+    out = metric(pack, pack.labels(label_rows), n).reshape(ranking.shape[:-1])
+    return float(out) if out.ndim == 0 else out
 
 
 def ndcg_at(ranking, labels, n: int):
@@ -109,40 +217,21 @@ def ndcg_at(ranking, labels, n: int):
 
     Linear gain; rank i contributes labels[ranking[i]] / log2(i + 2).
     Returns 1.0 when the ideal is zero (an all-zero label row ranks
-    perfectly by convention). Rows lie along the last axis; one row
-    gives a float.
+    perfectly by convention). Rows lie along the last axis; each ranking
+    row is a permutation of its label row's indices, and labels are
+    non-negative. One row gives a float.
     """
-    if n < 1:
-        raise ConfigError("n must be at least 1")
-    labels = np.asarray(labels, dtype=np.float64)
-    ranking = np.asarray(ranking, dtype=np.int64)
-    discounts = 1.0 / np.log2(np.arange(2, n + 2, dtype=np.float64))
-    gains = np.take_along_axis(labels, ranking[..., :n], axis=-1)
-    dcg = (gains * discounts[: gains.shape[-1]]).sum(axis=-1)
-    ideal = np.sort(labels, axis=-1)[..., ::-1][..., :n]
-    idcg = (ideal * discounts[: ideal.shape[-1]]).sum(axis=-1)
-    out = np.divide(dcg, idcg, out=np.ones_like(dcg), where=idcg != 0.0)
-    return float(out) if out.ndim == 0 else out
+    return _row_metric(_ndcg, ranking, labels, n)
 
 
 def map_at(ranking, labels, n: int):
     """Mean average precision at n with labels binarized at y > 0.
 
     The AP denominator is min(number of relevant items, n); a row with no
-    relevant items scores 0. Rows lie along the last axis; one row gives
-    a float.
+    relevant items scores 0. Rows lie along the last axis, as in ndcg_at;
+    one row gives a float.
     """
-    if n < 1:
-        raise ConfigError("n must be at least 1")
-    relevant = np.asarray(labels, dtype=np.float64) > 0.0
-    ranking = np.asarray(ranking, dtype=np.int64)
-    hits = np.take_along_axis(relevant, ranking[..., :n], axis=-1)
-    precision = np.cumsum(hits, axis=-1) / np.arange(1, hits.shape[-1] + 1)
-    # a running sum adds the hit terms in rank order, as a scalar loop would
-    ap = np.cumsum(np.where(hits, precision, 0.0), axis=-1)[..., -1]
-    denom = np.minimum(relevant.sum(axis=-1), n)
-    out = np.divide(ap, denom, out=np.zeros_like(ap), where=denom > 0)
-    return float(out) if out.ndim == 0 else out
+    return _row_metric(_map, ranking, labels, n)
 
 
 # ---------------------------------------------------------------------------
@@ -150,23 +239,22 @@ def map_at(ranking, labels, n: int):
 # ---------------------------------------------------------------------------
 
 
-def _best_waits(batch: QueryResults, matrix: OccupancyMatrix, max_wait: int):
-    """[Q, n] running minima of the capped waits at each query's horizon.
+def _best_waits(
+    pack: _Pack, horizon_time: np.ndarray, matrix: OccupancyMatrix,
+    max_wait: int,
+):
+    """[Q, K] running minima of the capped waits at each query's horizon.
 
     Column j is the best wait among the first j + 1 ranked candidates in
     the query's neighborhood; the last column covers the whole of it.
     """
     if max_wait < 1:
         raise ConfigError("max_wait must be at least 1")
-    waits = np.minimum(kernels.next_vacant_steps(matrix.states), max_wait)
-    ranked = waits[batch.ranking, batch.horizon_time[:, np.newaxis]]
-    in_hood = np.take_along_axis(batch.neighborhood, batch.ranking, axis=-1)
-    if not in_hood.any(axis=-1).all():
+    if not pack.counts.all():
         raise DataError("every query needs a non-empty neighborhood")
-    # in-neighborhood candidates first, in rank order; the rest wait max_wait
-    packed = np.argsort(~in_hood, axis=-1, kind="stable")
-    ranked = np.where(in_hood, ranked, max_wait)
-    return np.minimum.accumulate(np.take_along_axis(ranked, packed, -1), -1)
+    waits = np.minimum(kernels.next_vacant_steps(matrix.states), max_wait)
+    ranked = pack.spread(waits[pack.vertex, horizon_time[pack.rows]], max_wait)
+    return np.minimum.accumulate(ranked, axis=-1)
 
 
 def _wait_scores(best: np.ndarray, n: int) -> tuple[float, float, float]:
@@ -193,7 +281,10 @@ def awtp_rnwtr(
     """
     if not sum(map(len, results)):
         raise DataError("no query results to evaluate")
-    return _wait_scores(_best_waits(_concat(results), matrix, max_wait), n)
+    batch = _concat(results)
+    pack = _Pack(batch.ranking, batch.neighborhood)
+    best = _best_waits(pack, batch.horizon_time, matrix, max_wait)
+    return _wait_scores(best, n)
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +424,13 @@ def empty_report(model: str, scenario: str) -> MetricsReport:
 
 
 def _reports(batch, matrix, model_name, masks, rank_ns, wait_ns, max_wait):
-    """One report per named [Q] mask; per-query values are computed once."""
-    ndcg = {n: ndcg_at(batch.ranking, batch.labels, n) for n in rank_ns}
-    mean_ap = {n: map_at(batch.ranking, batch.labels, n) for n in rank_ns}
-    best = _best_waits(batch, matrix, max_wait)
+    """One report per named [Q] mask; per-query values are computed once,
+    from one pack of the queries' neighborhoods."""
+    pack = _Pack(batch.ranking, batch.neighborhood)
+    label = pack.labels(batch.labels)
+    ndcg = {n: _ndcg(pack, label, n) for n in rank_ns}
+    mean_ap = {n: _map(pack, label, n) for n in rank_ns}
+    best = _best_waits(pack, batch.horizon_time, matrix, max_wait)
     out = {}
     for name, mask in masks.items():
         if not mask.any():

@@ -290,15 +290,15 @@ def split_results(
     split_idx: np.ndarray,
     cfg: TrainConfig,
 ) -> list[evaluate.QueryResults]:
-    """Rank every query of a split with the model, in RANK_BLOCK batches."""
+    """Rank every query of a split with the model as one batch; the scorer
+    and the sort run RANK_BLOCK snapshots at a time."""
     hops = spatial.all_hop_distances()
-    results = []
+    rankings = np.empty((len(split_idx), *hops.shape), dtype=np.intp)
     for lo in range(0, len(split_idx), model.RANK_BLOCK):
         idx = split_idx[lo : lo + model.RANK_BLOCK]
         scores = model.forward_scores(params, *_inputs(dataset, idx)).data
-        rankings = model.rank_candidates(scores, hops)
-        results.append(_query_results(dataset, spatial, idx, cfg, rankings))
-    return results
+        rankings[lo : lo + len(idx)] = model.rank_candidates(scores, hops)
+    return [_query_results(dataset, spatial, split_idx, cfg, rankings)]
 
 
 def baseline_split_results(
@@ -326,8 +326,8 @@ def split_ndcg(
     cfg: TrainConfig,
 ) -> float:
     """Mean NDCG@1 over all queries of a split, used for model selection."""
-    batches = split_results(params, dataset, spatial, split_idx, cfg)
-    ndcg = np.concatenate([evaluate.ndcg_at(b.ranking, b.labels, 1) for b in batches])
+    (batch,) = split_results(params, dataset, spatial, split_idx, cfg)
+    ndcg = evaluate.ndcg_at(batch.ranking, batch.labels, 1)
     # summed in query order: np.sum's pairwise order would move the low bits
     return float(np.add.accumulate(ndcg)[-1]) / len(ndcg)
 

@@ -1,13 +1,16 @@
 """Per-snapshot baselines and report slicing, as oracles for the batched code.
 
 Each baseline here scores one time per call and ranks one [n, n] table
-per snapshot, and the report loop slices the wait table once per list
-size. The production code scores and ranks a whole split per call and
-slices once per scenario; tests compare the two by bytes.
+per snapshot, and the report loop computes every metric over whole
+[Q, n] rows (tests/dense_oracle.py) and slices the wait table once per
+list size. The production code scores and ranks a whole split per call,
+computes the metrics on the neighborhood pack and slices once per
+scenario; tests compare the two by bytes.
 """
 
 import numpy as np
 
+import dense_oracle
 from parkrank import evaluate, model, train
 
 
@@ -56,10 +59,11 @@ def baseline_split_results(predictor, matrix, dataset, spatial, split_idx, cfg):
 
 
 def reports(batch, matrix, model_name, masks, rank_ns, wait_ns, max_wait):
-    """evaluate._reports slicing the wait table once per list size."""
-    ndcg = {n: evaluate.ndcg_at(batch.ranking, batch.labels, n) for n in rank_ns}
-    mean_ap = {n: evaluate.map_at(batch.ranking, batch.labels, n) for n in rank_ns}
-    best = evaluate._best_waits(batch, matrix, max_wait)
+    """evaluate._reports over whole rows, slicing the wait table once per
+    list size."""
+    ndcg = {n: dense_oracle.ndcg_at(batch.ranking, batch.labels, n) for n in rank_ns}
+    mean_ap = {n: dense_oracle.map_at(batch.ranking, batch.labels, n) for n in rank_ns}
+    best = dense_oracle.best_waits(batch, matrix, max_wait)
     out = {}
     for name, mask in masks.items():
         if not mask.any():

@@ -1,8 +1,9 @@
 """Print, as JSON, the sha256 of every output the behaviour contract keeps
 byte for byte: the criterion-9 train and eval flow (checkpoint, training
 log and the three metric files), the same flow with softmax scores,
-dropout 0.3 and beta 2, and `recommend --top 9 --time 100` for meters
-m000, m004 and m008 on both checkpoints.
+dropout 0.3 and beta 2, `eval --split val --max-wait 3` (the three metric
+files) and `recommend --top 9 --time 100` for meters m000, m004 and m008
+on both checkpoints.
 
     python3 tests/contract_digests.py > after.json
     python3 tests/contract_digests.py /path/to/other/checkout/src > before.json
@@ -36,10 +37,8 @@ VARIANTS = {
         "--beta", "2",
     ],
 }
-FILES = (
-    "checkpoint.bin", "train_log.csv", "metrics.json", "metrics.csv",
-    "plot_data.csv",
-)
+METRIC_FILES = ("metrics.json", "metrics.csv", "plot_data.csv")
+FILES = ("checkpoint.bin", "train_log.csv", *METRIC_FILES)
 METERS = ("m000", "m004", "m008")
 
 
@@ -70,6 +69,14 @@ def digests(cli, work: Path) -> dict[str, str]:
                   str(checkpoint), "--out", str(out)])
         for file in FILES:
             result[f"{name}/{file}"] = sha((out / file).read_bytes())
+        val_out = out / "val-max-wait-3"
+        run(cli, ["eval", "--data", str(data), "--checkpoint",
+                  str(checkpoint), "--out", str(val_out), "--split", "val",
+                  "--max-wait", "3"])
+        for file in METRIC_FILES:
+            result[f"{name}/val-max-wait-3/{file}"] = sha(
+                (val_out / file).read_bytes()
+            )
         for meter in METERS:
             stdout = run(cli, [
                 "recommend", "--data", str(data), "--checkpoint",

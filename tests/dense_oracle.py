@@ -1,16 +1,19 @@
 """Dense [batch, query, candidate] oracles for the edge-list scores, labels
-and loss.
+and loss, and dense [query, candidate] oracles for the ranking and
+waiting-time metrics.
 
 These compute over every (query, candidate) pair and mask the pairs
 outside the neighborhoods afterwards, as parkrank did before it kept
-training on the edge list. The production path must match them bit for
-bit: scores, labels, loss and every parameter gradient.
+training on the edge list and scoring on the neighborhood pack. The
+production path must match them bit for bit: scores, labels, loss,
+every parameter gradient, and every metric.
 """
 
 import numpy as np
 
-from parkrank import model
+from parkrank import kernels, model
 from parkrank import tensor as T
+from parkrank.errors import ConfigError, DataError
 
 # pre-activation fill for masked softmax entries; -inf would poison grads
 MASK_FILL = -1e30
@@ -122,3 +125,48 @@ def training_loss(
             penalty = sq if penalty is None else T.add(penalty, sq)
         total = T.add(total, T.scale(penalty, l2_coeff))
     return total
+
+
+def ndcg_at(ranking, labels, n):
+    """evaluate.ndcg_at over whole [..., n] rows."""
+    if n < 1:
+        raise ConfigError("n must be at least 1")
+    labels = np.asarray(labels, dtype=np.float64)
+    ranking = np.asarray(ranking, dtype=np.int64)
+    discounts = 1.0 / np.log2(np.arange(2, n + 2, dtype=np.float64))
+    gains = np.take_along_axis(labels, ranking[..., :n], axis=-1)
+    dcg = (gains * discounts[: gains.shape[-1]]).sum(axis=-1)
+    ideal = np.sort(labels, axis=-1)[..., ::-1][..., :n]
+    idcg = (ideal * discounts[: ideal.shape[-1]]).sum(axis=-1)
+    out = np.divide(dcg, idcg, out=np.ones_like(dcg), where=idcg != 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def map_at(ranking, labels, n):
+    """evaluate.map_at over whole [..., n] rows."""
+    if n < 1:
+        raise ConfigError("n must be at least 1")
+    relevant = np.asarray(labels, dtype=np.float64) > 0.0
+    ranking = np.asarray(ranking, dtype=np.int64)
+    hits = np.take_along_axis(relevant, ranking[..., :n], axis=-1)
+    precision = np.cumsum(hits, axis=-1) / np.arange(1, hits.shape[-1] + 1)
+    ap = np.cumsum(np.where(hits, precision, 0.0), axis=-1)[..., -1]
+    denom = np.minimum(relevant.sum(axis=-1), n)
+    out = np.divide(ap, denom, out=np.zeros_like(ap), where=denom > 0)
+    return float(out) if out.ndim == 0 else out
+
+
+def best_waits(batch, matrix, max_wait):
+    """evaluate._best_waits as [Q, n] rows: the neighborhood's candidates
+    packed to the front of each ranking by a stable argsort, the rest
+    waiting max_wait."""
+    if max_wait < 1:
+        raise ConfigError("max_wait must be at least 1")
+    waits = np.minimum(kernels.next_vacant_steps(matrix.states), max_wait)
+    ranked = waits[batch.ranking, batch.horizon_time[:, np.newaxis]]
+    in_hood = np.take_along_axis(batch.neighborhood, batch.ranking, axis=-1)
+    if not in_hood.any(axis=-1).all():
+        raise DataError("every query needs a non-empty neighborhood")
+    packed = np.argsort(~in_hood, axis=-1, kind="stable")
+    ranked = np.where(in_hood, ranked, max_wait)
+    return np.minimum.accumulate(np.take_along_axis(ranked, packed, -1), -1)

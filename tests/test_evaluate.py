@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import baseline_oracle
+import dense_oracle
 from parkrank import evaluate, ingest, model
 from parkrank.errors import ConfigError, DataError
 
@@ -504,3 +505,117 @@ class TestSummarize:
         monkeypatch.undo()
         got = evaluate.summarize([batch], matrix_of(states), "model")
         assert got == want
+
+
+def random_batch(seed, queries=200, width=8, largest=8, intervals=40):
+    """Rankings from scores with ties; neighborhoods of 1 to largest
+    vertices, the largest size always among them; labels nonzero only
+    inside, every fifth row all zero."""
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(0, 3, (queries, width)) / 2.0
+    ranking = model.rank_candidates(scores, rng.integers(0, 3, (queries, width)))
+    sizes = rng.integers(1, largest + 1, queries)
+    sizes[0] = largest
+    hood = np.zeros((queries, width), dtype=bool)
+    for q, size in enumerate(sizes):
+        hood[q, rng.choice(width, size, replace=False)] = True
+    grades = rng.random((queries, width)) * (rng.random((queries, width)) < 0.7)
+    labels = np.where(hood, grades, 0.0)
+    labels[::5] = 0.0
+    times = rng.integers(0, intervals, queries)
+    batch = evaluate.QueryResults(
+        query_vertex=rng.integers(0, width, queries),
+        query_time=times,
+        horizon_time=times,
+        ranking=ranking,
+        labels=labels,
+        neighborhood=hood,
+    )
+    return batch, matrix_of(rng.random((width, intervals)) < 0.6)
+
+
+class TestNeighborhoodPack:
+    """The pack's metrics against the same metrics over whole [Q, n] rows
+    (tests/dense_oracle.py), by bytes."""
+
+    LIST_SIZES = (1, 3, 5, 8, 12)  # 12 lies beyond the rows of 8
+
+    @pytest.mark.parametrize("largest", [8, 5, 1], ids=["whole-row", "5", "1"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_row_metrics_match_dense(self, seed, largest):
+        batch, _ = random_batch(seed, largest=largest)
+        for n in self.LIST_SIZES:
+            for metric in ("ndcg_at", "map_at"):
+                got = getattr(evaluate, metric)(batch.ranking, batch.labels, n)
+                want = getattr(dense_oracle, metric)(
+                    batch.ranking, batch.labels, n
+                )
+                assert got.tobytes() == want.tobytes(), (metric, n)
+                for q in (0, 1, 5):  # one row gives a float, same bits
+                    row = getattr(evaluate, metric)(
+                        batch.ranking[q], batch.labels[q], n
+                    )
+                    assert isinstance(row, float)
+                    assert np.float64(row).tobytes() == want[q].tobytes()
+
+    @pytest.mark.parametrize("max_wait", [1, 3])
+    @pytest.mark.parametrize("largest", [8, 5, 1], ids=["whole-row", "5", "1"])
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_reports_match_dense(self, seed, largest, max_wait):
+        batch, mat = random_batch(seed, largest=largest)
+        rng = np.random.default_rng(seed)
+        masks = {
+            "all": np.ones(len(batch), dtype=bool),
+            "some": rng.random(len(batch)) < 0.3,
+            "none": np.zeros(len(batch), dtype=bool),
+        }
+        args = (batch, mat, "m", masks, self.LIST_SIZES, (1, 2, 5, 8, 12),
+                max_wait)
+        got = evaluate._reports(*args)
+        want = baseline_oracle.reports(*args)
+        assert evaluate.reports_to_json({"m": got}) == evaluate.reports_to_json(
+            {"m": want}
+        )
+        assert evaluate.reports_to_plot_rows(
+            {"m": got}
+        ) == evaluate.reports_to_plot_rows({"m": want})
+        # the packed wait columns hold the dense columns' integers; past
+        # the largest neighborhood the dense ones repeat the last
+        pack = evaluate._Pack(batch.ranking, batch.neighborhood)
+        best = evaluate._best_waits(pack, batch.horizon_time, mat, max_wait)
+        dense = dense_oracle.best_waits(batch, mat, max_wait)
+        width = best.shape[1]
+        assert width == largest
+        assert best.dtype == dense.dtype
+        assert np.array_equal(best, dense[:, :width])
+        assert (dense[:, width - 1 :] == dense[:, -1:]).all()
+        for n in (1, 2, 5, 12):
+            assert evaluate.awtp_rnwtr([batch], mat, n, max_wait) == (
+                evaluate._wait_scores(dense, n)
+            )
+
+    def test_label_outside_neighborhood_rejected(self):
+        batch, mat = random_batch(4)
+        labels = batch.labels.copy()
+        outside = np.flatnonzero(~batch.neighborhood[7])[0]
+        labels[7, outside] = 0.25
+        bad = evaluate.QueryResults(
+            batch.query_vertex, batch.query_time, batch.horizon_time,
+            batch.ranking, labels, batch.neighborhood,
+        )
+        for score in (evaluate.summarize, evaluate.slice_scenarios):
+            with pytest.raises(DataError, match="query 7 has a nonzero label"):
+                score([bad], mat, "model")
+        # waits read no labels, so the waiting-time metric still scores it
+        assert evaluate.awtp_rnwtr([bad], mat, 1) == evaluate.awtp_rnwtr(
+            [batch], mat, 1
+        )
+
+    def test_row_metrics_reject_bad_labels(self):
+        for metric in (evaluate.ndcg_at, evaluate.map_at):
+            with pytest.raises(DataError, match="non-negative"):
+                metric([0, 1], [0.5, -0.5], 1)
+            with pytest.raises(DataError, match="same shape"):
+                metric([0, 1, 2], [0.5, 0.0], 1)
+            with pytest.raises(ConfigError, match="at least 1"):
+                metric([0, 1], [0.5, 0.0], 0)

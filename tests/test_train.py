@@ -251,6 +251,7 @@ class TestTrainLoop:
         result = train.train_loop(matrix, graph, cfg)
         ds = result.dataset
         res = train.split_results(result.params, ds, graph, ds.val_idx, cfg)
+        assert len(res) == 1
         rows = sum(len(batch) for batch in res)
         assert rows == len(ds.val_idx) * graph.num_vertices
         report = evaluate.summarize(res, matrix, "model")
@@ -264,6 +265,27 @@ class TestTrainLoop:
                 np.concatenate([getattr(b, field) for b in base]),
                 np.concatenate([getattr(b, field) for b in res]),
             )
+
+    def test_split_results_blocks_fill_one_batch(self, monkeypatch):
+        # ranked 4 snapshots at a time, the split's batch has the bytes of
+        # the split ranked in one block
+        matrix, graph = small_world(seed=3)
+        cfg = train.TrainConfig(
+            alpha=3, beta=1, conv_channels=3, embed_dim=4, kernel_len=2,
+            horizon_intervals=2, iterations=3, batch_size=16, eval_every=3,
+        )
+        result = train.train_loop(matrix, graph, cfg)
+        ds = result.dataset
+        assert len(ds.train_idx) > 8
+        args = (result.params, ds, graph, ds.train_idx, cfg)
+        (whole,) = train.split_results(*args)
+        monkeypatch.setattr(model, "RANK_BLOCK", 4)
+        (blocked,) = train.split_results(*args)
+        for field in ("query_vertex", "query_time", "horizon_time",
+                      "ranking", "labels", "neighborhood"):
+            a, b = getattr(whole, field), getattr(blocked, field)
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize(
         "variant",
