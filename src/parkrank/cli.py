@@ -251,8 +251,16 @@ def load_checkpoint_bundle(checkpoint, graph):
         raise DataError(f"{checkpoint}: checkpoint lacks training settings")
     try:
         cfg = train.TrainConfig.from_manifest(manifest["train"])
-    except DataError as exc:
+        listed = asdict(cfg.model_config())
+    except (DataError, ConfigError) as exc:
         raise DataError(f"{checkpoint}: {exc}") from None
+    # eval and recommend build windows from cfg, the model from its own copy
+    saved = asdict(params.config)
+    for key in (k for k in saved if saved[k] != listed[k]):
+        raise DataError(
+            f"{checkpoint}: training settings give {key} {listed[key]!r} "
+            f"but the model was saved with {saved[key]!r}"
+        )
     return params, cfg
 
 
@@ -270,10 +278,10 @@ EVAL_CSV_COLUMNS = (
 
 def _report_csv_row(report) -> list[str]:
     cells = [report.model, report.scenario, str(report.num_queries)]
-    for n in (1, 5):
+    for n in evaluate.RANK_NS:
         mean, std = report.ndcg.get(n, (0.0, 0.0))
         cells += [repr(mean), repr(std)]
-    for n in (1, 5):
+    for n in evaluate.RANK_NS:
         mean, std = report.mean_ap.get(n, (0.0, 0.0))
         cells += [repr(mean), repr(std)]
     for n in evaluate.WAIT_NS:

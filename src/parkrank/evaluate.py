@@ -40,6 +40,7 @@ from .errors import ConfigError, DataError
 from .ingest import OccupancyMatrix, SpatialGraph
 
 DEFAULT_MAX_WAIT = 24
+RANK_NS = (1, 5)
 WAIT_NS = (1, 2, 3, 4, 5)
 
 BASELINE_NAMES = ("persistence", "historical_mean")
@@ -459,19 +460,16 @@ def summarize(
     results: Sequence[QueryResults],
     matrix: OccupancyMatrix,
     model_name: str,
-    scenario: str = "all",
-    rank_ns: tuple[int, ...] = (1, 5),
-    wait_ns: tuple[int, ...] = WAIT_NS,
-    max_wait: int = DEFAULT_MAX_WAIT,
 ) -> MetricsReport:
-    """Aggregate per-query metrics into one report (means and stds)."""
+    """Aggregate per-query metrics into one report (means and stds) of
+    the scenario "all"."""
     if not results:
-        return empty_report(model_name, scenario)
+        return empty_report(model_name, "all")
     batch = _concat(results)
-    masks = {scenario: np.ones(len(batch), dtype=bool)}
+    masks = {"all": np.ones(len(batch), dtype=bool)}
     return _reports(
-        batch, matrix, model_name, masks, rank_ns, wait_ns, max_wait
-    )[scenario]
+        batch, matrix, model_name, masks, RANK_NS, WAIT_NS, DEFAULT_MAX_WAIT
+    )["all"]
 
 
 SCENARIOS = ("workday", "weekend", "daytime", "nighttime")
@@ -497,7 +495,6 @@ def slice_scenarios(
     results: Sequence[QueryResults],
     matrix: OccupancyMatrix,
     model_name: str,
-    rank_ns: tuple[int, ...] = (1, 5),
     max_wait: int = DEFAULT_MAX_WAIT,
 ) -> dict[str, MetricsReport]:
     """Reports per scenario plus the unsliced whole under key "all".
@@ -511,7 +508,7 @@ def slice_scenarios(
     masks = {"all": np.ones(len(batch), dtype=bool)}
     masks.update(scenario_masks(matrix, batch.query_time))
     return _reports(
-        batch, matrix, model_name, masks, rank_ns, WAIT_NS, max_wait
+        batch, matrix, model_name, masks, RANK_NS, WAIT_NS, max_wait
     )
 
 

@@ -4,8 +4,8 @@ Two record layouts are supported. Space records carry one 0/1 state per
 meter per timestamp; street records carry (occupied_count, capacity) per
 street segment and are binarized with a full-loaded ratio rule. Both are
 snapped to a fixed interval grid, gap-filled by carrying the last
-observation forward, and meters missing more than a configurable fraction
-of the grid are dropped.
+observation forward, and meters missing more than MISSING_DROP_FRAC of
+the grid are dropped.
 """
 
 from __future__ import annotations
@@ -167,9 +167,6 @@ class SpatialGraph:
         hops.flags.writeable = False
         return hops
 
-    def adjacency_matrix(self) -> np.ndarray:
-        return self._adjacency
-
     def allowed_mask(self) -> np.ndarray:
         """Candidate mask per query: its neighbors plus the vertex itself."""
         return self._allowed
@@ -276,9 +273,7 @@ def _read_header(reader, required: tuple[str, ...]) -> dict[str, int]:
 
 
 def _grid_from_observations(
-    observations: dict[str, list[tuple[datetime, bool]]],
-    interval_minutes: int,
-    missing_drop_frac: float,
+    observations: dict[str, list[tuple[datetime, bool]]], interval_minutes: int
 ) -> OccupancyMatrix:
     """Snap (timestamp, state) observations to a grid and gap-fill."""
     start = min(ts for obs in observations.values() for ts, _ in obs)
@@ -303,7 +298,7 @@ def _grid_from_observations(
             row[idx] = state
             seen[idx] = True
         missing = num_intervals - int(seen.sum())
-        if missing / num_intervals > missing_drop_frac:
+        if missing / num_intervals > MISSING_DROP_FRAC:
             dropped.append(meter)
             continue
         if missing:
@@ -324,7 +319,7 @@ def _grid_from_observations(
         log.warning(
             "dropped %d meters over the %.0f%% missing-data rule: %s",
             len(dropped),
-            missing_drop_frac * 100,
+            MISSING_DROP_FRAC * 100,
             ", ".join(dropped),
         )
     if not kept:
@@ -344,7 +339,6 @@ def _grid_from_observations(
 def parse_space_records(
     rows,
     interval_minutes: int = DEFAULT_INTERVAL_MINUTES,
-    missing_drop_frac: float = MISSING_DROP_FRAC,
 ) -> OccupancyMatrix:
     """Parse per-space CSV records: meter_id, timestamp, state(0/1)."""
     reader = csv.reader(rows)
@@ -366,16 +360,13 @@ def parse_space_records(
         observations.setdefault(meter, []).append((ts, state_text == "1"))
     if not observations:
         raise EmptyDatasetError("empty dataset: no records")
-    return _grid_from_observations(
-        observations, interval_minutes, missing_drop_frac
-    )
+    return _grid_from_observations(observations, interval_minutes)
 
 
 def parse_street_records(
     rows,
     full_loaded_ratio: float = DEFAULT_FULL_LOADED_RATIO,
     interval_minutes: int = DEFAULT_INTERVAL_MINUTES,
-    missing_drop_frac: float = MISSING_DROP_FRAC,
 ) -> OccupancyMatrix:
     """Parse per-street CSV records: street_id, timestamp, occupied_count,
     capacity. A street counts as occupied when occupied/capacity exceeds
@@ -414,9 +405,7 @@ def parse_street_records(
         observations.setdefault(street, []).append((ts, state))
     if not observations:
         raise EmptyDatasetError("empty dataset: no records")
-    return _grid_from_observations(
-        observations, interval_minutes, missing_drop_frac
-    )
+    return _grid_from_observations(observations, interval_minutes)
 
 
 # ---------------------------------------------------------------------------

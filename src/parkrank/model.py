@@ -9,7 +9,7 @@ embedding as a residual. A pairwise readout scores only the allowed
 (query, candidate) pairs, each candidate in the query's own neighborhood,
 over an edge list, and multiplies each by a learnable mask weight; the
 activation runs on that list too, so training stays on it through the
-loss. For ranking, the scores are scattered into a [batch, query,
+loss. For ranking, the scores are placed into a [batch, query,
 candidate] matrix whose entries outside the neighborhoods are structural
 zeros, so only reachable candidates can score.
 """
@@ -269,7 +269,6 @@ def edge_scores(
     windows: np.ndarray,
     current_signed: np.ndarray,
     states_now: np.ndarray,
-    training: bool = False,
     dropout_rate: float = 0.0,
     rng=None,
 ) -> T.Tensor:
@@ -279,6 +278,7 @@ def edge_scores(
     current_signed: [batch, vertices]; states_now: [batch, vertices] bool.
     Returns [batch, pairs] over the edge list (params.src, params.dst),
     after the activation; softmax normalizes over each query's pairs.
+    A positive dropout_rate (training) drops activations with rng.
     """
     if windows.ndim != 3:
         raise DimensionError(
@@ -291,15 +291,12 @@ def edge_scores(
             f"edge_scores: windows {windows.shape} do not match "
             f"{n} vertices and alpha {cfg.alpha}"
         )
-    use_dropout = training and dropout_rate > 0.0
-    if use_dropout and rng is None:
+    if dropout_rate > 0.0 and rng is None:
         raise ConfigError("dropout during training needs an rng")
-    rate = dropout_rate if use_dropout else 0.0
 
-    h = event_embed(params, windows, rate, rng)
-    z = graph_rounds(
-        params, real_time_features(current_signed, states_now), h, rate, rng
-    )
+    h = event_embed(params, windows, dropout_rate, rng)
+    real_time = real_time_features(current_signed, states_now)
+    z = graph_rounds(params, real_time, h, dropout_rate, rng)
 
     # pairwise readout over the allowed pairs: query features against
     # candidate embeddings, [batch, pairs, embed_dim]
@@ -320,15 +317,18 @@ def edge_scores(
     pre = T.mul(raw, mask)
     if cfg.score_activation == "relu":
         return T.relu(pre)
-    return T.softmax(pre, params.pair_table, (n, n))
+    return T.softmax(pre, params.pair_index, (n, n))
 
 
 def forward_scores(params: ModelParams, *args, **kwargs) -> T.Tensor:
-    """edge_scores (same arguments) scattered into a [batch, query,
-    candidate] tensor for ranking; pairs outside params.allowed hold 0."""
+    """edge_scores (same arguments) placed into a [batch, query,
+    candidate] tensor, 0 outside params.allowed: a constant view for
+    ranking, through which no gradient flows back to the parameters."""
     n = params.num_vertices
-    scores = edge_scores(params, *args, **kwargs)
-    return T.reshape(T.scatter(scores, params.pair_table, n * n), (-1, n, n))
+    scores = edge_scores(params, *args, **kwargs).data
+    dense = np.zeros((len(scores), n * n))
+    dense[:, params.pair_index] = scores
+    return T.Tensor(dense.reshape(-1, n, n))
 
 
 def rank_candidates(scores: np.ndarray, hops: np.ndarray) -> np.ndarray:

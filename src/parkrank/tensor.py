@@ -6,6 +6,10 @@ topological sweep from a scalar loss and accumulates into ``.grad`` of the
 leaves only (tensors created with requires_grad, not by an op); gradients
 of intermediate nodes live just long enough to reach their parents. The
 module also carries the Adam update and a binary checkpoint container.
+
+Each indexed op takes one index type, built once per graph: take a
+NeighborTable, neighbor_mix the MixTables of its weight matrix, and
+row_sum, softmax and log_softmax an array of increasing grid positions.
 """
 
 from __future__ import annotations
@@ -49,11 +53,6 @@ class Tensor:
                 f"item: tensor has {self.data.size} elements, expected 1"
             )
         return float(self.data.reshape(()))
-
-    def __repr__(self) -> str:
-        return (
-            f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-        )
 
 
 def as_tensor(value) -> Tensor:
@@ -264,12 +263,11 @@ def mix_tables(weights: np.ndarray) -> MixTables:
     )
 
 
-def neighbor_mix(weights, x) -> Tensor:
+def neighbor_mix(tables: MixTables, x) -> Tensor:
     """Mix vertex features with a constant square matrix:
     out[..., i, :] = sum_j weights[i, j] * x[..., j, :].
 
-    weights is the matrix or its mix_tables; build those once per graph,
-    since a matrix is turned into tables on every call. Only nonzero
+    tables is mix_tables(weights), built once per graph. Only nonzero
     weights are read: the forward sums each row of the table by row, the
     backward each column of the table by column, adding the j (or i)
     terms in increasing order from +0.0. np.einsum("ij,...jd->...id")
@@ -278,7 +276,6 @@ def neighbor_mix(weights, x) -> Tensor:
     sum, so the bits match the dense einsum's.
     """
     x = as_tensor(x)
-    tables = weights if isinstance(weights, MixTables) else mix_tables(weights)
     n = tables.by_row.size
     if x.ndim < 2 or x.shape[-2] != n:
         raise DimensionError(
@@ -346,64 +343,27 @@ def concat(parts: Sequence, axis: int = -1) -> Tensor:
     return _node(data, tensors, bw)
 
 
-def _index_table(op: str, index, size: int) -> NeighborTable:
-    """index as a NeighborTable over size targets; a table passes through."""
-    if not isinstance(index, NeighborTable):
-        try:
-            index = NeighborTable(index, size)
-        except DimensionError as exc:
-            raise DimensionError(f"{op}: {exc}") from None
-    if index.size != size:
-        raise DimensionError(
-            f"{op}: index table has {index.size} targets, expected {size}"
-        )
-    return index
+def take(x, table: NeighborTable, axis: int) -> Tensor:
+    """Gather entries along one axis, like np.take with the 1-D index
+    table.index; indices may repeat.
 
-
-def take(x, index, axis: int) -> Tensor:
-    """Gather entries along one axis, like np.take with a 1-D index;
-    indices may repeat.
-
-    index is the array or its NeighborTable over x.shape[axis] targets;
-    build that once per graph, since an array is turned into a table on
-    every call. The backward sums the gathered gradient into each target
+    table is a NeighborTable over the x.shape[axis] targets, built once
+    per graph. The backward sums the gathered gradient into each target
     through the table, in index order from +0.0, as np.add.at would, so
     repeats add up to the same bits as a dense sum.
     """
     x = as_tensor(x)
     axis = axis % x.ndim
-    table = _index_table("take", index, x.shape[axis])
+    if table.size != x.shape[axis]:
+        raise DimensionError(
+            f"take: index table has {table.size} targets, expected "
+            f"{x.shape[axis]}"
+        )
 
     def bw(g):
         return (table.sum(g, axis),)
 
     return _node(np.take(x.data, table.index, axis=axis), (x,), bw)
-
-
-def scatter(x, index, size: int) -> Tensor:
-    """Place the last axis of x at distinct positions of a zero last axis
-    of length size: out[..., index[e]] = x[..., e].
-
-    index is the array or its NeighborTable over size targets; a
-    position that repeats raises DimensionError.
-    """
-    x = as_tensor(x)
-    table = _index_table("scatter", index, size)
-    index = table.index
-    if index.shape != x.shape[-1:]:
-        raise DimensionError(
-            f"scatter: indices {index.shape} do not match the last axis of "
-            f"{x.shape}"
-        )
-    if table.slots.shape[0] > 1:
-        raise DimensionError("scatter: positions must be distinct")
-    out = np.zeros(x.shape[:-1] + (size,))
-    out[..., index] = x.data
-
-    def bw(g):
-        return (g[..., index],)
-
-    return _node(out, (x,), bw)
 
 
 def relu(x) -> Tensor:
@@ -416,11 +376,11 @@ def relu(x) -> Tensor:
     return _node(out, (x,), bw)
 
 
-def _grid(op: str, x: Tensor, index, shape) -> tuple[np.ndarray, np.ndarray]:
+def _grid(op: str, x: Tensor, positions, shape):
     """The flat positions in a [rows, width] grid of the cells that the
-    last axis of x holds, increasing (index: the array or its
-    NeighborTable), and the row of each."""
-    positions = _index_table(op, index, shape[0] * shape[1]).index
+    last axis of x holds, checked to increase within the grid, and the
+    row of each."""
+    positions = np.asarray(positions, dtype=np.intp)
     if positions.shape != x.shape[-1:]:
         raise DimensionError(
             f"{op}: indices {positions.shape} do not match the last axis of "
@@ -430,6 +390,9 @@ def _grid(op: str, x: Tensor, index, shape) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionError(
             f"{op}: positions must be distinct and increasing"
         )
+    size = shape[0] * shape[1]
+    if positions.size and (positions[0] < 0 or positions[-1] >= size):
+        raise DimensionError(f"{op}: positions out of range [0, {size})")
     return positions, positions // shape[1]
 
 
@@ -450,15 +413,15 @@ def row_max(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.repeat(peaks, np.diff(starts, append=rows.size), axis=-1)
 
 
-def row_sum(x, index, shape) -> Tensor:
+def row_sum(x, positions, shape) -> Tensor:
     """Per row of a [rows, width] grid, the sum of its cells, [..., rows].
 
-    The last axis of x holds the cells at flat positions index (see
-    _grid); the other cells are zero. The bits equal those of the dense
+    The last axis of x holds the cells at the increasing flat positions
+    positions; the other cells are zero. The bits equal those of the dense
     sum(-1) over the zero-filled grid.
     """
     x = as_tensor(x)
-    positions, rows = _grid("row_sum", x, index, shape)
+    positions, rows = _grid("row_sum", x, positions, shape)
 
     def bw(g):
         return (g[..., rows],)
@@ -466,14 +429,14 @@ def row_sum(x, index, shape) -> Tensor:
     return _node(_row_sums(x.data, positions, shape), (x,), bw)
 
 
-def softmax(x, index, shape) -> Tensor:
+def softmax(x, positions, shape) -> Tensor:
     """Softmax along each row of a grid laid out as in row_sum, over the
     cells x holds; the others count as -inf, so the output holds the
     same cells. The bits equal those of a dense softmax over the grid
     with the other cells filled far below every cell: the row max and
     row sums see the same values, and every other step is per cell."""
     x = as_tensor(x)
-    positions, rows = _grid("softmax", x, index, shape)
+    positions, rows = _grid("softmax", x, positions, shape)
     e = np.exp(x.data - row_max(x.data, rows))
     out = e / _row_sums(e, positions, shape)[..., rows]
 
@@ -484,11 +447,11 @@ def softmax(x, index, shape) -> Tensor:
     return _node(out, (x,), bw)
 
 
-def log_softmax(x, index, shape) -> Tensor:
-    """Log of softmax(x, index, shape), as shifted cells minus the log of
+def log_softmax(x, positions, shape) -> Tensor:
+    """Log of softmax(x, positions, shape), as shifted cells minus the log of
     their row's sum of exponentials."""
     x = as_tensor(x)
-    positions, rows = _grid("log_softmax", x, index, shape)
+    positions, rows = _grid("log_softmax", x, positions, shape)
     shifted = x.data - row_max(x.data, rows)
     lse = np.log(_row_sums(np.exp(shifted), positions, shape)[..., rows])
     out = shifted - lse
@@ -517,29 +480,29 @@ def masked_fill(x, mask: np.ndarray, value: float) -> Tensor:
     return _node(out, (x,), bw)
 
 
-def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_sum(x, axis=None) -> Tensor:
     x = as_tensor(x)
-    out = x.data.sum(axis=axis, keepdims=keepdims)
+    out = x.data.sum(axis=axis)
 
     def bw(g):
         g = np.asarray(g)
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, x.shape).copy(),)
 
     return _node(out, (x,), bw)
 
 
-def reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_mean(x, axis=None) -> Tensor:
     x = as_tensor(x)
     count = x.data.size if axis is None else x.shape[axis]
     # what ndarray.mean computes: the same add.reduce, divided in place
-    out = np.add.reduce(x.data, axis=axis, keepdims=keepdims)
+    out = np.add.reduce(x.data, axis=axis)
     out /= count
 
     def bw(g):
         g = np.asarray(g)
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, x.shape) / count,)
 

@@ -208,21 +208,22 @@ def make_labels(spatial: SpatialGraph, *args) -> np.ndarray:
     return dense
 
 
-def squared_error(labels, scores, index, shape) -> T.Tensor:
+def squared_error(labels, scores, positions, shape) -> T.Tensor:
     """Per-query sum of squared score errors, averaged over queries.
 
     labels and scores ([..., pairs]) hold the cells of a [queries,
-    candidates] grid at flat positions index; see tensor.row_sum.
+    candidates] grid at the increasing flat positions positions; see
+    tensor.row_sum.
     """
     diff = T.sub(T.Tensor(np.asarray(labels, dtype=np.float64)), scores)
-    return T.reduce_mean(T.row_sum(T.mul(diff, diff), index, shape))
+    return T.reduce_mean(T.row_sum(T.mul(diff, diff), positions, shape))
 
 
-def listwise_nll(labels, scores, index, shape) -> T.Tensor:
+def listwise_nll(labels, scores, positions, shape) -> T.Tensor:
     """Negative label-weighted log-softmax over each query's pairs, laid
     out as in squared_error; other candidates take no part."""
-    logp = T.log_softmax(scores, index, shape)
-    weighted = T.row_sum(T.mul(T.Tensor(labels), logp), index, shape)
+    logp = T.log_softmax(scores, positions, shape)
+    weighted = T.row_sum(T.mul(T.Tensor(labels), logp), positions, shape)
     return T.scale(T.reduce_mean(weighted), -1.0)
 
 
@@ -236,7 +237,7 @@ def training_loss(
     """Squared error plus weighted listwise NLL and L2 penalty over the
     per-pair labels and scores ([batch, pairs]) of params' edge list."""
     n = params.num_vertices
-    grid = (params.pair_table, (n, n))
+    grid = (params.pair_index, (n, n))
     total = squared_error(labels, scores, *grid)
     if softmax_weight > 0:
         nll = listwise_nll(labels, scores, *grid)
@@ -380,8 +381,7 @@ def train_loop(
         cursor += cfg.batch_size
 
         scores = model.edge_scores(
-            params, *_inputs(dataset, batch), True, cfg.dropout_rate,
-            dropout_rng,
+            params, *_inputs(dataset, batch), cfg.dropout_rate, dropout_rng
         )
         labels = edge_labels(spatial, *_label_args(dataset, batch, cfg))
         loss = training_loss(

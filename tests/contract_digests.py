@@ -3,7 +3,9 @@ byte for byte: the criterion-9 train and eval flow (checkpoint, training
 log and the three metric files), the same flow with softmax scores,
 dropout 0.3 and beta 2, `eval --split val --max-wait 3` (the three metric
 files) and `recommend --top 9 --time 100` for meters m000, m004 and m008
-on both checkpoints.
+on both checkpoints; `bench` on the criterion-9 data (both files); and
+`ingest --kind space` and `--kind street` (the four data-dir files) from
+the fixed record files of write_records.
 
     python3 tests/contract_digests.py > after.json
     python3 tests/contract_digests.py /path/to/other/checkout/src > before.json
@@ -21,6 +23,7 @@ import io
 import json
 import sys
 import tempfile
+from datetime import datetime, timedelta
 from pathlib import Path
 
 # the criterion-9 settings (tests/test_acceptance.py)
@@ -40,6 +43,43 @@ VARIANTS = {
 METRIC_FILES = ("metrics.json", "metrics.csv", "plot_data.csv")
 FILES = ("checkpoint.bin", "train_log.csv", *METRIC_FILES)
 METERS = ("m000", "m004", "m008")
+BENCH_FILES = ("complexity.json", "complexity_curve.csv")
+DATA_FILES = ("matrix.csv", "matrix.meta.json", "graph.json", "locations.csv")
+START = datetime(2022, 8, 1, 8, 0)
+RECORD_HEADERS = {
+    "space": "meter_id,timestamp,state",
+    "street": "street_id,timestamp,occupied_count,capacity",
+}
+
+
+def write_records(work: Path) -> tuple[Path, dict[str, Path]]:
+    """A locations file and one record file per kind, over 4 meters x 20
+    five-minute intervals: m0's timestamps end in Z, m1 misses 2 intervals
+    (10%, carried forward) and m3 misses 3 (15%, over the missing-data
+    limit, so it is dropped)."""
+    work.mkdir(parents=True, exist_ok=True)
+    locations = work / "locations.csv"
+    locations.write_text(
+        "meter_id,lat,lon\nm0,22.3,114.17\nm1,22.3,114.1703\n"
+        "m2,22.3,114.1706\nm3,22.3003,114.17\n"
+    )
+    missing = {"m1": (5, 6), "m3": (10, 11, 12)}
+    records = {}
+    for kind, header in RECORD_HEADERS.items():
+        lines = [header]
+        for i in range(4):
+            meter = f"m{i}"
+            for t in range(20):
+                if t in missing.get(meter, ()):
+                    continue
+                stamp = (START + timedelta(minutes=5 * t)).isoformat()
+                stamp += "Z" if meter == "m0" else ""
+                busy = (3 * i + 7 * t) % 11
+                cells = [busy % 2] if kind == "space" else [busy, 10]
+                lines.append(",".join(map(str, [meter, stamp, *cells])))
+        records[kind] = work / f"{kind}.csv"
+        records[kind].write_text("\n".join(lines) + "\n")
+    return locations, records
 
 
 def run(cli, argv: list[str]) -> bytes:
@@ -84,6 +124,17 @@ def digests(cli, work: Path) -> dict[str, str]:
                 "--top", "9",
             ])
             result[f"{name}/recommend-{meter}"] = sha(stdout)
+    bench = work / "bench"
+    run(cli, ["bench", "--data", str(data), "--out", str(bench)])
+    for file in BENCH_FILES:
+        result[f"bench/{file}"] = sha((bench / file).read_bytes())
+    locations, records = write_records(work / "records")
+    for kind, path in records.items():
+        out = work / f"ingest-{kind}"
+        run(cli, ["ingest", "--records", str(path), "--locations",
+                  str(locations), "--kind", kind, "--out", str(out)])
+        for file in DATA_FILES:
+            result[f"ingest-{kind}/{file}"] = sha((out / file).read_bytes())
     return result
 
 

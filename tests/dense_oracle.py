@@ -19,6 +19,14 @@ from parkrank.errors import ConfigError, DataError
 MASK_FILL = -1e30
 
 
+def adjacency(graph) -> np.ndarray:
+    """The [n, n] bool adjacency of a graph, from its edge list."""
+    adj = np.zeros((graph.num_vertices,) * 2, dtype=bool)
+    for i, j in graph.edges:
+        adj[i, j] = adj[j, i] = True
+    return adj
+
+
 def softmax(x) -> T.Tensor:
     """Softmax over the last axis of a dense array."""
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
@@ -44,18 +52,13 @@ def log_softmax(x) -> T.Tensor:
     return T._node(out, (x,), bw)
 
 
-def scores(
-    params, windows, current, states, training=False, dropout_rate=0.0,
-    rng=None,
-):
+def scores(params, windows, current, states, dropout_rate=0.0, rng=None):
     """forward_scores with the dense [batch, n, n, embed_dim] pair readout
     over every (query, candidate) pair, masked afterwards."""
-    rate = dropout_rate if training else 0.0
     batch, n, d = windows.shape[0], params.num_vertices, params.config.embed_dim
-    h = model.event_embed(params, windows, rate, rng)
-    z = model.graph_rounds(
-        params, model.real_time_features(current, states), h, rate, rng
-    )
+    h = model.event_embed(params, windows, dropout_rate, rng)
+    real_time = model.real_time_features(current, states)
+    z = model.graph_rounds(params, real_time, h, dropout_rate, rng)
     query_feat = np.concatenate(
         [np.tanh(windows), np.tanh(current)[..., None]], -1
     )

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import baseline_oracle
+from dense_oracle import adjacency
 from parkrank import cli, esgraph, evaluate, ingest, model, train
 from parkrank import tensor as T
 
@@ -262,7 +263,7 @@ class TestRecommend:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
         matrix, graph = cli.load_data_dir(data)
-        adj = graph.adjacency_matrix()
+        adj = adjacency(graph)
         hood = {matrix.meter_ids[v] for v in np.flatnonzero(adj[4])} | {"m004"}
         for line in lines:
             mid, score = line.split("\t")
@@ -391,6 +392,12 @@ def _invalid_model_field(path):
     T.save_checkpoint(path, entries, manifest)
 
 
+def _unknown_train_setting(path):
+    entries, manifest = T.load_checkpoint(path)
+    manifest["train"]["bogus"] = 1
+    T.save_checkpoint(path, entries, manifest)
+
+
 def _invalid_train_setting(path):
     entries, manifest = T.load_checkpoint(path)
     manifest["train"]["batch_size"] = 0
@@ -476,6 +483,9 @@ def pristine_tree(tmp_path_factory):
             "run/checkpoint.bin", _invalid_train_setting, id="train-value"
         ),
         pytest.param(
+            "run/checkpoint.bin", _unknown_train_setting, id="train-field"
+        ),
+        pytest.param(
             "data/graph.json", _rename_graph_meter, id="graph-meter-ids"
         ),
         pytest.param(
@@ -495,6 +505,42 @@ def test_corrupt_file_exit_2(pristine_tree, tmp_path, capsys, name, corrupt):
     err = capsys.readouterr().err
     assert "error:" in err
     assert name.split("/")[-1] in err
+
+
+@pytest.mark.parametrize(
+    "key, value, says",
+    [
+        pytest.param(
+            "score_activation", "softmax", "score_activation 'softmax'",
+            id="activation",
+        ),
+        pytest.param("conv_channels", 5, "conv_channels 5", id="channels"),
+        pytest.param("alpha", 4, "alpha 4", id="alpha"),
+        pytest.param(
+            "kernel_len", 9, "kernel_len 9 exceeds alpha 3", id="invalid"
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ["eval", "recommend"])
+def test_checkpoint_settings_disagree_exit_2(
+    pristine_tree, tmp_path, capsys, command, key, value, says
+):
+    # the model comes from the checkpoint's model fields, the windows from
+    # its training settings, so the two copies must agree
+    checkpoint = tmp_path / "edited.bin"
+    entries, manifest = T.load_checkpoint(
+        pristine_tree / "run" / "checkpoint.bin"
+    )
+    manifest["train"][key] = value
+    T.save_checkpoint(checkpoint, entries, manifest)
+    extra = (["--out", tmp_path / "x"] if command == "eval"
+             else ["--query", "m000", "--time", 100])
+    code = run(command, "--data", pristine_tree / "data", "--checkpoint",
+               checkpoint, *extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "edited.bin" in err
+    assert says in err
 
 
 @pytest.mark.parametrize(

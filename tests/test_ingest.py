@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import adjacency
 from parkrank import ingest
 from parkrank.errors import (
     ConfigError,
@@ -67,7 +68,7 @@ class TestBuildAdjacency:
             ingest.SynthConfig(num_locations=9, num_intervals=1)
         )
         graph = ingest.build_adjacency(locs, 50.0)
-        adj = graph.adjacency_matrix()
+        adj = adjacency(graph)
         for i in range(9):
             for j in np.flatnonzero(adj[i]):
                 assert i in np.flatnonzero(adj[j])
@@ -96,7 +97,7 @@ class TestBuildAdjacency:
 def bfs_oracle(graph, source):
     """Hop counts from one source by a plain level-by-level BFS."""
     n = graph.num_vertices
-    adj = graph.adjacency_matrix()
+    adj = adjacency(graph)
     hops = np.full(n, n + 1, dtype=np.int64)
     hops[source] = 0
     frontier = [source]
@@ -143,11 +144,7 @@ class TestDerivedArrays:
 
     def test_read_only_and_computed_once(self):
         graph = random_graph(np.random.default_rng(3), 10, 90.0)
-        for get in (
-            graph.adjacency_matrix,
-            graph.allowed_mask,
-            graph.all_hop_distances,
-        ):
+        for get in (graph.allowed_mask, graph.all_hop_distances):
             arr = get()
             assert get() is arr
             with pytest.raises(ValueError):
@@ -157,7 +154,7 @@ class TestDerivedArrays:
 
     def test_allowed_mask_adds_self(self):
         graph = random_graph(np.random.default_rng(4), 10, 90.0)
-        expected = graph.adjacency_matrix() | np.eye(10, dtype=bool)
+        expected = adjacency(graph) | np.eye(10, dtype=bool)
         assert np.array_equal(graph.allowed_mask(), expected)
 
     def test_construction_builds_no_hop_table(self, tmp_path):

@@ -257,16 +257,15 @@ class TestForwardScores:
         states = np.zeros((2, 4), dtype=bool)
         with pytest.raises(ConfigError):
             model.forward_scores(
-                params, windows, current, states, training=True,
-                dropout_rate=0.5,
+                params, windows, current, states, dropout_rate=0.5
             )
         a = model.forward_scores(
-            params, windows, current, states, training=True,
-            dropout_rate=0.5, rng=np.random.default_rng(9),
+            params, windows, current, states, dropout_rate=0.5,
+            rng=np.random.default_rng(9),
         ).data
         b = model.forward_scores(
-            params, windows, current, states, training=True,
-            dropout_rate=0.5, rng=np.random.default_rng(9),
+            params, windows, current, states, dropout_rate=0.5,
+            rng=np.random.default_rng(9),
         ).data
         assert np.array_equal(a, b)
 
@@ -277,7 +276,7 @@ class TestForwardScores:
         windows = rng.integers(-5, 5, (2, 9, 3)).astype(float)
         current = rng.integers(1, 6, (2, 9)).astype(float)
         states = rng.random((2, 9)) < 0.5
-        scores = model.forward_scores(params, windows, current, states)
+        scores = model.edge_scores(params, windows, current, states)
         T.backward(T.reduce_sum(T.mul(scores, scores)))
         for name, t in params.named.items():
             assert t.grad is not None, name
@@ -289,7 +288,7 @@ class TestForwardScores:
         windows = rng.integers(-5, 5, (2, 9, 2)).astype(float)
         current = rng.integers(1, 6, (2, 9)).astype(float)
         states = rng.random((2, 9)) < 0.5
-        scores = model.forward_scores(params, windows, current, states)
+        scores = model.edge_scores(params, windows, current, states)
         T.backward(T.reduce_sum(scores))
         grad = params.get("mask.weights").grad
         assert (grad[~params.allowed] == 0.0).all()
@@ -369,7 +368,7 @@ class TestEdgeListReadout:
 
             monkeypatch.setattr(T, "_node", recording_node)
             scores = forward(
-                params, windows, current, states, True, 0.3,
+                params, windows, current, states, 0.3,
                 np.random.default_rng(5),
             )
             loss = loss_fn(labels, scores, params, 0.3, 1e-4)
@@ -390,7 +389,7 @@ class TestEdgeListReadout:
             want_scores[:, params.src, params.dst].tobytes()
         )
         assert model.forward_scores(
-            params, windows, current, states, True, 0.3,
+            params, windows, current, states, 0.3,
             np.random.default_rng(5),
         ).data.tobytes() == want_scores.tobytes()
         assert loss.tobytes() == want_loss.tobytes()
