@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import esgraph, evaluate, ingest, model, train
+from . import tensor as T
 from .errors import ConfigError, DataError, ParkrankError, ParseError
 
 log = logging.getLogger("parkrank")
@@ -246,21 +247,17 @@ def cmd_train(args) -> int:
 
 
 def load_checkpoint_bundle(checkpoint, graph):
-    params, manifest = model.ModelParams.load(checkpoint, graph)
-    if "train" not in manifest:
-        raise DataError(f"{checkpoint}: checkpoint lacks training settings")
+    # the one reader of a checkpoint: the model is built from its training
+    # settings, which the top-level copy must equal; errors name the file
+    entries, manifest = T.load_checkpoint(checkpoint)
     try:
-        cfg = train.TrainConfig.from_manifest(manifest["train"])
-        listed = asdict(cfg.model_config())
+        cfg = train.TrainConfig.from_manifest(manifest.get("train"))
+        params = model.ModelParams(
+            cfg.model_config(), graph, np.random.default_rng(0)
+        )
+        params.load_weights(entries, manifest)
     except (DataError, ConfigError) as exc:
         raise DataError(f"{checkpoint}: {exc}") from None
-    # eval and recommend build windows from cfg, the model from its own copy
-    saved = asdict(params.config)
-    for key in (k for k in saved if saved[k] != listed[k]):
-        raise DataError(
-            f"{checkpoint}: training settings give {key} {listed[key]!r} "
-            f"but the model was saved with {saved[key]!r}"
-        )
     return params, cfg
 
 
@@ -270,9 +267,11 @@ EVAL_SPEC = {
 }
 
 EVAL_CSV_COLUMNS = (
-    "model,scenario,num_queries,ndcg1,ndcg1_std,ndcg5,ndcg5_std,"
-    "map1,map1_std,map5,map5_std,awtp1,awtp2,awtp3,awtp4,awtp5,"
-    "iawtp,rnwtr1,rnwtr2,rnwtr3,rnwtr4,rnwtr5"
+    "model", "scenario", "num_queries",
+    *(f"{metric}{n}{part}" for metric in ("ndcg", "map")
+      for n in evaluate.RANK_NS for part in ("", "_std")),
+    *(f"awtp{n}" for n in evaluate.WAIT_NS), "iawtp",
+    *(f"rnwtr{n}" for n in evaluate.WAIT_NS),
 )
 
 
@@ -297,7 +296,7 @@ def write_metric_files(out, reports) -> None:
     (out / "metrics.json").write_text(evaluate.reports_to_json(reports))
     with (out / "metrics.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(EVAL_CSV_COLUMNS.split(","))
+        writer.writerow(EVAL_CSV_COLUMNS)
         for name in sorted(reports):
             for scenario in sorted(reports[name]):
                 writer.writerow(_report_csv_row(reports[name][scenario]))

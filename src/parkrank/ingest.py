@@ -185,14 +185,14 @@ class SpatialGraph:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Settings for the synthetic occupancy generator."""
+    """Settings for the synthetic occupancy generator; its diurnal period
+    is one day of the DEFAULT_INTERVAL_MINUTES intervals it stamps."""
 
     num_locations: int
     num_intervals: int
     grid_spacing_m: float = 40.0
     base_occupancy_rate: float = 0.45
     spatial_correlation: float = 0.5
-    daily_period_intervals: int = 288
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -206,8 +206,6 @@ class SynthConfig:
             raise ConfigError("base_occupancy_rate must be within [0, 1]")
         if not (0.0 <= self.spatial_correlation <= 1.0):
             raise ConfigError("spatial_correlation must be within [0, 1]")
-        if self.daily_period_intervals < 1:
-            raise ConfigError("daily_period_intervals must be at least 1")
 
 
 def haversine_distance(a: MeterLocation, b: MeterLocation) -> float:
@@ -454,7 +452,7 @@ def synth_generate(cfg: SynthConfig) -> tuple[list[MeterLocation], OccupancyMatr
 
     base = cfg.base_occupancy_rate
     amp = DIURNAL_AMP_FRAC * min(base, 1.0 - base)
-    period = cfg.daily_period_intervals
+    period = 24 * 60 // DEFAULT_INTERVAL_MINUTES
     phase = 2.0 * np.pi * (np.arange(cfg.num_intervals) % period) / period
     sin_mod = amp * np.sin(phase)
 

@@ -130,10 +130,6 @@ class ModelParams:
         )
 
     @property
-    def named(self) -> dict[str, T.Tensor]:
-        return dict(self._tensors)
-
-    @property
     def tensors(self) -> list[T.Tensor]:
         return list(self._tensors.values())
 
@@ -160,31 +156,21 @@ class ModelParams:
             path, {k: v.data for k, v in self._tensors.items()}, manifest
         )
 
-    @classmethod
-    def load(cls, path, spatial: SpatialGraph) -> tuple["ModelParams", dict]:
-        entries, manifest = T.load_checkpoint(path)
-        try:
-            config = ModelConfig(
-                alpha=int(manifest["alpha"]),
-                beta=int(manifest["beta"]),
-                conv_channels=int(manifest["conv_channels"]),
-                embed_dim=int(manifest["embed_dim"]),
-                kernel_len=int(manifest["kernel_len"]),
-                score_activation=str(manifest["score_activation"]),
-            )
-            num_vertices = int(manifest["num_vertices"])
-        except (KeyError, TypeError, ValueError, ConfigError) as exc:
+    def load_weights(self, entries: dict, manifest: dict) -> None:
+        """Copy in a checkpoint's tensors, once its manifest's top-level
+        model fields and vertex count equal this model's exactly."""
+        if manifest.get("num_vertices") != self.num_vertices:
             raise DataError(
-                f"{path}: checkpoint manifest has a missing, mistyped or "
-                f"invalid model field: {exc}"
-            ) from None
-        if num_vertices != spatial.num_vertices:
-            raise DataError(
-                f"checkpoint was trained on {num_vertices} "
-                f"vertices but the graph has {spatial.num_vertices}"
+                f"checkpoint was trained on {manifest.get('num_vertices')!r} "
+                f"vertices but the graph has {self.num_vertices}"
             )
-        params = cls(config, spatial, np.random.default_rng(0))
-        for name, t in params._tensors.items():
+        for key, value in asdict(self.config).items():
+            if manifest.get(key) != value:
+                raise DataError(
+                    f"training settings give {key} {value!r} but the model "
+                    f"was saved with {manifest.get(key)!r}"
+                )
+        for name, t in self._tensors.items():
             if name not in entries:
                 raise DataError(f"checkpoint is missing tensor {name!r}")
             if entries[name].shape != t.data.shape:
@@ -193,7 +179,6 @@ class ModelParams:
                     f"{entries[name].shape}, expected {t.data.shape}"
                 )
             t.data = entries[name].copy()
-        return params, manifest
 
 
 def _dropout(x: T.Tensor, rate: float, rng) -> T.Tensor:

@@ -25,6 +25,9 @@ import numpy as np
 from .errors import DataError, DimensionError
 
 CHECKPOINT_MAGIC = b"OPRLTR1"
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 class Tensor:
@@ -586,20 +589,11 @@ def backward(loss: Tensor) -> None:
 
 
 class AdamState:
-    """Per-parameter Adam moments, aligned by position with the params."""
+    """Per-parameter Adam moments, aligned by position with the params;
+    only the learning rate is set, the decays and epsilon are ADAM_*."""
 
-    def __init__(
-        self,
-        params: Sequence[Tensor],
-        learning_rate: float = 0.002,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ):
+    def __init__(self, params: Sequence[Tensor], learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.step_count = 0
         self.first_moment = [np.zeros_like(p.data) for p in params]
         self.second_moment = [np.zeros_like(p.data) for p in params]
@@ -614,18 +608,17 @@ def adam_step(params: Sequence[Tensor], state: AdamState) -> None:
         )
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
     for i, p in enumerate(params):
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         m = state.first_moment[i]
         v = state.second_moment[i]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        p.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
         p.grad = None
 
 

@@ -91,10 +91,7 @@ class TrainConfig:
             kind = (int, float) if known[name] is float else known[name]
             if not isinstance(value, kind):
                 raise DataError(f"training field {name} has value {value!r}")
-        try:
-            return cls(**payload)
-        except ConfigError as exc:
-            raise DataError(f"bad training settings: {exc}") from None
+        return cls(**payload)
 
 
 @dataclass

@@ -185,11 +185,11 @@ def test_criterion_4_gcn_oracle_and_equivariance():
         locs_p = [locs[v] for v in perm]
         graph_p = ingest.build_adjacency(locs_p)
         params_p = model.ModelParams(cfg, graph_p, np.random.default_rng(0))
-        for name, t in params.named.items():
+        for name, arr in params.snapshot().items():
             if name == "mask.weights":
-                params_p.get(name).data = t.data[perm][:, perm].copy()
+                params_p.get(name).data = arr[perm][:, perm]
             else:
-                params_p.get(name).data = t.data.copy()
+                params_p.get(name).data = arr
         scores_p = model.forward_scores(
             params_p, windows[:, perm], current[:, perm], states[:, perm]
         ).data[0]

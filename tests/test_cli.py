@@ -300,12 +300,15 @@ class TestBench:
         assert int(last[0]) == 150
         assert int(last[1]) == 9 * 150
 
-    def test_checkpoint_graph_mismatch_exit_2(self, tmp_path):
+    def test_checkpoint_graph_mismatch_exit_2(self, tmp_path, capsys):
         data = synth_dir(tmp_path)
         other = synth_dir(tmp_path, "other", locations=4, intervals=150)
         run_dir = trained_dir(tmp_path, data)
         assert run("eval", "--data", other, "--checkpoint",
                    run_dir / "checkpoint.bin", "--out", tmp_path / "x") == 2
+        err = capsys.readouterr().err
+        assert "checkpoint.bin" in err
+        assert "trained on 9 vertices but the graph has 4" in err
 
 
 @pytest.mark.parametrize(
@@ -404,6 +407,18 @@ def _invalid_train_setting(path):
     T.save_checkpoint(path, entries, manifest)
 
 
+def _drop_tensor(path):
+    entries, manifest = T.load_checkpoint(path)
+    del entries["readout.bias"]
+    T.save_checkpoint(path, entries, manifest)
+
+
+def _reshape_tensor(path):
+    entries, manifest = T.load_checkpoint(path)
+    entries["readout.item"] = entries["readout.item"][:, :-1]
+    T.save_checkpoint(path, entries, manifest)
+
+
 def _overflowing_tensor_shape(path):
     """Cut after the first tensor's name, then declare a rank-4 tensor of
     (2**32 - 1)-long dims whose element count overflows int64."""
@@ -492,6 +507,11 @@ def pristine_tree(tmp_path_factory):
             "run/checkpoint.bin", _overflowing_tensor_shape,
             id="tensor-shape",
         ),
+        pytest.param("run/checkpoint.bin", _drop_tensor, id="missing-tensor"),
+        pytest.param(
+            "run/checkpoint.bin", _reshape_tensor,
+            id="tensor-shape-mismatch",
+        ),
     ],
 )
 def test_corrupt_file_exit_2(pristine_tree, tmp_path, capsys, name, corrupt):
@@ -508,30 +528,44 @@ def test_corrupt_file_exit_2(pristine_tree, tmp_path, capsys, name, corrupt):
 
 
 @pytest.mark.parametrize(
-    "key, value, says",
+    "copy, key, value, says",
     [
         pytest.param(
-            "score_activation", "softmax", "score_activation 'softmax'",
-            id="activation",
+            "train", "score_activation", "softmax",
+            "score_activation 'softmax'", id="activation",
         ),
-        pytest.param("conv_channels", 5, "conv_channels 5", id="channels"),
-        pytest.param("alpha", 4, "alpha 4", id="alpha"),
         pytest.param(
-            "kernel_len", 9, "kernel_len 9 exceeds alpha 3", id="invalid"
+            "train", "conv_channels", 5, "conv_channels 5", id="channels"
+        ),
+        pytest.param("train", "alpha", 4, "alpha 4", id="alpha"),
+        pytest.param(
+            "train", "kernel_len", 9, "kernel_len 9 exceeds alpha 3",
+            id="invalid",
+        ),
+        # the top-level copy is never cast: it must equal the other exactly
+        pytest.param(
+            "top", "alpha", 3.5, "saved with 3.5", id="top-alpha-float"
+        ),
+        pytest.param(
+            "top", "alpha", "3", "saved with '3'", id="top-alpha-string"
+        ),
+        pytest.param(
+            "top", "num_vertices", 9.5, "trained on 9.5 vertices",
+            id="top-vertices-float",
         ),
     ],
 )
 @pytest.mark.parametrize("command", ["eval", "recommend"])
 def test_checkpoint_settings_disagree_exit_2(
-    pristine_tree, tmp_path, capsys, command, key, value, says
+    pristine_tree, tmp_path, capsys, command, copy, key, value, says
 ):
-    # the model comes from the checkpoint's model fields, the windows from
-    # its training settings, so the two copies must agree
+    # the model is built from the checkpoint's training settings, which
+    # its top-level model fields must repeat
     checkpoint = tmp_path / "edited.bin"
     entries, manifest = T.load_checkpoint(
         pristine_tree / "run" / "checkpoint.bin"
     )
-    manifest["train"][key] = value
+    (manifest["train"] if copy == "train" else manifest)[key] = value
     T.save_checkpoint(checkpoint, entries, manifest)
     extra = (["--out", tmp_path / "x"] if command == "eval"
              else ["--query", "m000", "--time", 100])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import dense_oracle
-from parkrank import esgraph, ingest, model, train
+from parkrank import cli, esgraph, ingest, model, train
 from parkrank import tensor as T
 from parkrank.errors import ConfigError, DataError
 
@@ -179,9 +179,9 @@ class TestGcnUpdate:
         params_p = make_params(
             graph_p, alpha=2, beta=2, conv_channels=3, embed_dim=4
         )
-        for name, t in params.named.items():
+        for name, arr in params.snapshot().items():
             if name != "mask.weights":
-                params_p.get(name).data = t.data.copy()
+                params_p.get(name).data = arr
         z_p = model.graph_rounds(
             params_p, rt[perm][np.newaxis], h[perm][np.newaxis]
         ).data[0]
@@ -278,8 +278,8 @@ class TestForwardScores:
         states = rng.random((2, 9)) < 0.5
         scores = model.edge_scores(params, windows, current, states)
         T.backward(T.reduce_sum(T.mul(scores, scores)))
-        for name, t in params.named.items():
-            assert t.grad is not None, name
+        for name in params.snapshot():
+            assert params.get(name).grad is not None, name
 
     def test_mask_grads_zero_outside_allowed(self):
         graph = grid_graph(9)
@@ -374,7 +374,7 @@ class TestEdgeListReadout:
             loss = loss_fn(labels, scores, params, 0.3, 1e-4)
             T.backward(loss)
             monkeypatch.setattr(T, "_node", make_node)
-            grads = {k: t.grad for k, t in params.named.items()}
+            grads = {k: params.get(k).grad for k in params.snapshot()}
             for t in params.tensors:
                 t.grad = None
             return scores.data, loss.data, grads, shapes
@@ -466,21 +466,34 @@ class TestModelConfig:
             model.ModelConfig(beta=0)
 
 
+def save_trained(path, graph, seed=0, **settings):
+    """A checkpoint as train writes it: the model built from a TrainConfig,
+    saved with that config's manifest."""
+    cfg = train.TrainConfig(**settings)
+    params = model.ModelParams(
+        cfg.model_config(), graph, np.random.default_rng(seed)
+    )
+    params.save(path, {"train": cfg.to_manifest()})
+    return params, cfg
+
+
 class TestSaveLoad:
     def test_round_trip_preserves_everything(self, tmp_path):
         graph = grid_graph(9)
-        params = make_params(graph, seed=3, alpha=3, beta=2)
         path = tmp_path / "model.bin"
-        params.save(path, extra_manifest={"horizon_intervals": 4})
-        loaded, manifest = model.ModelParams.load(path, graph)
-        assert manifest["horizon_intervals"] == 4
-        assert manifest["score_activation"] == "relu"
-        for name, t in params.named.items():
-            assert np.array_equal(loaded.get(name).data, t.data)
+        params, cfg = save_trained(
+            path, graph, seed=3, alpha=3, beta=2, horizon_intervals=4
+        )
+        loaded, loaded_cfg = cli.load_checkpoint_bundle(path, graph)
+        assert loaded_cfg == cfg
+        assert loaded.config == params.config
+        for name, arr in params.snapshot().items():
+            assert np.array_equal(loaded.get(name).data, arr)
 
     def test_vertex_count_mismatch_rejected(self, tmp_path):
-        params = make_params(grid_graph(9))
         path = tmp_path / "model.bin"
-        params.save(path)
-        with pytest.raises(DataError, match="vertices"):
-            model.ModelParams.load(path, grid_graph(4))
+        save_trained(path, grid_graph(9))
+        with pytest.raises(
+            DataError, match="trained on 9 vertices but the graph has 4"
+        ):
+            cli.load_checkpoint_bundle(path, grid_graph(4))

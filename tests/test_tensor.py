@@ -513,7 +513,7 @@ class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         p = T.Tensor([1.0, -2.0], requires_grad=True)
         p.grad = np.zeros(2)
-        state = T.AdamState([p])
+        state = T.AdamState([p], learning_rate=0.002)
         T.adam_step([p], state)
         assert p.data.tolist() == [1.0, -2.0]
         assert p.grad is None
@@ -539,7 +539,7 @@ class TestAdam:
     def test_param_count_mismatch(self):
         p = T.Tensor([1.0], requires_grad=True)
         q = T.Tensor([1.0], requires_grad=True)
-        state = T.AdamState([p])
+        state = T.AdamState([p], learning_rate=0.002)
         with pytest.raises(DimensionError, match="adam_step"):
             T.adam_step([p, q], state)
 

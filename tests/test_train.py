@@ -214,8 +214,8 @@ class TestTrainLoop:
         a = train.train_loop(matrix, graph, cfg)
         b = train.train_loop(matrix, graph, cfg)
         assert a.log == b.log
-        for name, t in a.params.named.items():
-            assert np.array_equal(t.data, b.params.named[name].data)
+        for name, arr in a.params.snapshot().items():
+            assert np.array_equal(arr, b.params.get(name).data)
 
     def test_loss_decreases_on_tiny_overfit(self):
         matrix, graph = small_world(seed=3, locs=4, intervals=60)
