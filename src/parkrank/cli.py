@@ -21,7 +21,7 @@ import numpy as np
 
 from . import esgraph, evaluate, ingest, model, train
 from . import tensor as T
-from .errors import ConfigError, DataError, ParkrankError, ParseError
+from .errors import ConfigError, DataError, ParkrankError, ParseError, reading
 
 log = logging.getLogger("parkrank")
 
@@ -32,12 +32,9 @@ LOCATIONS_FILE = "locations.csv"
 
 def read_config(path, allowed_keys) -> dict[str, str]:
     """Parse a key=value options file; # starts a comment."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"config file not found: {path}")
     options: dict[str, str] = {}
-    try:
-        for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    with reading(path):
+        for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -51,10 +48,6 @@ def read_config(path, allowed_keys) -> dict[str, str]:
             if not value:
                 raise ParseError(f"empty value for {key}", line=lineno)
             options[key] = value
-    except UnicodeDecodeError:
-        raise DataError(f"{path}: undecodable bytes") from None
-    except ParseError as exc:
-        raise exc.in_file(path) from None
     return options
 
 
@@ -165,25 +158,17 @@ INGEST_SPEC = {
 
 def cmd_ingest(args) -> int:
     opts = Resolver(args, INGEST_SPEC)
-    records = Path(args.records)
-    if not records.exists():
-        raise DataError(f"records file not found: {records}")
-    try:
-        with records.open(newline="") as fh:
-            if args.kind == "space":
-                matrix = ingest.parse_space_records(
-                    fh, interval_minutes=opts["interval_minutes"]
-                )
-            else:
-                matrix = ingest.parse_street_records(
-                    fh,
-                    full_loaded_ratio=opts["full_ratio"],
-                    interval_minutes=opts["interval_minutes"],
-                )
-    except UnicodeDecodeError:
-        raise DataError(f"{records}: undecodable bytes") from None
-    except DataError as exc:
-        raise exc.in_file(records) from None
+    with reading(args.records), open(args.records, newline="") as fh:
+        if args.kind == "space":
+            matrix = ingest.parse_space_records(
+                fh, interval_minutes=opts["interval_minutes"]
+            )
+        else:
+            matrix = ingest.parse_street_records(
+                fh,
+                full_loaded_ratio=opts["full_ratio"],
+                interval_minutes=opts["interval_minutes"],
+            )
     by_id = {loc.meter_id: loc for loc in ingest.load_locations(args.locations)}
     missing = [mid for mid in matrix.meter_ids if mid not in by_id]
     if missing:
@@ -250,14 +235,15 @@ def load_checkpoint_bundle(checkpoint, graph):
     # the one reader of a checkpoint: the model is built from its training
     # settings, which the top-level copy must equal; errors name the file
     entries, manifest = T.load_checkpoint(checkpoint)
-    try:
-        cfg = train.TrainConfig.from_manifest(manifest.get("train"))
-        params = model.ModelParams(
-            cfg.model_config(), graph, np.random.default_rng(0)
-        )
-        params.load_weights(entries, manifest)
-    except (DataError, ConfigError) as exc:
-        raise DataError(f"{checkpoint}: {exc}") from None
+    with reading(checkpoint):
+        try:
+            cfg = train.TrainConfig.from_manifest(manifest.get("train"))
+            params = model.ModelParams(
+                cfg.model_config(), graph, np.random.default_rng(0)
+            )
+            params.load_weights(entries, manifest)
+        except ConfigError as exc:
+            raise DataError(str(exc)) from None
     return params, cfg
 
 

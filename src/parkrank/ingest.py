@@ -5,7 +5,8 @@ meter per timestamp; street records carry (occupied_count, capacity) per
 street segment and are binarized with a full-loaded ratio rule. Both are
 snapped to a fixed interval grid, gap-filled by carrying the last
 observation forward, and meters missing more than MISSING_DROP_FRAC of
-the grid are dropped.
+the grid are dropped. Each loader parses its file inside errors.reading,
+so any read or parse failure is a DataError that names the file once.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, DataError, EmptyDatasetError, ParseError
+from .errors import (
+    ConfigError, DataError, EmptyDatasetError, ParseError, reading
+)
 
 log = logging.getLogger(__name__)
 
@@ -256,24 +259,37 @@ def _parse_timestamp(text: str, line: int) -> datetime:
     return ts
 
 
-def _read_header(reader, required: tuple[str, ...]) -> dict[str, int]:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyDatasetError("empty dataset: no header row") from None
+def _records(rows, required: tuple[str, ...]):
+    """Yield (line, {column: cell}) for each record of a CSV whose header
+    row names the required columns; all-blank rows are skipped."""
+    reader = csv.reader(rows)
+    header = next(reader, None)
+    if header is None:
+        raise EmptyDatasetError("empty dataset: no header row")
     names = [h.strip() for h in header]
-    positions = {}
     for col in required:
         if col not in names:
             raise ParseError(f"missing column {col!r} in header", line=1)
-        positions[col] = names.index(col)
-    return positions
+    positions = {col: names.index(col) for col in required}
+    width = max(positions.values())
+    for record in reader:
+        if all(not cell.strip() for cell in record):
+            continue
+        if len(record) <= width:
+            raise ParseError("too few fields", line=reader.line_num)
+        yield reader.line_num, {c: record[i] for c, i in positions.items()}
 
 
 def _grid_from_observations(
     observations: dict[str, list[tuple[datetime, bool]]], interval_minutes: int
 ) -> OccupancyMatrix:
     """Snap (timestamp, state) observations to a grid and gap-fill."""
+    if interval_minutes < 1:
+        raise ConfigError(
+            f"interval_minutes must be at least 1, got {interval_minutes}"
+        )
+    if not observations:
+        raise EmptyDatasetError("empty dataset: no records")
     start = min(ts for obs in observations.values() for ts, _ in obs)
     step_s = interval_minutes * 60.0
     max_idx = 0
@@ -339,25 +355,16 @@ def parse_space_records(
     interval_minutes: int = DEFAULT_INTERVAL_MINUTES,
 ) -> OccupancyMatrix:
     """Parse per-space CSV records: meter_id, timestamp, state(0/1)."""
-    reader = csv.reader(rows)
-    cols = _read_header(reader, ("meter_id", "timestamp", "state"))
     observations: dict[str, list[tuple[datetime, bool]]] = {}
-    for record in reader:
-        if not record or all(not cell.strip() for cell in record):
-            continue
-        line = reader.line_num
-        if len(record) <= max(cols.values()):
-            raise ParseError("too few fields", line=line)
-        meter = record[cols["meter_id"]].strip()
+    for line, rec in _records(rows, ("meter_id", "timestamp", "state")):
+        meter = rec["meter_id"].strip()
         if not meter:
             raise ParseError("empty meter_id", line=line)
-        ts = _parse_timestamp(record[cols["timestamp"]], line)
-        state_text = record[cols["state"]].strip()
+        ts = _parse_timestamp(rec["timestamp"], line)
+        state_text = rec["state"].strip()
         if state_text not in ("0", "1"):
             raise ParseError(f"invalid state {state_text!r}", line=line)
         observations.setdefault(meter, []).append((ts, state_text == "1"))
-    if not observations:
-        raise EmptyDatasetError("empty dataset: no records")
     return _grid_from_observations(observations, interval_minutes)
 
 
@@ -370,24 +377,17 @@ def parse_street_records(
     capacity. A street counts as occupied when occupied/capacity exceeds
     the full-loaded ratio (strictly).
     """
-    reader = csv.reader(rows)
-    cols = _read_header(
-        reader, ("street_id", "timestamp", "occupied_count", "capacity")
-    )
     observations: dict[str, list[tuple[datetime, bool]]] = {}
-    for record in reader:
-        if not record or all(not cell.strip() for cell in record):
-            continue
-        line = reader.line_num
-        if len(record) <= max(cols.values()):
-            raise ParseError("too few fields", line=line)
-        street = record[cols["street_id"]].strip()
+    for line, rec in _records(
+        rows, ("street_id", "timestamp", "occupied_count", "capacity")
+    ):
+        street = rec["street_id"].strip()
         if not street:
             raise ParseError("empty street_id", line=line)
-        ts = _parse_timestamp(record[cols["timestamp"]], line)
+        ts = _parse_timestamp(rec["timestamp"], line)
         try:
-            occupied = int(record[cols["occupied_count"]])
-            capacity = int(record[cols["capacity"]])
+            occupied = int(rec["occupied_count"])
+            capacity = int(rec["capacity"])
         except ValueError:
             raise ParseError("counts must be integers", line=line) from None
         if capacity <= 0:
@@ -401,8 +401,6 @@ def parse_street_records(
             )
         state = occupied / capacity > full_loaded_ratio
         observations.setdefault(street, []).append((ts, state))
-    if not observations:
-        raise EmptyDatasetError("empty dataset: no records")
     return _grid_from_observations(observations, interval_minutes)
 
 
@@ -518,47 +516,33 @@ def save_matrix(matrix: OccupancyMatrix, csv_path) -> None:
 
 def load_matrix(csv_path) -> OccupancyMatrix:
     csv_path = Path(csv_path)
+    with reading(csv_path), csv_path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        meter_ids = next(reader, None)
+        if meter_ids is None:
+            raise EmptyDatasetError("empty file")
+        index = {m: i for i, m in enumerate(meter_ids)}
+        dup = [m for i, m in enumerate(meter_ids) if index[m] != i]
+        if dup:
+            raise DataError(f"duplicate meter id {dup[0]!r}")
+        rows = []  # one "0"/"1" string per interval
+        for record in reader:
+            if len(record) != len(meter_ids):
+                raise ParseError(
+                    "row width does not match header", line=reader.line_num
+                )
+            if not set(record) <= MATRIX_CELLS:
+                raise ParseError("cells must be 0 or 1", line=reader.line_num)
+            rows.append("".join(record))
+        if not rows:
+            raise EmptyDatasetError("no interval rows")
     meta_path = _meta_path(csv_path)
-    if not csv_path.exists():
-        raise DataError(f"matrix file not found: {csv_path}")
-    if not meta_path.exists():
-        raise DataError(f"matrix sidecar not found: {meta_path}")
-    try:
+    with reading(meta_path):
         meta = json.loads(meta_path.read_text())
         interval_minutes = int(meta["interval_minutes"])
         if interval_minutes <= 0:
-            raise ValueError("interval_minutes must be positive")
+            raise DataError("interval_minutes must be positive")
         start_time = datetime.fromisoformat(meta["start_time"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{meta_path}: bad matrix sidecar: {exc}") from None
-    try:
-        with csv_path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                meter_ids = next(reader)
-            except StopIteration:
-                raise EmptyDatasetError(f"{csv_path}: empty file") from None
-            index = {m: i for i, m in enumerate(meter_ids)}
-            dup = [m for i, m in enumerate(meter_ids) if index[m] != i]
-            if dup:
-                raise DataError(f"{csv_path}: duplicate meter id {dup[0]!r}")
-            rows = []  # one "0"/"1" string per interval
-            for record in reader:
-                if len(record) != len(meter_ids):
-                    raise ParseError(
-                        f"row width does not match header in {csv_path}",
-                        line=reader.line_num,
-                    )
-                if not set(record) <= MATRIX_CELLS:
-                    raise ParseError(
-                        f"cells must be 0 or 1 in {csv_path}",
-                        line=reader.line_num,
-                    )
-                rows.append("".join(record))
-    except UnicodeDecodeError:
-        raise DataError(f"{csv_path}: undecodable bytes") from None
-    if not rows:
-        raise EmptyDatasetError(f"{csv_path}: no interval rows")
     cells = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
     states = (cells.reshape(len(rows), len(meter_ids)) == ord("1")).T
     return OccupancyMatrix(
@@ -581,19 +565,14 @@ def save_graph(graph: SpatialGraph, path) -> None:
 
 
 def load_graph(path) -> SpatialGraph:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"graph file not found: {path}")
-    try:
-        payload = json.loads(path.read_text())
+    with reading(path):
+        payload = json.loads(Path(path).read_text())
         vertices = tuple(
             MeterLocation(v["meter_id"], float(v["lat"]), float(v["lon"]))
             for v in payload["vertices"]
         )
         edges = frozenset((int(i), int(j)) for i, j in payload["edges"])
         return SpatialGraph(vertices=vertices, edges=edges)
-    except (KeyError, TypeError, ValueError, DataError) as exc:
-        raise DataError(f"{path}: bad graph file: {exc}") from None
 
 
 def save_locations(locations: list[MeterLocation], path) -> None:
@@ -605,30 +584,15 @@ def save_locations(locations: list[MeterLocation], path) -> None:
 
 
 def load_locations(path) -> list[MeterLocation]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"locations file not found: {path}")
-    try:
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            cols = _read_header(reader, ("meter_id", "lat", "lon"))
-            out = []
-            for record in reader:
-                if not record:
-                    continue
-                line = reader.line_num
-                if len(record) <= max(cols.values()):
-                    raise ParseError("too few fields", line=line)
-                try:
-                    lat = float(record[cols["lat"]])
-                    lon = float(record[cols["lon"]])
-                except ValueError:
-                    raise ParseError("invalid coordinate", line=line) from None
-                out.append(MeterLocation(record[cols["meter_id"]], lat, lon))
-    except UnicodeDecodeError:
-        raise DataError(f"{path}: undecodable bytes") from None
-    except DataError as exc:
-        raise exc.in_file(path) from None
-    if not out:
-        raise EmptyDatasetError(f"{path}: locations file has no rows")
+    with reading(path), Path(path).open(newline="") as fh:
+        out = []
+        for line, rec in _records(fh, ("meter_id", "lat", "lon")):
+            try:
+                lat = float(rec["lat"])
+                lon = float(rec["lon"])
+            except ValueError:
+                raise ParseError("invalid coordinate", line=line) from None
+            out.append(MeterLocation(rec["meter_id"], lat, lon))
+        if not out:
+            raise EmptyDatasetError("locations file has no rows")
     return out

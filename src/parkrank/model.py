@@ -35,15 +35,16 @@ class ModelConfig:
     alpha: events read per vertex; beta: graph mixing rounds;
     conv_channels and embed_dim size the event and vertex embeddings.
     score_activation picks the final squash of each pair's score: relu, or
-    a softmax over each query's pairs.
+    a softmax over each query's pairs. There are no defaults here:
+    train.TrainConfig holds them.
     """
 
-    alpha: int = 2
-    beta: int = 3
-    conv_channels: int = 16
-    embed_dim: int = 16
-    kernel_len: int = 2
-    score_activation: str = "relu"
+    alpha: int
+    beta: int
+    conv_channels: int
+    embed_dim: int
+    kernel_len: int
+    score_activation: str
 
     def __post_init__(self):
         if self.alpha < 1:

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, DimensionError
+from .errors import DataError, DimensionError, reading
 
 CHECKPOINT_MAGIC = b"OPRLTR1"
 ADAM_BETA1 = 0.9
@@ -656,49 +656,42 @@ def save_checkpoint(path, entries: dict, manifest: dict) -> None:
 
 def load_checkpoint(path) -> tuple[dict, dict]:
     """Read back (entries, manifest) from a checkpoint file."""
-    raw = Path(path).read_bytes()
-    if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise DataError(f"{path}: not a model checkpoint (bad magic)")
-    offset = len(CHECKPOINT_MAGIC)
+    with reading(path):
+        raw = Path(path).read_bytes()
+        if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+            raise DataError("not a model checkpoint (bad magic)")
+        offset = len(CHECKPOINT_MAGIC)
 
-    def take(fmt):
-        nonlocal offset
-        size = struct.calcsize(fmt)
-        if offset + size > len(raw):
-            raise DataError(f"{path}: truncated checkpoint")
-        values = struct.unpack_from(fmt, raw, offset)
-        offset += size
-        return values
+        def take(fmt):
+            nonlocal offset
+            size = struct.calcsize(fmt)
+            if offset + size > len(raw):
+                raise DataError("truncated checkpoint")
+            values = struct.unpack_from(fmt, raw, offset)
+            offset += size
+            return values
 
-    (manifest_len,) = take("<I")
-    try:
-        manifest = json.loads(
-            raw[offset : offset + manifest_len].decode("utf-8")
-        )
-    except ValueError:
-        raise DataError(f"{path}: checkpoint manifest is not JSON") from None
-    if not isinstance(manifest, dict):
-        raise DataError(f"{path}: checkpoint manifest is not an object")
-    offset += manifest_len
-    (count,) = take("<I")
-    entries = {}
-    for _ in range(count):
-        (name_len,) = take("<H")
-        try:
-            name = raw[offset : offset + name_len].decode("utf-8")
-        except UnicodeDecodeError:
-            raise DataError(f"{path}: bad tensor name bytes") from None
-        offset += name_len
-        (ndim,) = take("<B")
-        shape = tuple(take("<I")[0] for _ in range(ndim))
-        size = math.prod(shape)
-        nbytes = size * 8
-        if offset + nbytes > len(raw):
-            raise DataError(f"{path}: truncated checkpoint")
-        entries[name] = (
-            np.frombuffer(raw, dtype="<f8", count=size, offset=offset)
-            .reshape(shape)
-            .astype(np.float64)
-        )
-        offset += nbytes
+        (manifest_len,) = take("<I")
+        manifest = json.loads(raw[offset : offset + manifest_len].decode())
+        if not isinstance(manifest, dict):
+            raise DataError("checkpoint manifest is not an object")
+        offset += manifest_len
+        (count,) = take("<I")
+        entries = {}
+        for _ in range(count):
+            (name_len,) = take("<H")
+            name = raw[offset : offset + name_len].decode()
+            offset += name_len
+            (ndim,) = take("<B")
+            shape = tuple(take("<I")[0] for _ in range(ndim))
+            size = math.prod(shape)
+            nbytes = size * 8
+            if offset + nbytes > len(raw):
+                raise DataError("truncated checkpoint")
+            entries[name] = (
+                np.frombuffer(raw, dtype="<f8", count=size, offset=offset)
+                .reshape(shape)
+                .astype(np.float64)
+            )
+            offset += nbytes
     return entries, manifest

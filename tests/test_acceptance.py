@@ -279,7 +279,11 @@ def test_criterion_5_metric_oracles():
 def test_criterion_6_loss_sanity():
     rng = np.random.default_rng(1006)
     _, graph = grid_world(5)
-    params = model.ModelParams(model.ModelConfig(), graph, rng)
+    cfg = model.ModelConfig(
+        alpha=2, beta=3, conv_channels=16, embed_dim=16, kernel_len=2,
+        score_activation="relu",
+    )
+    params = model.ModelParams(cfg, graph, rng)
     y = rng.random((3, len(params.src)))
     zero = train.training_loss(y, y.copy(), params).item()
     assert zero == 0.0

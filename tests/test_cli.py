@@ -455,6 +455,44 @@ def _rename_graph_meter(path):
     path.write_text(json.dumps(payload))
 
 
+def _long_matrix_field(path):
+    """A cell longer than the csv module's 131072-character field limit."""
+    lines = path.read_text().splitlines()
+    lines[3] = "0" * 200_000 + lines[3][1:]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _infinite_json_number(*keys):
+    """A JSON edit that puts 1e400, which parses to an infinite float,
+    at payload[keys[0]][keys[1]]..."""
+    def corrupt(path):
+        payload = json.loads(path.read_text())
+        inner = payload
+        for key in keys[:-1]:
+            inner = inner[key]
+        inner[keys[-1]] = "@inf@"
+        path.write_text(json.dumps(payload).replace('"@inf@"', "1e400"))
+    return corrupt
+
+
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+
+
+def _deep_json(path):
+    path.write_bytes(DEEP_JSON)
+
+
+def _deep_manifest(path):
+    """The manifest swapped for JSON nested deeper than any stack."""
+    raw = path.read_bytes()
+    offset = len(T.CHECKPOINT_MAGIC)
+    (manifest_len,) = struct.unpack_from("<I", raw, offset)
+    rest = raw[offset + 4 + manifest_len:]
+    path.write_bytes(
+        raw[:offset] + struct.pack("<I", len(DEEP_JSON)) + DEEP_JSON + rest
+    )
+
+
 @pytest.fixture(scope="module")
 def pristine_tree(tmp_path_factory):
     root = tmp_path_factory.mktemp("pristine")
@@ -511,6 +549,24 @@ def pristine_tree(tmp_path_factory):
         pytest.param(
             "run/checkpoint.bin", _reshape_tensor,
             id="tensor-shape-mismatch",
+        ),
+        pytest.param(
+            "data/matrix.csv", _long_matrix_field, id="matrix-long-field"
+        ),
+        pytest.param(
+            "data/matrix.meta.json", _infinite_json_number("interval_minutes"),
+            id="sidecar-infinite-interval",
+        ),
+        pytest.param(
+            "data/graph.json", _infinite_json_number("edges", 0, 1),
+            id="graph-infinite-edge",
+        ),
+        pytest.param("data/graph.json", _deep_json, id="graph-deep-json"),
+        pytest.param(
+            "data/matrix.meta.json", _deep_json, id="sidecar-deep-json"
+        ),
+        pytest.param(
+            "run/checkpoint.bin", _deep_manifest, id="manifest-deep-json"
         ),
     ],
 )
@@ -596,6 +652,16 @@ def test_out_of_range_option_exit_3(
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("minutes", [0, -5])
+def test_ingest_interval_out_of_range_exit_3(tmp_path, capsys, minutes):
+    _write_ingest_inputs(tmp_path, "space")
+    code = run("ingest", "--records", tmp_path / "rec.csv", "--locations",
+               tmp_path / "loc.csv", "--kind", "space", "--out",
+               tmp_path / "x", "--interval-minutes", minutes)
+    assert code == 3
+    assert "error: interval_minutes" in capsys.readouterr().err
+
+
 def _write_ingest_inputs(tmp_path, kind):
     """Valid loc.csv and rec.csv (space or street records) in tmp_path."""
     cfg = ingest.SynthConfig(num_locations=4, num_intervals=20, rng_seed=0)
@@ -643,6 +709,12 @@ def _short_location_row(lines):
     return [",".join(row) for row in rows]
 
 
+def _long_first_field(row):
+    """The row's first field past the csv module's 131072-character
+    field limit."""
+    return "x" * 200_000 + row
+
+
 def _on_row_3(edit):
     """A file edit that rewrites the third line (the second record)."""
     return lambda lines: [*lines[:2], edit(lines[2]), *lines[3:]]
@@ -684,6 +756,18 @@ def _on_row_3(edit):
         pytest.param(
             "street", "rec.csv", lambda lines: lines[:1], "no records",
             id="header-only-records",
+        ),
+        pytest.param(
+            "space", "loc.csv", _on_row_3(_long_first_field), "field limit",
+            id="locations-long-field",
+        ),
+        pytest.param(
+            "space", "rec.csv", _on_row_3(_long_first_field), "field limit",
+            id="space-records-long-field",
+        ),
+        pytest.param(
+            "street", "rec.csv", _on_row_3(_long_first_field), "field limit",
+            id="street-records-long-field",
         ),
     ],
 )

@@ -410,3 +410,35 @@ class TestRoundTrips:
         tmp = tmp_path_factory.mktemp("roundtrip") / "m.csv"
         ingest.save_matrix(mat, tmp)
         assert ingest.load_matrix(tmp).equals(mat)
+
+
+class TestHostileFiles:
+    """What the standard parsers raise on hostile content (an over-long
+    CSV field, an infinite integer) becomes a DataError naming the file."""
+
+    def test_matrix_long_field(self, tmp_path):
+        cfg = ingest.SynthConfig(num_locations=3, num_intervals=5)
+        path = tmp_path / "matrix.csv"
+        ingest.save_matrix(ingest.synth_generate(cfg)[1], path)
+        path.write_text("0" * 200_000 + path.read_text()[1:])
+        with pytest.raises(DataError, match="matrix.csv: .*field limit"):
+            ingest.load_matrix(path)
+
+    def test_graph_infinite_edge(self, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_text('{"vertices": [], "edges": [[0, 1e400]]}')
+        with pytest.raises(DataError, match="graph.json: .*infinity"):
+            ingest.load_graph(path)
+
+    def test_locations_long_field(self, tmp_path):
+        path = tmp_path / "locations.csv"
+        path.write_text(f"meter_id,lat,lon\n{'m' * 200_000},22.3,114.1\n")
+        with pytest.raises(DataError, match="locations.csv: .*field limit"):
+            ingest.load_locations(path)
+
+    def test_blank_location_row_skipped(self, tmp_path):
+        path = tmp_path / "locations.csv"
+        path.write_text("meter_id,lat,lon\n,,\nm1,22.3,114.1\n \t, ,\n")
+        assert ingest.load_locations(path) == [
+            ingest.MeterLocation("m1", 22.3, 114.1)
+        ]

@@ -19,8 +19,15 @@ def grid_graph(n=9):
     return ingest.build_adjacency(locs)
 
 
+# a small model; ModelConfig has no defaults of its own
+SMALL_MODEL = dict(
+    alpha=2, beta=3, conv_channels=16, embed_dim=16, kernel_len=2,
+    score_activation="relu",
+)
+
+
 def make_params(graph, seed=0, **kw):
-    cfg = model.ModelConfig(**kw)
+    cfg = model.ModelConfig(**{**SMALL_MODEL, **kw})
     return model.ModelParams(cfg, graph, np.random.default_rng(seed))
 
 
@@ -455,15 +462,17 @@ class TestRankCandidates:
 class TestModelConfig:
     def test_kernel_longer_than_alpha_rejected(self):
         with pytest.raises(ConfigError, match="kernel_len"):
-            model.ModelConfig(alpha=2, kernel_len=3)
+            model.ModelConfig(**{**SMALL_MODEL, "kernel_len": 3})
 
     def test_unknown_activation_rejected(self):
         with pytest.raises(ConfigError, match="score_activation"):
-            model.ModelConfig(score_activation="sigmoid")
+            model.ModelConfig(
+                **{**SMALL_MODEL, "score_activation": "sigmoid"}
+            )
 
     def test_beta_must_be_positive(self):
         with pytest.raises(ConfigError):
-            model.ModelConfig(beta=0)
+            model.ModelConfig(**{**SMALL_MODEL, "beta": 0})
 
 
 def save_trained(path, graph, seed=0, **settings):

@@ -627,6 +627,15 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="magic"):
             T.load_checkpoint(path)
 
+    def test_deeply_nested_manifest_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        deep = b"[" * 100_000 + b"]" * 100_000
+        path.write_bytes(
+            T.CHECKPOINT_MAGIC + len(deep).to_bytes(4, "little") + deep
+        )
+        with pytest.raises(DataError, match="model.bin: .*recursion"):
+            T.load_checkpoint(path)
+
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "model.bin"
         T.save_checkpoint(path, self.entries(), {})
