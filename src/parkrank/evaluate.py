@@ -24,7 +24,9 @@ and the wait columns hold the same integers. ``ndcg_at`` and ``map_at``
 pack the nonzero labels of their rows and run the same code.
 
 The persistence and historical-mean baselines rank by a per-vertex
-availability score. Each is scored and ranked once per split.
+availability score. Each is scored once per split and ranked by one
+sort of integer keys packing (score rank, hop, id), in the order
+model.rank_candidates defines (``_rank_by_vertex_score``).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import kernels, model
+from . import kernels
 from .errors import ConfigError, DataError
 from .ingest import OccupancyMatrix, SpatialGraph
 
@@ -253,8 +255,15 @@ def _best_waits(
         raise ConfigError("max_wait must be at least 1")
     if not pack.counts.all():
         raise DataError("every query needs a non-empty neighborhood")
-    waits = np.minimum(kernels.next_vacant_steps(matrix.states), max_wait)
-    ranked = pack.spread(waits[pack.vertex, horizon_time[pack.rows]], max_wait)
+    # next-vacant distances look only forward, so the table can start at
+    # the earliest horizon and still hold the whole-matrix integers; an
+    # empty batch starts past the last column
+    start = horizon_time.min(initial=matrix.num_intervals)
+    waits = np.minimum(
+        kernels.next_vacant_steps(matrix.states[:, start:]), max_wait
+    )
+    at = horizon_time[pack.rows] - start
+    ranked = pack.spread(waits[pack.vertex, at], max_wait)
     return np.minimum.accumulate(ranked, axis=-1)
 
 
@@ -343,6 +352,43 @@ _PREDICTORS: dict[str, Callable] = {
 }
 
 
+def _rank_by_vertex_score(scores: np.ndarray, hops: np.ndarray) -> np.ndarray:
+    """model.rank_candidates of every query's row of one shared score.
+
+    scores is [..., n], one score per vertex per snapshot; hops is the
+    [n, n] hop table. The result is [..., n, n]: row q of a snapshot
+    orders the candidates by score descending, then by hops[q], then by
+    index, the bits that rank_candidates gives for the score row
+    broadcast to every query.
+
+    Each score row gets a dense descending rank from one argsort: a new
+    rank starts where sorted neighbours differ by !=, so -0.0 and +0.0
+    tie, as they do in lexsort. (NaN would not tie as it does there; no
+    predictor scores one.) Each (snapshot, query, candidate) then packs
+    (score rank, hop, id) into one integer key, high bits to low, so one
+    in-place integer sort of the keys orders each row as the lexsort
+    would; masking off the high bits leaves the candidate ids. The key
+    array is the output, so no second [..., n, n] array is made.
+    """
+    n = hops.shape[-1]
+    order = np.argsort(-scores, axis=-1)
+    ranked = np.take_along_axis(scores, order, axis=-1)
+    fresh = np.zeros(scores.shape, dtype=np.intp)
+    fresh[..., 1:] = ranked[..., 1:] != ranked[..., :-1]
+    rank = np.empty_like(fresh)
+    np.put_along_axis(rank, order, np.cumsum(fresh, axis=-1), axis=-1)
+    # hops are at most n + 1 (unreachable), so three fields of about
+    # log2(n) bits each fit an int64 for any n whose [n, n] table fits
+    id_bits = (n - 1).bit_length()
+    hop_bits = int(hops.max(initial=0)).bit_length()
+    lead = (rank << (hop_bits + id_bits)) | np.arange(n)
+    keys = np.empty(scores.shape[:-1] + hops.shape, dtype=np.intp)
+    np.add(lead[..., np.newaxis, :], hops << id_bits, out=keys)
+    keys.sort(axis=-1)
+    keys &= (1 << id_bits) - 1
+    return keys
+
+
 def baseline_predict_then_recommend(
     matrix: OccupancyMatrix,
     spatial: SpatialGraph,
@@ -354,9 +400,9 @@ def baseline_predict_then_recommend(
 
     The predictor scores each vertex once per time; every query then ranks
     all vertices by that score, breaking ties toward fewer hops and lower
-    index. An int t gives [n, n], one ranking row per query vertex; a 1-D
-    array of S times, such as a whole split, is scored once and ranked
-    model.RANK_BLOCK snapshots at a time into [S, n, n].
+    index, through _rank_by_vertex_score. An int t gives [n, n], one
+    ranking row per query vertex; a 1-D array of S times, such as a whole
+    split, is scored and ranked in one call into [S, n, n].
     """
     if predictor not in _PREDICTORS:
         raise ConfigError(
@@ -366,14 +412,7 @@ def baseline_predict_then_recommend(
     if predictor == "historical_mean" and train_end is None:
         raise ConfigError("historical_mean needs the training range")
     scores = _PREDICTORS[predictor](matrix, t, train_end)
-    hops = spatial.all_hop_distances()
-    flat = scores.reshape(-1, 1, len(hops))
-    rows = np.broadcast_to(flat, (len(flat), *hops.shape))
-    out = np.empty(rows.shape, dtype=np.intp)
-    for lo in range(0, len(rows), model.RANK_BLOCK):
-        block = slice(lo, lo + model.RANK_BLOCK)
-        out[block] = model.rank_candidates(rows[block], hops)
-    return out.reshape(scores.shape[:-1] + hops.shape)
+    return _rank_by_vertex_score(scores, spatial.all_hop_distances())
 
 
 # ---------------------------------------------------------------------------

@@ -539,7 +539,12 @@ def load_matrix(csv_path) -> OccupancyMatrix:
     meta_path = _meta_path(csv_path)
     with reading(meta_path):
         meta = json.loads(meta_path.read_text())
-        interval_minutes = int(meta["interval_minutes"])
+        interval_minutes = meta["interval_minutes"]
+        # bool is an int subclass, but JSON true is not an integer
+        if type(interval_minutes) is not int:
+            raise DataError(
+                f"interval_minutes must be an integer, got {interval_minutes!r}"
+            )
         if interval_minutes <= 0:
             raise DataError("interval_minutes must be positive")
         start_time = datetime.fromisoformat(meta["start_time"])
@@ -584,15 +589,20 @@ def save_locations(locations: list[MeterLocation], path) -> None:
 
 
 def load_locations(path) -> list[MeterLocation]:
+    """The located meters of a meter_id,lat,lon CSV, in file order; a
+    meter_id listed twice is an error naming its second line."""
     with reading(path), Path(path).open(newline="") as fh:
-        out = []
+        by_id: dict[str, MeterLocation] = {}
         for line, rec in _records(fh, ("meter_id", "lat", "lon")):
+            meter = rec["meter_id"]
+            if meter in by_id:
+                raise ParseError(f"duplicate meter_id {meter!r}", line=line)
             try:
                 lat = float(rec["lat"])
                 lon = float(rec["lon"])
             except ValueError:
                 raise ParseError("invalid coordinate", line=line) from None
-            out.append(MeterLocation(rec["meter_id"], lat, lon))
-        if not out:
+            by_id[meter] = MeterLocation(meter, lat, lon)
+        if not by_id:
             raise EmptyDatasetError("locations file has no rows")
-    return out
+    return list(by_id.values())

@@ -309,9 +309,14 @@ def edge_scores(
 def forward_scores(params: ModelParams, *args, **kwargs) -> T.Tensor:
     """edge_scores (same arguments) placed into a [batch, query,
     candidate] tensor, 0 outside params.allowed: a constant view for
-    ranking, through which no gradient flows back to the parameters."""
+    ranking, through which no gradient flows back to the parameters.
+
+    edge_scores runs under tensor.no_grad(), so it builds no tape that
+    would keep its intermediates alive until the scores are dropped;
+    training calls edge_scores itself and keeps its tape."""
     n = params.num_vertices
-    scores = edge_scores(params, *args, **kwargs).data
+    with T.no_grad():
+        scores = edge_scores(params, *args, **kwargs).data
     dense = np.zeros((len(scores), n * n))
     dense[:, params.pair_index] = scores
     return T.Tensor(dense.reshape(-1, n, n))

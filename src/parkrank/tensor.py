@@ -4,8 +4,10 @@ Tensors form a dynamic computation graph; each op records its parents and
 a backward rule returning per-parent gradient arrays. ``backward`` runs a
 topological sweep from a scalar loss and accumulates into ``.grad`` of the
 leaves only (tensors created with requires_grad, not by an op); gradients
-of intermediate nodes live just long enough to reach their parents. The
-module also carries the Adam update and a binary checkpoint container.
+of intermediate nodes live just long enough to reach their parents. Inside
+a ``no_grad()`` block ops record nothing, so an intermediate is freed as
+soon as no later op or caller holds it. The module also carries the Adam
+update and a binary checkpoint container.
 
 Each indexed op takes one index type, built once per graph: take a
 NeighborTable, neighbor_mix the MixTables of its weight matrix, and
@@ -14,6 +16,7 @@ row_sum, softmax and log_softmax an array of increasing grid positions.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import struct
@@ -62,8 +65,27 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+_recording = True  # off inside no_grad()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Within the block, ops record no parents and no backward rule, so
+    their outputs require no gradient and backward from them does nothing.
+    The outputs' data are the same; recording is back as it was on exit,
+    also when the block raises."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _node(data, parents: Sequence[Tensor], backward_fn) -> Tensor:
     out = Tensor(data)
+    if not _recording:
+        return out
     for p in parents:
         if p.requires_grad:
             out.requires_grad = True

@@ -99,6 +99,20 @@ class TestIngest:
         assert code == 2
         assert "no coordinates" in capsys.readouterr().err
 
+    def test_duplicate_location_exit_2(self, tmp_path, capsys):
+        rec, loc, _ = self.make_records(tmp_path)
+        rows = loc.read_text().splitlines()
+        twice = tmp_path / "twice.csv"
+        moved = rows[1].replace("22.", "23.")  # m000 again, elsewhere
+        twice.write_text("\n".join([*rows, moved]) + "\n")
+        code = run("ingest", "--records", rec, "--locations", twice,
+                   "--kind", "space", "--out", tmp_path / "x")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert f"line {len(rows) + 1}: duplicate meter_id 'm000'" in err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_records_exit_2(self, tmp_path):
         loc = tmp_path / "loc.csv"
         loc.write_text("meter_id,lat,lon\n")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import baseline_oracle
 import dense_oracle
@@ -319,6 +320,43 @@ class TestBaselines:
             evaluate.baseline_predict_then_recommend(mat, graph, 0, "magic")
 
 
+# few distinct values, so rows tie often, and -0.0 against +0.0
+TIED_SCORES = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, np.inf, -np.inf])
+
+
+class TestSharedScoreRanking:
+    """_rank_by_vertex_score against model.rank_candidates over the score
+    row broadcast to every query, byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_broadcast_rank_candidates(self, data):
+        n = data.draw(st.integers(1, 10), label="n")
+        snapshots = data.draw(st.integers(1, 4), label="snapshots")
+        scores = data.draw(
+            hnp.arrays(
+                np.float64,
+                (snapshots, n),
+                elements=st.one_of(TIED_SCORES, st.floats(allow_nan=False)),
+            ),
+            label="scores",
+        )
+        # n + 1 is the unreachable hop
+        hops = data.draw(
+            hnp.arrays(np.int64, (n, n), elements=st.integers(0, n + 1)),
+            label="hops",
+        )
+        rows = np.broadcast_to(scores[:, np.newaxis, :], (snapshots, n, n))
+        want = model.rank_candidates(rows, hops)
+        got = evaluate._rank_by_vertex_score(scores, hops)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        # one score row, as an int t gives, ranks to [n, n]
+        got = evaluate._rank_by_vertex_score(scores[0], hops)
+        assert got.shape == (n, n)
+        assert got.tobytes() == want[0].tobytes()
+
+
 def synth_graph(num_locations):
     locs = ingest.synth_locations(
         ingest.SynthConfig(num_locations=num_locations, num_intervals=1)
@@ -378,11 +416,17 @@ class TestBatchedBaselines:
         mat = matrix_of(np.random.default_rng(0).random((4, 30)) < 0.5)
         graph = synth_graph(4)
         score = evaluate._PREDICTORS[predictor]
+        want = baseline_oracle.predict_then_recommend(
+            mat, graph, 3, predictor, 20
+        )
         for t in (3, np.int64(3)):
             assert score(mat, t, 20).shape == (4,)
-            assert evaluate.baseline_predict_then_recommend(
+            got = evaluate.baseline_predict_then_recommend(
                 mat, graph, t, predictor, 20
-            ).shape == (4, 4)
+            )
+            assert got.shape == (4, 4)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
         times = np.array([3, 29, 0])
         assert score(mat, times, 20).shape == (3, 4)
         rankings = evaluate.baseline_predict_then_recommend(

@@ -442,3 +442,26 @@ class TestHostileFiles:
         assert ingest.load_locations(path) == [
             ingest.MeterLocation("m1", 22.3, 114.1)
         ]
+
+    @pytest.mark.parametrize("value", ["2.7", "true", "5.0", '"5"'])
+    def test_matrix_interval_must_be_json_integer(self, tmp_path, value):
+        cfg = ingest.SynthConfig(num_locations=3, num_intervals=5)
+        path = tmp_path / "matrix.csv"
+        ingest.save_matrix(ingest.synth_generate(cfg)[1], path)
+        meta = tmp_path / "matrix.meta.json"
+        key = '"interval_minutes": '
+        meta.write_text(meta.read_text().replace(key + "5", key + value))
+        with pytest.raises(
+            DataError, match="matrix.meta.json: interval_minutes must be an int"
+        ):
+            ingest.load_matrix(path)
+
+    def test_locations_duplicate_id_names_line(self, tmp_path):
+        path = tmp_path / "locations.csv"
+        path.write_text(
+            "meter_id,lat,lon\nm1,22.3,114.1\nm2,22.3,114.2\nm1,22.4,114.1\n"
+        )
+        with pytest.raises(
+            ParseError, match="locations.csv: line 4: duplicate meter_id 'm1'"
+        ):
+            ingest.load_locations(path)

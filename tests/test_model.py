@@ -7,7 +7,7 @@ import pytest
 import dense_oracle
 from parkrank import cli, esgraph, ingest, model, train
 from parkrank import tensor as T
-from parkrank.errors import ConfigError, DataError
+from parkrank.errors import ConfigError, DataError, DimensionError
 
 TANH_2 = 0.9640275800758169
 
@@ -275,6 +275,45 @@ class TestForwardScores:
             rng=np.random.default_rng(9),
         ).data
         assert np.array_equal(a, b)
+
+    def test_records_no_tape(self, monkeypatch):
+        """Every op node made inside forward_scores is a constant, so no
+        tape keeps an intermediate alive; edge_scores alone still records
+        one, with the same scores."""
+        graph = grid_graph(9)
+        params = make_params(graph, alpha=2, score_activation="softmax")
+        rng = np.random.default_rng(7)
+        windows = rng.integers(-5, 5, (2, 9, 2)).astype(float)
+        current = rng.integers(1, 5, (2, 9)).astype(float)
+        states = rng.random((2, 9)) < 0.5
+        made = []
+        node = T._node
+
+        def spy(*args):
+            made.append(node(*args))
+            return made[-1]
+
+        monkeypatch.setattr(T, "_node", spy)
+        scores = model.forward_scores(params, windows, current, states)
+        assert made
+        assert not any(
+            t.requires_grad or t._parents or t._backward_fn for t in made
+        )
+        assert not scores.requires_grad
+        tape = model.edge_scores(params, windows, current, states)
+        assert tape.requires_grad and tape._parents
+        assert scores.data[:, params.allowed].tobytes() == tape.data.tobytes()
+
+    def test_recording_resumes_after_error(self):
+        graph = grid_graph(4)
+        params = make_params(graph, alpha=2)
+        with pytest.raises(DimensionError):
+            model.forward_scores(
+                params, np.zeros((1, 3, 2)), np.zeros((1, 3)),
+                np.zeros((1, 3), dtype=bool),
+            )
+        out = T.relu(params.get("readout.bias"))
+        assert out.requires_grad and out._parents
 
     def test_gradients_flow_to_all_params(self):
         graph = grid_graph(9)

@@ -508,6 +508,22 @@ class TestBackwardSemantics:
         assert x.grad is None
         assert np.allclose(y.grad, [1.0, 2.0])
 
+    def test_no_grad_records_nothing_and_restores(self):
+        y = T.Tensor([3.0, 4.0], requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                inner = T.mul(y, y)
+            outer = T.reduce_sum(T.mul(y, y))
+        assert not inner.requires_grad and not outer.requires_grad
+        assert outer._parents == () and outer._backward_fn is None
+        assert np.array_equal(outer.data, 25.0)
+        T.backward(outer)  # a constant: nothing to accumulate
+        assert y.grad is None
+        with pytest.raises(DimensionError), T.no_grad():
+            T.add(y, T.Tensor([1.0, 2.0, 3.0]))
+        T.backward(T.reduce_sum(T.mul(y, y)))  # recording is back on
+        assert np.array_equal(y.grad, [6.0, 8.0])
+
 
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
