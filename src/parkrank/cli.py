@@ -9,8 +9,6 @@ deterministic: no timestamps, sorted keys, repr-precision floats.
 """
 
 import argparse
-import csv
-import json
 import logging
 import os
 import sys
@@ -51,14 +49,6 @@ def read_config(path, allowed_keys) -> dict[str, str]:
     return options
 
 
-def _env_seed() -> int:
-    raw = os.environ.get("OPR_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"OPR_SEED must be an integer, got {raw!r}")
-
-
 class Resolver:
     """Layered option lookup: flag beats config file beats default."""
 
@@ -82,7 +72,11 @@ class Resolver:
                     f"{self.config_path}: bad value for {key}: {raw!r}"
                 )
         if key == "seed":
-            return _env_seed()
+            raw = os.environ.get("OPR_SEED", "0")
+            try:
+                return int(raw)
+            except ValueError:
+                raise ConfigError(f"OPR_SEED must be an integer, got {raw!r}")
         return default
 
 
@@ -200,28 +194,19 @@ TRAIN_SPEC = {
 }
 
 
-def train_config_from(opts) -> train.TrainConfig:
-    return train.TrainConfig(
+def cmd_train(args) -> int:
+    matrix, graph = load_data_dir(args.data)
+    opts = Resolver(args, TRAIN_SPEC)
+    cfg = train.TrainConfig(
         **{key: opts[key] for key in TRAIN_SPEC if key != "seed"},
         rng_seed=opts["seed"],
     )
-
-
-def write_train_log(path, rows) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "train_loss", "val_ndcg1"])
-        for step, loss, val in rows:
-            writer.writerow([step, repr(loss), repr(val)])
-
-
-def cmd_train(args) -> int:
-    matrix, graph = load_data_dir(args.data)
-    cfg = train_config_from(Resolver(args, TRAIN_SPEC))
     result = train.train_loop(matrix, graph, cfg)
     out = _ensure_dir(args.out)
     result.params.save(out / "checkpoint.bin", {"train": cfg.to_manifest()})
-    write_train_log(out / "train_log.csv", result.log)
+    ingest.write_csv(
+        out / "train_log.csv", ("step", "train_loss", "val_ndcg1"), result.log
+    )
     log.info(
         "best val ndcg@1 %.4f at step %d; checkpoint in %s",
         result.best_val_ndcg1,
@@ -252,48 +237,6 @@ EVAL_SPEC = {
     "max_wait": (int, evaluate.DEFAULT_MAX_WAIT),
 }
 
-EVAL_CSV_COLUMNS = (
-    "model", "scenario", "num_queries",
-    *(f"{metric}{n}{part}" for metric in ("ndcg", "map")
-      for n in evaluate.RANK_NS for part in ("", "_std")),
-    *(f"awtp{n}" for n in evaluate.WAIT_NS), "iawtp",
-    *(f"rnwtr{n}" for n in evaluate.WAIT_NS),
-)
-
-
-def _report_csv_row(report) -> list[str]:
-    cells = [report.model, report.scenario, str(report.num_queries)]
-    for n in evaluate.RANK_NS:
-        mean, std = report.ndcg.get(n, (0.0, 0.0))
-        cells += [repr(mean), repr(std)]
-    for n in evaluate.RANK_NS:
-        mean, std = report.mean_ap.get(n, (0.0, 0.0))
-        cells += [repr(mean), repr(std)]
-    for n in evaluate.WAIT_NS:
-        cells.append(repr(report.awtp.get(n, 0.0)))
-    cells.append(repr(report.iawtp))
-    for n in evaluate.WAIT_NS:
-        cells.append(repr(report.rnwtr.get(n, 0.0)))
-    return cells
-
-
-def write_metric_files(out, reports) -> None:
-    out = _ensure_dir(out)
-    (out / "metrics.json").write_text(evaluate.reports_to_json(reports))
-    with (out / "metrics.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EVAL_CSV_COLUMNS)
-        for name in sorted(reports):
-            for scenario in sorted(reports[name]):
-                writer.writerow(_report_csv_row(reports[name][scenario]))
-    with (out / "plot_data.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "metric", "scenario", "value", "std"])
-        for row in evaluate.reports_to_plot_rows(reports):
-            writer.writerow(
-                [row[0], row[1], row[2], repr(row[3]), repr(row[4])]
-            )
-
 
 def cmd_eval(args) -> int:
     opts = Resolver(args, EVAL_SPEC)
@@ -317,7 +260,7 @@ def cmd_eval(args) -> int:
         reports[name] = evaluate.slice_scenarios(
             base, matrix, name, max_wait=opts["max_wait"]
         )
-    write_metric_files(args.out, reports)
+    evaluate.write_reports(_ensure_dir(args.out), reports)
     overall = reports["model"]["all"]
     log.info(
         "%s split: %d queries, model ndcg@1 %.4f",
@@ -366,14 +309,12 @@ def cmd_bench(args) -> int:
     report = esgraph.bench_complexity(matrix, opts["alpha"])
     curve = esgraph.complexity_curve(matrix, opts["points"])
     out = _ensure_dir(args.out)
-    (out / "complexity.json").write_text(
-        json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
+    ingest.write_json(out / "complexity.json", asdict(report))
+    ingest.write_csv(
+        out / "complexity_curve.csv",
+        ("prefix_len", "cell_count", "event_node_count"),
+        curve,
     )
-    with (out / "complexity_curve.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["prefix_len", "cell_count", "event_node_count"])
-        for row in curve:
-            writer.writerow(list(row))
     log.info(
         "event graph holds %d nodes versus %d cells",
         report.esgraph_nodes,

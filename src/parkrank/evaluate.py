@@ -31,7 +31,6 @@ model.rank_candidates defines (``_rank_by_vertex_score``).
 
 from __future__ import annotations
 
-import json
 from dataclasses import InitVar, dataclass, fields
 from typing import Callable, Sequence
 
@@ -39,7 +38,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, DataError
-from .ingest import OccupancyMatrix, SpatialGraph
+from .ingest import OccupancyMatrix, SpatialGraph, json_text, write_csv
 
 DEFAULT_MAX_WAIT = 24
 RANK_NS = (1, 5)
@@ -450,6 +449,16 @@ class MetricsReport:
             "rnwtr": {str(k): v for k, v in self.rnwtr.items()},
         }
 
+    def csv_row(self) -> list:
+        """The metrics.csv row; an empty scenario reads 0.0 in each metric."""
+        cells = [self.model, self.scenario, self.num_queries]
+        for stats in (self.ndcg, self.mean_ap):
+            for n in RANK_NS:
+                cells += stats.get(n, (0.0, 0.0))
+        cells += [self.awtp.get(n, 0.0) for n in WAIT_NS]
+        cells.append(self.iawtp)
+        return cells + [self.rnwtr.get(n, 0.0) for n in WAIT_NS]
+
     def plot_rows(self) -> list[tuple[str, str, str, float, float]]:
         cells = [(f"ndcg@{k}", *v) for k, v in sorted(self.ndcg.items())]
         cells += [(f"map@{k}", *v) for k, v in sorted(self.mean_ap.items())]
@@ -502,13 +511,7 @@ def summarize(
 ) -> MetricsReport:
     """Aggregate per-query metrics into one report (means and stds) of
     the scenario "all"."""
-    if not results:
-        return empty_report(model_name, "all")
-    batch = _concat(results)
-    masks = {"all": np.ones(len(batch), dtype=bool)}
-    return _reports(
-        batch, matrix, model_name, masks, RANK_NS, WAIT_NS, DEFAULT_MAX_WAIT
-    )["all"]
+    return slice_scenarios(results, matrix, model_name)["all"]
 
 
 SCENARIOS = ("workday", "weekend", "daytime", "nighttime")
@@ -551,23 +554,39 @@ def slice_scenarios(
     )
 
 
+METRICS_CSV_COLUMNS = (
+    "model", "scenario", "num_queries",
+    *(f"{metric}{n}{part}" for metric in ("ndcg", "map")
+      for n in RANK_NS for part in ("", "_std")),
+    *(f"awtp{n}" for n in WAIT_NS), "iawtp",
+    *(f"rnwtr{n}" for n in WAIT_NS),
+)
+
+
+def _in_order(reports: dict[str, dict[str, MetricsReport]]) -> list:
+    return [reports[m][s] for m in sorted(reports) for s in sorted(reports[m])]
+
+
 def reports_to_json(reports: dict[str, dict[str, MetricsReport]]) -> str:
     """Nested {model: {scenario: report}} as deterministic JSON."""
-    payload = {
-        model: {
-            scenario: report.as_dict()
-            for scenario, report in sorted(by_scenario.items())
-        }
-        for model, by_scenario in sorted(reports.items())
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json_text({
+        model: {scenario: r.as_dict() for scenario, r in by_scenario.items()}
+        for model, by_scenario in reports.items()
+    })
 
 
 def reports_to_plot_rows(
     reports: dict[str, dict[str, MetricsReport]]
 ) -> list[tuple[str, str, str, float, float]]:
-    rows = []
-    for model in sorted(reports):
-        for scenario in sorted(reports[model]):
-            rows.extend(reports[model][scenario].plot_rows())
-    return rows
+    return [row for report in _in_order(reports) for row in report.plot_rows()]
+
+
+def write_reports(out, reports: dict[str, dict[str, MetricsReport]]) -> None:
+    """Write metrics.json, metrics.csv and plot_data.csv into directory out."""
+    (out / "metrics.json").write_text(reports_to_json(reports))
+    rows = [report.csv_row() for report in _in_order(reports)]
+    write_csv(out / "metrics.csv", METRICS_CSV_COLUMNS, rows)
+    write_csv(
+        out / "plot_data.csv", ("model", "metric", "scenario", "value", "std"),
+        reports_to_plot_rows(reports),
+    )

@@ -7,6 +7,8 @@ snapped to a fixed interval grid, gap-filled by carrying the last
 observation forward, and meters missing more than MISSING_DROP_FRAC of
 the grid are dropped. Each loader parses its file inside errors.reading,
 so any read or parse failure is a DataError that names the file once.
+Every output file, here and in the other modules, is written through
+write_json or write_csv, which fix its format.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import functools
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -495,23 +497,38 @@ def _meta_path(csv_path: Path) -> Path:
     return csv_path.with_name(csv_path.stem + ".meta.json")
 
 
+def json_text(payload) -> str:
+    """payload as every JSON output holds it: sorted keys, indent 2."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def write_json(path, payload) -> None:
+    Path(path).write_text(json_text(payload))
+
+
+def write_csv(path, header, rows) -> None:
+    """Rows under a header, in the csv module's dialect (floats as repr)."""
+    with Path(path).open("w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+
+
 def save_matrix(matrix: OccupancyMatrix, csv_path) -> None:
-    """Write the matrix as CSV (one row per interval) plus a JSON sidecar."""
+    """Write the matrix as CSV (one row per interval) plus a JSON sidecar;
+    the body is encoded in one pass, the reverse of load_matrix."""
     csv_path = Path(csv_path)
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(matrix.meter_ids)
-        for t in range(matrix.num_intervals):
-            writer.writerow(
-                ["1" if v else "0" for v in matrix.states[:, t]]
-            )
-    meta = {
+    write_csv(csv_path, matrix.meter_ids, ())  # the dialect quotes ids
+    n, t = matrix.states.shape
+    # each row: n digits between commas (none if n is 0), then the
+    # dialect's "\r\n"
+    body = np.full((t, max(2 * n + 1, 2)), ord(","), dtype=np.uint8)
+    body[:, : 2 * n : 2] = np.where(matrix.states.T, ord("1"), ord("0"))
+    body[:, -2:] = (ord("\r"), ord("\n"))
+    with csv_path.open("ab") as fh:
+        fh.write(body.tobytes())
+    write_json(_meta_path(csv_path), {
         "interval_minutes": matrix.interval_minutes,
         "start_time": matrix.start_time.isoformat(),
-    }
-    _meta_path(csv_path).write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n"
-    )
+    })
 
 
 def load_matrix(csv_path) -> OccupancyMatrix:
@@ -559,14 +576,10 @@ def load_matrix(csv_path) -> OccupancyMatrix:
 
 
 def save_graph(graph: SpatialGraph, path) -> None:
-    payload = {
-        "vertices": [
-            {"meter_id": v.meter_id, "lat": v.lat, "lon": v.lon}
-            for v in graph.vertices
-        ],
-        "edges": sorted([list(e) for e in graph.edges]),
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_json(path, {
+        "vertices": [asdict(v) for v in graph.vertices],
+        "edges": sorted(map(list, graph.edges)),
+    })
 
 
 def load_graph(path) -> SpatialGraph:
@@ -577,15 +590,15 @@ def load_graph(path) -> SpatialGraph:
             for v in payload["vertices"]
         )
         edges = frozenset((int(i), int(j)) for i, j in payload["edges"])
+        # after int(), which reports 1e400 as infinity; JSON true is no int
+        bad = [e for e in payload["edges"] if {type(x) for x in e} != {int}]
+        if bad:
+            raise DataError(f"edge endpoints must be integers: {bad[0]}")
         return SpatialGraph(vertices=vertices, edges=edges)
 
 
 def save_locations(locations: list[MeterLocation], path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["meter_id", "lat", "lon"])
-        for loc in locations:
-            writer.writerow([loc.meter_id, repr(loc.lat), repr(loc.lon)])
+    write_csv(path, ("meter_id", "lat", "lon"), map(astuple, locations))
 
 
 def load_locations(path) -> list[MeterLocation]:

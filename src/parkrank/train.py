@@ -88,8 +88,9 @@ class TrainConfig:
         if extra:
             raise ConfigError(f"unknown training fields: {sorted(extra)}")
         for name, value in payload.items():
-            kind = (int, float) if known[name] is float else known[name]
-            if not isinstance(value, kind):
+            # exact types: bool is an int subclass, but JSON true is no number
+            kinds = (int, float) if known[name] is float else (known[name],)
+            if type(value) not in kinds:
                 raise DataError(f"training field {name} has value {value!r}")
         return cls(**payload)
 

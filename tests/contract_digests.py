@@ -1,9 +1,10 @@
 """Print, as JSON, the sha256 of every output the behaviour contract keeps
-byte for byte: the criterion-9 train and eval flow (checkpoint, training
-log and the three metric files), the same flow with softmax scores,
-dropout 0.3 and beta 2, `eval --split val --max-wait 3` (the three metric
-files) and `recommend --top 9 --time 100` for meters m000, m004 and m008
-on both checkpoints; `bench` on the criterion-9 data (both files); and
+byte for byte: the criterion-9 `synth` data directory (its four files);
+the criterion-9 train and eval flow (checkpoint, training log and the
+three metric files), the same flow with softmax scores, dropout 0.3 and
+beta 2, `eval --split val --max-wait 3` (the three metric files) and
+`recommend --top 9 --time 100` for meters m000, m004 and m008 on both
+checkpoints; `bench` on the criterion-9 data (both files); and
 `ingest --kind space` and `--kind street` (the four data-dir files) from
 the fixed record files of write_records.
 
@@ -99,7 +100,8 @@ def sha(blob: bytes) -> str:
 def digests(cli, work: Path) -> dict[str, str]:
     data = work / "data"
     run(cli, ["synth", "--out", str(data), *SYNTH])
-    result = {}
+    result = {f"synth/{file}": sha((data / file).read_bytes())
+              for file in DATA_FILES}
     for name, extra in VARIANTS.items():
         out = work / name
         checkpoint = out / "checkpoint.bin"

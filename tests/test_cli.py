@@ -648,6 +648,33 @@ def test_checkpoint_settings_disagree_exit_2(
 
 
 @pytest.mark.parametrize(
+    "key, copies",
+    [
+        pytest.param("learning_rate", ("train",), id="float-field"),
+        # beta is 1 in the pristine checkpoint, so true would equal it
+        pytest.param("beta", ("train", "top"), id="int-field"),
+    ],
+)
+def test_checkpoint_bool_setting_exit_2(
+    pristine_tree, tmp_path, capsys, key, copies
+):
+    checkpoint = tmp_path / "edited.bin"
+    entries, manifest = T.load_checkpoint(
+        pristine_tree / "run" / "checkpoint.bin"
+    )
+    for copy in copies:
+        (manifest["train"] if copy == "train" else manifest)[key] = True
+    T.save_checkpoint(checkpoint, entries, manifest)
+    code = run("eval", "--data", pristine_tree / "data", "--checkpoint",
+               checkpoint, "--out", tmp_path / "x")
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ")
+    assert "edited.bin" in line
+    assert f"training field {key} has value True" in line
+
+
+@pytest.mark.parametrize(
     "command, flag, value",
     [
         pytest.param("bench", "--points", -1, id="points-negative"),

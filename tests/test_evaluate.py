@@ -1,5 +1,6 @@
 """Metric tests against independently coded textbook references."""
 
+import csv
 import math
 from datetime import datetime
 
@@ -508,6 +509,22 @@ class TestSummarize:
         assert '"model"' in text
         rows = evaluate.reports_to_plot_rows({"model": {"all": report}})
         assert ("model", "ndcg@1", "all") == rows[0][:3]
+
+    def test_empty_scenario_rows(self, tmp_path):
+        mat = matrix_of(np.zeros((2, 300), dtype=bool))
+        res = result_of(0, 10, 14, [0, 1], [1.0, 0.0], (0, 1))
+        reports = {"model": evaluate.slice_scenarios([res], mat, "model")}
+        evaluate.write_reports(tmp_path, reports)
+        with (tmp_path / "metrics.csv").open(newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert tuple(header) == evaluate.METRICS_CSV_COLUMNS
+        by_scenario = {row[1]: row for row in rows}
+        assert by_scenario["weekend"][:3] == ["model", "weekend", "0"]
+        assert by_scenario["weekend"][3:] == ["0.0"] * (len(header) - 3)
+        assert by_scenario["all"][2] == "1"
+        with (tmp_path / "plot_data.csv").open(newline="") as fh:
+            plot = [row for row in csv.reader(fh) if row[2] == "weekend"]
+        assert plot == [["model", "iawtp", "weekend", "0.0", "0.0"]]
 
     def test_result_validation(self):
         with pytest.raises(DataError, match="permutation"):

@@ -362,6 +362,22 @@ class TestRoundTrips:
         loaded = ingest.load_matrix(path)
         assert loaded.equals(mat)
 
+    def test_matrix_round_trip_quoted_ids(self, tmp_path):
+        # ids with a comma or a quote must be quoted in the CSV header
+        ids = ["a,b", 'say "hi"', "plain", " padded "]
+        states = np.random.default_rng(3).random((4, 7)) < 0.5
+        mat = ingest.OccupancyMatrix(
+            states=states,
+            interval_minutes=5,
+            start_time=datetime(2022, 8, 1, 7, 55),
+            location_index={m: i for i, m in enumerate(ids)},
+        )
+        path = tmp_path / "matrix.csv"
+        ingest.save_matrix(mat, path)
+        header = path.read_bytes().split(b"\r\n")[0]
+        assert header == b'"a,b","say ""hi""",plain, padded '
+        assert ingest.load_matrix(path).equals(mat)
+
     def test_graph_round_trip(self, tmp_path):
         locs = ingest.synth_locations(
             ingest.SynthConfig(num_locations=7, num_intervals=1)
@@ -428,6 +444,23 @@ class TestHostileFiles:
         path = tmp_path / "graph.json"
         path.write_text('{"vertices": [], "edges": [[0, 1e400]]}')
         with pytest.raises(DataError, match="graph.json: .*infinity"):
+            ingest.load_graph(path)
+
+    @pytest.mark.parametrize(
+        "edge", ["[0, 1.7]", "[false, true]", '["0", 1]', "[0, 1.0]"]
+    )
+    def test_graph_edge_endpoints_must_be_json_integers(self, tmp_path, edge):
+        path = tmp_path / "graph.json"
+        vertices = (
+            '[{"meter_id": "a", "lat": 22.3, "lon": 114.1}, '
+            '{"meter_id": "b", "lat": 22.3, "lon": 114.2}]'
+        )
+        path.write_text(f'{{"vertices": {vertices}, "edges": [[0, 1]]}}')
+        assert ingest.load_graph(path).edges == {(0, 1)}
+        path.write_text(f'{{"vertices": {vertices}, "edges": [{edge}]}}')
+        with pytest.raises(
+            DataError, match="graph.json: edge endpoints must be integers"
+        ):
             ingest.load_graph(path)
 
     def test_locations_long_field(self, tmp_path):
