@@ -585,6 +585,13 @@ def save_graph(graph: SpatialGraph, path) -> None:
 def load_graph(path) -> SpatialGraph:
     with reading(path):
         payload = json.loads(Path(path).read_text())
+        # JSON true is no number, and "114.17" is a string
+        bad = [
+            v for v in payload["vertices"]
+            if not {type(v["lat"]), type(v["lon"])} <= {int, float}
+        ]
+        if bad:
+            raise DataError(f"vertex coordinates must be numbers: {bad[0]}")
         vertices = tuple(
             MeterLocation(v["meter_id"], float(v["lat"]), float(v["lon"]))
             for v in payload["vertices"]

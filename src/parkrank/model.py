@@ -5,13 +5,18 @@ positive, occupied negative), squashed by tanh so the sign gates the
 magnitude. A 1-D convolution with bias, ReLU, and mean-pooling summarizes
 them into an event embedding. Graph iterations then mix embeddings over
 the symmetric-normalized adjacency, each round re-concatenating the event
-embedding as a residual. A pairwise readout scores only the allowed
-(query, candidate) pairs, each candidate in the query's own neighborhood,
-over an edge list, and multiplies each by a learnable mask weight; the
-activation runs on that list too, so training stays on it through the
-loss. For ranking, the scores are placed into a [batch, query,
-candidate] matrix whose entries outside the neighborhoods are structural
-zeros, so only reachable candidates can score.
+embedding as a residual before one tensor.dense_relu layer. A pairwise
+readout, one tensor.pair_readout node, scores only the allowed (query,
+candidate) pairs, each candidate in the query's own neighborhood, over an
+edge list, and multiplies each by a learnable mask weight; the activation
+runs on that list too, so training stays on it through the loss. For
+ranking, the scores are placed into a [batch, query, candidate] matrix
+whose entries outside the neighborhoods are structural zeros, so only
+reachable candidates can score.
+
+Both fused ops keep the bits of the primitive ops they stand for
+(tests/unfused_oracle.py holds those chains), so the scores, gradients
+and checkpoints are those of the unfused model.
 """
 
 from __future__ import annotations
@@ -238,12 +243,10 @@ def graph_rounds(
         mixed = T.matmul(
             T.neighbor_mix(params.mix_table, z), params.get(f"gcn.mix.{step}")
         )
-        stacked = T.concat([mixed, h], axis=-1)
-        z = T.relu(
-            T.add(
-                T.matmul(stacked, params.get(f"gcn.weight.{step}")),
-                params.get(f"gcn.bias.{step}"),
-            )
+        z = T.dense_relu(
+            T.concat([mixed, h], axis=-1),
+            params.get(f"gcn.weight.{step}"),
+            params.get(f"gcn.bias.{step}"),
         )
         if dropout_rate > 0.0:
             z = _dropout(z, dropout_rate, rng)
@@ -291,11 +294,9 @@ def edge_scores(
     )
     q = T.matmul(T.Tensor(query_feat), params.get("readout.query"))
     item = T.matmul(z, params.get("readout.item"))
-    pair = T.add(
-        T.take(q, params.src_table, 1), T.take(item, params.dst_table, 1)
+    raw = T.pair_readout(
+        q, item, params.get("readout.bias"), params.src_table, params.dst_table
     )
-    pair = T.relu(T.add(pair, params.get("readout.bias")))
-    raw = T.reduce_sum(pair, axis=-1)
 
     mask = T.take(
         T.reshape(params.get("mask.weights"), (n * n,)), params.pair_table, 0

@@ -9,9 +9,18 @@ a ``no_grad()`` block ops record nothing, so an intermediate is freed as
 soon as no later op or caller holds it. The module also carries the Adam
 update and a binary checkpoint container.
 
-Each indexed op takes one index type, built once per graph: take a
-NeighborTable, neighbor_mix the MixTables of its weight matrix, and
-row_sum, softmax and log_softmax an array of increasing grid positions.
+Each indexed op takes one index type, built once per graph: take and
+pair_readout NeighborTables, neighbor_mix the MixTables of its weight
+matrix, and row_sum, softmax and log_softmax an array of increasing grid
+positions.
+
+Two ops fuse a chain of primitives into one tape node: pair_readout (take,
+take, add, add, relu, reduce_sum) and dense_relu (matmul, add, relu). A
+fused op keeps the composition's bits: it makes the same products and sums
+in the same order, in its output and in every gradient, and only saves
+the intermediate nodes and buffers. The rules of matmul, mul, sub and
+the fused ops compute a parent's gradient only if the parent requires
+one, so constants such as the labels cost no backward pass.
 """
 
 from __future__ import annotations
@@ -136,7 +145,10 @@ def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g, b.shape) if b.requires_grad else None,
+        )
 
     return _node(_broadcast_op("sub", np.subtract, a, b), (a, b), bw)
 
@@ -146,8 +158,8 @@ def mul(a, b) -> Tensor:
 
     def bw(g):
         return (
-            _unbroadcast(g * b.data, a.shape),
-            _unbroadcast(g * a.data, b.shape),
+            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
         )
 
     return _node(_broadcast_op("mul", np.multiply, a, b), (a, b), bw)
@@ -163,24 +175,63 @@ def scale(a, factor: float) -> Tensor:
     return _node(a.data * factor, (a,), bw)
 
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def _check_matmul(op: str, a: Tensor, b: Tensor) -> None:
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(
-            f"matmul: operands must be at least 2-D, got {a.shape} and "
+            f"{op}: operands must be at least 2-D, got {a.shape} and "
             f"{b.shape}"
         )
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(
-            f"matmul: inner dimensions differ, {a.shape} vs {b.shape}"
+            f"{op}: inner dimensions differ, {a.shape} vs {b.shape}"
         )
 
+
+def matmul(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    _check_matmul("matmul", a, b)
+
     def bw(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        return _matmul_grads(a, b, g)
 
     return _node(a.data @ b.data, (a, b), bw)
+
+
+def _matmul_grads(a: Tensor, b: Tensor, g: np.ndarray):
+    """The gradients of a @ b for the upstream g, each only if its operand
+    requires one."""
+    ga = gb = None
+    if a.requires_grad:
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+    if b.requires_grad:
+        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+    return ga, gb
+
+
+def dense_relu(x, w, b) -> Tensor:
+    """relu(x @ w + b), a graph round's dense layer, as one node.
+
+    The forward adds b and clamps in place on the matmul's buffer; the
+    backward masks g where the output is positive and hands that to the
+    bias and to the matmul rule. The products and sums are those of
+    matmul, add and relu, in the same order, so every bit is kept.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    _check_matmul("dense_relu", x, w)
+    if b.shape != w.shape[-1:]:
+        raise DimensionError(
+            f"dense_relu: bias {b.shape} for weights {w.shape}"
+        )
+    out = x.data @ w.data
+    out += b.data
+    np.maximum(out, 0.0, out=out)
+
+    def bw(g):
+        g = g * (out > 0.0)
+        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
+        return (*_matmul_grads(x, w, g), gb)
+
+    return _node(out, (x, w, b), bw)
 
 
 GATHER_BYTES = 1 << 18  # most bytes one NeighborTable.sum gather fills
@@ -228,13 +279,17 @@ class NeighborTable:
     def size(self) -> int:
         return self.slots.shape[1]
 
-    def sum(self, values: np.ndarray, axis: int) -> np.ndarray:
+    def sum(
+        self, values: np.ndarray, axis: int, padded: bool = False
+    ) -> np.ndarray:
         """Per target, the sum over its entries of (weight times) the
         source's slice of values along axis; axis becomes length size.
 
         Each target's terms are added one slot at a time, in entry
         order, to a +0.0 start. Padding reads a zero appended after the
-        last source, so it adds +0.0, which changes no such sum. Each
+        last source, so it adds +0.0, which changes no such sum; a caller
+        that builds values can leave that zero slice at the end of axis
+        itself and pass padded, which saves copying values. Each
         np.take gathers as many whole slots as fit in GATHER_BYTES (the
         whole table for one snapshot, one slot for a big batch) into one
         reused buffer, and the weights scale a whole gather at once.
@@ -243,7 +298,9 @@ class NeighborTable:
         """
         axis = axis % values.ndim
         lead, tail = values.shape[:axis], values.shape[axis + 1 :]
-        padded = np.concatenate([values, np.zeros(lead + (1,) + tail)], axis)
+        if not padded:
+            zero = np.zeros(lead + (1,) + tail)
+            values = np.concatenate([values, zero], axis)
         out = np.zeros(lead + (self.size,) + tail)
         weights = self._broadcast.get(tail)
         if weights is None and self.weights is not None:
@@ -257,7 +314,7 @@ class NeighborTable:
             shape = lead + slots.shape + tail
             terms = buffer[: math.prod(shape)].reshape(shape)
             # "wrap" reads -1 as "raise" would, without buffering out
-            np.take(padded, slots, axis, out=terms, mode="wrap")
+            np.take(values, slots, axis, out=terms, mode="wrap")
             if weights is not None:
                 terms *= weights[lo : lo + chunk]
             for k in range(len(slots)):
@@ -391,6 +448,53 @@ def take(x, table: NeighborTable, axis: int) -> Tensor:
     return _node(np.take(x.data, table.index, axis=axis), (x,), bw)
 
 
+def pair_readout(
+    q, item, bias, src_table: NeighborTable, dst_table: NeighborTable
+) -> Tensor:
+    """Per pair e, the sum over d of relu(q[..., src[e], d] + item[...,
+    dst[e], d] + bias[d]): [..., pairs] from [..., vertices, d] features,
+    where src_table and dst_table index each pair's query and candidate.
+
+    take, take, add, add, relu and reduce_sum(-1) as one node. The forward
+    adds the candidate rows, the bias and the clamp in place into the
+    gathered query rows; the backward masks g once, into a buffer that
+    ends with the zero slice NeighborTable.sum pads with, and sums it into
+    each side through its table, as take does. The terms and their order
+    are the composition's, so every bit is kept.
+    """
+    q, item, bias = as_tensor(q), as_tensor(item), as_tensor(bias)
+    n = q.shape[-2:-1]
+    if (
+        q.ndim < 2 or item.shape != q.shape or bias.shape != q.shape[-1:]
+        or (src_table.size,) != n or (dst_table.size,) != n
+        or src_table.index.shape != dst_table.index.shape
+    ):
+        raise DimensionError(
+            f"pair_readout: features {q.shape} and {item.shape}, bias "
+            f"{bias.shape}, tables of {len(src_table.index)} and "
+            f"{len(dst_table.index)} pairs over {src_table.size} and "
+            f"{dst_table.size} vertices"
+        )
+    pre = np.take(q.data, src_table.index, axis=-2)
+    pre += np.take(item.data, dst_table.index, axis=-2)
+    pre += bias.data
+    np.maximum(pre, 0.0, out=pre)
+
+    def bw(g):
+        # the masked g, then the zero slice the table sums pad with
+        *lead, pairs, d = pre.shape
+        buffer = np.empty((*lead, pairs + 1, d))
+        buffer[..., -1, :] = 0.0
+        g = np.multiply(g[..., None], pre > 0.0, out=buffer[..., :-1, :])
+        return (
+            src_table.sum(buffer, -2, True) if q.requires_grad else None,
+            dst_table.sum(buffer, -2, True) if item.requires_grad else None,
+            _unbroadcast(g, bias.shape) if bias.requires_grad else None,
+        )
+
+    return _node(pre.sum(-1), (q, item, bias), bw)
+
+
 def relu(x) -> Tensor:
     x = as_tensor(x)
     out = np.maximum(x.data, 0.0)
@@ -507,15 +611,12 @@ def masked_fill(x, mask: np.ndarray, value: float) -> Tensor:
 
 def reduce_sum(x, axis=None) -> Tensor:
     x = as_tensor(x)
-    out = x.data.sum(axis=axis)
+    kept = x.data.sum(axis=axis, keepdims=True)
 
     def bw(g):
-        g = np.asarray(g)
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.shape).copy(),)
+        return (np.broadcast_to(np.reshape(g, kept.shape), x.shape).copy(),)
 
-    return _node(out, (x,), bw)
+    return _node(kept.squeeze(axis), (x,), bw)
 
 
 def reduce_mean(x, axis=None) -> Tensor:

@@ -11,6 +11,7 @@ through tensor.row_sum, so the loss and its gradients have the bits of
 the same computation over dense [batch, query, candidate] arrays.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -48,6 +49,11 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # NaN passes every comparison below, so test it first
+            if f.type is float and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.horizon_intervals < 1:
             raise ConfigError("horizon_intervals must be at least 1")
         if self.duration_cap < 1:

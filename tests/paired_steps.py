@@ -1,0 +1,113 @@
+"""Time criterion-8 training steps of two parkrank source trees in one
+process, alternating them, and print each tree's median ms/step, the
+paired ratio and a digest of each tree's trained parameters.
+
+    python3 tests/paired_steps.py /path/to/other/checkout/src
+    python3 tests/paired_steps.py /path/to/other/src --pairs 12 --steps 50
+
+This tree's src/ loads as the package ``parkrank``, the other as
+``parkrank_other``. Each pair runs ``train.train_loop`` once per tree at the
+criterion-8 shape (30 meters x 5000 intervals, the perfbench c8-train
+settings, one val pass at the last step), in an order that flips from pair
+to pair, so slow drift of a shared machine lands on both trees alike. The
+ratio is this tree's ms/step over the other's, per pair, then the median
+over pairs; below 1 means this tree is faster. Equal digests mean both
+trees trained to the same parameter bytes. BLAS runs on one thread, as in
+perfbench. pytest does not collect this script.
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import hashlib
+import importlib
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parents[1] / "src"
+SHAPE = (30, 5000)  # criterion 8: meters x intervals
+DATA_SEED = 8
+
+
+def load_tree(src: Path, name: str):
+    """The parkrank package under src, imported as name, with its modules."""
+    root = src.resolve() / "parkrank"
+    spec = importlib.util.spec_from_file_location(
+        name, root / "__init__.py", submodule_search_locations=[str(root)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return {mod: importlib.import_module(f"{name}.{mod}")
+            for mod in ("ingest", "train")}
+
+
+class Tree:
+    """One source tree's inputs, built with its own modules."""
+
+    def __init__(self, src: Path, name: str, steps: int):
+        mods = load_tree(src, name)
+        self.name, self.train = name, mods["train"]
+        ingest = mods["ingest"]
+        n, intervals = SHAPE
+        locations, self.matrix = ingest.synth_generate(ingest.SynthConfig(
+            num_locations=n, num_intervals=intervals, rng_seed=DATA_SEED
+        ))
+        self.graph = ingest.build_adjacency(locations)
+        self.cfg = self.train.TrainConfig(
+            alpha=2, beta=3, kernel_len=2, horizon_intervals=4,
+            batch_size=128, iterations=steps, eval_every=steps,
+            softmax_weight=0.1, rng_seed=0,
+        )
+        self.dataset = self.train.build_dataset(self.matrix, self.cfg)
+        self.ms_per_step: list[float] = []
+        self.digest = ""
+
+    def run(self) -> None:
+        start = time.perf_counter()
+        result = self.train.train_loop(
+            self.matrix, self.graph, self.cfg, self.dataset
+        )
+        elapsed = time.perf_counter() - start
+        self.ms_per_step.append(1e3 * elapsed / self.cfg.iterations)
+        h = hashlib.sha256()
+        for key, array in sorted(result.params.snapshot().items()):
+            h.update(key.encode())
+            h.update(array.tobytes())
+        self.digest = h.hexdigest()
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("other", type=Path, help="src/ of the other tree")
+    parser.add_argument("--pairs", type=int, default=24)
+    parser.add_argument("--steps", type=int, default=100)
+    args = parser.parse_args()
+    this = Tree(HERE, "parkrank", args.steps)
+    other = Tree(args.other, "parkrank_other", args.steps)
+    this.run()  # warm both trees' caches before timing
+    other.run()
+    this.ms_per_step.clear()
+    other.ms_per_step.clear()
+    for pair in range(args.pairs):
+        for tree in (this, other) if pair % 2 == 0 else (other, this):
+            tree.run()
+    ratios = [a / b for a, b in zip(this.ms_per_step, other.ms_per_step)]
+    q1, median, q3 = statistics.quantiles(ratios, n=4)
+    for tree in (this, other):
+        print(f"{tree.name}: median {statistics.median(tree.ms_per_step):.3f}"
+              f" ms/step, params sha256 {tree.digest}")
+    print(f"paired ratio this/other: median {median:.3f} "
+          f"[quartiles {q1:.3f}, {q3:.3f}] over {args.pairs} pairs, "
+          f"{args.steps} steps each")
+    print("params " + ("equal" if this.digest == other.digest else "DIFFER"))
+
+
+if __name__ == "__main__":
+    main()

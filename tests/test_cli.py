@@ -13,6 +13,7 @@ import baseline_oracle
 from dense_oracle import adjacency
 from parkrank import cli, esgraph, evaluate, ingest, model, train
 from parkrank import tensor as T
+from parkrank.errors import DataError
 
 
 def run(*argv):
@@ -672,6 +673,46 @@ def test_checkpoint_bool_setting_exit_2(
     assert line.startswith("error: ")
     assert "edited.bin" in line
     assert f"training field {key} has value True" in line
+
+
+FLOAT_TRAIN_FIELDS = ("prox_weight", "dur_weight", "softmax_weight",
+                      "l2_coeff", "dropout_rate", "learning_rate")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_TRAIN_FIELDS)
+def test_non_finite_train_option_exit_3(
+    pristine_tree, tmp_path, capsys, key, value
+):
+    # NaN fails no comparison, so without its own check it trained on
+    # one token, or argparse reads -inf as a flag
+    code = run("train", "--data", pristine_tree / "data", "--out",
+               tmp_path / "x", *TRAIN_FLAGS,
+               f"--{key.replace('_', '-')}={value}")
+    assert code == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"error: {key} must be finite, got {float(value)!r}"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("key", FLOAT_TRAIN_FIELDS)
+def test_checkpoint_nan_setting_exit_2(pristine_tree, tmp_path, capsys, key):
+    checkpoint = tmp_path / "edited.bin"
+    entries, manifest = T.load_checkpoint(
+        pristine_tree / "run" / "checkpoint.bin"
+    )
+    manifest["train"][key] = float("nan")
+    T.save_checkpoint(checkpoint, entries, manifest)
+    assert f'"{key}":NaN'.encode() in checkpoint.read_bytes()
+    with pytest.raises(DataError, match=f"edited.bin: {key} must be finite"):
+        cli.load_checkpoint_bundle(checkpoint, ingest.load_graph(
+            pristine_tree / "data" / "graph.json"
+        ))
+    code = run("eval", "--data", pristine_tree / "data", "--checkpoint",
+               checkpoint, "--out", tmp_path / "x")
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "edited.bin" in line
 
 
 @pytest.mark.parametrize(

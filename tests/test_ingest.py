@@ -463,6 +463,28 @@ class TestHostileFiles:
         ):
             ingest.load_graph(path)
 
+    @pytest.mark.parametrize(
+        "lat, lon",
+        [("true", "114.1"), ("22.3", '"114.17"'), ("null", "114.1"),
+         ('"22"', "false"), ("[22.3]", "114.1")],
+    )
+    def test_graph_coordinates_must_be_json_numbers(self, tmp_path, lat, lon):
+        path = tmp_path / "graph.json"
+        second = '{"meter_id": "b", "lat": 22, "lon": 114.2}'  # int is fine
+        path.write_text(
+            f'{{"vertices": [{{"meter_id": "a", "lat": 22.3, "lon": 114.1}}, '
+            f'{second}], "edges": [[0, 1]]}}'
+        )
+        assert ingest.load_graph(path).vertices[1].lat == 22.0
+        path.write_text(
+            f'{{"vertices": [{{"meter_id": "a", "lat": {lat}, "lon": {lon}}}, '
+            f'{second}], "edges": [[0, 1]]}}'
+        )
+        with pytest.raises(
+            DataError, match="graph.json: vertex coordinates must be numbers"
+        ):
+            ingest.load_graph(path)
+
     def test_locations_long_field(self, tmp_path):
         path = tmp_path / "locations.csv"
         path.write_text(f"meter_id,lat,lon\n{'m' * 200_000},22.3,114.1\n")

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
+import unfused_oracle
 from gradcheck import grad_check
+from parkrank import model
 from parkrank import tensor as T
 from parkrank.errors import DataError, DimensionError
 
@@ -78,6 +80,30 @@ class TestShapeErrors:
     def test_conv_kernel_longer_than_input(self):
         with pytest.raises(DimensionError, match="conv1d"):
             T.conv1d(T.Tensor(np.zeros(2)), T.Tensor(np.zeros((1, 5))))
+
+    def test_dense_relu_mismatch_names_op(self):
+        x, w = T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((3, 4)))
+        with pytest.raises(DimensionError, match="dense_relu: inner"):
+            T.dense_relu(x, T.Tensor(np.zeros((4, 2))), T.Tensor(np.zeros(2)))
+        with pytest.raises(DimensionError, match="dense_relu: bias"):
+            T.dense_relu(x, w, T.Tensor(np.zeros(3)))
+
+    @pytest.mark.parametrize(
+        "item, bias, dst",
+        [
+            pytest.param((2, 3, 5), (4,), ([1, 2], 3), id="features"),
+            pytest.param((2, 3, 4), (5,), ([1, 2], 3), id="bias"),
+            pytest.param((2, 3, 4), (4,), ([1, 2], 4), id="table-size"),
+            pytest.param((2, 3, 4), (4,), ([1, 2, 0], 3), id="pair-count"),
+        ],
+    )
+    def test_pair_readout_mismatch_names_op(self, item, bias, dst):
+        q = T.Tensor(np.zeros((2, 3, 4)))
+        with pytest.raises(DimensionError, match="pair_readout"):
+            T.pair_readout(
+                q, T.Tensor(np.zeros(item)), T.Tensor(np.zeros(bias)),
+                T.NeighborTable([0, 1], 3), T.NeighborTable(*dst),
+            )
 
     def test_backward_requires_scalar(self):
         x = T.Tensor(np.zeros((2, 2)), requires_grad=True)
@@ -187,6 +213,27 @@ class TestGradients:
                 T.reduce_sum(T.mul(T.take(x, cols, 1), w1)),
             ),
             [x],
+        )
+
+    def test_dense_relu(self):
+        rng = np.random.default_rng(24)
+        x, w, b = leaf(rng, 2, 3, 4), leaf(rng, 4, 5), leaf(rng, 5)
+        u = T.Tensor(rng.standard_normal((2, 3, 5)))
+        self.check(
+            lambda: T.reduce_sum(T.mul(T.dense_relu(x, w, b), u)), [x, w, b]
+        )
+
+    def test_pair_readout(self):
+        rng = np.random.default_rng(25)
+        q, item, bias = leaf(rng, 2, 4, 3), leaf(rng, 2, 4, 3), leaf(rng, 3)
+        src = T.NeighborTable([0, 0, 1, 2, 3, 3, 3], 4)
+        dst = T.NeighborTable([0, 1, 1, 2, 3, 0, 3], 4)  # (3, 3) twice
+        u = T.Tensor(rng.standard_normal((2, 7)))
+        self.check(
+            lambda: T.reduce_sum(
+                T.mul(T.pair_readout(q, item, bias, src, dst), u)
+            ),
+            [q, item, bias],
         )
 
     def test_composite_two_layer(self):
@@ -353,12 +400,166 @@ class TestOrderedTables:
         assert counts == want
         assert gx.tobytes() == add_at_oracle(shape, index, axis, g).tobytes()
 
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_sum_of_padded_values(self, axis):
+        # values that already end with the zero slice padding reads sum
+        # to the same bits, weighted or not
+        rng = np.random.default_rng(38)
+        values = signed_zeros(rng, (6, 6, 6))
+        zero_shape = list(values.shape)
+        zero_shape[axis] = 1
+        padded = np.concatenate([values, np.zeros(zero_shape)], axis)
+        index = [3, 0, 3, 1, 3, 2]
+        weighted = T.mix_tables(self.mix_weights(rng, 6)).by_row
+        for table in (T.NeighborTable(index, 6), weighted):
+            want = table.sum(values, axis)
+            assert table.sum(padded, axis, padded=True).tobytes() == (
+                want.tobytes()
+            )
+
     def test_index_out_of_range_rejected(self):
         x = T.Tensor(np.ones((2, 3)))
         with pytest.raises(DimensionError, match="out of range"):
             T.NeighborTable([0, 3], 3)
         with pytest.raises(DimensionError, match="take"):
             T.take(x, T.NeighborTable([0, 3], 4), 1)
+
+
+DYADIC = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+
+
+def dyadic_mix(rng, shape, share):
+    """Normal draws with about share of them from DYADIC, whose sums of a
+    few terms are exact, so pre-activations land on +0.0 and -0.0."""
+    x = rng.standard_normal(shape)
+    pick = rng.random(shape) < share
+    x[pick] = rng.choice(DYADIC, size=shape)[pick]
+    return x
+
+
+def fused_and_unfused(fused, unfused, arrays, g):
+    """For each of the two ops, run on fresh leaves holding arrays with
+    the upstream gradient g: the bytes of its output and of every leaf's
+    gradient."""
+    got = []
+    for op in (fused, unfused):
+        leaves = [T.Tensor(a, requires_grad=True) for a in arrays]
+        out = op(*leaves)
+        T.backward(T.reduce_sum(T.mul(out, T.Tensor(g))))
+        got.append([out.data.tobytes()] + [t.grad.tobytes() for t in leaves])
+    return got
+
+
+class TestFusedOps:
+    """pair_readout and dense_relu against the chains of primitive ops in
+    unfused_oracle, bit for bit (tobytes): the output and every gradient,
+    at +0.0, -0.0, negative and positive pre-activations, with and
+    without dropout."""
+
+    def readout_case(self, rng, arrays, pairs, dropout):
+        n = arrays[0].shape[-2]
+        src = np.array([i for i, _ in pairs], dtype=np.intp)
+        dst = np.array([j for _, j in pairs], dtype=np.intp)
+        tables = T.NeighborTable(src, n), T.NeighborTable(dst, n)
+        g = signed_zeros(rng, arrays[0].shape[:-2] + (len(pairs),))
+        seed = int(rng.integers(2**32))
+
+        def wrap(op):
+            def run(q, item, bias):
+                if dropout:  # as graph_rounds drops z before the readout
+                    item = model._dropout(
+                        item, dropout, np.random.default_rng(seed)
+                    )
+                return op(q, item, bias, *tables)
+            return run
+
+        return fused_and_unfused(
+            wrap(T.pair_readout), wrap(unfused_oracle.pair_readout), arrays, g
+        )
+
+    def dense_case(self, rng, arrays, dropout):
+        g = signed_zeros(rng, arrays[0].shape[:-1] + arrays[1].shape[-1:])
+        seed = int(rng.integers(2**32))
+
+        def wrap(op):
+            def run(x, w, b):
+                z = op(x, w, b)
+                if dropout:  # as graph_rounds drops each round's output
+                    z = model._dropout(z, dropout, np.random.default_rng(seed))
+                return z
+            return run
+
+        return fused_and_unfused(
+            wrap(T.dense_relu), wrap(unfused_oracle.dense_relu), arrays, g
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_pair_readout_matches_composition(self, data):
+        lead = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2)))
+        n, d = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+        vertex = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=12))
+        share = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        dropout = data.draw(st.sampled_from([0.0, 0.4]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shapes = (lead + (n, d), lead + (n, d), (d,))
+        arrays = [dyadic_mix(rng, shape, share) for shape in shapes]
+        fused, unfused = self.readout_case(rng, arrays, pairs, dropout)
+        assert fused == unfused
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_dense_relu_matches_composition(self, data):
+        lead = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2)))
+        n, m, d = (data.draw(st.integers(1, 6)) for _ in range(3))
+        share = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        dropout = data.draw(st.sampled_from([0.0, 0.4]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shapes = (lead + (n, m), (m, d), (d,))
+        arrays = [dyadic_mix(rng, shape, share) for shape in shapes]
+        fused, unfused = self.dense_case(rng, arrays, dropout)
+        assert fused == unfused
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.4])
+    def test_signed_zero_preactivations(self, dropout):
+        # all-dyadic inputs make sure of the cases the property tests may
+        # draw: without dropout, the readout's pre-activations hold
+        # negatives, positives, +0.0 and -0.0 (a sum is -0.0 only if every
+        # term is, as the (0, 0) pair's first feature is made here), and
+        # the dense layer's negatives, positives and +0.0 (its matmul
+        # never gives -0.0)
+        rng = np.random.default_rng(36)
+        pairs = [(i, j) for i in range(5) for j in range(5) if abs(i - j) < 3]
+        q, item = dyadic_mix(rng, (2, 4, 5, 6), 1.0), dyadic_mix(
+            rng, (2, 4, 5, 6), 1.0
+        )
+        bias = dyadic_mix(rng, (6,), 1.0)
+        q[..., 0, 0] = item[..., 0, 0] = bias[0] = -0.0
+        x, w, b = (dyadic_mix(rng, shape, 1.0)
+                   for shape in ((4, 5, 3), (3, 6), (6,)))
+        src, dst = np.array(pairs).T
+        pres = {
+            "readout": q[..., src, :] + item[..., dst, :] + bias,
+            "dense": x @ w + b,
+        }
+        kinds = {
+            "negative": lambda pre: pre < 0,
+            "positive": lambda pre: pre > 0,
+            "+0.0": lambda pre: (pre == 0) & ~np.signbit(pre),
+            "-0.0": lambda pre: (pre == 0) & np.signbit(pre),
+        }
+        for name, pre in pres.items():
+            for kind, where in kinds.items():
+                if name == "dense" and kind == "-0.0":
+                    continue
+                assert where(pre).any(), (name, kind)
+        fused, unfused = self.readout_case(
+            rng, [q, item, bias], pairs, dropout
+        )
+        assert fused == unfused
+        fused, unfused = self.dense_case(rng, [x, w, b], dropout)
+        assert fused == unfused
 
 
 class TestNumpyEquivalents:
@@ -507,6 +708,39 @@ class TestBackwardSemantics:
         T.backward(T.reduce_sum(T.mul(x, y)))
         assert x.grad is None
         assert np.allclose(y.grad, [1.0, 2.0])
+
+    # each op with the operand shapes it takes
+    RULES = {
+        "matmul": (T.matmul, [(2, 3, 4), (4, 5)]),
+        "mul": (T.mul, [(3, 4), (4,)]),
+        "sub": (T.sub, [(3, 4), (3, 1)]),
+        "dense_relu": (T.dense_relu, [(2, 3, 4), (4, 5), (5,)]),
+        "pair_readout": (
+            lambda q, item, bias: T.pair_readout(
+                q, item, bias, T.NeighborTable([0, 1, 1], 2),
+                T.NeighborTable([1, 0, 1], 2),
+            ),
+            [(3, 2, 4), (3, 2, 4), (4,)],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RULES))
+    def test_constant_operands_get_no_gradient_computed(self, name):
+        # each operand in turn is the only leaf; the rule computes nothing
+        # for the constants
+        op, shapes = self.RULES[name]
+        rng = np.random.default_rng(37)
+        for lone in range(len(shapes)):
+            args = [
+                T.Tensor(rng.standard_normal(shape), requires_grad=i == lone)
+                for i, shape in enumerate(shapes)
+            ]
+            out = op(*args)
+            grads = out._backward_fn(np.ones(out.shape))
+            assert [g is not None for g in grads] == [
+                i == lone for i in range(len(shapes))
+            ]
+            assert grads[lone].shape == shapes[lone]
 
     def test_no_grad_records_nothing_and_restores(self):
         y = T.Tensor([3.0, 4.0], requires_grad=True)
