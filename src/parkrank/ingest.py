@@ -123,9 +123,10 @@ class SpatialGraph:
     """Proximity graph over meter locations.
 
     Edges are unordered index pairs stored as (i, j) with i < j. The
-    adjacency, candidate mask and hop table are derived on first use, once
-    per instance, and returned read-only. The hop table stays lazy because
-    graph construction runs in every set-up, which must not pay for a BFS.
+    adjacency, candidate mask, allowed pairs and hop table are derived on
+    first use, once per instance, and returned read-only. The hop table
+    stays lazy because graph construction runs in every set-up, which must
+    not pay for a BFS.
     """
 
     vertices: tuple[MeterLocation, ...]
@@ -158,6 +159,13 @@ class SpatialGraph:
         return mask
 
     @functools.cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        pairs = np.nonzero(self._allowed)
+        for index in pairs:
+            index.flags.writeable = False
+        return pairs
+
+    @functools.cached_property
     def _hops(self) -> np.ndarray:
         # BFS from every source at once: frontier row s holds the vertices
         # first reached from s at the current depth
@@ -178,7 +186,7 @@ class SpatialGraph:
 
     def allowed_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """(query, candidate) indices of the allowed pairs, row-major."""
-        return np.nonzero(self._allowed)
+        return self._pairs
 
     def hop_distances(self, source: int) -> np.ndarray:
         """BFS hop counts from source; unreachable vertices get n + 1."""
@@ -205,8 +213,8 @@ class SynthConfig:
             raise ConfigError("num_locations must be at least 1")
         if self.num_intervals < 1:
             raise ConfigError("num_intervals must be at least 1")
-        if self.grid_spacing_m <= 0:
-            raise ConfigError("grid_spacing_m must be positive")
+        if not 0.0 < self.grid_spacing_m < math.inf:
+            raise ConfigError("grid_spacing_m must be finite and positive")
         if not (0.0 <= self.base_occupancy_rate <= 1.0):
             raise ConfigError("base_occupancy_rate must be within [0, 1]")
         if not (0.0 <= self.spatial_correlation <= 1.0):
@@ -230,8 +238,10 @@ def build_adjacency(
     locations: list[MeterLocation], threshold_m: float = DEFAULT_ADJACENCY_M
 ) -> SpatialGraph:
     """Connect every pair of locations closer than threshold_m meters."""
-    if threshold_m <= 0:
-        raise ConfigError("threshold_m must be positive")
+    if not 0.0 < threshold_m < math.inf:
+        raise ConfigError(
+            f"threshold_m must be finite and positive, got {threshold_m!r}"
+        )
     seen: set[str] = set()
     for loc in locations:
         if loc.meter_id in seen:
@@ -282,7 +292,7 @@ def _records(rows, required: tuple[str, ...]):
         yield reader.line_num, {c: record[i] for c, i in positions.items()}
 
 
-def _grid_from_observations(
+def _matrix_from_observations(
     observations: dict[str, list[tuple[datetime, bool]]], interval_minutes: int
 ) -> OccupancyMatrix:
     """Snap (timestamp, state) observations to a grid and gap-fill."""
@@ -367,7 +377,7 @@ def parse_space_records(
         if state_text not in ("0", "1"):
             raise ParseError(f"invalid state {state_text!r}", line=line)
         observations.setdefault(meter, []).append((ts, state_text == "1"))
-    return _grid_from_observations(observations, interval_minutes)
+    return _matrix_from_observations(observations, interval_minutes)
 
 
 def parse_street_records(
@@ -377,8 +387,12 @@ def parse_street_records(
 ) -> OccupancyMatrix:
     """Parse per-street CSV records: street_id, timestamp, occupied_count,
     capacity. A street counts as occupied when occupied/capacity exceeds
-    the full-loaded ratio (strictly).
+    the full-loaded ratio (strictly), which must lie in [0, 1].
     """
+    if not 0.0 <= full_loaded_ratio <= 1.0:
+        raise ConfigError(
+            f"full_loaded_ratio must lie in [0, 1], got {full_loaded_ratio!r}"
+        )
     observations: dict[str, list[tuple[datetime, bool]]] = {}
     for line, rec in _records(
         rows, ("street_id", "timestamp", "occupied_count", "capacity")
@@ -403,7 +417,7 @@ def parse_street_records(
             )
         state = occupied / capacity > full_loaded_ratio
         observations.setdefault(street, []).append((ts, state))
-    return _grid_from_observations(observations, interval_minutes)
+    return _matrix_from_observations(observations, interval_minutes)
 
 
 # ---------------------------------------------------------------------------

@@ -71,11 +71,12 @@ class ModelConfig:
             )
 
 
-def normalized_adjacency(spatial: SpatialGraph) -> np.ndarray:
-    """Symmetric normalization of adjacency plus self-loops."""
-    a = spatial.allowed_mask().astype(np.float64)
-    inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
-    return a * inv_sqrt[:, None] * inv_sqrt[None, :]
+def normalized_adjacency(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The symmetric-normalized adjacency plus self-loops on the allowed
+    pairs (src, dst), one weight per pair: 1 / sqrt(deg src * deg dst),
+    where a vertex's degree counts its pairs, itself included."""
+    inv_sqrt = 1.0 / np.sqrt(np.bincount(src))
+    return inv_sqrt[src] * inv_sqrt[dst]
 
 
 def _glorot(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -84,28 +85,23 @@ def _glorot(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
 
 
 class ModelParams:
-    """All learnable tensors plus the constants derived from the graph.
-
-    The constants: allowed, the [n, n] candidate mask; src, dst and
-    pair_index, the allowed pairs as an edge list; adj_norm, the
-    normalized adjacency; and the ordered neighbour tables the ops sum
-    over, built once here: src_table, dst_table and pair_table over
-    src, dst and pair_index, and mix_table over adj_norm.
+    """All learnable tensors plus the constants derived from the graph,
+    built once here from its allowed pairs: allowed, the [n, n] candidate
+    mask; pairs, the tensor.Pairs index of the allowed (query, candidate)
+    cells of the [n, n] grid, row-major; and mix_table, the weighted
+    neighbour table of the normalized adjacency over those pairs, which
+    neighbor_mix sums through both ways since the graph is undirected.
     """
 
     def __init__(self, config: ModelConfig, spatial: SpatialGraph, rng):
         self.config = config
-        self.num_vertices = spatial.num_vertices
+        self.num_vertices = n = spatial.num_vertices
         self.allowed = spatial.allowed_mask()
-        # allowed pairs in row-major order: by query, then by candidate
-        self.src, self.dst = spatial.allowed_pairs()
-        self.pair_index = self.src * self.num_vertices + self.dst
-        self.adj_norm = normalized_adjacency(spatial)
-        n = self.num_vertices
-        self.src_table = T.NeighborTable(self.src, n)
-        self.dst_table = T.NeighborTable(self.dst, n)
-        self.pair_table = T.NeighborTable(self.pair_index, n * n)
-        self.mix_table = T.mix_tables(self.adj_norm)
+        src, dst = spatial.allowed_pairs()
+        self.pairs = T.Pairs(src * n + dst, (n, n))
+        self.mix_table = T.NeighborTable(
+            src, n, dst, normalized_adjacency(src, dst)
+        )
         a, d, m = config.alpha, config.embed_dim, config.conv_channels
         k = config.kernel_len
 
@@ -212,8 +208,7 @@ def event_embed(
     and zero padding stays exactly zero; then a 1-D convolution with bias,
     ReLU, and mean-pooling over positions.
     """
-    gated = np.tanh(windows)
-    conv = T.conv1d(T.Tensor(gated), params.get("conv.weight"))
+    conv = T.conv1d(np.tanh(windows), params.get("conv.weight"))
     conv = T.add(
         conv,
         T.reshape(
@@ -265,7 +260,7 @@ def edge_scores(
 
     windows: [batch, vertices, alpha] signed durations;
     current_signed: [batch, vertices]; states_now: [batch, vertices] bool.
-    Returns [batch, pairs] over the edge list (params.src, params.dst),
+    Returns [batch, pairs] over the edge list params.pairs,
     after the activation; softmax normalizes over each query's pairs.
     A positive dropout_rate (training) drops activations with rng.
     """
@@ -294,17 +289,16 @@ def edge_scores(
     )
     q = T.matmul(T.Tensor(query_feat), params.get("readout.query"))
     item = T.matmul(z, params.get("readout.item"))
-    raw = T.pair_readout(
-        q, item, params.get("readout.bias"), params.src_table, params.dst_table
-    )
+    raw = T.pair_readout(q, item, params.get("readout.bias"), params.pairs)
 
     mask = T.take(
-        T.reshape(params.get("mask.weights"), (n * n,)), params.pair_table, 0
+        T.reshape(params.get("mask.weights"), (n * n,)),
+        params.pairs.positions, 0,
     )
     pre = T.mul(raw, mask)
     if cfg.score_activation == "relu":
         return T.relu(pre)
-    return T.softmax(pre, params.pair_index, (n, n))
+    return T.softmax(pre, params.pairs)
 
 
 def forward_scores(params: ModelParams, *args, **kwargs) -> T.Tensor:
@@ -319,7 +313,7 @@ def forward_scores(params: ModelParams, *args, **kwargs) -> T.Tensor:
     with T.no_grad():
         scores = edge_scores(params, *args, **kwargs).data
     dense = np.zeros((len(scores), n * n))
-    dense[:, params.pair_index] = scores
+    dense[:, params.pairs.positions] = scores
     return T.Tensor(dense.reshape(-1, n, n))
 
 

@@ -9,10 +9,13 @@ a ``no_grad()`` block ops record nothing, so an intermediate is freed as
 soon as no later op or caller holds it. The module also carries the Adam
 update and a binary checkpoint container.
 
-Each indexed op takes one index type, built once per graph: take and
-pair_readout NeighborTables, neighbor_mix the MixTables of its weight
-matrix, and row_sum, softmax and log_softmax an array of increasing grid
-positions.
+The pair ops read one index, built and checked once per graph: a Pairs
+holds the cells of a [rows, width] grid that a pair axis stores, in
+row-major order, with the NeighborTables that group them by row and by
+column. pair_readout gathers and sums through it; row_sum, softmax and
+log_softmax reduce each row of it. neighbor_mix sums through one weighted
+NeighborTable of a symmetric matrix, forward and backward alike; take
+gathers with a plain index and adds its gradient back with np.add.at.
 
 Two ops fuse a chain of primitives into one tape node: pair_readout (take,
 take, add, add, relu, reduce_sum) and dense_relu (matmul, add, relu). A
@@ -30,7 +33,7 @@ import json
 import math
 import struct
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -249,24 +252,20 @@ class NeighborTable:
     scales by 0).
     """
 
-    __slots__ = ("index", "slots", "weights", "_broadcast")
+    __slots__ = ("slots", "weights", "_broadcast")
 
     def __init__(self, index, size: int, sources=None, weights=None):
-        self.index = np.asarray(index, dtype=np.intp)
-        if self.index.ndim != 1:
-            raise DimensionError(
-                f"index must be 1-D, got shape {self.index.shape}"
-            )
-        if self.index.size and (
-            self.index.min() < 0 or self.index.max() >= size
-        ):
+        index = np.asarray(index, dtype=np.intp)
+        if index.ndim != 1:
+            raise DimensionError(f"index must be 1-D, got shape {index.shape}")
+        if index.size and (index.min() < 0 or index.max() >= size):
             raise DimensionError(f"index out of range [0, {size})")
-        counts = np.bincount(self.index, minlength=size)
-        order = np.argsort(self.index, kind="stable")
+        counts = np.bincount(index, minlength=size)
+        order = np.argsort(index, kind="stable")
         rank = np.arange(order.size) - np.repeat(
             np.cumsum(counts) - counts, counts
         )
-        slot = (rank, self.index[order])
+        slot = (rank, index[order])
         self.slots = np.full((counts.max(initial=0), size), -1, np.intp)
         self.slots[slot] = order if sources is None else sources[order]
         self.weights = None
@@ -322,43 +321,49 @@ class NeighborTable:
         return out
 
 
-class MixTables(NamedTuple):
-    """The nonzeros of a square weight matrix, row-major, as neighbour
-    tables: by_row sums each row (the mix), by_col each column (its
-    transpose), both with the weights w[i, j]."""
+class Pairs:
+    """The cells of a [rows, width] grid that a pair axis holds, at
+    distinct, increasing row-major flat positions, checked once here.
 
-    by_row: NeighborTable
-    by_col: NeighborTable
+    src and dst are each cell's row and column; by_row and by_col are
+    NeighborTables over the rows and the columns that list, per row (per
+    column), the pair axis entries that lie in it, in increasing order.
+    """
+
+    __slots__ = ("shape", "positions", "src", "dst", "by_row", "by_col")
+
+    def __init__(self, positions, shape):
+        self.positions = cells = np.asarray(positions, dtype=np.intp)
+        self.shape = rows, width = tuple(shape)
+        if cells.ndim != 1 or np.any(np.diff(cells) <= 0):
+            raise DimensionError(
+                "pairs: positions must be 1-D, distinct and increasing"
+            )
+        if cells.size and (cells[0] < 0 or cells[-1] >= rows * width):
+            raise DimensionError(
+                f"pairs: positions out of range [0, {rows * width})"
+            )
+        self.src, self.dst = np.divmod(self.positions, width)
+        self.by_row = NeighborTable(self.src, rows)
+        self.by_col = NeighborTable(self.dst, width)
 
 
-def mix_tables(weights: np.ndarray) -> MixTables:
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
-        raise DimensionError(
-            f"neighbor_mix: weights must be square, got {weights.shape}"
-        )
-    rows, cols = np.nonzero(weights)
-    w = weights[rows, cols]
-    n = weights.shape[0]
-    return MixTables(
-        NeighborTable(rows, n, cols, w), NeighborTable(cols, n, rows, w)
-    )
+def neighbor_mix(table: NeighborTable, x) -> Tensor:
+    """Mix vertex features with a constant symmetric matrix w:
+    out[..., i, :] = sum_j w[i, j] * x[..., j, :].
 
-
-def neighbor_mix(tables: MixTables, x) -> Tensor:
-    """Mix vertex features with a constant square matrix:
-    out[..., i, :] = sum_j weights[i, j] * x[..., j, :].
-
-    tables is mix_tables(weights), built once per graph. Only nonzero
-    weights are read: the forward sums each row of the table by row, the
-    backward each column of the table by column, adding the j (or i)
-    terms in increasing order from +0.0. np.einsum("ij,...jd->...id")
+    table lists the nonzeros of w by row, with their weights (a weighted
+    NeighborTable over the row indices with the column indices as
+    sources), built once per graph. w must be symmetric: column i of w
+    then lists the same terms as row i, in the same order, so the
+    backward, w.T @ g, sums g through the same table. Each row's j terms
+    are added in increasing order from +0.0. np.einsum("ij,...jd->...id")
     adds them in that order too when the feature width d is above 1 (at
     d = 1 it reorders), and dropping zero terms cannot change such a
     sum, so the bits match the dense einsum's.
     """
     x = as_tensor(x)
-    n = tables.by_row.size
+    n = table.size
     if x.ndim < 2 or x.shape[-2] != n:
         raise DimensionError(
             f"neighbor_mix: vertex axis {x.shape} does not match "
@@ -366,19 +371,20 @@ def neighbor_mix(tables: MixTables, x) -> Tensor:
         )
 
     def bw(g):
-        return (tables.by_col.sum(g, -2),)
+        return (table.sum(g, -2),)
 
-    return _node(tables.by_row.sum(x.data, -2), (x,), bw)
+    return _node(table.sum(x.data, -2), (x,), bw)
 
 
-def conv1d(x, w) -> Tensor:
-    """Valid-mode correlation over the last axis of x.
+def conv1d(x: np.ndarray, w) -> Tensor:
+    """Valid-mode correlation over the last axis of the constant array x.
 
-    x: [..., L]; w: [channels, k]; out: [..., channels, L - k + 1].
-    The windows are an as_strided view with the shape and strides
-    sliding_window_view would give, built without its Python checks.
+    x: [..., L]; w: [channels, k]; out: [..., channels, L - k + 1]. Only
+    w gets a gradient. The windows are an as_strided view with the shape
+    and strides sliding_window_view would give, built without its Python
+    checks.
     """
-    x, w = as_tensor(x), as_tensor(w)
+    x, w = np.asarray(x, dtype=np.float64), as_tensor(w)
     if w.ndim != 2:
         raise DimensionError(f"conv1d: kernel must be 2-D, got {w.shape}")
     length = x.shape[-1]
@@ -388,22 +394,16 @@ def conv1d(x, w) -> Tensor:
             f"conv1d: input length {length} shorter than kernel {k}"
         )
     positions = length - k + 1
-    view = x.shape[:-1] + (positions, k), x.data.strides + x.data.strides[-1:]
-    windows = np.lib.stride_tricks.as_strided(x.data, *view, writeable=False)
+    view = x.shape[:-1] + (positions, k), x.strides + x.strides[-1:]
+    windows = np.lib.stride_tricks.as_strided(x, *view, writeable=False)
     out = np.einsum("...pk,mk->...mp", windows, w.data)
 
     def bw(g):
         flat_win = windows.reshape(-1, positions, k)
         flat_g = g.reshape(-1, channels, positions)
-        gw = np.einsum("bpk,bmp->mk", flat_win, flat_g)
-        gx = np.zeros_like(x.data)
-        for q in range(k):
-            gx[..., q : q + positions] += np.einsum(
-                "...mp,m->...p", g, w.data[:, q]
-            )
-        return gx, gw
+        return (np.einsum("bpk,bmp->mk", flat_win, flat_g),)
 
-    return _node(out, (x, w), bw)
+    return _node(out, (w,), bw)
 
 
 def concat(parts: Sequence, axis: int = -1) -> Tensor:
@@ -425,70 +425,66 @@ def concat(parts: Sequence, axis: int = -1) -> Tensor:
     return _node(data, tensors, bw)
 
 
-def take(x, table: NeighborTable, axis: int) -> Tensor:
-    """Gather entries along one axis, like np.take with the 1-D index
-    table.index; indices may repeat.
-
-    table is a NeighborTable over the x.shape[axis] targets, built once
-    per graph. The backward sums the gathered gradient into each target
-    through the table, in index order from +0.0, as np.add.at would, so
-    repeats add up to the same bits as a dense sum.
+def take(x, index, axis: int) -> Tensor:
+    """Gather entries along one axis, like np.take with the integer
+    index; indices may repeat. The backward adds the gathered gradient
+    back with np.add.at, unbuffered and in index order from +0.0, so
+    repeats add up to the bits of a dense sum.
     """
     x = as_tensor(x)
     axis = axis % x.ndim
-    if table.size != x.shape[axis]:
+    try:
+        out = np.take(x.data, index, axis=axis)
+    except IndexError:
         raise DimensionError(
-            f"take: index table has {table.size} targets, expected "
-            f"{x.shape[axis]}"
-        )
+            f"take: index out of range for axis {axis} of {x.shape}"
+        ) from None
 
     def bw(g):
-        return (table.sum(g, axis),)
+        gx = np.zeros(x.shape)
+        np.add.at(gx, (slice(None),) * axis + (index,), g)
+        return (gx,)
 
-    return _node(np.take(x.data, table.index, axis=axis), (x,), bw)
+    return _node(out, (x,), bw)
 
 
-def pair_readout(
-    q, item, bias, src_table: NeighborTable, dst_table: NeighborTable
-) -> Tensor:
+def pair_readout(q, item, bias, pairs: Pairs) -> Tensor:
     """Per pair e, the sum over d of relu(q[..., src[e], d] + item[...,
     dst[e], d] + bias[d]): [..., pairs] from [..., vertices, d] features,
-    where src_table and dst_table index each pair's query and candidate.
+    where pairs, over a [vertices, vertices] grid, gives each pair's
+    query src and candidate dst.
 
     take, take, add, add, relu and reduce_sum(-1) as one node. The forward
     adds the candidate rows, the bias and the clamp in place into the
     gathered query rows; the backward masks g once, into a buffer that
     ends with the zero slice NeighborTable.sum pads with, and sums it into
-    each side through its table, as take does. The terms and their order
-    are the composition's, so every bit is kept.
+    each side through the pairs' by_row and by_col tables, in pair order
+    from +0.0 as take's np.add.at does. The terms and their order are the
+    composition's, so every bit is kept.
     """
     q, item, bias = as_tensor(q), as_tensor(item), as_tensor(bias)
-    n = q.shape[-2:-1]
     if (
         q.ndim < 2 or item.shape != q.shape or bias.shape != q.shape[-1:]
-        or (src_table.size,) != n or (dst_table.size,) != n
-        or src_table.index.shape != dst_table.index.shape
+        or pairs.shape != q.shape[-2:-1] * 2
     ):
         raise DimensionError(
             f"pair_readout: features {q.shape} and {item.shape}, bias "
-            f"{bias.shape}, tables of {len(src_table.index)} and "
-            f"{len(dst_table.index)} pairs over {src_table.size} and "
-            f"{dst_table.size} vertices"
+            f"{bias.shape}, pairs over a {pairs.shape} grid"
         )
-    pre = np.take(q.data, src_table.index, axis=-2)
-    pre += np.take(item.data, dst_table.index, axis=-2)
+    pre = np.take(q.data, pairs.src, axis=-2)
+    pre += np.take(item.data, pairs.dst, axis=-2)
     pre += bias.data
     np.maximum(pre, 0.0, out=pre)
 
     def bw(g):
         # the masked g, then the zero slice the table sums pad with
-        *lead, pairs, d = pre.shape
-        buffer = np.empty((*lead, pairs + 1, d))
+        *lead, count, d = pre.shape
+        buffer = np.empty((*lead, count + 1, d))
         buffer[..., -1, :] = 0.0
         g = np.multiply(g[..., None], pre > 0.0, out=buffer[..., :-1, :])
         return (
-            src_table.sum(buffer, -2, True) if q.requires_grad else None,
-            dst_table.sum(buffer, -2, True) if item.requires_grad else None,
+            pairs.by_row.sum(buffer, -2, True) if q.requires_grad else None,
+            pairs.by_col.sum(buffer, -2, True) if item.requires_grad else None,
             _unbroadcast(g, bias.shape) if bias.requires_grad else None,
         )
 
@@ -505,33 +501,22 @@ def relu(x) -> Tensor:
     return _node(out, (x,), bw)
 
 
-def _grid(op: str, x: Tensor, positions, shape):
-    """The flat positions in a [rows, width] grid of the cells that the
-    last axis of x holds, checked to increase within the grid, and the
-    row of each."""
-    positions = np.asarray(positions, dtype=np.intp)
-    if positions.shape != x.shape[-1:]:
+def _check_cells(op: str, x: Tensor, pairs: Pairs) -> None:
+    if x.shape[-1:] != pairs.src.shape:
         raise DimensionError(
-            f"{op}: indices {positions.shape} do not match the last axis of "
+            f"{op}: {pairs.src.size} pairs do not match the last axis of "
             f"{x.shape}"
         )
-    if np.any(np.diff(positions) <= 0):
-        raise DimensionError(
-            f"{op}: positions must be distinct and increasing"
-        )
-    size = shape[0] * shape[1]
-    if positions.size and (positions[0] < 0 or positions[-1] >= size):
-        raise DimensionError(f"{op}: positions out of range [0, {size})")
-    return positions, positions // shape[1]
 
 
-def _row_sums(values: np.ndarray, positions: np.ndarray, shape) -> np.ndarray:
+def _row_sums(values: np.ndarray, pairs: Pairs) -> np.ndarray:
     """Per grid row, the dense sum(-1) of a zero buffer holding values at
-    positions: each row adds the terms and zeros of a dense zero-filled
-    grid in the same order, so the bits match."""
-    buffer = np.zeros(values.shape[:-1] + (shape[0] * shape[1],))
-    buffer[..., positions] = values
-    return buffer.reshape(values.shape[:-1] + tuple(shape)).sum(-1)
+    the pairs' positions: each row adds the terms and zeros of a dense
+    zero-filled grid in the same order, so the bits match."""
+    lead = values.shape[:-1]
+    buffer = np.zeros(lead + (pairs.shape[0] * pairs.shape[1],))
+    buffer[..., pairs.positions] = values
+    return buffer.reshape(lead + pairs.shape).sum(-1)
 
 
 def row_max(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -542,51 +527,53 @@ def row_max(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.repeat(peaks, np.diff(starts, append=rows.size), axis=-1)
 
 
-def row_sum(x, positions, shape) -> Tensor:
-    """Per row of a [rows, width] grid, the sum of its cells, [..., rows].
+def row_sum(x, pairs: Pairs) -> Tensor:
+    """Per row of the pairs' [rows, width] grid, the sum of its cells,
+    [..., rows].
 
-    The last axis of x holds the cells at the increasing flat positions
-    positions; the other cells are zero. The bits equal those of the dense
-    sum(-1) over the zero-filled grid.
+    The last axis of x holds the cells of pairs; the other cells are zero.
+    The bits equal those of the dense sum(-1) over the zero-filled grid.
     """
     x = as_tensor(x)
-    positions, rows = _grid("row_sum", x, positions, shape)
+    _check_cells("row_sum", x, pairs)
 
     def bw(g):
-        return (g[..., rows],)
+        return (g[..., pairs.src],)
 
-    return _node(_row_sums(x.data, positions, shape), (x,), bw)
+    return _node(_row_sums(x.data, pairs), (x,), bw)
 
 
-def softmax(x, positions, shape) -> Tensor:
+def softmax(x, pairs: Pairs) -> Tensor:
     """Softmax along each row of a grid laid out as in row_sum, over the
     cells x holds; the others count as -inf, so the output holds the
     same cells. The bits equal those of a dense softmax over the grid
     with the other cells filled far below every cell: the row max and
     row sums see the same values, and every other step is per cell."""
     x = as_tensor(x)
-    positions, rows = _grid("softmax", x, positions, shape)
+    _check_cells("softmax", x, pairs)
+    rows = pairs.src
     e = np.exp(x.data - row_max(x.data, rows))
-    out = e / _row_sums(e, positions, shape)[..., rows]
+    out = e / _row_sums(e, pairs)[..., rows]
 
     def bw(g):
-        inner = _row_sums(g * out, positions, shape)[..., rows]
+        inner = _row_sums(g * out, pairs)[..., rows]
         return (out * (g - inner),)
 
     return _node(out, (x,), bw)
 
 
-def log_softmax(x, positions, shape) -> Tensor:
-    """Log of softmax(x, positions, shape), as shifted cells minus the log of
-    their row's sum of exponentials."""
+def log_softmax(x, pairs: Pairs) -> Tensor:
+    """Log of softmax(x, pairs), as shifted cells minus the log of their
+    row's sum of exponentials."""
     x = as_tensor(x)
-    positions, rows = _grid("log_softmax", x, positions, shape)
+    _check_cells("log_softmax", x, pairs)
+    rows = pairs.src
     shifted = x.data - row_max(x.data, rows)
-    lse = np.log(_row_sums(np.exp(shifted), positions, shape)[..., rows])
+    lse = np.log(_row_sums(np.exp(shifted), pairs)[..., rows])
     out = shifted - lse
 
     def bw(g):
-        return (g - np.exp(out) * _row_sums(g, positions, shape)[..., rows],)
+        return (g - np.exp(out) * _row_sums(g, pairs)[..., rows],)
 
     return _node(out, (x,), bw)
 

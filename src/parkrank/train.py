@@ -194,7 +194,8 @@ def edge_labels(
     if vacant.shape != rem.shape:
         raise DataError("vacancy and duration arrays must align")
     src, dst = spatial.allowed_pairs()
-    prox = prox_weight / (1.0 + spatial.all_hop_distances()[src, dst])
+    # an allowed pair is a vertex itself (0 hops) or a neighbour (1 hop)
+    prox = prox_weight / (1.0 + (src != dst))
     dur = dur_weight * np.minimum(rem, duration_cap) / duration_cap
     y = (prox + dur[..., dst]) * vacant[..., dst]
     peak = T.row_max(y, src)
@@ -212,22 +213,21 @@ def make_labels(spatial: SpatialGraph, *args) -> np.ndarray:
     return dense
 
 
-def squared_error(labels, scores, positions, shape) -> T.Tensor:
+def squared_error(labels, scores, pairs: T.Pairs) -> T.Tensor:
     """Per-query sum of squared score errors, averaged over queries.
 
-    labels and scores ([..., pairs]) hold the cells of a [queries,
-    candidates] grid at the increasing flat positions positions; see
-    tensor.row_sum.
+    labels and scores ([..., pairs]) hold the cells of pairs' [queries,
+    candidates] grid; see tensor.row_sum.
     """
     diff = T.sub(T.Tensor(np.asarray(labels, dtype=np.float64)), scores)
-    return T.reduce_mean(T.row_sum(T.mul(diff, diff), positions, shape))
+    return T.reduce_mean(T.row_sum(T.mul(diff, diff), pairs))
 
 
-def listwise_nll(labels, scores, positions, shape) -> T.Tensor:
+def listwise_nll(labels, scores, pairs: T.Pairs) -> T.Tensor:
     """Negative label-weighted log-softmax over each query's pairs, laid
     out as in squared_error; other candidates take no part."""
-    logp = T.log_softmax(scores, positions, shape)
-    weighted = T.row_sum(T.mul(T.Tensor(labels), logp), positions, shape)
+    logp = T.log_softmax(scores, pairs)
+    weighted = T.row_sum(T.mul(T.Tensor(labels), logp), pairs)
     return T.scale(T.reduce_mean(weighted), -1.0)
 
 
@@ -239,12 +239,10 @@ def training_loss(
     l2_coeff: float = 0.0,
 ) -> T.Tensor:
     """Squared error plus weighted listwise NLL and L2 penalty over the
-    per-pair labels and scores ([batch, pairs]) of params' edge list."""
-    n = params.num_vertices
-    grid = (params.pair_index, (n, n))
-    total = squared_error(labels, scores, *grid)
+    per-pair labels and scores ([batch, pairs]) of params.pairs."""
+    total = squared_error(labels, scores, params.pairs)
     if softmax_weight > 0:
-        nll = listwise_nll(labels, scores, *grid)
+        nll = listwise_nll(labels, scores, params.pairs)
         total = T.add(total, T.scale(nll, softmax_weight))
     if l2_coeff > 0:
         penalty = None

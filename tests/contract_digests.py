@@ -2,11 +2,13 @@
 byte for byte: the criterion-9 `synth` data directory (its four files);
 the criterion-9 train and eval flow (checkpoint, training log and the
 three metric files), the same flow with softmax scores, dropout 0.3 and
-beta 2, `eval --split val --max-wait 3` (the three metric files) and
-`recommend --top 9 --time 100` for meters m000, m004 and m008 on both
-checkpoints; `bench` on the criterion-9 data (both files); and
-`ingest --kind space` and `--kind street` (the four data-dir files) from
-the fixed record files of write_records.
+beta 2, and the same flow on the criterion-9 data synthesized with
+`--adjacency-m 85` (neighbourhoods of up to 9 candidates rather than 5),
+each with `eval --split val --max-wait 3` (the three metric files) and
+`recommend --top 9 --time 100` for meters m000, m004 and m008; `bench`
+on the criterion-9 data (both files); and `ingest --kind space` and
+`--kind street` (the four data-dir files) from the fixed record files of
+write_records.
 
     python3 tests/contract_digests.py > after.json
     python3 tests/contract_digests.py /path/to/other/checkout/src > before.json
@@ -41,6 +43,8 @@ VARIANTS = {
         "--beta", "2",
     ],
 }
+# the c9 flow again on data synthesized with this extra option
+WIDE = ("c9-adjacency-85m", ["--adjacency-m", "85"])
 METRIC_FILES = ("metrics.json", "metrics.csv", "plot_data.csv")
 FILES = ("checkpoint.bin", "train_log.csv", *METRIC_FILES)
 METERS = ("m000", "m004", "m008")
@@ -97,35 +101,46 @@ def sha(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def flow(cli, data: Path, out: Path, extra: list[str]) -> dict[str, str]:
+    """Digests of train, eval, eval on val and recommend on data, keyed
+    by paths under out's name."""
+    result = {}
+    checkpoint = out / "checkpoint.bin"
+    run(cli, ["train", "--data", str(data), "--out", str(out),
+              *TRAIN, *extra])
+    run(cli, ["eval", "--data", str(data), "--checkpoint",
+              str(checkpoint), "--out", str(out)])
+    for file in FILES:
+        result[f"{out.name}/{file}"] = sha((out / file).read_bytes())
+    val_out = out / "val-max-wait-3"
+    run(cli, ["eval", "--data", str(data), "--checkpoint",
+              str(checkpoint), "--out", str(val_out), "--split", "val",
+              "--max-wait", "3"])
+    for file in METRIC_FILES:
+        result[f"{out.name}/val-max-wait-3/{file}"] = sha(
+            (val_out / file).read_bytes()
+        )
+    for meter in METERS:
+        stdout = run(cli, [
+            "recommend", "--data", str(data), "--checkpoint",
+            str(checkpoint), "--query", meter, "--time", "100",
+            "--top", "9",
+        ])
+        result[f"{out.name}/recommend-{meter}"] = sha(stdout)
+    return result
+
+
 def digests(cli, work: Path) -> dict[str, str]:
     data = work / "data"
     run(cli, ["synth", "--out", str(data), *SYNTH])
     result = {f"synth/{file}": sha((data / file).read_bytes())
               for file in DATA_FILES}
     for name, extra in VARIANTS.items():
-        out = work / name
-        checkpoint = out / "checkpoint.bin"
-        run(cli, ["train", "--data", str(data), "--out", str(out),
-                  *TRAIN, *extra])
-        run(cli, ["eval", "--data", str(data), "--checkpoint",
-                  str(checkpoint), "--out", str(out)])
-        for file in FILES:
-            result[f"{name}/{file}"] = sha((out / file).read_bytes())
-        val_out = out / "val-max-wait-3"
-        run(cli, ["eval", "--data", str(data), "--checkpoint",
-                  str(checkpoint), "--out", str(val_out), "--split", "val",
-                  "--max-wait", "3"])
-        for file in METRIC_FILES:
-            result[f"{name}/val-max-wait-3/{file}"] = sha(
-                (val_out / file).read_bytes()
-            )
-        for meter in METERS:
-            stdout = run(cli, [
-                "recommend", "--data", str(data), "--checkpoint",
-                str(checkpoint), "--query", meter, "--time", "100",
-                "--top", "9",
-            ])
-            result[f"{name}/recommend-{meter}"] = sha(stdout)
+        result.update(flow(cli, data, work / name, extra))
+    name, synth_extra = WIDE
+    wide_data = work / f"{name}-data"
+    run(cli, ["synth", "--out", str(wide_data), *SYNTH, *synth_extra])
+    result.update(flow(cli, wide_data, work / name, []))
     bench = work / "bench"
     run(cli, ["bench", "--data", str(data), "--out", str(bench)])
     for file in BENCH_FILES:

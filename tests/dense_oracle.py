@@ -1,6 +1,7 @@
 """Dense [batch, query, candidate] oracles for the edge-list scores, labels
-and loss, and dense [query, candidate] oracles for the ranking and
-waiting-time metrics.
+and loss, dense [query, candidate] oracles for the ranking and
+waiting-time metrics, and the dense normalized adjacency with its by-row
+and by-column neighbour tables for the one edge-list mix table.
 
 These compute over every (query, candidate) pair and mask the pairs
 outside the neighborhoods afterwards, as parkrank did before it kept
@@ -25,6 +26,21 @@ def adjacency(graph) -> np.ndarray:
     for i, j in graph.edges:
         adj[i, j] = adj[j, i] = True
     return adj
+
+
+def normalized_adjacency(graph) -> np.ndarray:
+    """The dense [n, n] symmetric-normalized adjacency plus self-loops."""
+    a = graph.allowed_mask().astype(np.float64)
+    inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
+    return a * inv_sqrt[:, None] * inv_sqrt[None, :]
+
+
+def mix_tables(weights):
+    """The nonzeros of a square weight matrix, row-major, as two weighted
+    NeighborTables: by row (the mix) and by column (its transpose)."""
+    rows, cols = np.nonzero(weights)
+    w, n = weights[rows, cols], len(weights)
+    return T.NeighborTable(rows, n, cols, w), T.NeighborTable(cols, n, rows, w)
 
 
 def softmax(x) -> T.Tensor:

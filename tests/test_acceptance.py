@@ -149,7 +149,9 @@ def test_criterion_4_gcn_oracle_and_equivariance():
             for i in range(n)
         ]
         graph = ingest.build_adjacency(locs, float(rng.uniform(30, 90)))
-        norm = model.normalized_adjacency(graph)
+        src, dst = graph.allowed_pairs()
+        weights = model.normalized_adjacency(src, dst)
+        table = T.NeighborTable(src, n, dst, weights)
         z = rng.standard_normal((n, 5))
         mix = rng.standard_normal((5, 3))
 
@@ -161,8 +163,7 @@ def test_criterion_4_gcn_oracle_and_equivariance():
                 oracle[i] += inv_sqrt[i] * adj[i, j] * inv_sqrt[j] * z[j]
         oracle = oracle @ mix
 
-        tables = T.mix_tables(norm)
-        got = T.matmul(T.neighbor_mix(tables, T.Tensor(z)), T.Tensor(mix)).data
+        got = T.matmul(T.neighbor_mix(table, T.Tensor(z)), T.Tensor(mix)).data
         worst = max(worst, float(np.abs(got - oracle).max()))
     assert worst < 1e-10
 
@@ -284,11 +285,11 @@ def test_criterion_6_loss_sanity():
         score_activation="relu",
     )
     params = model.ModelParams(cfg, graph, rng)
-    y = rng.random((3, len(params.src)))
+    y = rng.random((3, len(params.pairs.src)))
     zero = train.training_loss(y, y.copy(), params).item()
     assert zero == 0.0
     closed = train.listwise_nll(
-        [1.0, 0.0], [10.0, -10.0], np.arange(2), (1, 2)
+        [1.0, 0.0], [10.0, -10.0], T.Pairs(np.arange(2), (1, 2))
     ).item()
     expected = math.log1p(math.exp(-20.0))
     assert abs(closed - expected) < 1e-12

@@ -744,6 +744,53 @@ def test_ingest_interval_out_of_range_exit_3(tmp_path, capsys, minutes):
     assert "error: interval_minutes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, says",
+    [
+        pytest.param("--adjacency-m", "nan", "threshold_m",
+                     id="adjacency-nan"),
+        pytest.param("--adjacency-m", "inf", "threshold_m",
+                     id="adjacency-inf"),
+        pytest.param("--spacing", "nan", "grid_spacing_m", id="spacing-nan"),
+        pytest.param("--spacing", "inf", "grid_spacing_m", id="spacing-inf"),
+    ],
+)
+def test_non_finite_synth_option_exit_3(tmp_path, capsys, flag, value, says):
+    # a NaN threshold used to write a graph with no edges, a NaN spacing
+    # to fail later on a NaN latitude
+    code = run("synth", "--out", tmp_path / "x", "--locations", 4,
+               "--intervals", 20, flag, value)
+    assert code == 3
+    assert f"error: {says}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, flag, value, says",
+    [
+        pytest.param("street", "--full-ratio", "nan", "full_loaded_ratio",
+                     id="full-ratio-nan"),
+        pytest.param("street", "--full-ratio", "5", "full_loaded_ratio",
+                     id="full-ratio-above-1"),
+        pytest.param("street", "--full-ratio", "-1", "full_loaded_ratio",
+                     id="full-ratio-negative"),
+        pytest.param("space", "--adjacency-m", "nan", "threshold_m",
+                     id="adjacency-nan"),
+    ],
+)
+def test_ingest_option_out_of_range_exit_3(
+    tmp_path, capsys, kind, flag, value, says
+):
+    # a ratio of NaN or above 1 used to mark every street vacant, one
+    # below 0 every street occupied
+    _write_ingest_inputs(tmp_path, kind)
+    code = run("ingest", "--records", tmp_path / "rec.csv", "--locations",
+               tmp_path / "loc.csv", "--kind", kind, "--out",
+               tmp_path / "x", flag, value)
+    assert code == 3
+    assert f"error: {says}" in capsys.readouterr().err
+
+
 def _write_ingest_inputs(tmp_path, kind):
     """Valid loc.csv and rec.csv (space or street records) in tmp_path."""
     cfg = ingest.SynthConfig(num_locations=4, num_intervals=20, rng_seed=0)

@@ -149,6 +149,14 @@ class TestDerivedArrays:
             assert get() is arr
             with pytest.raises(ValueError):
                 arr[0, 0] = arr[0, 1]
+        pairs = graph.allowed_pairs()
+        assert all(a is b for a, b in zip(graph.allowed_pairs(), pairs))
+        assert all(np.array_equal(a, b) for a, b in zip(
+            pairs, np.nonzero(graph.allowed_mask())
+        ))
+        for index in pairs:
+            with pytest.raises(ValueError):
+                index[0] = 1
         with pytest.raises(ValueError):
             graph.hop_distances(0)[0] = 1
 

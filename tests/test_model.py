@@ -100,7 +100,7 @@ class TestEventAggregate:
         graph = grid_graph(4)
         params = make_params(graph, alpha=5, kernel_len=2, conv_channels=3)
         windows = np.random.default_rng(1).random((4, 5))
-        conv = T.conv1d(T.Tensor(windows), params.get("conv.weight"))
+        conv = T.conv1d(windows, params.get("conv.weight"))
         assert conv.shape == (4, 3, 4)  # alpha - kernel_len + 1 positions
         h = model.event_embed(params, windows[np.newaxis])
         assert h.shape == (1, 4, 3)
@@ -122,13 +122,21 @@ class TestNormalizedAdjacency:
                 out[i, j] = a[i, j] / np.sqrt(d[i] * d[j])
         return out
 
+    @staticmethod
+    def scattered(graph):
+        """The edge-list weights placed into a dense [n, n] matrix."""
+        src, dst = graph.allowed_pairs()
+        adj = np.zeros((graph.num_vertices,) * 2)
+        adj[src, dst] = model.normalized_adjacency(src, dst)
+        return adj
+
     def test_matches_dense_oracle(self):
         graph = grid_graph(9)
-        assert np.allclose(
-            model.normalized_adjacency(graph),
-            self.dense_oracle(graph),
-            atol=1e-10,
-        )
+        adj = self.scattered(graph)
+        assert np.allclose(adj, self.dense_oracle(graph), atol=1e-10)
+        # the bits of the dense normalization, read at the allowed pairs
+        want = dense_oracle.normalized_adjacency(graph)
+        assert adj.tobytes() == want.tobytes()
 
     def test_isolated_vertex_self_weight_one(self):
         locs = [
@@ -136,13 +144,28 @@ class TestNormalizedAdjacency:
             ingest.MeterLocation("b", 22.40, 114.30),
         ]
         graph = ingest.build_adjacency(locs, 50.0)
-        adj = model.normalized_adjacency(graph)
-        assert np.allclose(adj, np.eye(2))
+        weights = model.normalized_adjacency(*graph.allowed_pairs())
+        assert weights.tolist() == [1.0, 1.0]
 
     def test_rows_scaled_symmetrically(self):
-        graph = grid_graph(9)
-        adj = model.normalized_adjacency(graph)
-        assert np.allclose(adj, adj.T)
+        adj = self.scattered(grid_graph(9))
+        assert adj.tobytes() == adj.T.tobytes()
+
+    @pytest.mark.parametrize(
+        "kind", ["single-vertex", "no-edges", "grid", "complete", "synth-85m"]
+    )
+    def test_mix_table_matches_dense_tables(self, kind):
+        # the one edge-list table neighbor_mix sums through both ways is
+        # the dense matrix's by-row table and its by-column table, slot
+        # for slot and weight for weight
+        graph = graph_of(kind)
+        table = make_params(graph).mix_table
+        tables = dense_oracle.mix_tables(
+            dense_oracle.normalized_adjacency(graph)
+        )
+        for want in tables:
+            assert table.slots.tobytes() == want.slots.tobytes()
+            assert table.weights.tobytes() == want.weights.tobytes()
 
 
 class TestGcnUpdate:
@@ -341,6 +364,11 @@ class TestForwardScores:
 
 
 def graph_of(kind):
+    if kind == "synth-85m":  # up to 13 candidates, 12 of them neighbours
+        locs = ingest.synth_locations(
+            ingest.SynthConfig(num_locations=30, num_intervals=1)
+        )
+        return ingest.build_adjacency(locs, 85.0)
     if kind == "single-vertex":
         return ingest.build_adjacency([ingest.MeterLocation("a", 22.3, 114.17)])
     if kind == "no-edges":
@@ -395,7 +423,7 @@ class TestEdgeListReadout:
             dense_labels.tobytes()
         )
         assert edge_labels.tobytes() == (
-            dense_labels[:, params.src, params.dst].tobytes()
+            dense_labels[:, params.pairs.src, params.pairs.dst].tobytes()
         )
 
         def run(forward, labels, loss_fn):
@@ -432,7 +460,7 @@ class TestEdgeListReadout:
             dense_oracle.scores, dense_labels, dense_oracle.training_loss
         )
         assert scores.tobytes() == (
-            want_scores[:, params.src, params.dst].tobytes()
+            want_scores[:, params.pairs.src, params.pairs.dst].tobytes()
         )
         assert model.forward_scores(
             params, windows, current, states, 0.3,

@@ -16,6 +16,7 @@ TOL = 1e-7
 # six cells of a 3 x 4 grid, row-major: two in row 0, one in row 1, three
 # in row 2
 GRID = np.array([1, 3, 6, 8, 9, 11])
+PAIRS = T.Pairs(GRID, (3, 4))
 
 
 def leaf(rng, *shape):
@@ -30,7 +31,7 @@ class TestForwardOracles:
         assert out.data.tolist() == [[19.0, 22.0], [43.0, 50.0]]
 
     def test_conv1d_is_sliding_dot_product(self):
-        x = T.Tensor([1.0, 2.0, 3.0, 4.0])
+        x = np.array([1.0, 2.0, 3.0, 4.0])
         w = T.Tensor([[2.0, 1.0]])
         out = T.conv1d(x, w)
         # correlation semantics: out[p] = 2*x[p] + 1*x[p+1]
@@ -40,7 +41,7 @@ class TestForwardOracles:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((3, 5, 7))
         w = rng.standard_normal((4, 2))
-        out = T.conv1d(T.Tensor(x), T.Tensor(w))
+        out = T.conv1d(x, T.Tensor(w))
         assert out.shape == (3, 5, 4, 6)
         # spot-check one entry against the definition
         b, v, c, p = 1, 2, 3, 4
@@ -49,7 +50,7 @@ class TestForwardOracles:
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
-        out = T.softmax(T.Tensor(rng.standard_normal((4, 6))), GRID, (3, 4))
+        out = T.softmax(T.Tensor(rng.standard_normal((4, 6))), PAIRS)
         rows = GRID // 4
         for r in range(3):
             assert np.allclose(out.data[:, rows == r].sum(axis=-1), 1.0)
@@ -57,8 +58,8 @@ class TestForwardOracles:
     def test_log_softmax_matches_log_of_softmax(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((3, 6))
-        a = T.log_softmax(T.Tensor(x), GRID, (3, 4)).data
-        b = np.log(T.softmax(T.Tensor(x), GRID, (3, 4)).data)
+        a = T.log_softmax(T.Tensor(x), PAIRS).data
+        b = np.log(T.softmax(T.Tensor(x), PAIRS).data)
         assert np.allclose(a, b, atol=1e-12)
 
     def test_masked_fill_replaces_only_masked(self):
@@ -79,7 +80,7 @@ class TestShapeErrors:
 
     def test_conv_kernel_longer_than_input(self):
         with pytest.raises(DimensionError, match="conv1d"):
-            T.conv1d(T.Tensor(np.zeros(2)), T.Tensor(np.zeros((1, 5))))
+            T.conv1d(np.zeros(2), T.Tensor(np.zeros((1, 5))))
 
     def test_dense_relu_mismatch_names_op(self):
         x, w = T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((3, 4)))
@@ -89,20 +90,20 @@ class TestShapeErrors:
             T.dense_relu(x, w, T.Tensor(np.zeros(3)))
 
     @pytest.mark.parametrize(
-        "item, bias, dst",
+        "item, bias, grid",
         [
-            pytest.param((2, 3, 5), (4,), ([1, 2], 3), id="features"),
-            pytest.param((2, 3, 4), (5,), ([1, 2], 3), id="bias"),
-            pytest.param((2, 3, 4), (4,), ([1, 2], 4), id="table-size"),
-            pytest.param((2, 3, 4), (4,), ([1, 2, 0], 3), id="pair-count"),
+            pytest.param((2, 3, 5), (4,), (3, 3), id="features"),
+            pytest.param((2, 3, 4), (5,), (3, 3), id="bias"),
+            pytest.param((2, 3, 4), (4,), (4, 4), id="table-size"),
+            pytest.param((2, 3, 4), (4,), (3, 4), id="grid-width"),
         ],
     )
-    def test_pair_readout_mismatch_names_op(self, item, bias, dst):
+    def test_pair_readout_mismatch_names_op(self, item, bias, grid):
         q = T.Tensor(np.zeros((2, 3, 4)))
         with pytest.raises(DimensionError, match="pair_readout"):
             T.pair_readout(
                 q, T.Tensor(np.zeros(item)), T.Tensor(np.zeros(bias)),
-                T.NeighborTable([0, 1], 3), T.NeighborTable(*dst),
+                T.Pairs([1, 2], grid),
             )
 
     def test_backward_requires_scalar(self):
@@ -134,10 +135,12 @@ class TestGradients:
         self.check(lambda: T.reduce_sum(T.matmul(a, b)), [a, b])
 
     def test_conv1d(self):
+        # the input is a constant array: only the kernel has a gradient
         rng = np.random.default_rng(12)
-        x = leaf(rng, 2, 3, 6)
+        x = rng.standard_normal((2, 3, 6))
         w = leaf(rng, 4, 2)
-        self.check(lambda: T.reduce_sum(T.conv1d(x, w)), [x, w])
+        u = T.Tensor(rng.standard_normal((2, 3, 4, 5)))
+        self.check(lambda: T.reduce_sum(T.mul(T.conv1d(x, w), u)), [w])
 
     def test_activations(self):
         rng = np.random.default_rng(13)
@@ -149,7 +152,7 @@ class TestGradients:
         x = leaf(rng, 4, 6)
         w = T.Tensor(rng.standard_normal((4, 6)))
         self.check(
-            lambda: T.reduce_sum(T.mul(T.softmax(x, GRID, (3, 4)), w)), [x]
+            lambda: T.reduce_sum(T.mul(T.softmax(x, PAIRS), w)), [x]
         )
 
     def test_log_softmax_with_mask(self):
@@ -159,7 +162,7 @@ class TestGradients:
         y = T.Tensor(rng.random((3, 6)))
 
         def build():
-            logp = T.log_softmax(x, GRID, (3, 4))
+            logp = T.log_softmax(x, PAIRS)
             return T.scale(T.reduce_sum(T.mul(y, logp)), -1.0)
 
         self.check(build, [x])
@@ -169,7 +172,7 @@ class TestGradients:
         x = leaf(rng, 2, 6)
         w = T.Tensor(rng.standard_normal((2, 3)))
         self.check(
-            lambda: T.reduce_sum(T.mul(T.row_sum(x, GRID, (3, 4)), w)), [x]
+            lambda: T.reduce_sum(T.mul(T.row_sum(x, PAIRS), w)), [x]
         )
 
     def test_reductions_and_reshape(self):
@@ -196,17 +199,20 @@ class TestGradients:
     def test_neighbor_mix(self):
         rng = np.random.default_rng(18)
         weights = rng.standard_normal((5, 5))
+        table, _ = dense_oracle.mix_tables(weights + weights.T)
         x = leaf(rng, 2, 5, 3)
-        tables = T.mix_tables(weights)
-        self.check(lambda: T.reduce_sum(T.neighbor_mix(tables, x)), [x])
+        u = T.Tensor(rng.standard_normal((2, 5, 3)))
+        self.check(
+            lambda: T.reduce_sum(T.mul(T.neighbor_mix(table, x), u)), [x]
+        )
 
     def test_take_repeated_indices(self):
         rng = np.random.default_rng(20)
         x = leaf(rng, 4, 5, 3)
         w0 = T.Tensor(rng.standard_normal((6, 5, 3)))
         w1 = T.Tensor(rng.standard_normal((4, 7, 3)))
-        rows = T.NeighborTable([3, 0, 3, 1, 3, 2], 4)
-        cols = T.NeighborTable([0, 4, 4, 2, 0, 0, 1], 5)
+        rows = [3, 0, 3, 1, 3, 2]
+        cols = [0, 4, 4, 2, 0, 0, 1]
         self.check(
             lambda: T.add(
                 T.reduce_sum(T.mul(T.take(x, rows, 0), w0)),
@@ -226,12 +232,12 @@ class TestGradients:
     def test_pair_readout(self):
         rng = np.random.default_rng(25)
         q, item, bias = leaf(rng, 2, 4, 3), leaf(rng, 2, 4, 3), leaf(rng, 3)
-        src = T.NeighborTable([0, 0, 1, 2, 3, 3, 3], 4)
-        dst = T.NeighborTable([0, 1, 1, 2, 3, 0, 3], 4)  # (3, 3) twice
-        u = T.Tensor(rng.standard_normal((2, 7)))
+        # rows 0 and 1 hold two pairs each, row 3 and column 1 three
+        pairs = T.Pairs([0, 1, 5, 7, 10, 12, 13, 15], (4, 4))
+        u = T.Tensor(rng.standard_normal((2, 8)))
         self.check(
             lambda: T.reduce_sum(
-                T.mul(T.pair_readout(q, item, bias, src, dst), u)
+                T.mul(T.pair_readout(q, item, bias, pairs), u)
             ),
             [q, item, bias],
         )
@@ -266,22 +272,32 @@ def signed_zeros(rng, shape):
     return x
 
 
-def add_at_oracle(shape, index, axis, g):
-    """The take backward by np.add.at: unbuffered, in index order."""
-    gx = np.zeros(shape)
-    np.add.at(gx, (slice(None),) * (axis % len(shape)) + (index,), g)
-    return gx
+def table_sum_oracle(index, size, values, axis, sources=None, weights=None):
+    """NeighborTable.sum by a Python loop: entry by entry, in entry order,
+    (the weight times) the source's slice of values added onto its target,
+    which starts at +0.0. With index alone this is also take's backward,
+    the unbuffered in-order sum np.add.at defines."""
+    axis %= values.ndim
+    at = (slice(None),) * axis
+    out = np.zeros(values.shape[:axis] + (size,) + values.shape[axis + 1 :])
+    for e, target in enumerate(index):
+        term = values[at + (e if sources is None else sources[e],)]
+        out[at + (target,)] += term if weights is None else weights[e] * term
+    return out
 
 
 class TestOrderedTables:
-    """neighbor_mix and the take backward against the dense sums they
-    replace, bit for bit (tobytes): np.einsum over every column for the
-    mix, np.add.at for the gather."""
+    """neighbor_mix, NeighborTable.sum and the take backward against the
+    sums they stand for, bit for bit (tobytes): np.einsum over every
+    column for the mix, a Python loop for the table and the gather."""
 
     def mix_weights(self, rng, n):
+        """A symmetric matrix with some zero weights, an all-zero row and
+        column, and a -0.75 pair."""
         w = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.4)
-        w[1] = 0.0  # a row that is all zero
-        w[0, 2], w[2, 0] = -0.75, 0.0  # not symmetric
+        w = np.triu(w) + np.triu(w, 1).T
+        w[1] = w[:, 1] = 0.0
+        w[0, 2] = w[2, 0] = -0.75
         return w
 
     @pytest.mark.parametrize("shape", [(7, 3), (4, 7, 5), (2, 7, 16)])
@@ -290,8 +306,8 @@ class TestOrderedTables:
         w = self.mix_weights(rng, 7)
         x = rng.standard_normal(shape)
         g = rng.standard_normal(shape)
-        tables = T.mix_tables(w)
-        out, gx = forward_and_grad(lambda t: T.neighbor_mix(tables, t), x, g)
+        table, _ = dense_oracle.mix_tables(w)
+        out, gx = forward_and_grad(lambda t: T.neighbor_mix(table, t), x, g)
         want = np.einsum("ij,...jd->...id", w, x)
         want_gx = np.einsum("ji,...jd->...id", w, g)
         assert out.tobytes() == want.tobytes()
@@ -309,12 +325,12 @@ class TestOrderedTables:
     def test_take_backward_matches_add_at(self, shape, index, axis):
         rng = np.random.default_rng(31)
         index = np.array(index, dtype=np.intp)
-        x = rng.standard_normal(shape)
-        g = rng.standard_normal(np.take(x, index, axis=axis).shape)
-        table = T.NeighborTable(index, shape[axis])
-        out, gx = forward_and_grad(lambda t: T.take(t, table, axis), x, g)
+        x = signed_zeros(rng, shape)
+        g = signed_zeros(rng, np.take(x, index, axis=axis).shape)
+        out, gx = forward_and_grad(lambda t: T.take(t, index, axis), x, g)
+        want = table_sum_oracle(index, shape[axis], g, axis)
         assert out.tobytes() == np.take(x, index, axis=axis).tobytes()
-        assert gx.tobytes() == add_at_oracle(shape, index, axis, g).tobytes()
+        assert gx.tobytes() == want.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -329,10 +345,10 @@ class TestOrderedTables:
         )
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         x = rng.standard_normal(shape)
-        g = rng.standard_normal(np.take(x, index, axis=axis).shape)
-        table = T.NeighborTable(index, shape[axis])
-        _, gx = forward_and_grad(lambda t: T.take(t, table, axis), x, g)
-        assert gx.tobytes() == add_at_oracle(shape, index, axis, g).tobytes()
+        g = signed_zeros(rng, np.take(x, index, axis=axis).shape)
+        _, gx = forward_and_grad(lambda t: T.take(t, index, axis), x, g)
+        want = table_sum_oracle(index, shape[axis], g, axis)
+        assert gx.tobytes() == want.tobytes()
 
     # slots per np.take in NeighborTable.sum, as GATHER_BYTES set from
     # the bytes of one slot: one, two (2 + 2 + 1 of K = 5), or all
@@ -357,18 +373,20 @@ class TestOrderedTables:
     @pytest.mark.parametrize("shape", [(7, 3), (1, 7, 5), (3, 7, 2)])
     def test_neighbor_mix_gather_regimes(self, monkeypatch, regime, shape):
         rng = np.random.default_rng(32)
-        # row 3 and column 1 hold K = 5 weights, every other row and
-        # column fewer; the einsum also reads the -0.0 weights off the
-        # mask, and -0.0 inputs give -0.0 terms
+        # row and column 3, and row and column 1, hold K = 5 weights,
+        # every other row and column fewer; the einsum also reads the
+        # -0.0 weights off the mask, and -0.0 inputs give -0.0 terms
         mask = np.eye(7, k=1, dtype=bool)
         mask[3, [0, 2, 5, 6]] = True
         mask[[0, 2, 4, 5, 6], 1] = True
-        w = rng.standard_normal((7, 7)) * mask
+        mask |= mask.T
+        w = rng.standard_normal((7, 7))
+        w = (w + w.T) * mask
         x, g = signed_zeros(rng, shape), signed_zeros(rng, shape)
-        tables = T.mix_tables(w)
-        assert len(tables.by_row.slots) == len(tables.by_col.slots) == 5
+        table, _ = dense_oracle.mix_tables(w)
+        assert len(table.slots) == 5
         counts = self.gathers(monkeypatch, regime, x.nbytes)
-        out, gx = forward_and_grad(lambda t: T.neighbor_mix(tables, t), x, g)
+        out, gx = forward_and_grad(lambda t: T.neighbor_mix(table, t), x, g)
         per_sum = {"one": [1] * 5, "two": [2, 2, 1], "all": [5]}[regime]
         assert counts == per_sum * 2
         assert out.tobytes() == np.einsum("ij,...jd->...id", w, x).tobytes()
@@ -386,19 +404,32 @@ class TestOrderedTables:
     def test_take_backward_gather_regimes(
         self, monkeypatch, regime, shape, index, axis
     ):
+        # the gather-sum of a take backward, NeighborTable.sum over the
+        # index, unweighted and weighted, in each gather regime; take's
+        # own np.add.at backward gives the unweighted bits
         rng = np.random.default_rng(33)
         index = np.array(index, dtype=np.intp)
+        size = shape[axis]
         x = signed_zeros(rng, shape)
         g = signed_zeros(rng, np.take(x, index, axis=axis).shape)
-        table = T.NeighborTable(index, shape[axis])
-        depth = table.slots.shape[0]
+        weights = signed_zeros(rng, index.shape)
+        tables = {
+            None: T.NeighborTable(index, size),
+            "weighted": T.NeighborTable(index, size, weights=weights),
+        }
+        depth = tables[None].slots.shape[0]
         assert depth >= 6
         counts = self.gathers(monkeypatch, regime, x.nbytes)
-        _, gx = forward_and_grad(lambda t: T.take(t, table, axis), x, g)
+        for kind, table in tables.items():
+            w = None if kind is None else weights
+            want = table_sum_oracle(index, size, g, axis, weights=w)
+            assert table.sum(g, axis).tobytes() == want.tobytes(), kind
         chunk = {"one": 1, "two": 2, "all": depth}[regime]
         want = [min(chunk, depth - lo) for lo in range(0, depth, chunk)]
-        assert counts == want
-        assert gx.tobytes() == add_at_oracle(shape, index, axis, g).tobytes()
+        assert counts == want * 2
+        _, gx = forward_and_grad(lambda t: T.take(t, index, axis), x, g)
+        want = table_sum_oracle(index, size, g, axis)
+        assert gx.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("axis", [0, 1, -1])
     def test_sum_of_padded_values(self, axis):
@@ -410,7 +441,7 @@ class TestOrderedTables:
         zero_shape[axis] = 1
         padded = np.concatenate([values, np.zeros(zero_shape)], axis)
         index = [3, 0, 3, 1, 3, 2]
-        weighted = T.mix_tables(self.mix_weights(rng, 6)).by_row
+        weighted, _ = dense_oracle.mix_tables(self.mix_weights(rng, 6))
         for table in (T.NeighborTable(index, 6), weighted):
             want = table.sum(values, axis)
             assert table.sum(padded, axis, padded=True).tobytes() == (
@@ -422,7 +453,7 @@ class TestOrderedTables:
         with pytest.raises(DimensionError, match="out of range"):
             T.NeighborTable([0, 3], 3)
         with pytest.raises(DimensionError, match="take"):
-            T.take(x, T.NeighborTable([0, 3], 4), 1)
+            T.take(x, [0, 3], 1)
 
 
 DYADIC = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
@@ -458,10 +489,9 @@ class TestFusedOps:
 
     def readout_case(self, rng, arrays, pairs, dropout):
         n = arrays[0].shape[-2]
-        src = np.array([i for i, _ in pairs], dtype=np.intp)
-        dst = np.array([j for _, j in pairs], dtype=np.intp)
-        tables = T.NeighborTable(src, n), T.NeighborTable(dst, n)
-        g = signed_zeros(rng, arrays[0].shape[:-2] + (len(pairs),))
+        # the distinct pairs, row-major
+        pairs = T.Pairs(sorted({i * n + j for i, j in pairs}), (n, n))
+        g = signed_zeros(rng, arrays[0].shape[:-2] + pairs.src.shape)
         seed = int(rng.integers(2**32))
 
         def wrap(op):
@@ -470,7 +500,7 @@ class TestFusedOps:
                     item = model._dropout(
                         item, dropout, np.random.default_rng(seed)
                     )
-                return op(q, item, bias, *tables)
+                return op(q, item, bias, pairs)
             return run
 
         return fused_and_unfused(
@@ -579,7 +609,7 @@ class TestNumpyEquivalents:
         for x in (np.ascontiguousarray(base[..., 0]), base[..., 1]):
             window = np.lib.stride_tricks.sliding_window_view(x, k, axis=-1)
             want = np.einsum("...pk,mk->...mp", window, w)
-            out = T.conv1d(T.Tensor(x), T.Tensor(w)).data
+            out = T.conv1d(x, T.Tensor(w)).data
             assert out.tobytes() == want.tobytes()
 
     # 130 and 300 terms cross numpy's 128-term pairwise summation block
@@ -628,7 +658,8 @@ class TestRowOps:
         index, x = self.cells(rng, lead, shape, 0.2)
         g = rng.standard_normal(lead + (shape[0],))
         want = self.dense(x, index, shape).sum(-1)
-        out, gx = forward_and_grad(lambda t: T.row_sum(t, index, shape), x, g)
+        pairs = T.Pairs(index, shape)
+        out, gx = forward_and_grad(lambda t: T.row_sum(t, pairs), x, g)
         assert out.tobytes() == want.tobytes()
         assert gx.tobytes() == g[..., index // shape[1]].tobytes()
 
@@ -640,7 +671,7 @@ class TestRowOps:
         x = np.array([[-0.0] * 5 + [0.0] + [-0.0] * 5])
         for values in (x, np.stack([x, -x])):
             want = self.dense(values, index, shape).sum(-1)
-            out = T.row_sum(T.Tensor(values), index, shape).data
+            out = T.row_sum(T.Tensor(values), T.Pairs(index, shape)).data
             assert out.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("lead, shape", SHAPES)
@@ -648,11 +679,12 @@ class TestRowOps:
         rng = np.random.default_rng(41)
         index, x = self.cells(rng, lead, shape, 0.2)
         g = rng.standard_normal(x.shape)
+        pairs = T.Pairs(index, shape)
         for op, oracle in (
             (T.softmax, dense_oracle.softmax),
             (T.log_softmax, dense_oracle.log_softmax),
         ):
-            out, gx = forward_and_grad(lambda t: op(t, index, shape), x, g)
+            out, gx = forward_and_grad(lambda t: op(t, pairs), x, g)
             want, want_gx = forward_and_grad(
                 oracle, self.dense(x, index, shape, -1e30),
                 self.dense(g, index, shape),
@@ -664,16 +696,21 @@ class TestRowOps:
 
     @pytest.mark.parametrize("op", [T.row_sum, T.softmax, T.log_softmax])
     def test_bad_positions_rejected(self, op):
-        x = T.Tensor(np.ones((2, 3)))
+        # the Pairs constructor checks the positions once; each op checks
+        # that its input holds one cell per pair
         for index in ([4, 1, 4], [1, 4, 4]):
             with pytest.raises(DimensionError, match="distinct"):
-                op(x, index, (2, 3))
+                T.Pairs(index, (2, 3))
         with pytest.raises(DimensionError, match="increasing"):
-            op(x, [4, 1, 2], (2, 3))
-        with pytest.raises(DimensionError, match=op.__name__):
-            op(x, [0, 1, 6], (2, 3))
-        with pytest.raises(DimensionError, match="last axis"):
-            op(x, [0, 1], (2, 3))
+            T.Pairs([4, 1, 2], (2, 3))
+        for index in ([0, 1, 6], [-1, 0, 1]):
+            with pytest.raises(DimensionError, match="out of range"):
+                T.Pairs(index, (2, 3))
+        with pytest.raises(DimensionError, match="1-D"):
+            T.Pairs([[0, 1]], (2, 3))
+        pairs = T.Pairs([0, 1], (2, 3))
+        with pytest.raises(DimensionError, match=f"{op.__name__}: 2 pairs"):
+            op(T.Tensor(np.ones((2, 3))), pairs)
 
 
 class TestBackwardSemantics:
@@ -717,8 +754,7 @@ class TestBackwardSemantics:
         "dense_relu": (T.dense_relu, [(2, 3, 4), (4, 5), (5,)]),
         "pair_readout": (
             lambda q, item, bias: T.pair_readout(
-                q, item, bias, T.NeighborTable([0, 1, 1], 2),
-                T.NeighborTable([1, 0, 1], 2),
+                q, item, bias, T.Pairs([1, 2, 3], (2, 2))
             ),
             [(3, 2, 4), (3, 2, 4), (4,)],
         ),

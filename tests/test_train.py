@@ -84,37 +84,58 @@ class TestMakeLabels:
             single = train.make_labels(g, vac[b], rem[b], 0.5, 0.5, 12)
             assert np.array_equal(batch[b], single)
 
+    @pytest.mark.parametrize("prox_weight", [0.5, 0.3, 1.7])
+    def test_labels_build_no_hop_table(self, prox_weight):
+        # an allowed pair is 0 hops (the query itself) or 1 (a neighbour),
+        # so the labels read src != dst, not the hop table, and keep the
+        # bits of the hop-table formula
+        locs = ingest.synth_locations(
+            ingest.SynthConfig(num_locations=20, num_intervals=1)
+        )
+        rng = np.random.default_rng(9)
+        args = (
+            rng.random((4, 20)) < 0.6, rng.integers(1, 20, (4, 20)),
+            prox_weight, 0.5, 12,
+        )
+        g = ingest.build_adjacency(locs, 85.0)
+        edge, dense = train.edge_labels(g, *args), train.make_labels(g, *args)
+        assert "_hops" not in vars(g)
+        src, dst = g.allowed_pairs()
+        want = dense_oracle.labels(g, *args)  # reads all_hop_distances()
+        assert dense.tobytes() == want.tobytes()
+        assert edge.tobytes() == want[:, src, dst].tobytes()
 
-ROW_OF_2 = (np.arange(2), (1, 2))  # one query, both pairs allowed
+
+ROW_OF_2 = T.Pairs(np.arange(2), (1, 2))  # one query, both pairs allowed
 
 
 class TestLossClosedForms:
     def test_squared_error_unit_example(self):
-        got = train.squared_error([1.0, 0.0], [0.0, 1.0], *ROW_OF_2).item()
+        got = train.squared_error([1.0, 0.0], [0.0, 1.0], ROW_OF_2).item()
         assert got == pytest.approx(2.0, abs=1e-12)
 
     def test_squared_error_batch_mean(self):
         y = np.array([[1.0, 0.0], [0.0, 0.0]])
         s = np.array([[0.0, 1.0], [0.0, 2.0]])
         # rows cost 2 and 4, mean 3
-        got = train.squared_error(y, s, *ROW_OF_2).item()
+        got = train.squared_error(y, s, ROW_OF_2).item()
         assert got == pytest.approx(3.0, abs=1e-12)
 
     def test_listwise_confident_correct(self):
-        got = train.listwise_nll([1.0, 0.0], [10.0, -10.0], *ROW_OF_2).item()
+        got = train.listwise_nll([1.0, 0.0], [10.0, -10.0], ROW_OF_2).item()
         assert abs(got - math.log1p(math.exp(-20.0))) < 1e-12
 
     def test_listwise_uniform_scores(self):
         # equal scores over k candidates cost log k per unit of label
         got = train.listwise_nll(
-            [1.0, 0.0, 0.0], [3.0, 3.0, 3.0], np.arange(3), (1, 3)
+            [1.0, 0.0, 0.0], [3.0, 3.0, 3.0], T.Pairs(np.arange(3), (1, 3))
         ).item()
         assert got == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_listwise_mask_excludes_blocked(self):
         # the third candidate is blocked: it has no pair to score
         got = train.listwise_nll(
-            [1.0, 0.0], [0.0, 0.0], np.array([0, 1]), (1, 3)
+            [1.0, 0.0], [0.0, 0.0], T.Pairs([0, 1], (1, 3))
         ).item()
         assert got == pytest.approx(math.log(2.0), abs=1e-12)
 
@@ -127,13 +148,13 @@ class TestLossClosedForms:
 
     def test_perfect_scores_zero_loss(self):
         params = self.chain_params()
-        y = np.random.default_rng(1).random((2, len(params.src)))
+        y = np.random.default_rng(1).random((2, len(params.pairs.src)))
         total = train.training_loss(y, y.copy(), params, 0.0, 0.0).item()
         assert total == 0.0
 
     def test_l2_counts_once(self):
         params = self.chain_params()
-        y = np.zeros((1, len(params.src)))
+        y = np.zeros((1, len(params.pairs.src)))
         base = train.training_loss(y, y.copy(), params, 0.0, 0.0).item()
         with_l2 = train.training_loss(y, y.copy(), params, 0.0, 0.5).item()
         expected = 0.5 * sum(

@@ -3,15 +3,17 @@
 tensor.pair_readout and tensor.dense_relu each record one tape node where
 the model once recorded a chain of them. These are those chains, built
 from the primitive ops; the fused ops must match them bit for bit, in the
-output and in every gradient.
+output and in every gradient. The readout's chain gathers with the plain
+src and dst indices of its Pairs, so its gradients come from take's
+np.add.at, where the fused op sums through the Pairs' tables.
 """
 
 from parkrank import tensor as T
 
 
-def pair_readout(q, item, bias, src_table, dst_table) -> T.Tensor:
+def pair_readout(q, item, bias, pairs) -> T.Tensor:
     """take, take, add, add bias, relu and reduce_sum(-1)."""
-    pair = T.add(T.take(q, src_table, -2), T.take(item, dst_table, -2))
+    pair = T.add(T.take(q, pairs.src, -2), T.take(item, pairs.dst, -2))
     return T.reduce_sum(T.relu(T.add(pair, bias)), axis=-1)
 
 
