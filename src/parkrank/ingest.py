@@ -123,10 +123,10 @@ class SpatialGraph:
     """Proximity graph over meter locations.
 
     Edges are unordered index pairs stored as (i, j) with i < j. The
-    adjacency, candidate mask, allowed pairs and hop table are derived on
-    first use, once per instance, and returned read-only. The hop table
-    stays lazy because graph construction runs in every set-up, which must
-    not pay for a BFS.
+    candidate mask, allowed pairs and hop table all derive from this edge
+    list on first use, once per instance, and are returned read-only. The
+    hop table stays lazy because graph construction runs in every set-up,
+    which must not pay for a BFS.
     """
 
     vertices: tuple[MeterLocation, ...]
@@ -143,18 +143,10 @@ class SpatialGraph:
         return len(self.vertices)
 
     @functools.cached_property
-    def _adjacency(self) -> np.ndarray:
-        n = self.num_vertices
-        adj = np.zeros((n, n), dtype=np.bool_)
-        for i, j in self.edges:
-            adj[i, j] = True
-            adj[j, i] = True
-        adj.flags.writeable = False
-        return adj
-
-    @functools.cached_property
     def _allowed(self) -> np.ndarray:
-        mask = self._adjacency | np.eye(self.num_vertices, dtype=np.bool_)
+        mask = np.eye(self.num_vertices, dtype=np.bool_)
+        i, j = np.array(sorted(self.edges), dtype=np.int64).reshape(-1, 2).T
+        mask[np.r_[i, j], np.r_[j, i]] = True
         mask.flags.writeable = False
         return mask
 
@@ -168,14 +160,20 @@ class SpatialGraph:
     @functools.cached_property
     def _hops(self) -> np.ndarray:
         # BFS from every source at once: frontier row s holds the vertices
-        # first reached from s at the current depth
+        # first reached from s at the current depth. Each level is a
+        # grouped OR over the allowed pairs: v is reached from s when some
+        # allowed pair (v, w) has w in s's frontier. Every vertex has its
+        # self pair, so each of the n segments of src is non-empty.
         n = self.num_vertices
+        src, dst = self._pairs
+        rows = np.searchsorted(src, np.arange(n))
         frontier = np.eye(n, dtype=np.bool_)
         hops = np.where(frontier, 0, n + 1).astype(np.int64)
         depth = 0
         while frontier.any():
             depth += 1
-            frontier = (frontier @ self._adjacency) & (hops > n)
+            reached = np.logical_or.reduceat(frontier[:, dst], rows, axis=1)
+            frontier = reached & (hops > n)
             hops[frontier] = depth
         hops.flags.writeable = False
         return hops
@@ -455,14 +453,9 @@ def synth_generate(cfg: SynthConfig) -> tuple[list[MeterLocation], OccupancyMatr
     locations = synth_locations(cfg)
     side = math.ceil(math.sqrt(cfg.num_locations))
     m = cfg.num_locations
-    adj = np.zeros((m, m), dtype=np.float64)
-    for i in range(m):
-        r, c = divmod(i, side)
-        for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            rr, cc = r + dr, c + dc
-            j = rr * side + cc
-            if 0 <= rr < side and 0 <= cc < side and j < m:
-                adj[i, j] = 1.0
+    # generator neighbours: the grid cells one step up, down, left or right
+    r, c = np.divmod(np.arange(m), side)
+    adj = (abs(r[:, None] - r) + abs(c[:, None] - c) == 1).astype(np.float64)
 
     base = cfg.base_occupancy_rate
     amp = DIURNAL_AMP_FRAC * min(base, 1.0 - base)

@@ -168,16 +168,6 @@ def mul(a, b) -> Tensor:
     return _node(_broadcast_op("mul", np.multiply, a, b), (a, b), bw)
 
 
-def scale(a, factor: float) -> Tensor:
-    a = as_tensor(a)
-    factor = float(factor)
-
-    def bw(g):
-        return (g * factor,)
-
-    return _node(a.data * factor, (a,), bw)
-
-
 def _check_matmul(op: str, a: Tensor, b: Tensor) -> None:
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(

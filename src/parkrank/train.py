@@ -228,7 +228,7 @@ def listwise_nll(labels, scores, pairs: T.Pairs) -> T.Tensor:
     out as in squared_error; other candidates take no part."""
     logp = T.log_softmax(scores, pairs)
     weighted = T.row_sum(T.mul(T.Tensor(labels), logp), pairs)
-    return T.scale(T.reduce_mean(weighted), -1.0)
+    return T.mul(T.reduce_mean(weighted), -1.0)
 
 
 def training_loss(
@@ -243,13 +243,13 @@ def training_loss(
     total = squared_error(labels, scores, params.pairs)
     if softmax_weight > 0:
         nll = listwise_nll(labels, scores, params.pairs)
-        total = T.add(total, T.scale(nll, softmax_weight))
+        total = T.add(total, T.mul(nll, softmax_weight))
     if l2_coeff > 0:
         penalty = None
         for p in params.tensors:
             sq = T.reduce_sum(T.mul(p, p))
             penalty = sq if penalty is None else T.add(penalty, sq)
-        total = T.add(total, T.scale(penalty, l2_coeff))
+        total = T.add(total, T.mul(penalty, l2_coeff))
     return total
 
 

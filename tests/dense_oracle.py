@@ -126,7 +126,7 @@ def listwise_nll(labels, scores, allowed) -> T.Tensor:
     logp = log_softmax(T.masked_fill(scores, blocked, MASK_FILL))
     logp = T.masked_fill(logp, blocked, 0.0)
     weighted = T.reduce_sum(T.mul(T.Tensor(labels), logp), axis=-1)
-    return T.scale(T.reduce_mean(weighted), -1.0)
+    return T.mul(T.reduce_mean(weighted), -1.0)
 
 
 def training_loss(
@@ -136,13 +136,13 @@ def training_loss(
     total = squared_error(labels, scores)
     if softmax_weight > 0:
         nll = listwise_nll(labels, scores, params.allowed)
-        total = T.add(total, T.scale(nll, softmax_weight))
+        total = T.add(total, T.mul(nll, softmax_weight))
     if l2_coeff > 0:
         penalty = None
         for p in params.tensors:
             sq = T.reduce_sum(T.mul(p, p))
             penalty = sq if penalty is None else T.add(penalty, sq)
-        total = T.add(total, T.scale(penalty, l2_coeff))
+        total = T.add(total, T.mul(penalty, l2_coeff))
     return total
 
 

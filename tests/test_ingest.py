@@ -1,5 +1,6 @@
 """Ingestion tests: parsers, adjacency, synthetic generator, round-trips."""
 
+import json
 import math
 from datetime import datetime
 
@@ -14,6 +15,7 @@ from parkrank.errors import (
     ConfigError,
     DataError,
     EmptyDatasetError,
+    ParkrankError,
     ParseError,
 )
 
@@ -125,22 +127,87 @@ def random_graph(rng, n, threshold_m):
     return ingest.build_adjacency(locs, threshold_m)
 
 
+def assert_tables_match_oracles(graph):
+    """The candidate mask and hop table equal the dense-adjacency and
+    per-source BFS oracles byte for byte, read-only, one object each."""
+    n = graph.num_vertices
+    want_allowed = adjacency(graph) | np.eye(n, dtype=bool)
+    want_hops = np.array(
+        [bfs_oracle(graph, s) for s in range(n)], dtype=np.int64
+    ).reshape(n, n)
+    for get, want in ((graph.allowed_mask, want_allowed),
+                      (graph.all_hop_distances, want_hops)):
+        got = get()
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert get() is got
+        assert not got.flags.writeable
+
+
+@st.composite
+def edge_sets(draw):
+    """(n, edges) over 0-40 vertices: random edges (isolated vertices
+    included), a path of diameter n - 1, a star, two components or the
+    complete graph, with the vertices relabeled at random."""
+    n = draw(st.integers(0, 40))
+    shape = draw(st.sampled_from(["random", "path", "star", "two", "complete"]))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if shape == "random" and pairs:
+        edges = draw(st.sets(st.sampled_from(pairs), max_size=3 * n))
+    elif shape == "path":
+        edges = {(i, i + 1) for i in range(n - 1)}
+    elif shape == "star":
+        edges = {(0, j) for j in range(1, n)}
+    elif shape == "two":  # two paths, split at n // 2
+        edges = {(i, i + 1) for i in range(n - 1) if i + 1 != n // 2}
+    elif shape == "complete":
+        edges = set(pairs)
+    else:
+        edges = set()
+    label = draw(st.permutations(range(n)))
+    return n, frozenset(
+        (min(label[i], label[j]), max(label[i], label[j])) for i, j in edges
+    )
+
+
 class TestDerivedArrays:
     @pytest.mark.parametrize(
-        "n, threshold_m",
-        # one vertex, no edges (1 cm), islands, connected, complete
-        [(1, 50.0), (6, 0.01), (12, 50.0), (25, 50.0), (25, 90.0), (40, 300.0)],
+        "n, threshold_m, layout",
+        # one vertex, no edges (1 cm), islands, connected, complete; then
+        # synth grids whose last grid row is partial (11 x 11 holds 120)
+        [
+            pytest.param(n, t, "random", id=f"{n}-{t}")
+            for n, t in ((1, 50.0), (6, 0.01), (12, 50.0), (25, 50.0),
+                         (25, 90.0), (40, 300.0))
+        ] + [
+            pytest.param(120, t, "grid", id=f"grid-120-{t}")
+            for t in (50.0, 85.0)
+        ],
     )
-    def test_hop_table_matches_per_source_bfs(self, n, threshold_m):
+    def test_hop_table_matches_per_source_bfs(self, n, threshold_m, layout):
         rng = np.random.default_rng(n)
-        for _ in range(3):
-            graph = random_graph(rng, n, threshold_m)
+        if layout == "grid":
+            graphs = [ingest.build_adjacency(ingest.synth_locations(
+                ingest.SynthConfig(num_locations=n, num_intervals=1)
+            ), threshold_m)]
+        else:
+            graphs = [random_graph(rng, n, threshold_m) for _ in range(3)]
+        for graph in graphs:
             table = graph.all_hop_distances()
             assert table.dtype == np.int64
             assert table.shape == (n, n)
             for s in range(n):
                 assert np.array_equal(table[s], bfs_oracle(graph, s))
                 assert np.array_equal(graph.hop_distances(s), table[s])
+
+    @given(edge_sets())
+    @settings(max_examples=120, deadline=None)
+    def test_edge_list_tables_match_oracles(self, graph_edges):
+        n, edges = graph_edges
+        vertices = tuple(
+            ingest.MeterLocation(f"m{i}", 22.3, 114.17) for i in range(n)
+        )
+        assert_tables_match_oracles(ingest.SpatialGraph(vertices, edges))
 
     def test_read_only_and_computed_once(self):
         graph = random_graph(np.random.default_rng(3), 10, 90.0)
@@ -352,6 +419,30 @@ class TestSynthGenerate:
 
         assert neighbor_corr(high) > neighbor_corr(low) + 0.05
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 10, 31, 120])
+    def test_generator_neighbours_are_grid_steps(self, monkeypatch, m):
+        seen = []
+        markov = ingest.kernels.markov_occupancy
+
+        def spy(init_u, step_u, sin_mod, neighbor_w, *rest):
+            seen.append(neighbor_w)
+            return markov(init_u, step_u, sin_mod, neighbor_w, *rest)
+
+        monkeypatch.setattr(ingest.kernels, "markov_occupancy", spy)
+        ingest.synth_generate(ingest.SynthConfig(num_locations=m, num_intervals=2))
+        # the grid is filled row by row, so m < side * side leaves the
+        # last row partial
+        side = math.ceil(math.sqrt(m))
+        want = np.zeros((m, m))
+        for i in range(m):
+            r, c = divmod(i, side)
+            for rr, cc in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
+                if 0 <= rr < side and 0 <= cc < side and rr * side + cc < m:
+                    want[i, rr * side + cc] = 1.0
+        assert len(seen) == 1
+        assert seen[0].dtype == want.dtype
+        assert seen[0].tobytes() == want.tobytes()
+
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
             ingest.SynthConfig(num_locations=0, num_intervals=10)
@@ -436,9 +527,78 @@ class TestRoundTrips:
         assert ingest.load_matrix(tmp).equals(mat)
 
 
+# what a mutation writes into a graph.json field or list
+JSON_VALUES = st.one_of(
+    st.integers(-2, 9), st.integers(), st.floats(), st.booleans(), st.none(),
+    st.text(max_size=3), st.lists(st.integers(-1, 9), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+# edge lists over the 7 vertices of the fuzzed graph: any short lists of
+# endpoints, or valid pairs (a subset of the complete graph)
+EDGE_LISTS = st.lists(st.lists(st.integers(-1, 8), max_size=3), max_size=12)
+VALID_EDGE_LISTS = st.lists(
+    st.sampled_from([[i, j] for i in range(7) for j in range(i + 1, 7)]),
+    max_size=21,
+)
+
+
+def mutated_graph_bytes(draw, payload):
+    """The bytes of payload (a saved graph.json) with one drawn mutation:
+    an edge endpoint, a vertex field, a whole list (a valid edge list
+    among them), or a single byte."""
+    kind = draw(st.sampled_from(["edge", "vertex", "list", "edges", "byte"]))
+    if kind == "edge":
+        edge = draw(st.sampled_from(payload["edges"]))
+        edge[draw(st.integers(0, 1))] = draw(
+            st.one_of(st.integers(0, 6), JSON_VALUES)
+        )
+    elif kind == "vertex":
+        vertex = draw(st.sampled_from(payload["vertices"]))
+        key = draw(st.sampled_from(["meter_id", "lat", "lon"]))
+        if draw(st.booleans()):
+            vertex[key] = draw(st.one_of(st.floats(-200, 200), JSON_VALUES))
+        else:
+            del vertex[key]
+    elif kind == "list":
+        key = draw(st.sampled_from(["vertices", "edges"]))
+        payload[key] = draw(st.one_of(
+            EDGE_LISTS if key == "edges" else st.just([]), JSON_VALUES
+        ))
+    elif kind == "edges":
+        payload["edges"] = draw(VALID_EDGE_LISTS)
+    data = bytearray(ingest.json_text(payload).encode())
+    if kind == "byte":
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
 class TestHostileFiles:
     """What the standard parsers raise on hostile content (an over-long
     CSV field, an infinite integer) becomes a DataError naming the file."""
+
+    @pytest.fixture(scope="class")
+    def grid_graph_text(self, tmp_path_factory):
+        # a 7-meter grid at 50 m: a partial last row, so vertex 6 has one
+        # neighbour and the hop table has more than one level
+        path = tmp_path_factory.mktemp("grid") / "graph.json"
+        ingest.save_graph(ingest.build_adjacency(ingest.synth_locations(
+            ingest.SynthConfig(num_locations=7, num_intervals=1)
+        )), path)
+        return path.read_text()
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_mutated_graph_loads_or_raises(
+        self, tmp_path_factory, grid_graph_text, data
+    ):
+        path = tmp_path_factory.getbasetemp() / "fuzzed-graph.json"
+        payload = json.loads(grid_graph_text)
+        path.write_bytes(mutated_graph_bytes(data.draw, payload))
+        try:
+            graph = ingest.load_graph(path)
+        except ParkrankError:
+            return
+        assert_tables_match_oracles(graph)
 
     def test_matrix_long_field(self, tmp_path):
         cfg = ingest.SynthConfig(num_locations=3, num_intervals=5)

@@ -163,7 +163,7 @@ class TestGradients:
 
         def build():
             logp = T.log_softmax(x, PAIRS)
-            return T.scale(T.reduce_sum(T.mul(y, logp)), -1.0)
+            return T.mul(T.reduce_sum(T.mul(y, logp)), -1.0)
 
         self.check(build, [x])
 
