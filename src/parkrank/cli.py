@@ -55,7 +55,7 @@ class Resolver:
     def __init__(self, args, spec: dict):
         self.args = args
         self.spec = spec
-        path = self.config_path = getattr(args, "config", None)
+        path = self.config_path = args.config
         self.file_options = read_config(path, set(spec)) if path else {}
 
     def __getitem__(self, key: str):
@@ -78,11 +78,6 @@ class Resolver:
             except ValueError:
                 raise ConfigError(f"OPR_SEED must be an integer, got {raw!r}")
         return default
-
-
-def _add_option_flags(sub, spec: dict) -> None:
-    for key, (cast, _default) in spec.items():
-        sub.add_argument(f"--{key.replace('_', '-')}", type=cast, default=None)
 
 
 def _ensure_dir(path) -> Path:
@@ -121,8 +116,7 @@ SYNTH_SPEC = {
 }
 
 
-def cmd_synth(args) -> int:
-    opts = Resolver(args, SYNTH_SPEC)
+def cmd_synth(args, opts) -> int:
     cfg = ingest.SynthConfig(
         num_locations=opts["locations"],
         num_intervals=opts["intervals"],
@@ -150,8 +144,7 @@ INGEST_SPEC = {
 }
 
 
-def cmd_ingest(args) -> int:
-    opts = Resolver(args, INGEST_SPEC)
+def cmd_ingest(args, opts) -> int:
     with reading(args.records), open(args.records, newline="") as fh:
         if args.kind == "space":
             matrix = ingest.parse_space_records(
@@ -194,9 +187,8 @@ TRAIN_SPEC = {
 }
 
 
-def cmd_train(args) -> int:
+def cmd_train(args, opts) -> int:
     matrix, graph = load_data_dir(args.data)
-    opts = Resolver(args, TRAIN_SPEC)
     cfg = train.TrainConfig(
         **{key: opts[key] for key in TRAIN_SPEC if key != "seed"},
         rng_seed=opts["seed"],
@@ -217,18 +209,19 @@ def cmd_train(args) -> int:
 
 
 def load_checkpoint_bundle(checkpoint, graph):
-    # the one reader of a checkpoint: the model is built from its training
-    # settings, which the top-level copy must equal; errors name the file
+    # the one reader of a checkpoint: its training settings give the model,
+    # which its manifest and tensors must fit (model.check_weights) before
+    # the model is built; errors name the file
     entries, manifest = T.load_checkpoint(checkpoint)
     with reading(checkpoint):
         try:
             cfg = train.TrainConfig.from_manifest(manifest.get("train"))
-            params = model.ModelParams(
-                cfg.model_config(), graph, np.random.default_rng(0)
-            )
-            params.load_weights(entries, manifest)
+            config = cfg.model_config()
         except ConfigError as exc:
             raise DataError(str(exc)) from None
+        model.check_weights(entries, manifest, config, graph.num_vertices)
+    params = model.ModelParams(config, graph, np.random.default_rng(0))
+    params.restore(entries)
     return params, cfg
 
 
@@ -238,8 +231,7 @@ EVAL_SPEC = {
 }
 
 
-def cmd_eval(args) -> int:
-    opts = Resolver(args, EVAL_SPEC)
+def cmd_eval(args, opts) -> int:
     matrix, graph = load_data_dir(args.data)
     params, cfg = load_checkpoint_bundle(args.checkpoint, graph)
     dataset = train.build_dataset(matrix, cfg)
@@ -274,8 +266,7 @@ def cmd_eval(args) -> int:
 RECOMMEND_SPEC = {"top": (int, 5)}
 
 
-def cmd_recommend(args) -> int:
-    opts = Resolver(args, RECOMMEND_SPEC)
+def cmd_recommend(args, opts) -> int:
     matrix, graph = load_data_dir(args.data)
     params, cfg = load_checkpoint_bundle(args.checkpoint, graph)
     if args.query not in matrix.location_index:
@@ -303,8 +294,7 @@ def cmd_recommend(args) -> int:
 BENCH_SPEC = {"alpha": (int, 6), "points": (int, 12)}
 
 
-def cmd_bench(args) -> int:
-    opts = Resolver(args, BENCH_SPEC)
+def cmd_bench(args, opts) -> int:
     matrix, _graph = load_data_dir(args.data)
     report = esgraph.bench_complexity(matrix, opts["alpha"])
     curve = esgraph.complexity_curve(matrix, opts["points"])
@@ -323,58 +313,46 @@ def cmd_bench(args) -> int:
     return 0
 
 
+# name: (handler, help, required flags, option spec); every command also
+# takes --config, a key=value file of its options
+COMMANDS = {
+    "synth": (cmd_synth, "generate a synthetic data directory",
+              ("out",), SYNTH_SPEC),
+    "ingest": (cmd_ingest, "build a data directory from records",
+               ("records", "locations", "kind", "out"), INGEST_SPEC),
+    "train": (cmd_train, "train a scorer on a data directory",
+              ("data", "out"), TRAIN_SPEC),
+    "eval": (cmd_eval, "score a checkpoint against baselines",
+             ("data", "checkpoint", "out"), EVAL_SPEC),
+    "recommend": (cmd_recommend, "rank spots for one query",
+                  ("data", "checkpoint", "query", "time"), RECOMMEND_SPEC),
+    "bench": (cmd_bench, "measure event-graph compression",
+              ("data", "out"), BENCH_SPEC),
+}
+
+# further argparse settings of some required flags
+FLAG_ARGS = {
+    "kind": {"choices": ("space", "street")},
+    "query": {"help": "meter id of the driver"},
+    "time": {"type": int, "help": "interval index"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="parkrank",
         description="On-street parking recommendation pipeline.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    synth = subs.add_parser("synth", help="generate a synthetic data directory")
-    synth.add_argument("--out", required=True)
-    synth.add_argument("--config")
-    _add_option_flags(synth, SYNTH_SPEC)
-    synth.set_defaults(func=cmd_synth)
-
-    ing = subs.add_parser("ingest", help="build a data directory from records")
-    ing.add_argument("--records", required=True)
-    ing.add_argument("--locations", required=True)
-    ing.add_argument("--kind", choices=("space", "street"), required=True)
-    ing.add_argument("--out", required=True)
-    ing.add_argument("--config")
-    _add_option_flags(ing, INGEST_SPEC)
-    ing.set_defaults(func=cmd_ingest)
-
-    tr = subs.add_parser("train", help="train a scorer on a data directory")
-    tr.add_argument("--data", required=True)
-    tr.add_argument("--out", required=True)
-    tr.add_argument("--config")
-    _add_option_flags(tr, TRAIN_SPEC)
-    tr.set_defaults(func=cmd_train)
-
-    ev = subs.add_parser("eval", help="score a checkpoint against baselines")
-    ev.add_argument("--data", required=True)
-    ev.add_argument("--checkpoint", required=True)
-    ev.add_argument("--out", required=True)
-    ev.add_argument("--config")
-    _add_option_flags(ev, EVAL_SPEC)
-    ev.set_defaults(func=cmd_eval)
-
-    rec = subs.add_parser("recommend", help="rank spots for one query")
-    rec.add_argument("--data", required=True)
-    rec.add_argument("--checkpoint", required=True)
-    rec.add_argument("--query", required=True, help="meter id of the driver")
-    rec.add_argument("--time", type=int, required=True, help="interval index")
-    rec.add_argument("--config")
-    _add_option_flags(rec, RECOMMEND_SPEC)
-    rec.set_defaults(func=cmd_recommend)
-
-    bench = subs.add_parser("bench", help="measure event-graph compression")
-    bench.add_argument("--data", required=True)
-    bench.add_argument("--out", required=True)
-    bench.add_argument("--config")
-    _add_option_flags(bench, BENCH_SPEC)
-    bench.set_defaults(func=cmd_bench)
+    for name, (_handler, help_text, required, spec) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        for flag in required:
+            sub.add_argument(
+                f"--{flag}", required=True, **FLAG_ARGS.get(flag, {})
+            )
+        sub.add_argument("--config")
+        for key, (cast, _default) in spec.items():
+            sub.add_argument(f"--{key.replace('_', '-')}", type=cast)
     return parser
 
 
@@ -383,8 +361,9 @@ def main(argv=None) -> int:
         level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
     )
     args = build_parser().parse_args(argv)
+    handler, _help, _required, spec = COMMANDS[args.command]
     try:
-        return args.func(args)
+        return handler(args, Resolver(args, spec))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

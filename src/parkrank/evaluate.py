@@ -301,6 +301,14 @@ def awtp_rnwtr(
 # ---------------------------------------------------------------------------
 
 
+def _clock(matrix: OccupancyMatrix, times: np.ndarray):
+    """(day, minute of the day) of interval indices on the wall clock,
+    days counted from the matrix's first."""
+    start = matrix.start_time
+    minutes = start.hour * 60 + start.minute + times * matrix.interval_minutes
+    return np.divmod(minutes, 24 * 60)
+
+
 def _check_times(matrix: OccupancyMatrix, t) -> np.ndarray:
     times = np.asarray(t)
     if ((times < 0) | (times >= matrix.num_intervals)).any():
@@ -320,29 +328,31 @@ def historical_mean_scores(
 ) -> np.ndarray:
     """Vacancy frequency at t's time of day over the training range.
 
-    Buckets are absolute time-of-day slots. One [per_day, n] table holds
-    each bucket's vacancy count over its training columns divided by their
-    number; a bucket with no training column falls back, for every
-    location at once, to each location's overall training vacancy rate.
-    [n] at an int t, [S, n] at a 1-D array of S times.
+    Buckets are wall-clock time-of-day slots, minute of the day // the
+    interval, so an interval that does not divide a day leaves the last
+    slot short. One [buckets, n] table holds each bucket's vacancy count
+    over its training columns divided by their number; a bucket with no
+    training column falls back, for every location at once, to each
+    location's overall training vacancy rate. [n] at an int t, [S, n] at
+    a 1-D array of S times.
     """
     times = _check_times(matrix, t)
     if not 1 <= train_end <= matrix.num_intervals:
         raise DataError(f"train_end must lie in [1, {matrix.num_intervals}]")
-    per_day = max(1, round(24 * 60 / matrix.interval_minutes))
-    start = matrix.start_time.hour * 60 + matrix.start_time.minute
-    offset = start // matrix.interval_minutes % per_day
+    step = matrix.interval_minutes
+    per_day = -(-24 * 60 // step)
+    days, minute = _clock(matrix, np.arange(train_end))
+    buckets = minute // step
     vacant = ~matrix.states[:, :train_end]
-    # the training columns laid over whole days: row b of each day is bucket b
-    days = -(-(offset + train_end) // per_day)
-    laid = np.zeros((days * per_day, len(vacant)), dtype=bool)
-    laid[offset : offset + train_end] = vacant.T
-    counts = laid.reshape(days, per_day, -1).sum(axis=0)
-    buckets = (offset + np.arange(train_end)) % per_day
+    # the training columns laid over whole days: one day's columns are step
+    # minutes apart, so each falls in its own bucket
+    laid = np.zeros((days[-1] + 1, per_day, len(vacant)), dtype=bool)
+    laid[days, buckets] = vacant.T
+    counts = laid.sum(axis=0)
     size = np.bincount(buckets, minlength=per_day)[:, np.newaxis]
     # 0/1 counts add up exactly, so each entry has the bits of a bucket mean
     means = np.where(size > 0, counts / np.maximum(size, 1), vacant.mean(axis=1))
-    return means[(offset + times) % per_day]
+    return means[_clock(matrix, times)[1] // step]
 
 
 _PREDICTORS: dict[str, Callable] = {
@@ -360,24 +370,19 @@ def _rank_by_vertex_score(scores: np.ndarray, hops: np.ndarray) -> np.ndarray:
     index, the bits that rank_candidates gives for the score row
     broadcast to every query.
 
-    Each score row gets a dense descending rank from one argsort: a new
-    rank starts where sorted neighbours differ by !=, so -0.0 and +0.0
-    tie, as they do in lexsort. (NaN would not tie as it does there; no
-    predictor scores one.) Each (snapshot, query, candidate) then packs
+    Every score gets a dense descending rank, shared by all rows, from
+    np.unique: -0.0 and +0.0 tie, and so do NaNs, after every number, as
+    they do in lexsort. Each (snapshot, query, candidate) then packs
     (score rank, hop, id) into one integer key, high bits to low, so one
     in-place integer sort of the keys orders each row as the lexsort
     would; masking off the high bits leaves the candidate ids. The key
     array is the output, so no second [..., n, n] array is made.
     """
     n = hops.shape[-1]
-    order = np.argsort(-scores, axis=-1)
-    ranked = np.take_along_axis(scores, order, axis=-1)
-    fresh = np.zeros(scores.shape, dtype=np.intp)
-    fresh[..., 1:] = ranked[..., 1:] != ranked[..., :-1]
-    rank = np.empty_like(fresh)
-    np.put_along_axis(rank, order, np.cumsum(fresh, axis=-1), axis=-1)
-    # hops are at most n + 1 (unreachable), so three fields of about
-    # log2(n) bits each fit an int64 for any n whose [n, n] table fits
+    rank = np.unique(-scores, return_inverse=True)[1].reshape(scores.shape)
+    # ranks span all S * n scores and hops reach n + 1 (unreachable), so a
+    # key is below 4 * S * n**2 * (n + 1): an int64 holds it while the
+    # [S, n, n] keys fit in memory (S * n**2 < 2**40) and n < 2**20
     id_bits = (n - 1).bit_length()
     hop_bits = int(hops.max(initial=0)).bit_length()
     lead = (rank << (hop_bits + id_bits)) | np.arange(n)
@@ -519,11 +524,9 @@ SCENARIOS = ("workday", "weekend", "daytime", "nighttime")
 
 def scenario_masks(matrix: OccupancyMatrix, times) -> dict[str, np.ndarray]:
     """Scenario membership of interval indices; daytime is 07:00-18:59."""
-    start = matrix.start_time
-    times = np.asarray(times, dtype=np.int64)
-    minutes = start.hour * 60 + start.minute + times * matrix.interval_minutes
-    weekday = (start.weekday() + minutes // (24 * 60)) % 7
-    hour = minutes % (24 * 60) // 60
+    days, minute = _clock(matrix, np.asarray(times, dtype=np.int64))
+    weekday = (matrix.start_time.weekday() + days) % 7
+    hour = minute // 60
     day = (7 <= hour) & (hour < 19)
     return {
         "workday": weekday < 5,

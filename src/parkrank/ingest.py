@@ -465,24 +465,21 @@ def synth_generate(cfg: SynthConfig) -> tuple[list[MeterLocation], OccupancyMatr
 
     rng = np.random.default_rng(cfg.rng_seed)
     init_u = rng.random(m)
-    step_u = rng.random((max(cfg.num_intervals - 1, 0), m))
-    if cfg.num_intervals == 1:
-        states = (init_u < base)[:, None]
-    else:
-        states = kernels.markov_occupancy(
-            init_u,
-            step_u,
-            sin_mod,
-            adj,
-            adj.sum(axis=1),
-            base,
-            cfg.spatial_correlation,
-            TURNOVER_RATE,
-            HAZARD_BASE,
-            HAZARD_SLOPE,
-            HAZARD_MAX,
-            SWITCH_CAP,
-        )
+    step_u = rng.random((cfg.num_intervals - 1, m))
+    states = kernels.markov_occupancy(
+        init_u,
+        step_u,
+        sin_mod,
+        adj,
+        adj.sum(axis=1),
+        base,
+        cfg.spatial_correlation,
+        TURNOVER_RATE,
+        HAZARD_BASE,
+        HAZARD_SLOPE,
+        HAZARD_MAX,
+        SWITCH_CAP,
+    )
     matrix = OccupancyMatrix(
         states=states,
         interval_minutes=DEFAULT_INTERVAL_MINUTES,

@@ -79,9 +79,62 @@ def normalized_adjacency(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return inv_sqrt[src] * inv_sqrt[dst]
 
 
-def _glorot(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
+def param_shapes(config: ModelConfig, n: int):
+    """The learnable tensors' (name, shape) pairs on n vertices, in the
+    order ModelParams draws them and checkpoints store them. Lazy, so a
+    checkpoint claiming a huge beta fails at its first missing tensor."""
+    a, d, m = config.alpha, config.embed_dim, config.conv_channels
+    yield "conv.weight", (m, config.kernel_len)
+    yield "conv.bias", (m,)
+    yield "gcn.input", (2, d)
+    for step in range(1, config.beta + 1):
+        yield f"gcn.mix.{step}", (d, d)
+        yield f"gcn.weight.{step}", (d + m, d)
+        yield f"gcn.bias.{step}", (d,)
+    yield "readout.query", (a + 1, d)
+    yield "readout.item", (d, d)
+    yield "readout.bias", (d,)
+    # only allowed positions are read; the rest stay zero, so the
+    # checkpoint keeps its dense [n, n] layout
+    yield "mask.weights", (n, n)
+
+
+def check_weights(
+    entries: dict, manifest: dict, config: ModelConfig, n: int
+) -> None:
+    """Raise a DataError, naming the first problem in layout order, unless
+    a checkpoint fits the model of config on n vertices: the manifest's
+    top-level model fields and vertex count equal them in type and value
+    (JSON 3.0 or true is not 3 or 1), and the tensors are exactly those of
+    param_shapes, each of its shape and finite."""
+    saved = manifest.get("num_vertices")
+    if type(saved) is not int or saved != n:
+        raise DataError(
+            f"checkpoint was trained on {saved!r} vertices but the graph "
+            f"has {n}"
+        )
+    for key, value in asdict(config).items():
+        saved = manifest.get(key)
+        if type(saved) is not type(value) or saved != value:
+            raise DataError(
+                f"training settings give {key} {value!r} but the model "
+                f"was saved with {saved!r}"
+            )
+    names = set()
+    for name, shape in param_shapes(config, n):
+        names.add(name)
+        if name not in entries:
+            raise DataError(f"checkpoint is missing tensor {name!r}")
+        if entries[name].shape != shape:
+            raise DataError(
+                f"checkpoint tensor {name!r} has shape "
+                f"{entries[name].shape}, expected {shape}"
+            )
+        if not np.isfinite(entries[name]).all():
+            raise DataError(f"checkpoint tensor {name!r} is not finite")
+    for name in entries:
+        if name not in names:
+            raise DataError(f"checkpoint holds unknown tensor {name!r}")
 
 
 class ModelParams:
@@ -91,6 +144,9 @@ class ModelParams:
     cells of the [n, n] grid, row-major; and mix_table, the weighted
     neighbour table of the normalized adjacency over those pairs, which
     neighbor_mix sums through both ways since the graph is undirected.
+
+    The tensors follow param_shapes: biases start at zero, mask.weights at
+    the allowed mask, the rest Glorot normal, drawn from rng in order.
     """
 
     def __init__(self, config: ModelConfig, spatial: SpatialGraph, rng):
@@ -102,34 +158,15 @@ class ModelParams:
         self.mix_table = T.NeighborTable(
             src, n, dst, normalized_adjacency(src, dst)
         )
-        a, d, m = config.alpha, config.embed_dim, config.conv_channels
-        k = config.kernel_len
-
-        def tensor_of(arr):
-            return T.Tensor(arr, requires_grad=True)
-
         self._tensors: dict[str, T.Tensor] = {}
-        self._tensors["conv.weight"] = tensor_of(_glorot(rng, k, m, (m, k)))
-        self._tensors["conv.bias"] = tensor_of(np.zeros(m))
-        self._tensors["gcn.input"] = tensor_of(_glorot(rng, 2, d, (2, d)))
-        for step in range(1, config.beta + 1):
-            self._tensors[f"gcn.mix.{step}"] = tensor_of(
-                _glorot(rng, d, d, (d, d))
-            )
-            self._tensors[f"gcn.weight.{step}"] = tensor_of(
-                _glorot(rng, d + m, d, (d + m, d))
-            )
-            self._tensors[f"gcn.bias.{step}"] = tensor_of(np.zeros(d))
-        self._tensors["readout.query"] = tensor_of(
-            _glorot(rng, a + 1, d, (a + 1, d))
-        )
-        self._tensors["readout.item"] = tensor_of(_glorot(rng, d, d, (d, d)))
-        self._tensors["readout.bias"] = tensor_of(np.zeros(d))
-        # only allowed positions are read; the rest stay zero, so the
-        # checkpoint keeps its dense [n, n] layout
-        self._tensors["mask.weights"] = tensor_of(
-            self.allowed.astype(np.float64)
-        )
+        for name, shape in param_shapes(config, n):
+            if name == "mask.weights":
+                init = self.allowed.astype(np.float64)
+            elif len(shape) == 1:
+                init = np.zeros(shape)
+            else:
+                init = rng.normal(0.0, np.sqrt(2.0 / sum(shape)), size=shape)
+            self._tensors[name] = T.Tensor(init, requires_grad=True)
 
     @property
     def tensors(self) -> list[T.Tensor]:
@@ -157,30 +194,6 @@ class ModelParams:
         T.save_checkpoint(
             path, {k: v.data for k, v in self._tensors.items()}, manifest
         )
-
-    def load_weights(self, entries: dict, manifest: dict) -> None:
-        """Copy in a checkpoint's tensors, once its manifest's top-level
-        model fields and vertex count equal this model's exactly."""
-        if manifest.get("num_vertices") != self.num_vertices:
-            raise DataError(
-                f"checkpoint was trained on {manifest.get('num_vertices')!r} "
-                f"vertices but the graph has {self.num_vertices}"
-            )
-        for key, value in asdict(self.config).items():
-            if manifest.get(key) != value:
-                raise DataError(
-                    f"training settings give {key} {value!r} but the model "
-                    f"was saved with {manifest.get(key)!r}"
-                )
-        for name, t in self._tensors.items():
-            if name not in entries:
-                raise DataError(f"checkpoint is missing tensor {name!r}")
-            if entries[name].shape != t.data.shape:
-                raise DataError(
-                    f"checkpoint tensor {name!r} has shape "
-                    f"{entries[name].shape}, expected {t.data.shape}"
-                )
-            t.data = entries[name].copy()
 
 
 def _dropout(x: T.Tensor, rate: float, rng) -> T.Tensor:

@@ -781,6 +781,8 @@ def load_checkpoint(path) -> tuple[dict, dict]:
         for _ in range(count):
             (name_len,) = take("<H")
             name = raw[offset : offset + name_len].decode()
+            if name in entries:
+                raise DataError(f"checkpoint repeats tensor {name!r}")
             offset += name_len
             (ndim,) = take("<B")
             shape = tuple(take("<I")[0] for _ in range(ndim))
@@ -794,4 +796,6 @@ def load_checkpoint(path) -> tuple[dict, dict]:
                 .astype(np.float64)
             )
             offset += nbytes
+        if offset != len(raw):
+            raise DataError("trailing bytes after the last tensor")
     return entries, manifest

@@ -19,12 +19,15 @@ def persistence_scores(matrix, t, train_end=None):
 
 
 def historical_mean_scores(matrix, t, train_end):
-    per_day = max(1, round(24 * 60 / matrix.interval_minutes))
-    offset = (
-        matrix.start_time.hour * 60 + matrix.start_time.minute
-    ) // matrix.interval_minutes
-    bucket = (offset + t) % per_day
-    in_bucket = (offset + np.arange(train_end)) % per_day == bucket
+    """The vacancy rate over the training columns that share t's
+    wall-clock time-of-day bucket, minute of the day // interval."""
+    start = matrix.start_time.hour * 60 + matrix.start_time.minute
+    step = matrix.interval_minutes
+
+    def bucket(i):
+        return (start + i * step) % (24 * 60) // step
+
+    in_bucket = bucket(np.arange(train_end)) == bucket(t)
     vacant = ~matrix.states[:, :train_end]
     if in_bucket.any():
         return vacant[:, in_bucket].mean(axis=1)

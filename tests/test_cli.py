@@ -8,12 +8,14 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import baseline_oracle
 from dense_oracle import adjacency
 from parkrank import cli, esgraph, evaluate, ingest, model, train
 from parkrank import tensor as T
-from parkrank.errors import DataError
+from parkrank.errors import DataError, ParkrankError
 
 
 def run(*argv):
@@ -326,6 +328,95 @@ class TestBench:
         assert "trained on 9 vertices but the graph has 4" in err
 
 
+# every subcommand's help and flags: (flag, required, type, choices,
+# default, help), in the order --help lists them
+PARSER_SURFACE = {
+    "synth": ("generate a synthetic data directory", [
+        ("--out", True, None, None, None, None),
+        ("--config", False, None, None, None, None),
+        ("--seed", False, int, None, None, None),
+        ("--locations", False, int, None, None, None),
+        ("--intervals", False, int, None, None, None),
+        ("--spacing", False, float, None, None, None),
+        ("--base-rate", False, float, None, None, None),
+        ("--correlation", False, float, None, None, None),
+        ("--adjacency-m", False, float, None, None, None),
+    ]),
+    "ingest": ("build a data directory from records", [
+        ("--records", True, None, None, None, None),
+        ("--locations", True, None, None, None, None),
+        ("--kind", True, None, ("space", "street"), None, None),
+        ("--out", True, None, None, None, None),
+        ("--config", False, None, None, None, None),
+        ("--interval-minutes", False, int, None, None, None),
+        ("--full-ratio", False, float, None, None, None),
+        ("--adjacency-m", False, float, None, None, None),
+    ]),
+    "train": ("train a scorer on a data directory", [
+        ("--data", True, None, None, None, None),
+        ("--out", True, None, None, None, None),
+        ("--config", False, None, None, None, None),
+        ("--seed", False, int, None, None, None),
+        ("--alpha", False, int, None, None, None),
+        ("--beta", False, int, None, None, None),
+        ("--conv-channels", False, int, None, None, None),
+        ("--embed-dim", False, int, None, None, None),
+        ("--kernel-len", False, int, None, None, None),
+        ("--score-activation", False, str, None, None, None),
+        ("--horizon-intervals", False, int, None, None, None),
+        ("--prox-weight", False, float, None, None, None),
+        ("--dur-weight", False, float, None, None, None),
+        ("--duration-cap", False, int, None, None, None),
+        ("--softmax-weight", False, float, None, None, None),
+        ("--l2-coeff", False, float, None, None, None),
+        ("--dropout-rate", False, float, None, None, None),
+        ("--batch-size", False, int, None, None, None),
+        ("--iterations", False, int, None, None, None),
+        ("--learning-rate", False, float, None, None, None),
+        ("--eval-every", False, int, None, None, None),
+    ]),
+    "eval": ("score a checkpoint against baselines", [
+        ("--data", True, None, None, None, None),
+        ("--checkpoint", True, None, None, None, None),
+        ("--out", True, None, None, None, None),
+        ("--config", False, None, None, None, None),
+        ("--split", False, str, None, None, None),
+        ("--max-wait", False, int, None, None, None),
+    ]),
+    "recommend": ("rank spots for one query", [
+        ("--data", True, None, None, None, None),
+        ("--checkpoint", True, None, None, None, None),
+        ("--query", True, None, None, None, "meter id of the driver"),
+        ("--time", True, int, None, None, "interval index"),
+        ("--config", False, None, None, None, None),
+        ("--top", False, int, None, None, None),
+    ]),
+    "bench": ("measure event-graph compression", [
+        ("--data", True, None, None, None, None),
+        ("--out", True, None, None, None, None),
+        ("--config", False, None, None, None, None),
+        ("--alpha", False, int, None, None, None),
+        ("--points", False, int, None, None, None),
+    ]),
+}
+
+
+def test_parser_surface_pinned():
+    parser = cli.build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a.choices, dict)]
+    helps = {a.dest: a.help for a in subs._choices_actions}
+    surface = {
+        name: (helps[name], [
+            (a.option_strings[0], a.required, a.type, a.choices, a.default,
+             a.help)
+            for a in sub._actions if a.dest != "help"
+        ])
+        for name, sub in subs.choices.items()
+    }
+    assert surface == PARSER_SURFACE
+    assert list(surface) == list(PARSER_SURFACE)
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -428,6 +519,16 @@ def _drop_tensor(path):
     T.save_checkpoint(path, entries, manifest)
 
 
+def _repeat_tensor(path):
+    """A second readout.bias entry, after the first."""
+    entries, manifest = T.load_checkpoint(path)
+    entries["readout.bia$"] = entries["readout.bias"]
+    T.save_checkpoint(path, entries, manifest)
+    path.write_bytes(
+        path.read_bytes().replace(b"readout.bia$", b"readout.bias")
+    )
+
+
 def _reshape_tensor(path):
     entries, manifest = T.load_checkpoint(path)
     entries["readout.item"] = entries["readout.item"][:, :-1]
@@ -515,6 +616,11 @@ def pristine_tree(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def pristine_graph(pristine_tree):
+    return ingest.load_graph(pristine_tree / "data" / "graph.json")
+
+
 @pytest.mark.parametrize(
     "name, corrupt",
     [
@@ -561,6 +667,13 @@ def pristine_tree(tmp_path_factory):
             id="tensor-shape",
         ),
         pytest.param("run/checkpoint.bin", _drop_tensor, id="missing-tensor"),
+        pytest.param(
+            "run/checkpoint.bin", _repeat_tensor, id="repeated-tensor"
+        ),
+        pytest.param(
+            "run/checkpoint.bin", lambda p: p.write_bytes(p.read_bytes() * 2),
+            id="checkpoint-twice",
+        ),
         pytest.param(
             "run/checkpoint.bin", _reshape_tensor,
             id="tensor-shape-mismatch",
@@ -623,6 +736,15 @@ def test_corrupt_file_exit_2(pristine_tree, tmp_path, capsys, name, corrupt):
         pytest.param(
             "top", "num_vertices", 9.5, "trained on 9.5 vertices",
             id="top-vertices-float",
+        ),
+        # equal in value but not in type
+        pytest.param(
+            "top", "alpha", 3.0, "saved with 3.0", id="top-alpha-whole-float"
+        ),
+        pytest.param("top", "beta", True, "saved with True", id="top-beta-bool"),
+        pytest.param(
+            "top", "num_vertices", 9.0, "trained on 9.0 vertices",
+            id="top-vertices-whole-float",
         ),
     ],
 )
@@ -713,6 +835,133 @@ def test_checkpoint_nan_setting_exit_2(pristine_tree, tmp_path, capsys, key):
     assert code == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and "edited.bin" in line
+
+
+def _nan_weight(entries, manifest):
+    entries["gcn.input"][1, 2] = np.nan
+
+
+def _oversized_embedding(entries, manifest):
+    # both copies agree, so only the tensors' shapes can tell
+    manifest["embed_dim"] = manifest["train"]["embed_dim"] = 10**6
+
+
+def _huge_beta(entries, manifest):
+    manifest["beta"] = manifest["train"]["beta"] = 10**9
+
+
+def _unknown_tensor(entries, manifest):
+    entries["gcn.extra"] = np.zeros(3)
+
+
+def _missing_tensor(entries, manifest):
+    del entries["readout.bias"]
+
+
+@pytest.mark.parametrize(
+    "edit, says",
+    [
+        pytest.param(
+            _nan_weight, "tensor 'gcn.input' is not finite", id="nan-weight"
+        ),
+        pytest.param(
+            _oversized_embedding,
+            "tensor 'gcn.input' has shape (2, 4), expected (2, 1000000)",
+            id="oversized",
+        ),
+        pytest.param(
+            _huge_beta, "is missing tensor 'gcn.mix.2'", id="huge-beta"
+        ),
+        pytest.param(
+            _unknown_tensor, "holds unknown tensor 'gcn.extra'",
+            id="unknown-tensor",
+        ),
+        pytest.param(
+            _missing_tensor, "is missing tensor 'readout.bias'",
+            id="missing-tensor",
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ["eval", "recommend"])
+def test_checkpoint_tensors_must_fit_exit_2(
+    pristine_tree, tmp_path, capsys, monkeypatch, command, edit, says
+):
+    # the checkpoint is checked before any model is built
+    def no_model(*args):
+        raise AssertionError("built a model for a bad checkpoint")
+
+    monkeypatch.setattr(model, "ModelParams", no_model)
+    checkpoint = tmp_path / "edited.bin"
+    entries, manifest = T.load_checkpoint(
+        pristine_tree / "run" / "checkpoint.bin"
+    )
+    edit(entries, manifest)
+    T.save_checkpoint(checkpoint, entries, manifest)
+    extra = (["--out", tmp_path / "x"] if command == "eval"
+             else ["--query", "m000", "--time", 100])
+    code = run(command, "--data", pristine_tree / "data", "--checkpoint",
+               checkpoint, *extra)
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"error: {checkpoint}: checkpoint {says}"
+
+
+# JSON values of every kind, field-sized numbers among them
+MANIFEST_VALUES = st.one_of(
+    st.integers(-2, 12), st.sampled_from([10**6, 10**9, 2**63]),
+    st.integers(), st.floats(), st.booleans(), st.none(),
+    st.sampled_from(["relu", "softmax"]), st.text(max_size=3),
+    st.lists(st.integers(-1, 9), max_size=2),
+)
+TENSOR_VALUES = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.0]), st.floats()
+)
+
+
+def write_mutated_checkpoint(draw, source, out):
+    """Write to out the checkpoint at source with one drawn mutation: a
+    manifest field (either copy, or both of a model field), one tensor
+    value, or a single byte."""
+    kind = draw(st.sampled_from(["manifest", "tensor", "byte"]))
+    if kind == "byte":
+        data = bytearray(source.read_bytes())
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+        out.write_bytes(bytes(data))
+        return
+    entries, manifest = T.load_checkpoint(source)
+    if kind == "manifest":
+        key = draw(st.sampled_from(sorted({*manifest, *manifest["train"]})))
+        copies = [c for c in (manifest, manifest["train"]) if key in c]
+        value = draw(MANIFEST_VALUES)
+        for copy in draw(st.sampled_from([copies[:1], copies[1:], copies])):
+            if draw(st.booleans()):
+                copy[key] = value
+            else:
+                del copy[key]
+    else:
+        name = draw(st.sampled_from(sorted(entries)))
+        flat = entries[name].reshape(-1)
+        flat[draw(st.integers(0, flat.size - 1))] = draw(TENSOR_VALUES)
+    T.save_checkpoint(out, entries, manifest)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_mutated_checkpoint_loads_or_raises(
+    pristine_tree, pristine_graph, tmp_path_factory, data
+):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-checkpoint.bin"
+    write_mutated_checkpoint(
+        data.draw, pristine_tree / "run" / "checkpoint.bin", path
+    )
+    try:
+        params, _cfg = cli.load_checkpoint_bundle(path, pristine_graph)
+    except ParkrankError:
+        return
+    loaded = params.snapshot()
+    want = model.param_shapes(params.config, pristine_graph.num_vertices)
+    assert [(k, v.shape) for k, v in loaded.items()] == list(want)
+    assert all(np.isfinite(v).all() for v in loaded.values())
 
 
 @pytest.mark.parametrize(

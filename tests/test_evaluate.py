@@ -2,7 +2,7 @@
 
 import csv
 import math
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -300,6 +300,30 @@ class TestBaselines:
         assert scores[0] == 1.0
         assert scores[1] == 0.0
 
+    def test_historical_mean_buckets_by_wall_clock(self):
+        # each bucket is minute of the day // interval; 7 minutes do not
+        # divide a day, so counting intervals from the start drifts off
+        # the clock by 2 minutes a day
+        start, step, train_end = datetime(2022, 8, 1, 23, 55), 7, 9 * 206
+        states = np.random.default_rng(7).random((3, 10 * 206)) < 0.5
+        mat = ingest.OccupancyMatrix(
+            states=states,
+            interval_minutes=step,
+            start_time=start,
+            location_index={f"m{i}": i for i in range(3)},
+        )
+
+        def bucket(t):
+            when = start + timedelta(minutes=step * t)
+            return (when.hour * 60 + when.minute) // step
+
+        in_training = [bucket(t) for t in range(train_end)]
+        for t in (train_end + 3, train_end + 150, 40):
+            same = [b == bucket(t) for b in in_training]
+            want = (~states[:, :train_end][:, same]).mean(axis=1)
+            got = evaluate.historical_mean_scores(mat, t, train_end)
+            assert got.tobytes() == want.tobytes()
+
     def test_historical_mean_needs_train_end(self):
         mat = matrix_of(np.zeros((2, 10), dtype=bool))
         locs = ingest.synth_locations(
@@ -321,8 +345,10 @@ class TestBaselines:
             evaluate.baseline_predict_then_recommend(mat, graph, 0, "magic")
 
 
-# few distinct values, so rows tie often, and -0.0 against +0.0
-TIED_SCORES = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, np.inf, -np.inf])
+# few distinct values, so rows tie often, -0.0 against +0.0, and NaN
+TIED_SCORES = st.sampled_from(
+    [-1.5, -0.0, 0.0, 0.25, 1.0, np.inf, -np.inf, np.nan]
+)
 
 
 class TestSharedScoreRanking:
@@ -338,7 +364,7 @@ class TestSharedScoreRanking:
             hnp.arrays(
                 np.float64,
                 (snapshots, n),
-                elements=st.one_of(TIED_SCORES, st.floats(allow_nan=False)),
+                elements=st.one_of(TIED_SCORES, st.floats()),
             ),
             label="scores",
         )
@@ -374,8 +400,11 @@ class TestBatchedBaselines:
             (5, ingest.SYNTH_START, 3 * 288 + 40, 2 * 288 + 7),
             (15, datetime(2022, 8, 3, 13, 35), 300, 200),
             (5, datetime(2022, 8, 6, 21, 40), 150, 100),  # under one day
+            # 7 minutes do not divide a day: 206 intervals span 1442 minutes
+            (7, datetime(2022, 8, 3, 23, 51), 6 * 206 + 30, 5 * 206),
         ],
-        ids=["5min-multiday", "15min-afternoon", "short-train-range"],
+        ids=["5min-multiday", "15min-afternoon", "short-train-range",
+             "7min-multiday"],
     )
     @pytest.mark.parametrize("predictor", evaluate.BASELINE_NAMES)
     def test_bits_match_per_snapshot_loop(

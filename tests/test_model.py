@@ -1,6 +1,9 @@
 """Model tests: the forward stages (gate, event embedding, graph rounds)
 and scoring over the allowed pairs."""
 
+import re
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -573,3 +576,43 @@ class TestSaveLoad:
             DataError, match="trained on 9 vertices but the graph has 4"
         ):
             cli.load_checkpoint_bundle(path, grid_graph(4))
+
+    def test_tensors_follow_param_shapes(self):
+        graph = grid_graph(9)
+        params = make_params(graph)
+        layout = list(model.param_shapes(params.config, 9))
+        assert [(k, v.shape) for k, v in params.snapshot().items()] == layout
+        for name, shape in layout:
+            data = params.get(name).data
+            if name == "mask.weights":
+                assert np.array_equal(data, graph.allowed_mask())
+            elif len(shape) == 1:
+                assert not data.any()
+            else:
+                assert data.std() > 0
+
+    def test_check_weights_reports_first_problem_in_layout_order(self):
+        params = make_params(grid_graph(9))
+        manifest = {**asdict(params.config), "num_vertices": 9}
+        entries = {"zzz": np.zeros(1), **params.snapshot()}
+        entries["conv.weight"] = entries["conv.weight"][:, :1]
+        del entries["gcn.bias.2"]
+        entries["readout.item"][0, 0] = np.inf
+        # each problem, in layout order, then its mend (None: drop it)
+        problems = [
+            ("conv.weight", np.ones((16, 2)),
+             "tensor 'conv.weight' has shape (16, 1), expected (16, 2)"),
+            ("gcn.bias.2", np.zeros(16), "missing tensor 'gcn.bias.2'"),
+            ("readout.item", np.ones((16, 16)),
+             "tensor 'readout.item' is not finite"),
+            ("zzz", None, "unknown tensor 'zzz'"),
+        ]
+        for name, mended, says in problems:
+            for order in (entries, dict(reversed(entries.items()))):
+                with pytest.raises(DataError, match=re.escape(says)):
+                    model.check_weights(order, manifest, params.config, 9)
+            if mended is None:
+                del entries[name]
+            else:
+                entries[name] = mended
+        model.check_weights(entries, manifest, params.config, 9)
