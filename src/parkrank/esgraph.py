@@ -97,17 +97,22 @@ class RunTable:
         _, run = self._current_run(prefix_len - 1)
         return int((run + 1).sum())
 
-    def _current_run(self, reference_time):
-        """(row, run) index of the run holding each row's reference time."""
+    def _checked_time(self, reference_time) -> np.ndarray:
+        """reference_time as an array, each inside the matrix's intervals."""
         t = np.asarray(reference_time)
         if t.min(initial=0) < 0 or t.max(initial=0) >= self.num_intervals:
             raise DataError(f"interval out of range [0, {self.num_intervals})")
+        return t
+
+    def _current_run(self, reference_time):
+        """(row, run) index of the run holding each row's reference time."""
+        t = self._checked_time(reference_time)
         return np.arange(self.run_of.shape[0]), self.run_of.T[t]
 
     def window_at(self, reference_time, alpha: int) -> EventWindow:
         if alpha < 1:
             raise ConfigError("alpha must be at least 1")
-        self._current_run(reference_time)  # range check only
+        self._checked_time(reference_time)
         signed, current = kernels.extract_windows(
             self.starts,
             self.lengths,

@@ -8,7 +8,11 @@ arrival horizon, how long it stays vacant, and how close it is.
 Training keeps labels, scores and the loss on the edge list of allowed
 pairs, [batch, pairs]. Each per-query sum whose order matters goes
 through tensor.row_sum, so the loss and its gradients have the bits of
-the same computation over dense [batch, query, candidate] arrays.
+the same computation over dense [batch, query, candidate] arrays: a row
+sum replays numpy's pairwise order over the query's stored pairs, rather
+than summing a zero-filled [batch, query * candidate] buffer. The L2
+penalty is one tensor.sum_squares node, with the bits of the per-tensor
+chain of mul, reduce_sum and add.
 """
 
 import math
@@ -245,10 +249,7 @@ def training_loss(
         nll = listwise_nll(labels, scores, params.pairs)
         total = T.add(total, T.mul(nll, softmax_weight))
     if l2_coeff > 0:
-        penalty = None
-        for p in params.tensors:
-            sq = T.reduce_sum(T.mul(p, p))
-            penalty = sq if penalty is None else T.add(penalty, sq)
+        penalty = T.sum_squares(params.tensors)
         total = T.add(total, T.mul(penalty, l2_coeff))
     return total
 
@@ -394,6 +395,7 @@ def train_loop(
             raise TrainingDiverged(f"loss became {loss_val} at step {step}")
         T.backward(loss)
         T.adam_step(params.tensors, opt)
+        del scores, loss  # free this step's tape before the next forward
 
         if step % cfg.eval_every == 0 or step == cfg.iterations:
             val = split_ndcg(params, dataset, spatial, dataset.val_idx, cfg)

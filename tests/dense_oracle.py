@@ -12,6 +12,7 @@ every parameter gradient, and every metric.
 
 import numpy as np
 
+import unfused_oracle
 from parkrank import kernels, model
 from parkrank import tensor as T
 from parkrank.errors import ConfigError, DataError
@@ -138,10 +139,7 @@ def training_loss(
         nll = listwise_nll(labels, scores, params.allowed)
         total = T.add(total, T.mul(nll, softmax_weight))
     if l2_coeff > 0:
-        penalty = None
-        for p in params.tensors:
-            sq = T.reduce_sum(T.mul(p, p))
-            penalty = sq if penalty is None else T.add(penalty, sq)
+        penalty = unfused_oracle.sum_squares(params.tensors)
         total = T.add(total, T.mul(penalty, l2_coeff))
     return total
 

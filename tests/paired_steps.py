@@ -4,16 +4,18 @@ paired ratio and a digest of each tree's trained parameters.
 
     python3 tests/paired_steps.py /path/to/other/checkout/src
     python3 tests/paired_steps.py /path/to/other/src --pairs 12 --steps 50
+    python3 tests/paired_steps.py /path/to/other/src --meters 400 --intervals 2016
 
 This tree's src/ loads as the package ``parkrank``, the other as
-``parkrank_other``. Each pair runs ``train.train_loop`` once per tree at the
-criterion-8 shape (30 meters x 5000 intervals, the perfbench c8-train
-settings, one val pass at the last step), in an order that flips from pair
-to pair, so slow drift of a shared machine lands on both trees alike. The
-ratio is this tree's ms/step over the other's, per pair, then the median
-over pairs; below 1 means this tree is faster. Equal digests mean both
-trees trained to the same parameter bytes. BLAS runs on one thread, as in
-perfbench. pytest does not collect this script.
+``parkrank_other``. Each pair runs ``train.train_loop`` once per tree with
+the perfbench c8-train settings and one val pass at the last step, on the
+criterion-8 shape (30 meters x 5000 intervals) unless --meters and
+--intervals give another. The order flips from pair to pair, so slow drift
+of a shared machine lands on both trees alike. The ratio is this tree's
+ms/step over the other's, per pair, then the median over pairs; below 1
+means this tree is faster. Equal digests mean both trees trained to the
+same parameter bytes. BLAS runs on one thread, as in perfbench. pytest
+does not collect this script.
 """
 
 import os
@@ -31,7 +33,6 @@ import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1] / "src"
-SHAPE = (30, 5000)  # criterion 8: meters x intervals
 DATA_SEED = 8
 
 
@@ -51,11 +52,11 @@ def load_tree(src: Path, name: str):
 class Tree:
     """One source tree's inputs, built with its own modules."""
 
-    def __init__(self, src: Path, name: str, steps: int):
+    def __init__(self, src: Path, name: str, args):
         mods = load_tree(src, name)
         self.name, self.train = name, mods["train"]
         ingest = mods["ingest"]
-        n, intervals = SHAPE
+        n, intervals, steps = args.meters, args.intervals, args.steps
         locations, self.matrix = ingest.synth_generate(ingest.SynthConfig(
             num_locations=n, num_intervals=intervals, rng_seed=DATA_SEED
         ))
@@ -88,9 +89,12 @@ def main() -> None:
     parser.add_argument("other", type=Path, help="src/ of the other tree")
     parser.add_argument("--pairs", type=int, default=24)
     parser.add_argument("--steps", type=int, default=100)
+    # criterion 8's shape by default
+    parser.add_argument("--meters", type=int, default=30)
+    parser.add_argument("--intervals", type=int, default=5000)
     args = parser.parse_args()
-    this = Tree(HERE, "parkrank", args.steps)
-    other = Tree(args.other, "parkrank_other", args.steps)
+    this = Tree(HERE, "parkrank", args)
+    other = Tree(args.other, "parkrank_other", args)
     this.run()  # warm both trees' caches before timing
     other.run()
     this.ms_per_step.clear()

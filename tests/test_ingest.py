@@ -572,6 +572,50 @@ def mutated_graph_bytes(draw, payload):
     return bytes(data)
 
 
+def mutated_matrix_bytes(draw, body: bytes, sidecar: bytes):
+    """A saved matrix.csv and its sidecar with one drawn mutation: a cell,
+    a header field, a sidecar field (set to any JSON value, or dropped),
+    or a single byte of either file."""
+    kind = draw(st.sampled_from(["cell", "header", "sidecar", "byte"]))
+    lines = body.decode().split("\r\n")
+    text = st.text(max_size=4)
+    if kind == "cell":
+        row = draw(st.integers(1, len(lines) - 2))
+        cells = lines[row].split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(
+            st.one_of(st.sampled_from(["0", "1", "", "2", "01", " 1"]), text)
+        )
+        lines[row] = ",".join(cells)
+    elif kind == "header":
+        ids = lines[0].split(",")
+        ids[draw(st.integers(0, len(ids) - 1))] = draw(
+            st.one_of(st.sampled_from(ids), text)
+        )
+        lines[0] = ",".join(ids)
+    elif kind == "sidecar":
+        payload = json.loads(sidecar)
+        key = draw(st.sampled_from(sorted(payload)))
+        if draw(st.booleans()):
+            payload[key] = draw(st.one_of(
+                st.integers(-2, 10**20), text,
+                st.sampled_from(["2022-08-01", "2022-08-01T00:00:00+05:30",
+                                 "2022-08-01 07:30:15.25", "22-8-1"]),
+                JSON_VALUES,
+            ))
+        else:
+            del payload[key]
+        sidecar = ingest.json_text(payload).encode()
+    body = "\r\n".join(lines).encode()
+    if kind == "byte":
+        files = [bytearray(body), bytearray(sidecar)]
+        target = files[draw(st.integers(0, 1))]
+        target[draw(st.integers(0, len(target) - 1))] = draw(
+            st.integers(0, 255)
+        )
+        body, sidecar = map(bytes, files)
+    return body, sidecar
+
+
 class TestHostileFiles:
     """What the standard parsers raise on hostile content (an over-long
     CSV field, an infinite integer) becomes a DataError naming the file."""
@@ -599,6 +643,34 @@ class TestHostileFiles:
         except ParkrankError:
             return
         assert_tables_match_oracles(graph)
+
+    @pytest.fixture(scope="class")
+    def saved_matrix(self, tmp_path_factory):
+        """The bytes of a saved 3-meter, 6-interval matrix.csv and of its
+        sidecar."""
+        path = tmp_path_factory.mktemp("matrix") / "matrix.csv"
+        cfg = ingest.SynthConfig(num_locations=3, num_intervals=6)
+        ingest.save_matrix(ingest.synth_generate(cfg)[1], path)
+        sidecar = path.with_name("matrix.meta.json")
+        return path.read_bytes(), sidecar.read_bytes()
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_mutated_matrix_loads_or_raises(
+        self, tmp_path_factory, saved_matrix, data
+    ):
+        path = tmp_path_factory.getbasetemp() / "fuzzed" / "matrix.csv"
+        path.parent.mkdir(exist_ok=True)
+        body, sidecar = mutated_matrix_bytes(data.draw, *saved_matrix)
+        path.write_bytes(body)
+        path.with_name("matrix.meta.json").write_bytes(sidecar)
+        try:
+            matrix = ingest.load_matrix(path)
+        except ParkrankError:
+            return
+        again = path.with_name("again.csv")
+        ingest.save_matrix(matrix, again)
+        assert ingest.load_matrix(again).equals(matrix)
 
     def test_matrix_long_field(self, tmp_path):
         cfg = ingest.SynthConfig(num_locations=3, num_intervals=5)

@@ -674,6 +674,48 @@ class TestRowOps:
             out = T.row_sum(T.Tensor(values), T.Pairs(index, shape)).data
             assert out.tobytes() == want.tobytes()
 
+    @given(
+        # widths cross numpy's 8-lane block, its 128-term halving and 256
+        st.one_of(
+            st.integers(1, 1100),
+            st.sampled_from([7, 8, 9, 127, 128, 129, 255, 256, 257, 263]),
+        ),
+        st.sampled_from([(), (3,), (2, 2)]),
+        st.lists(
+            st.sampled_from(["empty", "sparse", "full", "-0.0", "+-0.0"]),
+            min_size=1, max_size=4,
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    def test_row_sums_equal_dense_sum(self, width, lead, kinds, seed):
+        # per row: no cell, 30% or every cell stored, with magnitudes from
+        # 1e-8 to 1e8, about a third of them ±0.0; or only -0.0 cells, or
+        # only ±0.0 cells
+        rng = np.random.default_rng(seed)
+        shape = (len(kinds), width)
+        keep = np.zeros(shape, bool)
+        size = lead + shape
+        values = rng.choice([-1.0, 1.0], size)
+        values *= 10.0 ** rng.uniform(-8, 8, size)
+        values[rng.random(size) < 0.2] = 0.0
+        values[rng.random(size) < 0.2] = -0.0
+        for row, kind in enumerate(kinds):
+            keep[row] = rng.random(width) < (
+                {"empty": 0.0, "sparse": 0.3}.get(kind, 1.0)
+            )
+            if kind.endswith("0.0"):
+                values[..., row, :] = -0.0
+            if kind == "+-0.0":
+                values[..., row, rng.random(width) < 0.5] = 0.0
+        index = np.flatnonzero(keep)
+        values = values.reshape(lead + (-1,))[..., index]
+        out = T.Pairs(index, shape).row_sums(values)
+        # C order too: a later reduction of the sums follows their layout
+        assert out.flags.c_contiguous
+        want = self.dense(values, index, shape).sum(-1)
+        assert out.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("lead, shape", SHAPES)
     def test_softmax_matches_dense(self, lead, shape):
         rng = np.random.default_rng(41)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dense_oracle
+import unfused_oracle
 from parkrank import evaluate, ingest, model, train
 from parkrank import tensor as T
 from parkrank.errors import ConfigError, DataError
@@ -162,6 +163,70 @@ class TestLossClosedForms:
         )
         assert base == 0.0
         assert with_l2 == pytest.approx(expected, rel=1e-12)
+
+    @staticmethod
+    def tape_size(loss):
+        """The op-made nodes that backward visits from loss."""
+        seen, stack = set(), [loss]
+        while stack:
+            node = stack.pop()
+            if node._backward_fn is not None and id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node._parents)
+        return len(seen)
+
+    @staticmethod
+    def c8_batch():
+        """Labels and model scores of 16 snapshots, and the criterion-8
+        model's 16 tensors, on a small synthetic city."""
+        matrix, graph = small_world(seed=2)
+        cfg = train.TrainConfig(alpha=2, beta=3, kernel_len=2)
+        ds = train.build_dataset(matrix, cfg)
+        params = model.ModelParams(
+            cfg.model_config(), graph, np.random.default_rng(3)
+        )
+        batch = ds.train_idx[:16]
+        labels = train.edge_labels(graph, *train._label_args(ds, batch, cfg))
+        return labels, params, lambda: model.edge_scores(
+            params, *train._inputs(ds, batch)
+        )
+
+    def test_sum_squares_matches_unfused_chain(self, monkeypatch):
+        # every tensor gets its model gradient first, then g * p twice
+        labels, params, scores = self.c8_batch()
+        assert len(params.tensors) == 16
+
+        def step():
+            loss = train.training_loss(labels, scores(), params, 0.1, 1e-3)
+            T.backward(loss)
+            grads = [p.grad for p in params.tensors]
+            for p in params.tensors:
+                p.grad = None
+            return loss, grads
+
+        loss, grads = step()
+        monkeypatch.setattr(T, "sum_squares", unfused_oracle.sum_squares)
+        want_loss, want_grads = step()
+        assert loss.data.tobytes() == want_loss.data.tobytes()
+        for got, want in zip(grads, want_grads, strict=True):
+            assert got.tobytes() == want.tobytes()
+        # the chain records 49 nodes where the fused penalty records 3
+        base = self.tape_size(
+            train.training_loss(labels, scores(), params, 0.1, 0.0)
+        )
+        assert self.tape_size(want_loss) - base == 49
+        assert self.tape_size(loss) - base == 3
+
+    def test_no_l2_adds_no_node(self):
+        labels, params, scores = self.c8_batch()
+        s = scores()
+        loss = train.training_loss(labels, s, params, 0.1, 0.0)
+        nll = train.listwise_nll(labels, s, params.pairs)
+        alone = T.add(
+            train.squared_error(labels, s, params.pairs), T.mul(nll, 0.1)
+        )
+        assert self.tape_size(loss) == self.tape_size(alone)
+        assert loss.data.tobytes() == alone.data.tobytes()
 
 
 class TestConfig:

@@ -1,11 +1,12 @@
 """The chains of primitive ops that tensor's fused ops stand for.
 
-tensor.pair_readout and tensor.dense_relu each record one tape node where
-the model once recorded a chain of them. These are those chains, built
-from the primitive ops; the fused ops must match them bit for bit, in the
-output and in every gradient. The readout's chain gathers with the plain
-src and dst indices of its Pairs, so its gradients come from take's
-np.add.at, where the fused op sums through the Pairs' tables.
+tensor.pair_readout, tensor.dense_relu and tensor.sum_squares each record
+one tape node where the model or the loss once recorded a chain of them.
+These are those chains, built from the primitive ops; the fused ops must
+match them bit for bit, in the output and in every gradient. The
+readout's chain gathers with the plain src and dst indices of its Pairs,
+so its gradients come from take's np.add.at, where the fused op sums
+through the Pairs' tables.
 """
 
 from parkrank import tensor as T
@@ -20,3 +21,14 @@ def pair_readout(q, item, bias, pairs) -> T.Tensor:
 def dense_relu(x, w, b) -> T.Tensor:
     """matmul, add bias and relu."""
     return T.relu(T.add(T.matmul(x, w), b))
+
+
+def sum_squares(tensors) -> T.Tensor:
+    """reduce_sum(mul(p, p)) per tensor, added left to right: with the
+    coefficient's mul and the add onto the loss, 49 nodes for the 16
+    tensors of the criterion-8 model."""
+    total = None
+    for p in tensors:
+        sq = T.reduce_sum(T.mul(p, p))
+        total = sq if total is None else T.add(total, sq)
+    return total
