@@ -3,8 +3,9 @@
 Subcommands cover the whole pipeline: build a data directory (synth or
 ingest), train a scorer, evaluate it against baselines, recommend for a
 single query, and benchmark the event-graph representation. Options
-resolve as flag, then config file, then the OPR_SEED environment
-variable for seeds, then the built-in default. All outputs are
+resolve once, before the command runs, as flag, then config file, then
+the OPR_SEED environment variable for seeds, then the built-in default;
+one cast per option reads every source's text. All outputs are
 deterministic: no timestamps, sorted keys, repr-precision floats.
 """
 
@@ -49,35 +50,41 @@ def read_config(path, allowed_keys) -> dict[str, str]:
     return options
 
 
-class Resolver:
-    """Layered option lookup: flag beats config file beats default."""
+def int64(text: str) -> int:
+    """The cast of every integer spec option: an int that fits in int64."""
+    value = int(text)
+    bounds = np.iinfo(np.int64)
+    if not bounds.min <= value <= bounds.max:
+        raise ValueError(f"{value} lies outside int64")
+    return value
 
-    def __init__(self, args, spec: dict):
-        self.args = args
-        self.spec = spec
-        path = self.config_path = args.config
-        self.file_options = read_config(path, set(spec)) if path else {}
 
-    def __getitem__(self, key: str):
-        cast, default = self.spec[key]
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            return flag
-        if key in self.file_options:
-            raw = self.file_options[key]
-            try:
-                return cast(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"{self.config_path}: bad value for {key}: {raw!r}"
-                )
-        if key == "seed":
-            raw = os.environ.get("OPR_SEED", "0")
-            try:
-                return int(raw)
-            except ValueError:
-                raise ConfigError(f"OPR_SEED must be an integer, got {raw!r}")
-        return default
+def resolve(args, spec: dict) -> dict:
+    """Every option's value: the spec's cast of its first text found, by
+    flag, then config file, then OPR_SEED for the seed, else the default.
+    Text the cast rejects is a ConfigError naming where it came from."""
+    path = args.config
+    file_options = read_config(path, set(spec)) if path else {}
+    opts = {}
+    for key, (cast, default) in spec.items():
+        env = os.environ.get("OPR_SEED") if key == "seed" else None
+        texts = (
+            (f"--{key.replace('_', '-')}", getattr(args, key)),
+            (path, file_options.get(key)),
+            ("OPR_SEED", env),
+        )
+        found = [(source, text) for source, text in texts if text is not None]
+        if not found:
+            opts[key] = default
+            continue
+        source, text = found[0]
+        try:
+            opts[key] = cast(text)
+        except ValueError:
+            raise ConfigError(
+                f"{source}: bad value for {key}: {text!r}"
+            ) from None
+    return opts
 
 
 def _ensure_dir(path) -> Path:
@@ -106,9 +113,9 @@ def load_data_dir(data) -> tuple[ingest.OccupancyMatrix, ingest.SpatialGraph]:
 
 
 SYNTH_SPEC = {
-    "seed": (int, 0),
-    "locations": (int, 30),
-    "intervals": (int, 2016),
+    "seed": (int64, 0),
+    "locations": (int64, 30),
+    "intervals": (int64, 2016),
     "spacing": (float, ingest.SynthConfig.grid_spacing_m),
     "base_rate": (float, ingest.SynthConfig.base_occupancy_rate),
     "correlation": (float, ingest.SynthConfig.spatial_correlation),
@@ -138,7 +145,7 @@ def cmd_synth(args, opts) -> int:
 
 
 INGEST_SPEC = {
-    "interval_minutes": (int, ingest.DEFAULT_INTERVAL_MINUTES),
+    "interval_minutes": (int64, ingest.DEFAULT_INTERVAL_MINUTES),
     "full_ratio": (float, ingest.DEFAULT_FULL_LOADED_RATIO),
     "adjacency_m": (float, ingest.DEFAULT_ADJACENCY_M),
 }
@@ -163,8 +170,6 @@ def cmd_ingest(args, opts) -> int:
     locations = [by_id[mid] for mid in matrix.meter_ids]
     graph = ingest.build_adjacency(locations, opts["adjacency_m"])
     write_data_dir(args.out, locations, matrix, graph)
-    if matrix.dropped_meters:
-        log.info("dropped sparse meters: %s", ",".join(matrix.dropped_meters))
     log.info(
         "ingested %d meters x %d intervals to %s",
         matrix.num_locations,
@@ -178,9 +183,9 @@ def cmd_ingest(args, opts) -> int:
 # "seed" option (flag, config file, then OPR_SEED) sets, and
 # select_best_val, which the CLI always leaves on
 TRAIN_SPEC = {
-    "seed": (int, 0),
+    "seed": (int64, 0),
     **{
-        f.name: (f.type, f.default)
+        f.name: (int64 if f.type is int else f.type, f.default)
         for f in fields(train.TrainConfig)
         if f.name not in ("rng_seed", "select_best_val")
     },
@@ -227,7 +232,7 @@ def load_checkpoint_bundle(checkpoint, graph):
 
 EVAL_SPEC = {
     "split": (str, "test"),
-    "max_wait": (int, evaluate.DEFAULT_MAX_WAIT),
+    "max_wait": (int64, evaluate.DEFAULT_MAX_WAIT),
 }
 
 
@@ -263,7 +268,7 @@ def cmd_eval(args, opts) -> int:
     return 0
 
 
-RECOMMEND_SPEC = {"top": (int, 5)}
+RECOMMEND_SPEC = {"top": (int64, 5)}
 
 
 def cmd_recommend(args, opts) -> int:
@@ -291,7 +296,7 @@ def cmd_recommend(args, opts) -> int:
     return 0
 
 
-BENCH_SPEC = {"alpha": (int, 6), "points": (int, 12)}
+BENCH_SPEC = {"alpha": (int64, 6), "points": (int64, 12)}
 
 
 def cmd_bench(args, opts) -> int:
@@ -351,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
                 f"--{flag}", required=True, **FLAG_ARGS.get(flag, {})
             )
         sub.add_argument("--config")
-        for key, (cast, _default) in spec.items():
-            sub.add_argument(f"--{key.replace('_', '-')}", type=cast)
+        for key in spec:
+            sub.add_argument(f"--{key.replace('_', '-')}")
     return parser
 
 
@@ -363,7 +368,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler, _help, _required, spec = COMMANDS[args.command]
     try:
-        return handler(args, Resolver(args, spec))
+        return handler(args, resolve(args, spec))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -217,6 +217,8 @@ class SynthConfig:
             raise ConfigError("base_occupancy_rate must be within [0, 1]")
         if not (0.0 <= self.spatial_correlation <= 1.0):
             raise ConfigError("spatial_correlation must be within [0, 1]")
+        if self.rng_seed < 0:
+            raise ConfigError("rng_seed must be non-negative")
 
 
 def haversine_distance(a: MeterLocation, b: MeterLocation) -> float:
@@ -302,42 +304,27 @@ def _matrix_from_observations(
         raise EmptyDatasetError("empty dataset: no records")
     start = min(ts for obs in observations.values() for ts, _ in obs)
     step_s = interval_minutes * 60.0
-    max_idx = 0
-    indexed: dict[str, list[tuple[int, bool]]] = {}
-    for meter, obs in observations.items():
-        cells = []
-        for ts, state in obs:
-            idx = int(round((ts - start).total_seconds() / step_s))
-            cells.append((idx, state))
-            max_idx = max(max_idx, idx)
-        indexed[meter] = cells
-    num_intervals = max_idx + 1
+    # interval -> state per meter; a later record for the same cell wins
+    cells = {
+        meter: {
+            int(round((ts - start).total_seconds() / step_s)): state
+            for ts, state in obs
+        }
+        for meter, obs in observations.items()
+    }
+    num_intervals = 1 + max(max(by_idx) for by_idx in cells.values())
 
     kept: dict[str, np.ndarray] = {}
     dropped: list[str] = []
-    for meter, cells in indexed.items():
-        row = np.zeros(num_intervals, dtype=np.bool_)
-        seen = np.zeros(num_intervals, dtype=np.bool_)
-        for idx, state in cells:
-            row[idx] = state
-            seen[idx] = True
-        missing = num_intervals - int(seen.sum())
+    for meter, by_idx in cells.items():
+        missing = num_intervals - len(by_idx)
         if missing / num_intervals > MISSING_DROP_FRAC:
             dropped.append(meter)
             continue
-        if missing:
-            obs_idx = np.flatnonzero(seen)
-            # carry forward; positions before the first observation borrow it
-            src = obs_idx[
-                np.clip(
-                    np.searchsorted(obs_idx, np.arange(num_intervals), "right")
-                    - 1,
-                    0,
-                    obs_idx.size - 1,
-                )
-            ]
-            row = row[src]
-        kept[meter] = row
+        obs_idx, states = zip(*sorted(by_idx.items()))
+        # carry forward; positions before the first observation borrow it
+        src = np.searchsorted(obs_idx, np.arange(num_intervals), "right") - 1
+        kept[meter] = np.array(states, dtype=np.bool_)[np.maximum(src, 0)]
 
     if dropped:
         log.warning(

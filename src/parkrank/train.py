@@ -80,6 +80,8 @@ class TrainConfig:
             raise ConfigError("learning_rate must be positive")
         if self.eval_every < 1:
             raise ConfigError("eval_every must be at least 1")
+        if self.rng_seed < 0:
+            raise ConfigError("rng_seed must be non-negative")
 
     def model_config(self) -> model.ModelConfig:
         return model.ModelConfig(

@@ -329,18 +329,19 @@ class TestBench:
 
 
 # every subcommand's help and flags: (flag, required, type, choices,
-# default, help), in the order --help lists them
+# default, help), in the order --help lists them; spec options take no
+# type, because cli.resolve casts their text
 PARSER_SURFACE = {
     "synth": ("generate a synthetic data directory", [
         ("--out", True, None, None, None, None),
         ("--config", False, None, None, None, None),
-        ("--seed", False, int, None, None, None),
-        ("--locations", False, int, None, None, None),
-        ("--intervals", False, int, None, None, None),
-        ("--spacing", False, float, None, None, None),
-        ("--base-rate", False, float, None, None, None),
-        ("--correlation", False, float, None, None, None),
-        ("--adjacency-m", False, float, None, None, None),
+        ("--seed", False, None, None, None, None),
+        ("--locations", False, None, None, None, None),
+        ("--intervals", False, None, None, None, None),
+        ("--spacing", False, None, None, None, None),
+        ("--base-rate", False, None, None, None, None),
+        ("--correlation", False, None, None, None, None),
+        ("--adjacency-m", False, None, None, None, None),
     ]),
     "ingest": ("build a data directory from records", [
         ("--records", True, None, None, None, None),
@@ -348,40 +349,40 @@ PARSER_SURFACE = {
         ("--kind", True, None, ("space", "street"), None, None),
         ("--out", True, None, None, None, None),
         ("--config", False, None, None, None, None),
-        ("--interval-minutes", False, int, None, None, None),
-        ("--full-ratio", False, float, None, None, None),
-        ("--adjacency-m", False, float, None, None, None),
+        ("--interval-minutes", False, None, None, None, None),
+        ("--full-ratio", False, None, None, None, None),
+        ("--adjacency-m", False, None, None, None, None),
     ]),
     "train": ("train a scorer on a data directory", [
         ("--data", True, None, None, None, None),
         ("--out", True, None, None, None, None),
         ("--config", False, None, None, None, None),
-        ("--seed", False, int, None, None, None),
-        ("--alpha", False, int, None, None, None),
-        ("--beta", False, int, None, None, None),
-        ("--conv-channels", False, int, None, None, None),
-        ("--embed-dim", False, int, None, None, None),
-        ("--kernel-len", False, int, None, None, None),
-        ("--score-activation", False, str, None, None, None),
-        ("--horizon-intervals", False, int, None, None, None),
-        ("--prox-weight", False, float, None, None, None),
-        ("--dur-weight", False, float, None, None, None),
-        ("--duration-cap", False, int, None, None, None),
-        ("--softmax-weight", False, float, None, None, None),
-        ("--l2-coeff", False, float, None, None, None),
-        ("--dropout-rate", False, float, None, None, None),
-        ("--batch-size", False, int, None, None, None),
-        ("--iterations", False, int, None, None, None),
-        ("--learning-rate", False, float, None, None, None),
-        ("--eval-every", False, int, None, None, None),
+        ("--seed", False, None, None, None, None),
+        ("--alpha", False, None, None, None, None),
+        ("--beta", False, None, None, None, None),
+        ("--conv-channels", False, None, None, None, None),
+        ("--embed-dim", False, None, None, None, None),
+        ("--kernel-len", False, None, None, None, None),
+        ("--score-activation", False, None, None, None, None),
+        ("--horizon-intervals", False, None, None, None, None),
+        ("--prox-weight", False, None, None, None, None),
+        ("--dur-weight", False, None, None, None, None),
+        ("--duration-cap", False, None, None, None, None),
+        ("--softmax-weight", False, None, None, None, None),
+        ("--l2-coeff", False, None, None, None, None),
+        ("--dropout-rate", False, None, None, None, None),
+        ("--batch-size", False, None, None, None, None),
+        ("--iterations", False, None, None, None, None),
+        ("--learning-rate", False, None, None, None, None),
+        ("--eval-every", False, None, None, None, None),
     ]),
     "eval": ("score a checkpoint against baselines", [
         ("--data", True, None, None, None, None),
         ("--checkpoint", True, None, None, None, None),
         ("--out", True, None, None, None, None),
         ("--config", False, None, None, None, None),
-        ("--split", False, str, None, None, None),
-        ("--max-wait", False, int, None, None, None),
+        ("--split", False, None, None, None, None),
+        ("--max-wait", False, None, None, None, None),
     ]),
     "recommend": ("rank spots for one query", [
         ("--data", True, None, None, None, None),
@@ -389,14 +390,14 @@ PARSER_SURFACE = {
         ("--query", True, None, None, None, "meter id of the driver"),
         ("--time", True, int, None, None, "interval index"),
         ("--config", False, None, None, None, None),
-        ("--top", False, int, None, None, None),
+        ("--top", False, None, None, None, None),
     ]),
     "bench": ("measure event-graph compression", [
         ("--data", True, None, None, None, None),
         ("--out", True, None, None, None, None),
         ("--config", False, None, None, None, None),
-        ("--alpha", False, int, None, None, None),
-        ("--points", False, int, None, None, None),
+        ("--alpha", False, None, None, None, None),
+        ("--points", False, None, None, None, None),
     ]),
 }
 
@@ -455,6 +456,161 @@ def test_bad_config_option_names_file(tmp_path, capsys, content, says):
     assert code == 3
     err = capsys.readouterr().err
     assert f"{cfg_file}: " in err and says in err
+
+
+def required_flags(command, tmp_path):
+    """argv for command's required flags; the paths, under tmp_path, are
+    never read, because a bad option stops the command first."""
+    values = {"kind": "space", "query": "m000", "time": "0"}
+    return [arg for flag in cli.COMMANDS[command][2]
+            for arg in (f"--{flag}", values.get(flag, tmp_path / flag))]
+
+
+def give_option(monkeypatch, tmp_path, source, key, text):
+    """Hand key's text to the CLI through source ("flag", "config" or
+    "OPR_SEED"); returns the extra argv and the name the error gives."""
+    monkeypatch.delenv("OPR_SEED", raising=False)
+    if source == "flag":
+        flag = f"--{key.replace('_', '-')}"
+        return [flag, text], flag
+    if source == "config":
+        cfg_file = tmp_path / "opts.cfg"
+        cfg_file.write_text(f"{key} = {text}\n")
+        return ["--config", cfg_file], str(cfg_file)
+    monkeypatch.setenv("OPR_SEED", text)
+    return [], "OPR_SEED"
+
+
+BIG = str(10**20)
+# (id, command, key, text) that the key's cast rejects; the integers are
+# past what numpy holds as int64
+BAD_OPTION_TEXTS = [
+    ("eval-max-wait-text", "eval", "max_wait", "abc"),
+    ("eval-max-wait-big", "eval", "max_wait", BIG),
+    ("bench-alpha-big", "bench", "alpha", BIG),
+    ("train-alpha-big", "train", "alpha", BIG),
+    ("train-embed-dim-big", "train", "embed_dim", BIG),
+    ("synth-intervals-big", "synth", "intervals", BIG),
+    ("ingest-full-ratio-text", "ingest", "full_ratio", "half"),
+    ("synth-seed-float", "synth", "seed", "1.5"),
+    ("train-seed-2**63", "train", "seed", str(2**63)),
+]
+
+
+@pytest.mark.parametrize(
+    "command, key, text, source",
+    [
+        pytest.param(command, key, text, source, id=f"{name}-{source}")
+        for name, command, key, text in BAD_OPTION_TEXTS
+        for source in ("flag", "config", "OPR_SEED")
+        if source != "OPR_SEED" or key == "seed"
+    ],
+)
+def test_bad_option_text_exit_3_names_source(
+    tmp_path, capsys, monkeypatch, command, key, text, source
+):
+    # one cast serves every source: a bad flag used to exit 2 with a
+    # usage message, and an integer past int64 to die in numpy
+    extra, where = give_option(monkeypatch, tmp_path, source, key, text)
+    assert run(command, *required_flags(command, tmp_path), *extra) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"error: {where}: bad value for {key}: {text!r}"
+
+
+@pytest.mark.parametrize(
+    "source, text", [("flag", "-1"), ("config", "-2"), ("OPR_SEED", "-3")]
+)
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_negative_seed_exit_3(
+    pristine_tree, tmp_path, capsys, monkeypatch, command, source, text
+):
+    # numpy's generators take no negative seed; both used to die in numpy
+    extra, _where = give_option(monkeypatch, tmp_path, source, "seed", text)
+    rest = (["--locations", 4, "--intervals", 20] if command == "synth"
+            else ["--data", pristine_tree / "data", *TRAIN_FLAGS])
+    code = run(command, "--out", tmp_path / "x", *rest, *extra)
+    assert code == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "error: rng_seed must be non-negative"
+    assert not (tmp_path / "x").exists()
+
+
+# config values of every kind: out of range, past int64, not a number
+CONFIG_VALUES = st.one_of(
+    st.integers(-3, 3), st.integers(),
+    st.sampled_from([2**63 - 1, 2**63, -(2**63) - 1, 10**20]),
+    st.floats(), st.sampled_from(["nan", "-inf", "1e3", "0x10", "1_0"]),
+    st.text(max_size=4),
+)
+
+
+def write_mutated_config(draw, spec, path):
+    """Write to path a valid config of every key in spec, each at its
+    default, with one drawn mutation: a known key given a drawn value, an
+    unknown key, a line without "=", or a single byte."""
+    lines = [f"{key} = {default}" for key, (_cast, default) in spec.items()]
+    kind = draw(st.sampled_from(["value", "unknown", "no-equals", "byte"]))
+    row = draw(st.integers(0, len(lines) - 1))
+    key = lines[row].split(" = ")[0]
+    if kind == "value":
+        lines[row] = f"{key} = {draw(CONFIG_VALUES)}"
+    elif kind == "unknown":
+        lines[row] = f"warp_speed = {draw(CONFIG_VALUES)}"
+    elif kind == "no-equals":
+        lines[row] = lines[row].replace("=", "")
+    data = bytearray("\n".join(lines).encode() + b"\n")
+    if kind == "byte":
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    path.write_bytes(bytes(data))
+
+
+# the settings object each command builds from its options, as
+# cmd_synth and cmd_train build them
+CONFIG_OBJECTS = {
+    "synth": lambda opts: ingest.SynthConfig(
+        num_locations=opts["locations"],
+        num_intervals=opts["intervals"],
+        grid_spacing_m=opts["spacing"],
+        base_occupancy_rate=opts["base_rate"],
+        spatial_correlation=opts["correlation"],
+        rng_seed=opts["seed"],
+    ),
+    "train": lambda opts: train.TrainConfig(
+        **{key: value for key, value in opts.items() if key != "seed"},
+        rng_seed=opts["seed"],
+    ),
+}
+
+
+# built once: building a parser costs more than resolving a config
+PARSER = cli.build_parser()
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_mutated_config_resolves_or_raises(tmp_path_factory, data):
+    # resolve and the settings objects only: a valid `intervals = 10**8`
+    # would run synth for hours
+    command = data.draw(st.sampled_from(list(cli.COMMANDS)))
+    spec = cli.COMMANDS[command][3]
+    work = tmp_path_factory.getbasetemp()
+    path = work / "fuzzed.cfg"
+    write_mutated_config(data.draw, spec, path)
+    args = PARSER.parse_args(
+        [command, *map(str, required_flags(command, work)),
+         "--config", str(path)]
+    )
+    try:
+        opts = cli.resolve(args, spec)
+        if command in CONFIG_OBJECTS:
+            CONFIG_OBJECTS[command](opts)
+    except ParkrankError:
+        return
+    assert list(opts) == list(spec)
+    assert all(
+        -(2**63) <= value < 2**63
+        for value in opts.values() if isinstance(value, int)
+    )
 
 
 def _truncate(path):
