@@ -378,6 +378,11 @@ def main(argv=None) -> int:
     except ParkrankError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # a size inside int64 can still be past what memory holds
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

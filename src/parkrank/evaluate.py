@@ -1,8 +1,14 @@
 """Ranking and waiting-time evaluation, baselines, scenario slicing.
 
-Ranked queries travel as ``QueryResults`` batches of arrays, one row per
-query. ``summarize``, ``awtp_rnwtr`` and ``slice_scenarios`` take a
-sequence of batches, concatenated once per call.
+Ranked queries travel as ``Candidates`` batches of arrays, one row per
+query, each packed to the query's neighborhood (itself plus its spatial
+neighbors): [Q, K] arrays, K the largest neighborhood, hold each
+candidate's id, its rank position in the query's ranking of all n
+vertices, and its label, in rank order. ``summarize``, ``awtp_rnwtr``
+and ``slice_scenarios`` take a sequence of batches, concatenated once
+per call. A dense ``QueryResults`` batch of whole [Q, n] ranking rows,
+as ``make_result`` builds, is packed on entry, so every metric reads a
+pack.
 
 Ranking quality uses NDCG with linear gain and MAP with labels binarized
 at y > 0. Waiting-time quality simulates following the recommendations:
@@ -11,27 +17,27 @@ its candidates, averaged over queries (AWTP); its ratio to the oracle
 ranking's value (RNWTR) is 1.0 for a perfect ranking. Both restrict
 candidates to the query's neighborhood, where labels live.
 
-A neighborhood holds a few vertices against the n of a ranking row, so
-each batch is packed once into [Q, K] arrays, K the largest
-neighborhood, holding each candidate's rank position, label and capped
-wait in rank order (``_Pack``); the metrics run on the pack, not on
-[Q, n]. The bits
-match a computation over the whole row: DCG terms go back to their rank
-positions in a zero buffer before the same row sum, the ideal ordering
-is the packed labels sorted and zero-padded (labels are non-negative and
-zero outside the neighborhood), MAP's running sum only skips +0.0 terms,
-and the wait columns hold the same integers. ``ndcg_at`` and ``map_at``
-pack the nonzero labels of their rows and run the same code.
+The bits match a computation over the whole row: DCG terms go back to
+their rank positions in a zero buffer before the same row sum, the ideal
+ordering is the packed labels sorted and zero-padded (labels are
+non-negative and zero outside the neighborhood), MAP's running sum only
+skips +0.0 terms, and the wait columns hold the same integers.
+``ndcg_at`` and ``map_at`` pack the nonzero labels of their rows and run
+the same code.
 
-The persistence and historical-mean baselines rank by a per-vertex
-availability score. Each is scored once per split and ranked by one
-sort of integer keys packing (score rank, hop, id), in the order
-model.rank_candidates defines (``_rank_by_vertex_score``).
+The model and the baselines rank on the edge list of allowed pairs and
+never build a ranking row. Each query's candidates sit in slots ordered
+by (hop, id): the query itself, then its neighbors by id. One stable
+sort along the slots orders them by score, ties by (hop, id), as
+model.rank_candidates orders a whole row; the rank position in that row
+follows from counting, because every vertex outside the neighborhood
+lies 2 or more hops away and so after every candidate it ties with
+(``rank_pair_scores``, ``rank_vertex_scores``, ``pack_pairs``).
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,14 +54,37 @@ BASELINE_NAMES = ("persistence", "historical_mean")
 
 
 @dataclass(frozen=True)
+class Candidates:
+    """Q ranked queries packed to their neighborhoods: [Q] vertex and
+    times, [Q, K] the rest.
+
+    Row q lists its query's candidates best first: vertex holds their
+    ids, position their rank positions in the query's ranking of all
+    num_vertices vertices, labels their grades. K is the largest
+    neighborhood, at least 1; padding slots hold vertex -1, position
+    num_vertices and label 0.
+    """
+
+    query_vertex: np.ndarray
+    query_time: np.ndarray
+    horizon_time: np.ndarray
+    vertex: np.ndarray
+    position: np.ndarray
+    labels: np.ndarray
+    num_vertices: int
+
+    def __len__(self) -> int:
+        return len(self.query_time)
+
+
+@dataclass(frozen=True)
 class QueryResults:
-    """Q ranked queries as arrays: [Q] vertex and times, [Q, n] the rest.
+    """Q ranked queries as whole rows: [Q] vertex and times, [Q, n] the
+    rest; the input form of make_result.
 
     Each ranking row is a permutation of all vertex ids, best first. The
     neighborhood mask marks the query's candidates (itself plus spatial
-    neighbors); labels must be zero outside it, which the ranking
-    metrics check. Consumers take a sequence of batches. checked skips
-    the permutation check, for rows taken from batches that passed it.
+    neighbors); labels must be zero outside it, which packing checks.
     """
 
     query_vertex: np.ndarray
@@ -64,17 +93,23 @@ class QueryResults:
     ranking: np.ndarray
     labels: np.ndarray
     neighborhood: np.ndarray
-    checked: InitVar[bool] = False
 
-    def __post_init__(self, checked: bool):
+    def __post_init__(self):
         ids = np.arange(self.ranking.shape[-1])
-        if not checked and (np.sort(self.ranking, axis=-1) != ids).any():
+        if (np.sort(self.ranking, axis=-1) != ids).any():
             raise DataError("ranking must be a permutation of vertex ids")
         if self.labels.shape != self.ranking.shape:
             raise DataError("label row length must match ranking length")
 
     def __len__(self) -> int:
         return len(self.query_time)
+
+    def pack(self, check_labels: bool = True) -> Candidates:
+        """The rows packed to their neighborhoods. Every nonzero label
+        must be packed and none may be negative, or the ranking metrics
+        would differ from the same metrics over whole rows; check_labels
+        off skips that check, for consumers that read no labels."""
+        return _concat([self], check_labels)
 
 
 def make_result(
@@ -101,55 +136,48 @@ def make_result(
     )
 
 
-def _concat(results: Sequence[QueryResults]) -> QueryResults:
-    """All rows of a non-empty sequence of batches as one batch."""
-    if len(results) == 1:
+def _concat(
+    results: Sequence[Candidates | QueryResults], check_labels: bool = True
+) -> Candidates:
+    """All rows of a non-empty sequence of batches as one pack: one pack
+    passes through, and dense batches are joined and packed once."""
+    if len(results) == 1 and isinstance(results[0], Candidates):
         return results[0]
-    names = [f.name for f in fields(QueryResults)]
-    return QueryResults(
-        *(np.concatenate([getattr(b, k) for b in results]) for k in names),
-        checked=True,
+    vertex, time, horizon, ranking, labels, hood = (
+        np.concatenate([getattr(b, f.name) for b in results])
+        for f in fields(QueryResults)
+    )
+    return _pack_rows(
+        ranking, hood, labels, check_labels, vertex, time, horizon
     )
 
 
 # ---------------------------------------------------------------------------
-# the candidate pack
+# packing
 # ---------------------------------------------------------------------------
 
 
-class _Pack:
+def _pack_rows(
+    ranking, mask, labels, check_labels, query_vertex, query_time,
+    horizon_time,
+) -> Candidates:
     """The candidates each row of a [Q, n] vertex mask marks, in the rank
-    order of the [Q, n] rankings, packed into [Q, K] arrays.
+    order of the [Q, n] rankings, with their [Q, n] labels."""
+    length = ranking.shape[-1]
+    # nonzero walks row by row, so each row's candidates come in rank order
+    rows, position = np.nonzero(np.take_along_axis(mask, ranking, axis=-1))
+    counts = np.bincount(rows, minlength=len(ranking))
+    slots = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+    shape = (len(ranking), max(1, int(counts.max(initial=0))))
 
-    K is the largest candidate count (at least 1). position holds each
-    candidate's rank position; padding slots sit at position n. rows,
-    slots and vertex place each packed candidate.
-    """
-
-    def __init__(self, ranking: np.ndarray, mask: np.ndarray):
-        self.length = ranking.shape[-1]
-        # nonzero walks row by row, so each row's candidates come in rank order
-        self.rows, position = np.nonzero(
-            np.take_along_axis(mask, ranking, axis=-1)
-        )
-        self.counts = np.bincount(self.rows, minlength=len(ranking))
-        starts = np.cumsum(self.counts) - self.counts
-        self.slots = np.arange(len(self.rows)) - starts[self.rows]
-        self.shape = (len(ranking), max(1, int(self.counts.max(initial=0))))
-        self.vertex = ranking[self.rows, position]
-        self.position = self.spread(position, self.length)
-
-    def spread(self, values: np.ndarray, fill) -> np.ndarray:
-        """[Q, K] with the per-candidate values in place, fill elsewhere."""
-        out = np.full(self.shape, fill, dtype=values.dtype)
-        out[self.rows, self.slots] = values
+    def spread(values, fill):
+        out = np.full(shape, fill, dtype=values.dtype)
+        out[rows, slots] = values
         return out
 
-    def labels(self, labels: np.ndarray) -> np.ndarray:
-        """[Q, K] packed labels, 0 in padding. Every nonzero label must be
-        packed and none may be negative, or the metrics would differ from
-        the same metrics over whole rows."""
-        packed = self.spread(labels[self.rows, self.vertex], 0.0)
+    vertex = ranking[rows, position]
+    packed = spread(labels[rows, vertex], 0.0)
+    if check_labels:
         if np.count_nonzero(packed) != np.count_nonzero(labels):
             outside = np.count_nonzero(labels, axis=-1) != np.count_nonzero(
                 packed, axis=-1
@@ -160,7 +188,130 @@ class _Pack:
             )
         if (packed < 0.0).any():
             raise DataError("labels must be non-negative")
-        return packed
+    return Candidates(
+        query_vertex, query_time, horizon_time, spread(vertex, -1),
+        spread(position, length), packed, length,
+    )
+
+
+class _Slots:
+    """A graph's allowed pairs laid out as [n, K] slots, K its largest
+    neighborhood: row q holds q's candidates in (hop, id) order, itself
+    first and then its neighbors by id; the rest are padding."""
+
+    def __init__(self, spatial: SpatialGraph):
+        self.src, self.dst = spatial.allowed_pairs()
+        self.num_vertices = n = spatial.num_vertices
+        self.size = np.bincount(self.src, minlength=n)
+        self.width = int(self.size.max(initial=1))
+        # the pairs run row-major, so q's own pair moves to the front and
+        # its neighbors below q one slot up
+        first = np.cumsum(self.size) - self.size
+        slot = np.arange(len(self.src)) - first[self.src]
+        slot += self.dst < self.src
+        slot[self.src == self.dst] = 0
+        self.cell = self.src * self.width + slot
+
+    def scatter(self, cells: np.ndarray, values, fill) -> np.ndarray:
+        """[S * n, K]: per-pair values put at [S, pairs] flat cells of each
+        snapshot's [n, K] slots, fill elsewhere."""
+        size = self.num_vertices * self.width
+        at = cells + size * np.arange(len(cells))[:, np.newaxis]
+        values = np.broadcast_to(values, cells.shape)
+        out = np.full(len(cells) * size, fill, dtype=values.dtype)
+        out[at.ravel()] = values.ravel()
+        return out.reshape(-1, self.width)
+
+    def sort(self, keys: np.ndarray):
+        """(order, sorted keys) along the [S * n, K] slots of [S, pairs]
+        keys: one stable sort, so ties keep (hop, id) order; NaN keys sort
+        after every number and padding after them."""
+        pad = np.nan if keys.dtype.kind == "f" else np.iinfo(keys.dtype).max
+        grid = self.scatter(np.broadcast_to(self.cell, keys.shape), keys, pad)
+        order = np.argsort(grid, axis=-1, kind="stable")
+        return order, np.take_along_axis(grid, order, axis=-1)
+
+    def unsort(self, order: np.ndarray, values) -> np.ndarray:
+        """[S, pairs]: each pair's entry of values, which run along the
+        sorted slots of the [S * n, K] order."""
+        width = self.width
+        at = order + width * np.arange(len(order))[:, np.newaxis]
+        out = np.empty(order.size, dtype=np.asarray(values).dtype)
+        out[at.ravel()] = np.broadcast_to(values, order.shape).ravel()
+        return out.reshape(-1, self.num_vertices * width)[:, self.cell]
+
+
+def rank_pair_scores(spatial: SpatialGraph, scores: np.ndarray):
+    """(rank, position) of each allowed pair under [S, pairs] scores in
+    the order of spatial.allowed_pairs(), such as model.edge_scores gives.
+
+    rank is the pair's place in its query's neighborhood and position
+    its place in model.rank_candidates of the query's whole row: the
+    pair scores, 0 elsewhere. The n - K_q vertices outside a
+    neighborhood of K_q read that 0 at 2 or more hops, so they come
+    after each candidate whose score is 0 or more and before each
+    negative or NaN one.
+    """
+    slots = _Slots(spatial)
+    keys = -np.asarray(scores, dtype=np.float64)
+    order, _ = slots.sort(keys)
+    rank = slots.unsort(order, np.arange(slots.width))
+    outside = (slots.num_vertices - slots.size)[slots.src]
+    return rank, rank + outside * ~(keys <= 0.0)
+
+
+def rank_vertex_scores(spatial: SpatialGraph, scores: np.ndarray):
+    """(rank, position) as rank_pair_scores gives them, for [S, n] scores
+    of each vertex shared by every query's row, as the baselines score.
+
+    Every score gets a dense descending rank r from np.unique, shared by
+    all rows: -0.0 and +0.0 tie, and so do NaNs, after every number, as
+    they do in lexsort. A candidate's position counts the vertices of its
+    snapshot with a lower r, by one sort and a searchsorted over every
+    snapshot at once, plus the candidates before it in its neighborhood
+    with an equal r: a tied vertex outside the neighborhood lies 2 or
+    more hops away, so after it.
+    """
+    slots = _Slots(spatial)
+    r = np.unique(-scores, return_inverse=True)[1].reshape(scores.shape)
+    # ranks lie below r.size, so offsetting snapshot s by s * r.size
+    # keeps the snapshots apart in one sorted array
+    offset = r.size * np.arange(len(r))[:, np.newaxis]
+    lower = np.searchsorted(np.sort(r + offset, axis=None), r + offset)
+    lower -= slots.num_vertices * np.arange(len(r))[:, np.newaxis]
+    order, ranked = slots.sort(r[:, slots.dst])
+    # each sorted slot's distance from the first of its tie group
+    step = np.ones(ranked.shape, dtype=bool)
+    step[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    place = np.arange(slots.width)
+    ties = place - np.maximum.accumulate(np.where(step, place, 0), axis=-1)
+    rank = slots.unsort(order, place)
+    return rank, lower[:, slots.dst] + slots.unsort(order, ties)
+
+
+def pack_pairs(
+    spatial: SpatialGraph,
+    ranked,
+    labels: np.ndarray,
+    query_time: np.ndarray,
+    horizon_time: np.ndarray,
+) -> Candidates:
+    """One batch of every query of S snapshots, snapshot-major, from the
+    (rank, position) of each allowed pair that rank_pair_scores or
+    rank_vertex_scores give, and the pairs' labels, all [S, pairs]."""
+    slots = _Slots(spatial)
+    rank, position = ranked
+    n = slots.num_vertices
+    cells = slots.src * slots.width + rank
+    return Candidates(
+        query_vertex=np.tile(np.arange(n), len(query_time)),
+        query_time=np.repeat(query_time, n),
+        horizon_time=np.repeat(horizon_time, n),
+        vertex=slots.scatter(cells, slots.dst, -1),
+        position=slots.scatter(cells, position, n),
+        labels=slots.scatter(cells, labels, 0.0),
+        num_vertices=n,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +319,15 @@ class _Pack:
 # ---------------------------------------------------------------------------
 
 
-def _ndcg(pack: _Pack, label: np.ndarray, n: int) -> np.ndarray:
-    """[Q] NDCG at n from packed labels; see ndcg_at."""
+def packed_ndcg(batch: Candidates, n: int) -> np.ndarray:
+    """[Q] NDCG at n of each query of a pack; see ndcg_at."""
     if n < 1:
         raise ConfigError("n must be at least 1")
-    width = min(n, pack.length)
+    label = batch.labels
+    width = min(n, batch.num_vertices)
     discounts = (1.0 / np.log2(np.arange(2, n + 2, dtype=np.float64)))[:width]
-    rows, slots = np.nonzero(pack.position < width)
-    at = pack.position[rows, slots]
+    rows, slots = np.nonzero(batch.position < width)
+    at = batch.position[rows, slots]
     # each gain at its rank position, zero elsewhere, as over the whole row
     gains = np.zeros((len(label), width))
     gains[rows, at] = label[rows, slots] * discounts[at]
@@ -187,13 +339,13 @@ def _ndcg(pack: _Pack, label: np.ndarray, n: int) -> np.ndarray:
     return np.divide(dcg, idcg, out=np.ones_like(dcg), where=idcg != 0.0)
 
 
-def _map(pack: _Pack, label: np.ndarray, n: int) -> np.ndarray:
-    """[Q] MAP at n from packed labels; see map_at."""
+def packed_map(batch: Candidates, n: int) -> np.ndarray:
+    """[Q] MAP at n of each query of a pack; see map_at."""
     if n < 1:
         raise ConfigError("n must be at least 1")
-    relevant = label > 0.0
-    hits = relevant & (pack.position < n)
-    precision = np.cumsum(hits, axis=-1) / (pack.position + 1)
+    relevant = batch.labels > 0.0
+    hits = relevant & (batch.position < n)
+    precision = np.cumsum(hits, axis=-1) / (batch.position + 1)
     # a running sum adds the hit terms in rank order, as a scalar loop would
     ap = np.cumsum(np.where(hits, precision, 0.0), axis=-1)[:, -1]
     denom = np.minimum(relevant.sum(axis=-1), n)
@@ -209,8 +361,12 @@ def _row_metric(metric, ranking, labels, n):
         raise DataError("ranking and labels must have the same shape")
     rows = (-1, ranking.shape[-1])
     label_rows = labels.reshape(rows)
-    pack = _Pack(ranking.reshape(rows), label_rows != 0.0)
-    out = metric(pack, pack.labels(label_rows), n).reshape(ranking.shape[:-1])
+    untimed = np.zeros(len(label_rows), dtype=np.int64)
+    pack = _pack_rows(
+        ranking.reshape(rows), label_rows != 0.0, label_rows, True,
+        untimed, untimed, untimed,
+    )
+    out = metric(pack, n).reshape(ranking.shape[:-1])
     return float(out) if out.ndim == 0 else out
 
 
@@ -223,7 +379,7 @@ def ndcg_at(ranking, labels, n: int):
     row is a permutation of its label row's indices, and labels are
     non-negative. One row gives a float.
     """
-    return _row_metric(_ndcg, ranking, labels, n)
+    return _row_metric(packed_ndcg, ranking, labels, n)
 
 
 def map_at(ranking, labels, n: int):
@@ -233,7 +389,7 @@ def map_at(ranking, labels, n: int):
     relevant items scores 0. Rows lie along the last axis, as in ndcg_at;
     one row gives a float.
     """
-    return _row_metric(_map, ranking, labels, n)
+    return _row_metric(packed_map, ranking, labels, n)
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +397,7 @@ def map_at(ranking, labels, n: int):
 # ---------------------------------------------------------------------------
 
 
-def _best_waits(
-    pack: _Pack, horizon_time: np.ndarray, matrix: OccupancyMatrix,
-    max_wait: int,
-):
+def _best_waits(batch: Candidates, matrix: OccupancyMatrix, max_wait: int):
     """[Q, K] running minima of the capped waits at each query's horizon.
 
     Column j is the best wait among the first j + 1 ranked candidates in
@@ -252,18 +405,19 @@ def _best_waits(
     """
     if max_wait < 1:
         raise ConfigError("max_wait must be at least 1")
-    if not pack.counts.all():
+    ranked = batch.position < batch.num_vertices
+    if not ranked[:, 0].all():
         raise DataError("every query needs a non-empty neighborhood")
     # next-vacant distances look only forward, so the table can start at
     # the earliest horizon and still hold the whole-matrix integers; an
     # empty batch starts past the last column
-    start = horizon_time.min(initial=matrix.num_intervals)
+    start = batch.horizon_time.min(initial=matrix.num_intervals)
     waits = np.minimum(
         kernels.next_vacant_steps(matrix.states[:, start:]), max_wait
     )
-    at = horizon_time[pack.rows] - start
-    ranked = pack.spread(waits[pack.vertex, at], max_wait)
-    return np.minimum.accumulate(ranked, axis=-1)
+    at = batch.horizon_time[:, np.newaxis] - start
+    waits = np.where(ranked, waits[batch.vertex, at], max_wait)
+    return np.minimum.accumulate(waits, axis=-1)
 
 
 def _wait_scores(best: np.ndarray, n: int) -> tuple[float, float, float]:
@@ -276,7 +430,7 @@ def _wait_scores(best: np.ndarray, n: int) -> tuple[float, float, float]:
 
 
 def awtp_rnwtr(
-    results: Sequence[QueryResults],
+    results: Sequence[Candidates | QueryResults],
     matrix: OccupancyMatrix,
     n: int,
     max_wait: int = DEFAULT_MAX_WAIT,
@@ -286,13 +440,12 @@ def awtp_rnwtr(
     Per query, the achieved value is the smallest waiting time among the
     first n ranked candidates inside the query's neighborhood; the ideal
     value uses the oracle ordering of the same candidates. The ratio is
-    ideal / achieved, taken as 1.0 when the achieved value is 0.
+    ideal / achieved, taken as 1.0 when the achieved value is 0. Waits
+    read no labels, so dense batches are packed without checking them.
     """
     if not sum(map(len, results)):
         raise DataError("no query results to evaluate")
-    batch = _concat(results)
-    pack = _Pack(batch.ranking, batch.neighborhood)
-    best = _best_waits(pack, batch.horizon_time, matrix, max_wait)
+    best = _best_waits(_concat(results, check_labels=False), matrix, max_wait)
     return _wait_scores(best, n)
 
 
@@ -361,36 +514,6 @@ _PREDICTORS: dict[str, Callable] = {
 }
 
 
-def _rank_by_vertex_score(scores: np.ndarray, hops: np.ndarray) -> np.ndarray:
-    """model.rank_candidates of every query's row of one shared score.
-
-    scores is [..., n], one score per vertex per snapshot; hops is the
-    [n, n] hop table. The result is [..., n, n]: row q of a snapshot
-    orders the candidates by score descending, then by hops[q], then by
-    index, the bits that rank_candidates gives for the score row
-    broadcast to every query.
-
-    Every score gets a dense descending rank, shared by all rows, from
-    np.unique: -0.0 and +0.0 tie, and so do NaNs, after every number, as
-    they do in lexsort. Each (snapshot, query, candidate) then packs
-    (score rank, hop, id) into one integer key, high bits to low, so one
-    in-place integer sort of the keys orders each row as the lexsort
-    would; masking off the high bits leaves the candidate ids. The key
-    array is the output, so no second [..., n, n] array is made.
-    """
-    n = hops.shape[-1]
-    rank = np.unique(-scores, return_inverse=True)[1].reshape(scores.shape)
-    # ranks span all S * n scores and hops reach n + 1 (unreachable), so a
-    # key is below 4 * S * n**2 * (n + 1): an int64 holds it while the
-    # [S, n, n] keys fit in memory (S * n**2 < 2**40) and n < 2**20
-    id_bits = (n - 1).bit_length()
-    hop_bits = int(hops.max(initial=0)).bit_length()
-    lead = (rank << (hop_bits + id_bits)) | np.arange(n)
-    keys = np.empty(scores.shape[:-1] + hops.shape, dtype=np.intp)
-    np.add(lead[..., np.newaxis, :], hops << id_bits, out=keys)
-    keys.sort(axis=-1)
-    keys &= (1 << id_bits) - 1
-    return keys
 
 
 def baseline_predict_then_recommend(
@@ -399,14 +522,15 @@ def baseline_predict_then_recommend(
     t: int | np.ndarray,
     predictor: str,
     train_end: int | None = None,
-) -> np.ndarray:
+):
     """Per-query candidate rankings from a per-vertex availability score.
 
     The predictor scores each vertex once per time; every query then ranks
     all vertices by that score, breaking ties toward fewer hops and lower
-    index, through _rank_by_vertex_score. An int t gives [n, n], one
-    ranking row per query vertex; a 1-D array of S times, such as a whole
-    split, is scored and ranked in one call into [S, n, n].
+    index. The result is each allowed pair's (rank, position), as
+    rank_vertex_scores gives them: [pairs] each at an int t, [S, pairs]
+    at a 1-D array of S times, such as a whole split, scored and ranked
+    in one call.
     """
     if predictor not in _PREDICTORS:
         raise ConfigError(
@@ -416,7 +540,8 @@ def baseline_predict_then_recommend(
     if predictor == "historical_mean" and train_end is None:
         raise ConfigError("historical_mean needs the training range")
     scores = _PREDICTORS[predictor](matrix, t, train_end)
-    return _rank_by_vertex_score(scores, spatial.all_hop_distances())
+    ranked = rank_vertex_scores(spatial, np.atleast_2d(scores))
+    return tuple(a.reshape(scores.shape[:-1] + (-1,)) for a in ranked)
 
 
 # ---------------------------------------------------------------------------
@@ -478,13 +603,11 @@ def empty_report(model: str, scenario: str) -> MetricsReport:
 
 
 def _reports(batch, matrix, model_name, masks, rank_ns, wait_ns, max_wait):
-    """One report per named [Q] mask; per-query values are computed once,
-    from one pack of the queries' neighborhoods."""
-    pack = _Pack(batch.ranking, batch.neighborhood)
-    label = pack.labels(batch.labels)
-    ndcg = {n: _ndcg(pack, label, n) for n in rank_ns}
-    mean_ap = {n: _map(pack, label, n) for n in rank_ns}
-    best = _best_waits(pack, batch.horizon_time, matrix, max_wait)
+    """One report per named [Q] mask of one pack; per-query values are
+    computed once."""
+    ndcg = {n: packed_ndcg(batch, n) for n in rank_ns}
+    mean_ap = {n: packed_map(batch, n) for n in rank_ns}
+    best = _best_waits(batch, matrix, max_wait)
     out = {}
     for name, mask in masks.items():
         if not mask.any():
@@ -510,7 +633,7 @@ def _mean_std(values: np.ndarray) -> tuple[float, float]:
 
 
 def summarize(
-    results: Sequence[QueryResults],
+    results: Sequence[Candidates | QueryResults],
     matrix: OccupancyMatrix,
     model_name: str,
 ) -> MetricsReport:
@@ -537,7 +660,7 @@ def scenario_masks(matrix: OccupancyMatrix, times) -> dict[str, np.ndarray]:
 
 
 def slice_scenarios(
-    results: Sequence[QueryResults],
+    results: Sequence[Candidates | QueryResults],
     matrix: OccupancyMatrix,
     model_name: str,
     max_wait: int = DEFAULT_MAX_WAIT,

@@ -9,10 +9,11 @@ embedding as a residual before one tensor.dense_relu layer. A pairwise
 readout, one tensor.pair_readout node, scores only the allowed (query,
 candidate) pairs, each candidate in the query's own neighborhood, over an
 edge list, and multiplies each by a learnable mask weight; the activation
-runs on that list too, so training stays on it through the loss. For
-ranking, the scores are placed into a [batch, query, candidate] matrix
-whose entries outside the neighborhoods are structural zeros, so only
-reachable candidates can score.
+runs on that list too, so training stays on it through the loss, and
+eval and validation rank on it as well (evaluate.rank_pair_scores). Only
+recommend places the scores into a [batch, query, candidate] matrix
+(forward_scores) whose entries outside the neighborhoods are structural
+zeros, so only reachable candidates can score.
 
 Both fused ops keep the bits of the primitive ops they stand for
 (tests/unfused_oracle.py holds those chains), so the scores, gradients
@@ -30,7 +31,7 @@ from .errors import ConfigError, DataError, DimensionError
 from .ingest import SpatialGraph
 
 SCORE_ACTIVATIONS = ("relu", "softmax")
-RANK_BLOCK = 128  # snapshots per rank_candidates call over a split
+RANK_BLOCK = 128  # snapshots per edge_scores call when a split is ranked
 
 
 @dataclass(frozen=True)
@@ -317,7 +318,8 @@ def edge_scores(
 def forward_scores(params: ModelParams, *args, **kwargs) -> T.Tensor:
     """edge_scores (same arguments) placed into a [batch, query,
     candidate] tensor, 0 outside params.allowed: a constant view for
-    ranking, through which no gradient flows back to the parameters.
+    recommend's ranking, through which no gradient flows back to the
+    parameters.
 
     edge_scores runs under tensor.no_grad(), so it builds no tape that
     would keep its intermediates alive until the scores are dropped;

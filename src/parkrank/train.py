@@ -13,6 +13,11 @@ sum replays numpy's pairwise order over the query's stored pairs, rather
 than summing a zero-filled [batch, query * candidate] buffer. The L2
 penalty is one tensor.sum_squares node, with the bits of the per-tensor
 chain of mul, reduce_sum and add.
+
+Eval and validation stay on the edge list too: a split's pair scores,
+or a baseline's vertex scores, rank each query's neighborhood, and the
+pairs' labels pack into one evaluate.Candidates batch, with the bits of
+the whole-row rankings and [query, candidate] labels they replace.
 """
 
 import math
@@ -210,7 +215,8 @@ def edge_labels(
 
 def make_labels(spatial: SpatialGraph, *args) -> np.ndarray:
     """edge_labels (same arguments) scattered into [..., query, candidate]
-    grades; pairs outside the neighborhoods grade 0."""
+    grades; pairs outside the neighborhoods grade 0. For callers that
+    grade whole ranking rows; eval and training read edge_labels."""
     y = edge_labels(spatial, *args)
     n = spatial.num_vertices
     src, dst = spatial.allowed_pairs()
@@ -274,18 +280,13 @@ def _inputs(dataset: Dataset, idx):
     )
 
 
-def _query_results(dataset: Dataset, spatial: SpatialGraph, idx, cfg, rankings):
-    """One batch of the (snapshot, query) pairs of idx from [B, n, n] rankings."""
-    labels = make_labels(spatial, *_label_args(dataset, idx, cfg))
-    width = dataset.num_vertices
-    times = np.repeat(dataset.times[idx], width)
-    return evaluate.QueryResults(
-        query_vertex=np.tile(np.arange(width), len(idx)),
-        query_time=times,
-        horizon_time=times + dataset.horizon,
-        ranking=rankings.reshape(-1, width),
-        labels=labels.reshape(-1, width),
-        neighborhood=np.tile(spatial.allowed_mask(), (len(idx), 1)),
+def _candidates(dataset: Dataset, spatial: SpatialGraph, idx, cfg, ranked):
+    """One batch of the (snapshot, query) pairs of idx from each allowed
+    pair's (rank, position) per snapshot, [B, pairs] each."""
+    times = dataset.times[idx]
+    labels = edge_labels(spatial, *_label_args(dataset, idx, cfg))
+    return evaluate.pack_pairs(
+        spatial, ranked, labels, times, times + dataset.horizon
     )
 
 
@@ -295,16 +296,19 @@ def split_results(
     spatial: SpatialGraph,
     split_idx: np.ndarray,
     cfg: TrainConfig,
-) -> list[evaluate.QueryResults]:
-    """Rank every query of a split with the model as one batch; the scorer
-    and the sort run RANK_BLOCK snapshots at a time."""
-    hops = spatial.all_hop_distances()
-    rankings = np.empty((len(split_idx), *hops.shape), dtype=np.intp)
-    for lo in range(0, len(split_idx), model.RANK_BLOCK):
-        idx = split_idx[lo : lo + model.RANK_BLOCK]
-        scores = model.forward_scores(params, *_inputs(dataset, idx)).data
-        rankings[lo : lo + len(idx)] = model.rank_candidates(scores, hops)
-    return [_query_results(dataset, spatial, split_idx, cfg, rankings)]
+) -> list[evaluate.Candidates]:
+    """Rank every query of a split with the model as one batch. The
+    scorer runs RANK_BLOCK snapshots at a time on the edge list, under
+    tensor.no_grad(); one sort then ranks every query's neighborhood."""
+    scores = np.empty((len(split_idx), len(params.pairs.positions)))
+    with T.no_grad():
+        for lo in range(0, len(split_idx), model.RANK_BLOCK):
+            idx = split_idx[lo : lo + model.RANK_BLOCK]
+            scores[lo : lo + len(idx)] = model.edge_scores(
+                params, *_inputs(dataset, idx)
+            ).data
+    ranked = evaluate.rank_pair_scores(spatial, scores)
+    return [_candidates(dataset, spatial, split_idx, cfg, ranked)]
 
 
 def baseline_split_results(
@@ -314,14 +318,14 @@ def baseline_split_results(
     spatial: SpatialGraph,
     split_idx: np.ndarray,
     cfg: TrainConfig,
-) -> list[evaluate.QueryResults]:
+) -> list[evaluate.Candidates]:
     """Same queries and labels as the model path, ranked by a baseline
     that scores and ranks the whole split in one call."""
     times, train_end = dataset.times[split_idx], dataset.train_end_time()
-    rankings = evaluate.baseline_predict_then_recommend(
+    ranked = evaluate.baseline_predict_then_recommend(
         matrix, spatial, times, predictor, train_end
     )
-    return [_query_results(dataset, spatial, split_idx, cfg, rankings)]
+    return [_candidates(dataset, spatial, split_idx, cfg, ranked)]
 
 
 def split_ndcg(
@@ -333,7 +337,7 @@ def split_ndcg(
 ) -> float:
     """Mean NDCG@1 over all queries of a split, used for model selection."""
     (batch,) = split_results(params, dataset, spatial, split_idx, cfg)
-    ndcg = evaluate.ndcg_at(batch.ranking, batch.labels, 1)
+    ndcg = evaluate.packed_ndcg(batch, 1)
     # summed in query order: np.sum's pairwise order would move the low bits
     return float(np.add.accumulate(ndcg)[-1]) / len(ndcg)
 

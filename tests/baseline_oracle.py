@@ -3,15 +3,15 @@
 Each baseline here scores one time per call and ranks one [n, n] table
 per snapshot, and the report loop computes every metric over whole
 [Q, n] rows (tests/dense_oracle.py) and slices the wait table once per
-list size. The production code scores and ranks a whole split per call,
-computes the metrics on the neighborhood pack and slices once per
-scenario; tests compare the two by bytes.
+list size. The production code scores and ranks a whole split per call
+on the edge list, computes the metrics on the neighborhood pack and
+slices once per scenario; tests compare the two by bytes.
 """
 
 import numpy as np
 
 import dense_oracle
-from parkrank import evaluate, model, train
+from parkrank import evaluate, model
 
 
 def persistence_scores(matrix, t, train_end=None):
@@ -58,7 +58,7 @@ def baseline_split_results(predictor, matrix, dataset, spatial, split_idx, cfg):
             for i in split_idx
         ]
     )
-    return [train._query_results(dataset, spatial, split_idx, cfg, rankings)]
+    return [dense_oracle.query_results(dataset, spatial, split_idx, cfg, rankings)]
 
 
 def reports(batch, matrix, model_name, masks, rank_ns, wait_ns, max_wait):
@@ -84,3 +84,14 @@ def reports(batch, matrix, model_name, masks, rank_ns, wait_ns, max_wait):
             rnwtr={n: w[2] for n, w in waits.items()},
         )
     return out
+
+
+def slice_scenarios(results, matrix, model_name, max_wait=evaluate.DEFAULT_MAX_WAIT):
+    """evaluate.slice_scenarios over one dense batch of whole rows."""
+    (batch,) = results
+    masks = {"all": np.ones(len(batch), dtype=bool)}
+    masks.update(evaluate.scenario_masks(matrix, batch.query_time))
+    return reports(
+        batch, matrix, model_name, masks, evaluate.RANK_NS, evaluate.WAIT_NS,
+        max_wait,
+    )

@@ -1,19 +1,21 @@
 """Dense [batch, query, candidate] oracles for the edge-list scores, labels
 and loss, dense [query, candidate] oracles for the ranking and
-waiting-time metrics, and the dense normalized adjacency with its by-row
-and by-column neighbour tables for the one edge-list mix table.
+waiting-time metrics, whole-row rankings of a split for the edge-list
+ranking and its neighborhood pack, and the dense normalized adjacency
+with its by-row and by-column neighbour tables for the one edge-list mix
+table.
 
 These compute over every (query, candidate) pair and mask the pairs
 outside the neighborhoods afterwards, as parkrank did before it kept
-training on the edge list and scoring on the neighborhood pack. The
-production path must match them bit for bit: scores, labels, loss,
-every parameter gradient, and every metric.
+training, ranking and scoring on the edge list and the neighborhood
+pack. The production path must match them bit for bit: scores, labels,
+loss, every parameter gradient, every ranking's pack, and every metric.
 """
 
 import numpy as np
 
 import unfused_oracle
-from parkrank import kernels, model
+from parkrank import evaluate, kernels, model, train
 from parkrank import tensor as T
 from parkrank.errors import ConfigError, DataError
 
@@ -187,3 +189,78 @@ def best_waits(batch, matrix, max_wait):
     packed = np.argsort(~in_hood, axis=-1, kind="stable")
     ranked = np.where(in_hood, ranked, max_wait)
     return np.minimum.accumulate(np.take_along_axis(ranked, packed, -1), -1)
+
+
+def rank_by_vertex_score(scores: np.ndarray, hops: np.ndarray) -> np.ndarray:
+    """model.rank_candidates of every query's row of one shared score.
+
+    scores is [..., n], one score per vertex per snapshot; hops is the
+    [n, n] hop table. The result is [..., n, n]: row q of a snapshot
+    orders the candidates by score descending, then by hops[q], then by
+    index, the bits that rank_candidates gives for the score row
+    broadcast to every query.
+
+    Every score gets a dense descending rank, shared by all rows, from
+    np.unique: -0.0 and +0.0 tie, and so do NaNs, after every number, as
+    they do in lexsort. Each (snapshot, query, candidate) then packs
+    (score rank, hop, id) into one integer key, high bits to low, so one
+    in-place integer sort of the keys orders each row as the lexsort
+    would; masking off the high bits leaves the candidate ids.
+    """
+    n = hops.shape[-1]
+    rank = np.unique(-scores, return_inverse=True)[1].reshape(scores.shape)
+    id_bits = (n - 1).bit_length()
+    hop_bits = int(hops.max(initial=0)).bit_length()
+    lead = (rank << (hop_bits + id_bits)) | np.arange(n)
+    keys = np.empty(scores.shape[:-1] + hops.shape, dtype=np.intp)
+    np.add(lead[..., np.newaxis, :], hops << id_bits, out=keys)
+    keys.sort(axis=-1)
+    keys &= (1 << id_bits) - 1
+    return keys
+
+
+def query_results(dataset, spatial, idx, cfg, rankings):
+    """One dense batch of the (snapshot, query) pairs of idx from [B, n, n]
+    rankings, with train.make_labels' [B, n, n] labels."""
+    labels = train.make_labels(spatial, *train._label_args(dataset, idx, cfg))
+    width = dataset.num_vertices
+    times = np.repeat(dataset.times[idx], width)
+    return evaluate.QueryResults(
+        query_vertex=np.tile(np.arange(width), len(idx)),
+        query_time=times,
+        horizon_time=times + dataset.horizon,
+        ranking=rankings.reshape(-1, width),
+        labels=labels.reshape(-1, width),
+        neighborhood=np.tile(spatial.allowed_mask(), (len(idx), 1)),
+    )
+
+
+def split_results(params, dataset, spatial, split_idx, cfg):
+    """train.split_results as whole rows: model.forward_scores' [B, n, n]
+    scores ranked by model.rank_candidates, one block at a time."""
+    hops = spatial.all_hop_distances()
+    rankings = np.empty((len(split_idx), *hops.shape), dtype=np.intp)
+    for lo in range(0, len(split_idx), model.RANK_BLOCK):
+        idx = split_idx[lo : lo + model.RANK_BLOCK]
+        scores = model.forward_scores(params, *train._inputs(dataset, idx))
+        rankings[lo : lo + len(idx)] = model.rank_candidates(scores.data, hops)
+    return [query_results(dataset, spatial, split_idx, cfg, rankings)]
+
+
+def split_ndcg(params, dataset, spatial, split_idx, cfg):
+    """train.split_ndcg over the whole rows of split_results."""
+    (batch,) = split_results(params, dataset, spatial, split_idx, cfg)
+    ndcg = ndcg_at(batch.ranking, batch.labels, 1)
+    return float(np.add.accumulate(ndcg)[-1]) / len(ndcg)
+
+
+def assert_same_pack(got, want):
+    """Two evaluate.Candidates batches are equal field by field, in dtype,
+    shape and bytes."""
+    assert got.num_vertices == want.num_vertices
+    for field in ("query_vertex", "query_time", "horizon_time", "vertex",
+                  "position", "labels"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype, field
+        assert a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field

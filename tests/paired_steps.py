@@ -1,10 +1,12 @@
-"""Time criterion-8 training steps of two parkrank source trees in one
-process, alternating them, and print each tree's median ms/step, the
-paired ratio and a digest of each tree's trained parameters.
+"""Time criterion-8 training steps, or eval passes, of two parkrank source
+trees in one process, alternating them, and print each tree's median
+time, the paired ratio and a digest of what each tree computed.
 
     python3 tests/paired_steps.py /path/to/other/checkout/src
     python3 tests/paired_steps.py /path/to/other/src --pairs 12 --steps 50
     python3 tests/paired_steps.py /path/to/other/src --meters 400 --intervals 2016
+    python3 tests/paired_steps.py /path/to/other/src --eval --pairs 41
+    python3 tests/paired_steps.py /path/to/other/src --eval --meters 120 --intervals 2016
 
 This tree's src/ loads as the package ``parkrank``, the other as
 ``parkrank_other``. Each pair runs ``train.train_loop`` once per tree with
@@ -14,8 +16,17 @@ criterion-8 shape (30 meters x 5000 intervals) unless --meters and
 of a shared machine lands on both trees alike. The ratio is this tree's
 ms/step over the other's, per pair, then the median over pairs; below 1
 means this tree is faster. Equal digests mean both trees trained to the
-same parameter bytes. BLAS runs on one thread, as in perfbench. pytest
-does not collect this script.
+same parameter bytes.
+
+With --eval, each tree first trains a 25-step checkpoint (the perfbench
+c8-eval fixture's settings), and each pair then times one pass of the
+eval command's library path over the test split per tree: the model's
+split_results and both baselines' baseline_split_results, each through
+slice_scenarios. The digest is the sha256 of the pass's reports_to_json,
+so equal digests mean byte-identical metrics.json content.
+
+BLAS runs on one thread, as in perfbench. pytest does not collect this
+script.
 """
 
 import os
@@ -24,6 +35,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
@@ -34,6 +46,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1] / "src"
 DATA_SEED = 8
+CHECKPOINT_STEPS = 25  # the perfbench c8-eval fixture's training steps
 
 
 def load_tree(src: Path, name: str):
@@ -46,7 +59,7 @@ def load_tree(src: Path, name: str):
     sys.modules[name] = package
     spec.loader.exec_module(package)
     return {mod: importlib.import_module(f"{name}.{mod}")
-            for mod in ("ingest", "train")}
+            for mod in ("evaluate", "ingest", "train")}
 
 
 class Tree:
@@ -55,6 +68,7 @@ class Tree:
     def __init__(self, src: Path, name: str, args):
         mods = load_tree(src, name)
         self.name, self.train = name, mods["train"]
+        self.evaluate = mods["evaluate"]
         ingest = mods["ingest"]
         n, intervals, steps = args.meters, args.intervals, args.steps
         locations, self.matrix = ingest.synth_generate(ingest.SynthConfig(
@@ -69,8 +83,17 @@ class Tree:
         self.dataset = self.train.build_dataset(self.matrix, self.cfg)
         self.ms_per_step: list[float] = []
         self.digest = ""
+        self.run = self.train_steps
+        if args.eval:
+            self.cfg = dataclasses.replace(
+                self.cfg, iterations=CHECKPOINT_STEPS, eval_every=100
+            )
+            self.params = self.train.train_loop(
+                self.matrix, self.graph, self.cfg, self.dataset
+            ).params
+            self.run = self.eval_pass
 
-    def run(self) -> None:
+    def train_steps(self) -> None:
         start = time.perf_counter()
         result = self.train.train_loop(
             self.matrix, self.graph, self.cfg, self.dataset
@@ -83,6 +106,24 @@ class Tree:
             h.update(array.tobytes())
         self.digest = h.hexdigest()
 
+    def eval_pass(self) -> None:
+        train, evaluate = self.train, self.evaluate
+        matrix, graph, dataset = self.matrix, self.graph, self.dataset
+        test = dataset.test_idx
+        start = time.perf_counter()
+        results = train.split_results(
+            self.params, dataset, graph, test, self.cfg
+        )
+        reports = {"model": evaluate.slice_scenarios(results, matrix, "model")}
+        for name in evaluate.BASELINE_NAMES:
+            base = train.baseline_split_results(
+                name, matrix, dataset, graph, test, self.cfg
+            )
+            reports[name] = evaluate.slice_scenarios(base, matrix, name)
+        self.ms_per_step.append(1e3 * (time.perf_counter() - start))
+        text = evaluate.reports_to_json(reports)
+        self.digest = hashlib.sha256(text.encode()).hexdigest()
+
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
@@ -92,6 +133,8 @@ def main() -> None:
     # criterion 8's shape by default
     parser.add_argument("--meters", type=int, default=30)
     parser.add_argument("--intervals", type=int, default=5000)
+    parser.add_argument("--eval", action="store_true",
+                        help="time eval passes instead of training steps")
     args = parser.parse_args()
     this = Tree(HERE, "parkrank", args)
     other = Tree(args.other, "parkrank_other", args)
@@ -104,13 +147,15 @@ def main() -> None:
             tree.run()
     ratios = [a / b for a, b in zip(this.ms_per_step, other.ms_per_step)]
     q1, median, q3 = statistics.quantiles(ratios, n=4)
+    unit, what = ("ms/pass", "reports") if args.eval else ("ms/step", "params")
     for tree in (this, other):
         print(f"{tree.name}: median {statistics.median(tree.ms_per_step):.3f}"
-              f" ms/step, params sha256 {tree.digest}")
+              f" {unit}, {what} sha256 {tree.digest}")
+    each = "one eval pass" if args.eval else f"{args.steps} steps"
     print(f"paired ratio this/other: median {median:.3f} "
           f"[quartiles {q1:.3f}, {q3:.3f}] over {args.pairs} pairs, "
-          f"{args.steps} steps each")
-    print("params " + ("equal" if this.digest == other.digest else "DIFFER"))
+          f"{each} each")
+    print(what + (" equal" if this.digest == other.digest else " DIFFER"))
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import baseline_oracle
+import dense_oracle
 from dense_oracle import adjacency
 from parkrank import cli, esgraph, evaluate, ingest, model, train
 from parkrank import tensor as T
@@ -243,10 +244,12 @@ class TestEval:
     def test_batched_baselines_match_per_snapshot(
         self, monkeypatch, tmp_path, intervals, split
     ):
-        # the eval files with each baseline scored and ranked once per
-        # split, then with the per-snapshot loop and per-list-size wait
-        # slicing patched in; 150 intervals leave training under a day,
-        # and the 700-interval train split spans several ranking blocks
+        # the eval files as eval writes them, then with whole ranking
+        # rows patched in: the model's from model.rank_candidates, each
+        # baseline's from the per-snapshot loop, and the reports from
+        # whole-row metrics with per-list-size wait slicing; 150
+        # intervals leave training under a day, and the 700-interval
+        # train split spans several ranking blocks
         data = synth_dir(tmp_path, intervals=intervals)
         checkpoint = trained_dir(tmp_path, data) / "checkpoint.bin"
 
@@ -257,9 +260,11 @@ class TestEval:
             return [(out / name).read_bytes() for name in names]
 
         batched = eval_files(tmp_path / "batched")
+        monkeypatch.setattr(train, "split_results", dense_oracle.split_results)
         monkeypatch.setattr(train, "baseline_split_results",
                             baseline_oracle.baseline_split_results)
-        monkeypatch.setattr(evaluate, "_reports", baseline_oracle.reports)
+        monkeypatch.setattr(evaluate, "slice_scenarios",
+                            baseline_oracle.slice_scenarios)
         assert eval_files(tmp_path / "looped") == batched
 
     def test_bad_split_exit_3(self, tmp_path):
@@ -533,6 +538,37 @@ def test_negative_seed_exit_3(
     (line,) = capsys.readouterr().err.splitlines()
     assert line == "error: rng_seed must be non-negative"
     assert not (tmp_path / "x").exists()
+
+
+NUMPY_OUT_OF_MEMORY = (
+    "Unable to allocate 44.7 GiB for an array with shape (2, 3000000000) "
+    "and data type float64"
+)
+
+
+@pytest.mark.parametrize("message", [NUMPY_OUT_OF_MEMORY, ""],
+                         ids=["numpy", "bare"])
+@pytest.mark.parametrize(
+    "command, owner, name, size",
+    [("train", model.ModelParams, "__init__", ("--embed-dim", 3000000000)),
+     ("synth", ingest, "synth_generate", ("--intervals", 10**12))],
+    ids=["train-embed-dim", "synth-intervals"],
+)
+def test_out_of_memory_exit_4(
+    pristine_tree, tmp_path, capsys, monkeypatch, command, owner, name, size,
+    message,
+):
+    # the allocation raises as numpy's does when memory runs out; patched,
+    # so no host allocates (or overcommits) the real size
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(owner, name, no_memory)
+    rest = (["--locations", 4] if command == "synth"
+            else ["--data", pristine_tree / "data", *TRAIN_FLAGS])
+    assert run(command, "--out", tmp_path / "x", *rest, *size) == 4
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "error: out of memory" + (f": {message}" if message else "")
 
 
 # config values of every kind: out of range, past int64, not a number

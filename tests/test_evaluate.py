@@ -258,6 +258,35 @@ class TestAwtpRnwtr:
         assert a5 <= a1 + 1e-12
 
 
+def baseline_pack(mat, graph, t, predictor, train_end=None):
+    """The pack of a baseline's rankings at int t or 1-D times, labels 0."""
+    ranked = evaluate.baseline_predict_then_recommend(
+        mat, graph, t, predictor, train_end
+    )
+    ranked = tuple(np.atleast_2d(a) for a in ranked)
+    times = np.atleast_1d(t)
+    return evaluate.pack_pairs(
+        graph, ranked, np.zeros(ranked[0].shape), times, times
+    )
+
+
+def dense_pack(graph, times, rankings, labels=None):
+    """QueryResults.pack of [S, n, n] whole-row rankings of every query of
+    S snapshots, with [S, n, n] labels (0 by default)."""
+    n = graph.num_vertices
+    if labels is None:
+        labels = np.zeros(rankings.shape)
+    times = np.repeat(times, n)
+    return evaluate.QueryResults(
+        query_vertex=np.tile(np.arange(n), len(rankings)),
+        query_time=times,
+        horizon_time=times,
+        ranking=rankings.reshape(-1, n),
+        labels=labels.reshape(-1, n),
+        neighborhood=np.tile(graph.allowed_mask(), (len(rankings), 1)),
+    ).pack()
+
+
 class TestBaselines:
     def test_persistence_prefers_vacant_now(self):
         states = np.array(
@@ -267,13 +296,12 @@ class TestBaselines:
         locs = ingest.synth_locations(
             ingest.SynthConfig(num_locations=4, num_intervals=1)
         )
-        graph = ingest.build_adjacency(locs)
-        rankings = evaluate.baseline_predict_then_recommend(
-            mat, graph, 0, "persistence"
-        )
-        # vacant at t=0: vertices 1, 2; occupied: 0, 3
-        first_two = set(rankings[0][:2].tolist())
-        assert first_two == {1, 2}
+        graph = ingest.build_adjacency(locs)  # a square: 0-1, 0-2, 1-3, 2-3
+        pack = baseline_pack(mat, graph, 0, "persistence")
+        # vacant at t=0: vertices 1, 2; occupied: 0, 3. Query 0's whole
+        # ranking starts 1, 2, then 0 and 3 tie and 0 is nearer
+        assert pack.vertex[0].tolist() == [1, 2, 0]
+        assert pack.position[0].tolist() == [0, 1, 2]
 
     def test_persistence_ties_break_by_hop(self):
         states = np.zeros((4, 2), dtype=bool)  # everyone vacant
@@ -283,10 +311,13 @@ class TestBaselines:
             for i in range(4)
         ]
         graph = ingest.build_adjacency(locs, 35.0)  # chain
-        rankings = evaluate.baseline_predict_then_recommend(
-            mat, graph, 0, "persistence"
-        )
-        assert rankings[2].tolist() == [2, 1, 3, 0]
+        pack = baseline_pack(mat, graph, 0, "persistence")
+        # query 2's whole ranking is 2, 1, 3, 0; 0 lies outside its
+        # neighborhood, so the pack ends in padding at position 4
+        assert pack.vertex[2].tolist() == [2, 1, 3]
+        assert pack.position[2].tolist() == [0, 1, 2]
+        assert pack.vertex[0].tolist() == [0, 1, -1]
+        assert pack.position[0].tolist() == [0, 1, 4]
 
     def test_historical_mean_uses_training_range_only(self):
         # location 0 vacant every morning in training, occupied later;
@@ -352,8 +383,9 @@ TIED_SCORES = st.sampled_from(
 
 
 class TestSharedScoreRanking:
-    """_rank_by_vertex_score against model.rank_candidates over the score
-    row broadcast to every query, byte for byte."""
+    """dense_oracle.rank_by_vertex_score, the whole-row oracle of the
+    baselines' rankings, against model.rank_candidates over the score row
+    broadcast to every query, byte for byte."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -375,13 +407,84 @@ class TestSharedScoreRanking:
         )
         rows = np.broadcast_to(scores[:, np.newaxis, :], (snapshots, n, n))
         want = model.rank_candidates(rows, hops)
-        got = evaluate._rank_by_vertex_score(scores, hops)
+        got = dense_oracle.rank_by_vertex_score(scores, hops)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
         # one score row, as an int t gives, ranks to [n, n]
-        got = evaluate._rank_by_vertex_score(scores[0], hops)
+        got = dense_oracle.rank_by_vertex_score(scores[0], hops)
         assert got.shape == (n, n)
         assert got.tobytes() == want[0].tobytes()
+
+
+@st.composite
+def hood_graphs(draw):
+    """A graph on up to 16 vertices whose neighborhoods hold up to 13
+    candidates: random edges, optionally a hub on vertex 0, no vertex of
+    more than 12 neighbors."""
+    n = draw(st.integers(1, 16), label="n")
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=40)) if pairs else []
+    if n > 1 and draw(st.booleans(), label="hub"):
+        chosen = [(0, j) for j in range(1, n)] + chosen
+    edges, degree = set(), np.zeros(n, dtype=int)
+    for i, j in chosen:
+        if (i, j) not in edges and max(degree[i], degree[j]) < 12:
+            edges.add((i, j))
+            degree[[i, j]] += 1
+    vertices = tuple(ingest.MeterLocation(f"m{i}", 0.0, 0.0) for i in range(n))
+    return ingest.SpatialGraph(vertices, frozenset(edges))
+
+
+class TestEdgeListPack:
+    """rank_pair_scores and rank_vertex_scores packed by pack_pairs against
+    the dense oracle, model.rank_candidates of whole rows packed by
+    QueryResults.pack, byte for byte, on scores with ties, -0.0 against
+    +0.0, negatives, infinities and NaN."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_both_scorers_match_dense_rows(self, data):
+        graph = data.draw(hood_graphs(), label="graph")
+        n = graph.num_vertices
+        src, dst = graph.allowed_pairs()
+        snapshots = data.draw(st.integers(1, 3), label="snapshots")
+        scores = st.one_of(TIED_SCORES, st.floats())
+        labels = data.draw(hnp.arrays(
+            np.float64, (snapshots, len(src)),
+            elements=st.sampled_from([0.0, 0.25, 1.0]),
+        ), label="labels")
+        times = np.arange(snapshots) * 3 + 1
+        dense_labels = np.zeros((snapshots, n, n))
+        dense_labels[:, src, dst] = labels
+        hops = graph.all_hop_distances()
+
+        pair = data.draw(hnp.arrays(
+            np.float64, (snapshots, len(src)), elements=scores
+        ), label="pair scores")
+        rows = np.zeros((snapshots, n, n))
+        rows[:, src, dst] = pair
+        got = evaluate.pack_pairs(
+            graph, evaluate.rank_pair_scores(graph, pair), labels, times,
+            times,
+        )
+        want = dense_pack(
+            graph, times, model.rank_candidates(rows, hops), dense_labels
+        )
+        dense_oracle.assert_same_pack(got, want)
+        assert got.vertex.shape[1] == max(1, np.bincount(src).max())
+
+        vertex = data.draw(hnp.arrays(
+            np.float64, (snapshots, n), elements=scores
+        ), label="vertex scores")
+        got = evaluate.pack_pairs(
+            graph, evaluate.rank_vertex_scores(graph, vertex), labels, times,
+            times,
+        )
+        want = dense_pack(
+            graph, times, dense_oracle.rank_by_vertex_score(vertex, hops),
+            dense_labels,
+        )
+        dense_oracle.assert_same_pack(got, want)
 
 
 def synth_graph(num_locations):
@@ -427,10 +530,8 @@ class TestBatchedBaselines:
             ]
         )
         assert scores.tobytes() == want.tobytes()
-        rankings = evaluate.baseline_predict_then_recommend(
-            mat, graph, times, predictor, train_end
-        )
-        want = np.stack(
+        got = baseline_pack(mat, graph, times, predictor, train_end)
+        rankings = np.stack(
             [
                 baseline_oracle.predict_then_recommend(
                     mat, graph, int(t), predictor, train_end
@@ -438,38 +539,37 @@ class TestBatchedBaselines:
                 for t in times
             ]
         )
-        assert rankings.dtype == want.dtype
-        assert rankings.tobytes() == want.tobytes()
+        dense_oracle.assert_same_pack(got, dense_pack(graph, times, rankings))
 
     @pytest.mark.parametrize("predictor", evaluate.BASELINE_NAMES)
     def test_scalar_and_array_shapes(self, predictor):
         mat = matrix_of(np.random.default_rng(0).random((4, 30)) < 0.5)
         graph = synth_graph(4)
         score = evaluate._PREDICTORS[predictor]
-        want = baseline_oracle.predict_then_recommend(
+        pairs = len(graph.allowed_pairs()[0])
+        want = dense_pack(graph, [3], baseline_oracle.predict_then_recommend(
             mat, graph, 3, predictor, 20
-        )
+        )[np.newaxis])
         for t in (3, np.int64(3)):
             assert score(mat, t, 20).shape == (4,)
-            got = evaluate.baseline_predict_then_recommend(
+            ranked = evaluate.baseline_predict_then_recommend(
                 mat, graph, t, predictor, 20
             )
-            assert got.shape == (4, 4)
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+            assert [a.shape for a in ranked] == [(pairs,), (pairs,)]
+            got = baseline_pack(mat, graph, t, predictor, 20)
+            dense_oracle.assert_same_pack(got, want)
         times = np.array([3, 29, 0])
         assert score(mat, times, 20).shape == (3, 4)
-        rankings = evaluate.baseline_predict_then_recommend(
+        ranked = evaluate.baseline_predict_then_recommend(
             mat, graph, times, predictor, 20
         )
-        assert rankings.shape == (3, 4, 4)
-        for row, t in zip(rankings, times):
-            assert np.array_equal(
-                row,
-                evaluate.baseline_predict_then_recommend(
-                    mat, graph, int(t), predictor, 20
-                ),
+        assert [a.shape for a in ranked] == [(3, pairs), (3, pairs)]
+        for s, t in enumerate(times):
+            one = evaluate.baseline_predict_then_recommend(
+                mat, graph, int(t), predictor, 20
             )
+            for a, b in zip(ranked, one):
+                assert np.array_equal(a[s], b)
 
     @pytest.mark.parametrize("predictor", evaluate.BASELINE_NAMES)
     @pytest.mark.parametrize("t", [-1, 30, np.array([0, 30]), np.array([-2, 4])])
@@ -591,7 +691,9 @@ class TestSummarize:
         monkeypatch.setattr(np, "sort", counting_sort)
         batch = evaluate._concat(res)
         assert sorts == []
-        assert batch.ranking.tolist() == [[0, 1], [1, 0]]
+        assert isinstance(batch, evaluate.Candidates)
+        assert batch.vertex.tolist() == [[0, 1], [1, 0]]
+        assert batch.position.tolist() == [[0, 1], [0, 1]]
         monkeypatch.undo()
         got = evaluate.summarize([batch], matrix_of(states), "model")
         assert got == want
@@ -661,7 +763,7 @@ class TestNeighborhoodPack:
         }
         args = (batch, mat, "m", masks, self.LIST_SIZES, (1, 2, 5, 8, 12),
                 max_wait)
-        got = evaluate._reports(*args)
+        got = evaluate._reports(batch.pack(), *args[1:])
         want = baseline_oracle.reports(*args)
         assert evaluate.reports_to_json({"m": got}) == evaluate.reports_to_json(
             {"m": want}
@@ -671,8 +773,7 @@ class TestNeighborhoodPack:
         ) == evaluate.reports_to_plot_rows({"m": want})
         # the packed wait columns hold the dense columns' integers; past
         # the largest neighborhood the dense ones repeat the last
-        pack = evaluate._Pack(batch.ranking, batch.neighborhood)
-        best = evaluate._best_waits(pack, batch.horizon_time, mat, max_wait)
+        best = evaluate._best_waits(batch.pack(), mat, max_wait)
         dense = dense_oracle.best_waits(batch, mat, max_wait)
         width = best.shape[1]
         assert width == largest

@@ -616,6 +616,47 @@ def mutated_matrix_bytes(draw, body: bytes, sidecar: bytes):
     return body, sidecar
 
 
+def mutated_locations_bytes(draw, body: bytes) -> bytes:
+    """A saved locations.csv with one drawn mutation: a cell (an id, or a
+    coordinate out of range, not finite or not a number), a header field,
+    a line dropped, repeated or added, or a single byte."""
+    kind = draw(st.sampled_from(["cell", "header", "line", "byte"]))
+    lines = body.decode().split("\r\n")
+    text = st.text(max_size=6)
+    coordinate = st.sampled_from(
+        ["nan", "inf", "-inf", "1e400", "-90", "90.0", "-180.5", "181", "",
+         " 22.3", "22,3", "0x10", "1_0", "-0.0"]
+    )
+    if kind == "cell":
+        row = draw(st.integers(1, len(lines) - 2))
+        cells = lines[row].split(",")
+        column = draw(st.integers(0, 2))
+        cells[column] = draw(
+            st.one_of(text, st.sampled_from(["m0", "m1", '"m,2"', " "]))
+            if column == 0 else st.one_of(coordinate, text)
+        )
+        lines[row] = ",".join(cells)
+    elif kind == "header":
+        names = lines[0].split(",")
+        names[draw(st.integers(0, 2))] = draw(
+            st.one_of(st.sampled_from(["meter_id", "lat", "lon", " lat"]), text)
+        )
+        lines[0] = ",".join(names)
+    elif kind == "line":
+        row = draw(st.integers(1, len(lines) - 2))
+        action = draw(st.sampled_from(["drop", "repeat", "add"]))
+        if action == "drop":
+            del lines[row]
+        elif action == "repeat":
+            lines.insert(row, lines[row])
+        else:
+            lines.insert(row, ",".join(draw(st.lists(text, max_size=4))))
+    data = bytearray("\r\n".join(lines).encode())
+    if kind == "byte":
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
 class TestHostileFiles:
     """What the standard parsers raise on hostile content (an over-long
     CSV field, an infinite integer) becomes a DataError naming the file."""
@@ -671,6 +712,30 @@ class TestHostileFiles:
         again = path.with_name("again.csv")
         ingest.save_matrix(matrix, again)
         assert ingest.load_matrix(again).equals(matrix)
+
+    @pytest.fixture(scope="class")
+    def saved_locations(self, tmp_path_factory):
+        """The bytes of a saved 4-meter locations.csv."""
+        path = tmp_path_factory.mktemp("locations") / "locations.csv"
+        ingest.save_locations(ingest.synth_locations(
+            ingest.SynthConfig(num_locations=4, num_intervals=1)
+        ), path)
+        return path.read_bytes()
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_mutated_locations_load_or_raise(
+        self, tmp_path_factory, saved_locations, data
+    ):
+        path = tmp_path_factory.getbasetemp() / "fuzzed-locations.csv"
+        path.write_bytes(mutated_locations_bytes(data.draw, saved_locations))
+        try:
+            locations = ingest.load_locations(path)
+        except ParkrankError:
+            return
+        again = path.with_name("again-locations.csv")
+        ingest.save_locations(locations, again)
+        assert ingest.load_locations(again) == locations
 
     def test_matrix_long_field(self, tmp_path):
         cfg = ingest.SynthConfig(num_locations=3, num_intervals=5)

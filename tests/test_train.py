@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import baseline_oracle
 import dense_oracle
 import unfused_oracle
 from parkrank import evaluate, ingest, model, train
@@ -250,6 +251,14 @@ class TestConfig:
             train.TrainConfig(learning_rate=0.0)
 
 
+def by_vertex(batch):
+    """[Q, n] labels of a pack, each at its candidate's vertex id."""
+    out = np.zeros((len(batch), batch.num_vertices))
+    rows, slots = np.nonzero(batch.vertex >= 0)
+    out[rows, batch.vertex[rows, slots]] = batch.labels[rows, slots]
+    return out
+
+
 def small_world(seed=0, locs=6, intervals=120):
     cfg = ingest.SynthConfig(
         num_locations=locs, num_intervals=intervals, rng_seed=seed
@@ -346,11 +355,73 @@ class TestTrainLoop:
             "persistence", matrix, ds, graph, ds.val_idx, cfg
         )
         assert sum(len(batch) for batch in base) == rows
-        for field in ("query_vertex", "query_time", "horizon_time", "labels"):
+        for field in ("query_vertex", "query_time", "horizon_time"):
             assert np.array_equal(
                 np.concatenate([getattr(b, field) for b in base]),
                 np.concatenate([getattr(b, field) for b in res]),
             )
+        # the same candidates and labels, each pack in its own rank order
+        assert np.array_equal(by_vertex(base[0]), by_vertex(res[0]))
+        assert (by_vertex(res[0]) == train.make_labels(
+            graph, *train._label_args(ds, ds.val_idx, cfg)
+        ).reshape(rows, -1)).all()
+
+    @pytest.mark.parametrize("threshold", [50.0, 85.0])
+    @pytest.mark.parametrize("activation", ["relu", "softmax"])
+    def test_split_results_match_dense_oracle(self, activation, threshold):
+        # the pack of the edge-list ranking against the pack of whole rows
+        # ranked by model.rank_candidates, on briefly trained weights; at
+        # 85 m neighborhoods hold up to 9 candidates
+        locations, matrix = ingest.synth_generate(ingest.SynthConfig(
+            num_locations=12, num_intervals=200, rng_seed=5
+        ))
+        graph = ingest.build_adjacency(locations, threshold)
+        cfg = train.TrainConfig(
+            alpha=3, beta=2, conv_channels=3, embed_dim=4, kernel_len=2,
+            horizon_intervals=2, iterations=6, batch_size=16, eval_every=3,
+            score_activation=activation, rng_seed=3,
+        )
+        result = train.train_loop(matrix, graph, cfg)
+        ds = result.dataset
+        for idx in (ds.val_idx, ds.test_idx):
+            args = (result.params, ds, graph, idx, cfg)
+            (got,) = train.split_results(*args)
+            (want,) = dense_oracle.split_results(*args)
+            dense_oracle.assert_same_pack(got, want.pack())
+            assert np.float64(train.split_ndcg(*args)).tobytes() == (
+                np.float64(dense_oracle.split_ndcg(*args)).tobytes()
+            )
+            for name in evaluate.BASELINE_NAMES:
+                args = (name, matrix, ds, graph, idx, cfg)
+                (got,) = train.baseline_split_results(*args)
+                (want,) = baseline_oracle.baseline_split_results(*args)
+                dense_oracle.assert_same_pack(got, want.pack())
+
+    def test_eval_and_validation_stay_on_the_edge_list(self, monkeypatch):
+        # no whole ranking row, dense label table or hop table
+        matrix, graph = small_world(seed=2)
+        cfg = train.TrainConfig(
+            alpha=3, beta=1, conv_channels=3, embed_dim=4, kernel_len=2,
+            horizon_intervals=2, iterations=3, batch_size=16, eval_every=3,
+        )
+        result = train.train_loop(matrix, graph, cfg)
+        ds = result.dataset
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense ranking path called")
+
+        for owner, name in ((model, "rank_candidates"),
+                            (model, "forward_scores"),
+                            (train, "make_labels"),
+                            (ingest.SpatialGraph, "all_hop_distances"),
+                            (ingest.SpatialGraph, "hop_distances")):
+            monkeypatch.setattr(owner, name, forbidden)
+        args = (result.params, ds, graph, ds.test_idx, cfg)
+        train.split_results(*args)
+        train.split_ndcg(*args)
+        for name in evaluate.BASELINE_NAMES:
+            train.baseline_split_results(name, matrix, ds, graph,
+                                         ds.test_idx, cfg)
 
     def test_split_results_blocks_fill_one_batch(self, monkeypatch):
         # ranked 4 snapshots at a time, the split's batch has the bytes of
@@ -368,7 +439,7 @@ class TestTrainLoop:
         monkeypatch.setattr(model, "RANK_BLOCK", 4)
         (blocked,) = train.split_results(*args)
         for field in ("query_vertex", "query_time", "horizon_time",
-                      "ranking", "labels", "neighborhood"):
+                      "vertex", "position", "labels"):
             a, b = getattr(whole, field), getattr(blocked, field)
             assert a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
@@ -396,6 +467,7 @@ class TestTrainLoop:
             (train, "edge_labels", dense_oracle.labels),
             (train, "make_labels", dense_oracle.labels),
             (train, "training_loss", dense_oracle.training_loss),
+            (train, "split_ndcg", dense_oracle.split_ndcg),
         ):
             monkeypatch.setattr(owner, name, oracle)
         dense = train.train_loop(matrix, graph, cfg)
