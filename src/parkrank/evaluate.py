@@ -5,10 +5,10 @@ query, each packed to the query's neighborhood (itself plus its spatial
 neighbors): [Q, K] arrays, K the largest neighborhood, hold each
 candidate's id, its rank position in the query's ranking of all n
 vertices, and its label, in rank order. ``summarize``, ``awtp_rnwtr``
-and ``slice_scenarios`` take a sequence of batches, concatenated once
-per call. A dense ``QueryResults`` batch of whole [Q, n] ranking rows,
-as ``make_result`` builds, is packed on entry, so every metric reads a
-pack.
+and ``slice_scenarios`` take a list of one pack, or of dense
+``QueryResults`` batches of whole [Q, n] ranking rows, as
+``make_result`` builds: those are joined and packed once per call, so
+every metric reads a pack.
 
 Ranking quality uses NDCG with linear gain and MAP with labels binarized
 at y > 0. Waiting-time quality simulates following the recommendations:
@@ -104,13 +104,6 @@ class QueryResults:
     def __len__(self) -> int:
         return len(self.query_time)
 
-    def pack(self, check_labels: bool = True) -> Candidates:
-        """The rows packed to their neighborhoods. Every nonzero label
-        must be packed and none may be negative, or the ranking metrics
-        would differ from the same metrics over whole rows; check_labels
-        off skips that check, for consumers that read no labels."""
-        return _concat([self], check_labels)
-
 
 def make_result(
     query_vertex: int,
@@ -136,13 +129,18 @@ def make_result(
     )
 
 
-def _concat(
-    results: Sequence[Candidates | QueryResults], check_labels: bool = True
-) -> Candidates:
-    """All rows of a non-empty sequence of batches as one pack: one pack
-    passes through, and dense batches are joined and packed once."""
+Batches = Sequence[Candidates] | Sequence[QueryResults]
+
+
+def _concat(results: Batches, check_labels: bool = True) -> Candidates:
+    """All rows of a non-empty sequence of batches as one pack: a lone
+    pack passes through, and dense batches are joined and packed once;
+    check_labels off skips the packing's label check, for consumers that
+    read no labels. Packs of different widths are not joined."""
     if len(results) == 1 and isinstance(results[0], Candidates):
         return results[0]
+    if not all(isinstance(b, QueryResults) for b in results):
+        raise DataError("pass one Candidates pack or only dense batches")
     vertex, time, horizon, ranking, labels, hood = (
         np.concatenate([getattr(b, f.name) for b in results])
         for f in fields(QueryResults)
@@ -195,22 +193,13 @@ def _pack_rows(
 
 
 class _Slots:
-    """A graph's allowed pairs laid out as [n, K] slots, K its largest
-    neighborhood: row q holds q's candidates in (hop, id) order, itself
-    first and then its neighbors by id; the rest are padding."""
+    """A graph's allowed pairs in the [n, K] slots of
+    SpatialGraph.pair_slots, laid out once per graph."""
 
     def __init__(self, spatial: SpatialGraph):
         self.src, self.dst = spatial.allowed_pairs()
-        self.num_vertices = n = spatial.num_vertices
-        self.size = np.bincount(self.src, minlength=n)
-        self.width = int(self.size.max(initial=1))
-        # the pairs run row-major, so q's own pair moves to the front and
-        # its neighbors below q one slot up
-        first = np.cumsum(self.size) - self.size
-        slot = np.arange(len(self.src)) - first[self.src]
-        slot += self.dst < self.src
-        slot[self.src == self.dst] = 0
-        self.cell = self.src * self.width + slot
+        self.num_vertices = spatial.num_vertices
+        self.size, self.width, self.cell = spatial.pair_slots()
 
     def scatter(self, cells: np.ndarray, values, fill) -> np.ndarray:
         """[S * n, K]: per-pair values put at [S, pairs] flat cells of each
@@ -430,7 +419,7 @@ def _wait_scores(best: np.ndarray, n: int) -> tuple[float, float, float]:
 
 
 def awtp_rnwtr(
-    results: Sequence[Candidates | QueryResults],
+    results: Batches,
     matrix: OccupancyMatrix,
     n: int,
     max_wait: int = DEFAULT_MAX_WAIT,
@@ -633,7 +622,7 @@ def _mean_std(values: np.ndarray) -> tuple[float, float]:
 
 
 def summarize(
-    results: Sequence[Candidates | QueryResults],
+    results: Batches,
     matrix: OccupancyMatrix,
     model_name: str,
 ) -> MetricsReport:
@@ -660,7 +649,7 @@ def scenario_masks(matrix: OccupancyMatrix, times) -> dict[str, np.ndarray]:
 
 
 def slice_scenarios(
-    results: Sequence[Candidates | QueryResults],
+    results: Batches,
     matrix: OccupancyMatrix,
     model_name: str,
     max_wait: int = DEFAULT_MAX_WAIT,

@@ -123,8 +123,8 @@ class SpatialGraph:
     """Proximity graph over meter locations.
 
     Edges are unordered index pairs stored as (i, j) with i < j. The
-    candidate mask, allowed pairs and hop table all derive from this edge
-    list on first use, once per instance, and are returned read-only. The
+    candidate mask, allowed pairs, their slot layout and the hop table all
+    derive from this edge list on first use, once per instance, and are returned read-only. The
     hop table stays lazy because graph construction runs in every set-up,
     which must not pay for a BFS.
     """
@@ -158,6 +158,21 @@ class SpatialGraph:
         return pairs
 
     @functools.cached_property
+    def _slots(self) -> tuple[np.ndarray, int, np.ndarray]:
+        src, dst = self._pairs
+        size = np.bincount(src, minlength=self.num_vertices)
+        width = int(size.max(initial=1))
+        # the pairs run row-major, so q's own pair moves to the front and
+        # its neighbors below q one slot up
+        slot = np.arange(len(src)) - (np.cumsum(size) - size)[src]
+        slot += dst < src
+        slot[src == dst] = 0
+        cell = src * width + slot
+        for array in (size, cell):
+            array.flags.writeable = False
+        return size, width, cell
+
+    @functools.cached_property
     def _hops(self) -> np.ndarray:
         # BFS from every source at once: frontier row s holds the vertices
         # first reached from s at the current depth. Each level is a
@@ -185,6 +200,13 @@ class SpatialGraph:
     def allowed_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """(query, candidate) indices of the allowed pairs, row-major."""
         return self._pairs
+
+    def pair_slots(self) -> tuple[np.ndarray, int, np.ndarray]:
+        """The allowed pairs laid out as [n, K] slots, K the largest
+        neighborhood: row q holds q's candidates in (hop, id) order, itself
+        first and then its neighbors by id; the rest are padding. Gives
+        ([n] neighborhood sizes, K, [pairs] flat cell of each pair)."""
+        return self._slots
 
     def hop_distances(self, source: int) -> np.ndarray:
         """BFS hop counts from source; unreachable vertices get n + 1."""

@@ -271,20 +271,20 @@ def baseline_pack(mat, graph, t, predictor, train_end=None):
 
 
 def dense_pack(graph, times, rankings, labels=None):
-    """QueryResults.pack of [S, n, n] whole-row rankings of every query of
+    """The pack of [S, n, n] whole-row rankings of every query of
     S snapshots, with [S, n, n] labels (0 by default)."""
     n = graph.num_vertices
     if labels is None:
         labels = np.zeros(rankings.shape)
     times = np.repeat(times, n)
-    return evaluate.QueryResults(
+    return evaluate._concat([evaluate.QueryResults(
         query_vertex=np.tile(np.arange(n), len(rankings)),
         query_time=times,
         horizon_time=times,
         ranking=rankings.reshape(-1, n),
         labels=labels.reshape(-1, n),
         neighborhood=np.tile(graph.allowed_mask(), (len(rankings), 1)),
-    ).pack()
+    )])
 
 
 class TestBaselines:
@@ -438,7 +438,7 @@ def hood_graphs(draw):
 class TestEdgeListPack:
     """rank_pair_scores and rank_vertex_scores packed by pack_pairs against
     the dense oracle, model.rank_candidates of whole rows packed by
-    QueryResults.pack, byte for byte, on scores with ties, -0.0 against
+    evaluate._concat, byte for byte, on scores with ties, -0.0 against
     +0.0, negatives, infinities and NaN."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -698,6 +698,22 @@ class TestSummarize:
         got = evaluate.summarize([batch], matrix_of(states), "model")
         assert got == want
 
+    def test_concat_takes_one_pack_or_dense_batches(self):
+        wide, mat = random_batch(5, queries=30, largest=8)
+        narrow, _ = random_batch(6, queries=20, largest=3)
+        pack = evaluate._concat([wide])
+        assert evaluate._concat([pack]) is pack
+        joined = evaluate._concat([wide, narrow])
+        assert joined.vertex.shape == (50, 8)
+        for field in ("vertex", "position", "labels"):
+            got, want = getattr(joined, field)[:30], getattr(pack, field)
+            assert np.array_equal(got, want)
+        for mixed in ([pack, pack], [wide, pack], [pack, narrow]):
+            with pytest.raises(DataError, match="one Candidates pack"):
+                evaluate._concat(mixed)
+            with pytest.raises(DataError, match="one Candidates pack"):
+                evaluate.summarize(mixed, mat, "m")
+
 
 def random_batch(seed, queries=200, width=8, largest=8, intervals=40):
     """Rankings from scores with ties; neighborhoods of 1 to largest
@@ -763,7 +779,7 @@ class TestNeighborhoodPack:
         }
         args = (batch, mat, "m", masks, self.LIST_SIZES, (1, 2, 5, 8, 12),
                 max_wait)
-        got = evaluate._reports(batch.pack(), *args[1:])
+        got = evaluate._reports(evaluate._concat([batch]), *args[1:])
         want = baseline_oracle.reports(*args)
         assert evaluate.reports_to_json({"m": got}) == evaluate.reports_to_json(
             {"m": want}
@@ -773,7 +789,7 @@ class TestNeighborhoodPack:
         ) == evaluate.reports_to_plot_rows({"m": want})
         # the packed wait columns hold the dense columns' integers; past
         # the largest neighborhood the dense ones repeat the last
-        best = evaluate._best_waits(batch.pack(), mat, max_wait)
+        best = evaluate._best_waits(evaluate._concat([batch]), mat, max_wait)
         dense = dense_oracle.best_waits(batch, mat, max_wait)
         width = best.shape[1]
         assert width == largest

@@ -227,6 +227,23 @@ class TestDerivedArrays:
         with pytest.raises(ValueError):
             graph.hop_distances(0)[0] = 1
 
+    def test_pair_slots_order_by_hop_then_id(self):
+        n = 12
+        graph = random_graph(np.random.default_rng(6), n, 90.0)
+        size, width, cell = graph.pair_slots()
+        assert graph.pair_slots()[2] is cell
+        for arr in (size, cell):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        assert width == size.max() > 1
+        grid = np.full(n * width, -1)
+        grid[cell] = graph.allowed_pairs()[1]
+        hops = graph.all_hop_distances()
+        for q, row in enumerate(grid.reshape(n, width)):
+            hood = np.flatnonzero(graph.allowed_mask()[q])
+            want = sorted(hood, key=lambda v: (hops[q, v], v))
+            assert row.tolist() == want + [-1] * (width - size[q])
+
     def test_allowed_mask_adds_self(self):
         graph = random_graph(np.random.default_rng(4), 10, 90.0)
         expected = adjacency(graph) | np.eye(10, dtype=bool)

@@ -387,7 +387,7 @@ class TestTrainLoop:
             args = (result.params, ds, graph, idx, cfg)
             (got,) = train.split_results(*args)
             (want,) = dense_oracle.split_results(*args)
-            dense_oracle.assert_same_pack(got, want.pack())
+            dense_oracle.assert_same_pack(got, evaluate._concat([want]))
             assert np.float64(train.split_ndcg(*args)).tobytes() == (
                 np.float64(dense_oracle.split_ndcg(*args)).tobytes()
             )
@@ -395,7 +395,7 @@ class TestTrainLoop:
                 args = (name, matrix, ds, graph, idx, cfg)
                 (got,) = train.baseline_split_results(*args)
                 (want,) = baseline_oracle.baseline_split_results(*args)
-                dense_oracle.assert_same_pack(got, want.pack())
+                dense_oracle.assert_same_pack(got, evaluate._concat([want]))
 
     def test_eval_and_validation_stay_on_the_edge_list(self, monkeypatch):
         # no whole ranking row, dense label table or hop table
