@@ -317,7 +317,8 @@ def packed_ndcg(batch: Candidates, n: int) -> np.ndarray:
     discounts = (1.0 / np.log2(np.arange(2, n + 2, dtype=np.float64)))[:width]
     rows, slots = np.nonzero(batch.position < width)
     at = batch.position[rows, slots]
-    # each gain at its rank position, zero elsewhere, as over the whole row
+    # each gain at its rank position, zero elsewhere: DCG and the ideal
+    # then sum the same layout, so a perfect ranking reads exactly 1.0
     gains = np.zeros((len(label), width))
     gains[rows, at] = label[rows, slots] * discounts[at]
     dcg = gains.sum(axis=-1)

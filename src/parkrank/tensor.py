@@ -13,12 +13,13 @@ The pair ops read one index, built and checked once per graph: a Pairs
 holds the cells of a [rows, width] grid that a pair axis stores, in
 row-major order, with the NeighborTables that group them by row and by
 column. pair_readout gathers and sums through it; row_sum, softmax and
-log_softmax reduce each row of it. A row sum keeps the bits of numpy's
-dense sum over the zero-filled row without building that row: RowSums,
-made once per Pairs on first use, replays numpy's pairwise order over the
-stored cells only. neighbor_mix sums through one weighted NeighborTable
-of a symmetric matrix, forward and backward alike; take gathers with a
-plain index and adds its gradient back with np.add.at.
+log_softmax reduce each row of it through by_row, adding the row's cells
+in pair order from +0.0. That is not numpy's pairwise order, so a dense
+sum over the zero-filled row differs from it only by rounding (the
+tests' dense oracles agree within 1e-12), not bit for bit. neighbor_mix
+sums through one weighted NeighborTable of a symmetric matrix, forward
+and backward alike; take gathers with a plain index and adds its
+gradient back with np.add.at.
 
 Three ops fuse a chain of primitives into one tape node: pair_readout
 (take, take, add, add, relu, reduce_sum), dense_relu (matmul, add, relu)
@@ -33,9 +34,7 @@ pass.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
-import functools
 import json
 import math
 import struct
@@ -318,98 +317,6 @@ class NeighborTable:
         return out
 
 
-LANES = 8  # accumulators in one block of numpy's pairwise float64 sum
-BLOCK = 128  # the most terms numpy sums in one block before it halves
-
-
-class RowSums:
-    """numpy's float64 sum(-1) over each row of the zero-filled grid of a
-    Pairs, replayed over the stored cells only: O(cells) a call, where the
-    dense sum is O(rows x width).
-
-    numpy sums a row's terms pairwise. Above BLOCK terms it adds the sums
-    of two halves, the split rounded down to a multiple of LANES. A block
-    of at most BLOCK terms keeps LANES accumulators: term j of its first
-    m - m % LANES goes to lane j % LANES, in order. It adds the lanes as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the remaining
-    terms in order, so under LANES terms the sum is sequential. The output
-    starts at +0.0, and the row's sum is added to it.
-
-    A zero-filled cell adds +0.0. That changes a partial sum only if it is
-    -0.0, and then only its sign. So the plan drops those terms, and every
-    subtree that holds only them, and adds +0.0 to each row's sum at the
-    end: every bit of the dense sum is kept. The additions left are laid
-    out in slots after the cells and scheduled by depth, one gather-add
-    per depth over all rows; a row with no cell reads a last, zero slot.
-    """
-
-    __slots__ = ("cells", "slots", "levels", "roots")
-
-    def __init__(self, pairs: "Pairs"):
-        self.cells = count = pairs.src.size
-        cols = pairs.dst.tolist()
-        joins: list[tuple[int, int]] = []  # slot count + i adds joins[i]
-
-        def join(a, b):
-            """The slot of a + b, where None is a sum of no cells."""
-            if a is None or b is None:
-                return a if b is None else b
-            joins.append((a, b))
-            return count + len(joins) - 1
-
-        def tree(i, j, lo, m):
-            """The slot of the sum of the m columns from lo, of which the
-            row stores entries i to j - 1, or None if it stores none."""
-            h = m // 2 - m // 2 % LANES
-            k = bisect.bisect_left(cols, lo + h, i, j)
-            spans = (i, k, lo, h), (k, j, lo + h, m - h)
-            halves = (tree(*span) for span in spans)  # summed only if halved
-            return join(*halves) if m > BLOCK else block(i, j, lo, m)
-
-        def block(i, j, lo, m):
-            """tree's sum over a block of at most BLOCK columns."""
-            k = bisect.bisect_left(cols, lo + m - m % LANES, i, j)
-            r = [None] * LANES
-            for e in range(i, k):
-                lane = (cols[e] - lo) % LANES
-                r[lane] = join(r[lane], e)
-            while len(r) > 1:  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + ...
-                r = [join(r[x], r[x + 1]) for x in range(0, len(r), 2)]
-            return functools.reduce(join, range(k, j), r[0])
-
-        rows, width = pairs.shape
-        starts = np.searchsorted(pairs.src, np.arange(rows + 1)).tolist()
-        roots = [tree(i, j, 0, width) for i, j in zip(starts, starts[1:])]
-        # each join's depth is one more than its deeper operand's
-        depth = [0] * count
-        for a, b in joins:
-            depth.append(1 + max(depth[a], depth[b]))
-        order = np.argsort(depth[count:], kind="stable")
-        self.slots = count + len(joins) + 1
-        slot = np.arange(self.slots)  # where each join lands; None: last
-        slot[count + order] = np.arange(count, self.slots - 1)
-        operands = slot[np.array(joins, np.intp).reshape(-1, 2)[order]]
-        ends = np.cumsum(np.bincount(np.array(depth[count:], np.intp)))
-        self.levels = [  # (first slot, end slot, [2, joins] operands)
-            (count + lo, count + hi, operands[lo:hi].T.copy())
-            for lo, hi in zip(ends[:-1], ends[1:])
-        ]
-        self.roots = slot[[-1 if r is None else r for r in roots]]
-
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        """values: [..., cells] -> [..., rows]."""
-        lead = values.shape[:-1]
-        batch = math.prod(lead)
-        work = np.empty((self.slots, batch))
-        work[: self.cells] = values.reshape(batch, self.cells).T
-        work[-1] = 0.0
-        for lo, hi, (a, b) in self.levels:
-            np.add(work.take(a, 0), work.take(b, 0), out=work[lo:hi])
-        # C order, as the dense sum's, so later reductions run the same
-        out = np.add(work.take(self.roots, 0).T, 0.0, order="C")
-        return out.reshape(lead + self.roots.shape)
-
-
 class Pairs:
     """The cells of a [rows, width] grid that a pair axis holds, at
     distinct, increasing row-major flat positions, checked once here.
@@ -419,9 +326,7 @@ class Pairs:
     column), the pair axis entries that lie in it, in increasing order.
     """
 
-    __slots__ = (
-        "shape", "positions", "src", "dst", "by_row", "by_col", "_sums"
-    )
+    __slots__ = ("shape", "positions", "src", "dst", "by_row", "by_col")
 
     def __init__(self, positions, shape):
         self.positions = cells = np.asarray(positions, dtype=np.intp)
@@ -437,15 +342,6 @@ class Pairs:
         self.src, self.dst = np.divmod(self.positions, width)
         self.by_row = NeighborTable(self.src, rows)
         self.by_col = NeighborTable(self.dst, width)
-        self._sums = None
-
-    def row_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per grid row, the dense sum(-1) over the zero-filled grid that
-        holds values ([..., cells]) at the cells, bit for bit: [..., rows].
-        The RowSums plan is built on the first call."""
-        if self._sums is None:
-            self._sums = RowSums(self)
-        return self._sums(values)
 
 
 def neighbor_mix(table: NeighborTable, x) -> Tensor:
@@ -622,7 +518,9 @@ def row_sum(x, pairs: Pairs) -> Tensor:
     [..., rows].
 
     The last axis of x holds the cells of pairs; the other cells are zero.
-    The bits equal those of the dense sum(-1) over the zero-filled grid.
+    Each row adds its cells in pair order to a +0.0 start, through the
+    pairs' by_row table, so an empty row or one of only -0.0 cells sums to
+    +0.0.
     """
     x = as_tensor(x)
     _check_cells("row_sum", x, pairs)
@@ -630,23 +528,23 @@ def row_sum(x, pairs: Pairs) -> Tensor:
     def bw(g):
         return (g[..., pairs.src],)
 
-    return _node(pairs.row_sums(x.data), (x,), bw)
+    return _node(pairs.by_row.sum(x.data, -1), (x,), bw)
 
 
 def softmax(x, pairs: Pairs) -> Tensor:
     """Softmax along each row of a grid laid out as in row_sum, over the
     cells x holds; the others count as -inf, so the output holds the
-    same cells. The bits equal those of a dense softmax over the grid
-    with the other cells filled far below every cell: the row max and
-    row sums see the same values, and every other step is per cell."""
+    same cells. The row max is exact and the row sums run as row_sum's,
+    forward and backward, so a dense softmax over the grid with the other
+    cells filled far below every cell differs only by their rounding."""
     x = as_tensor(x)
     _check_cells("softmax", x, pairs)
     rows = pairs.src
     e = np.exp(x.data - row_max(x.data, rows))
-    out = e / pairs.row_sums(e)[..., rows]
+    out = e / pairs.by_row.sum(e, -1)[..., rows]
 
     def bw(g):
-        inner = pairs.row_sums(g * out)[..., rows]
+        inner = pairs.by_row.sum(g * out, -1)[..., rows]
         return (out * (g - inner),)
 
     return _node(out, (x,), bw)
@@ -659,11 +557,11 @@ def log_softmax(x, pairs: Pairs) -> Tensor:
     _check_cells("log_softmax", x, pairs)
     rows = pairs.src
     shifted = x.data - row_max(x.data, rows)
-    lse = np.log(pairs.row_sums(np.exp(shifted))[..., rows])
+    lse = np.log(pairs.by_row.sum(np.exp(shifted), -1)[..., rows])
     out = shifted - lse
 
     def bw(g):
-        return (g - np.exp(out) * pairs.row_sums(g)[..., rows],)
+        return (g - np.exp(out) * pairs.by_row.sum(g, -1)[..., rows],)
 
     return _node(out, (x,), bw)
 

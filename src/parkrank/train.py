@@ -6,13 +6,13 @@ and current run ages feed the scorer, and labels grade every allowed
 arrival horizon, how long it stays vacant, and how close it is.
 
 Training keeps labels, scores and the loss on the edge list of allowed
-pairs, [batch, pairs]. Each per-query sum whose order matters goes
-through tensor.row_sum, so the loss and its gradients have the bits of
-the same computation over dense [batch, query, candidate] arrays: a row
-sum replays numpy's pairwise order over the query's stored pairs, rather
-than summing a zero-filled [batch, query * candidate] buffer. The L2
-penalty is one tensor.sum_squares node, with the bits of the per-tensor
-chain of mul, reduce_sum and add.
+pairs, [batch, pairs]. Each per-query sum goes through tensor.row_sum,
+which adds the query's pairs in pair order from +0.0, so no zero-filled
+[batch, query * candidate] buffer is built. The same computation over
+dense [batch, query, candidate] arrays sums in numpy's pairwise order
+instead, and the loss and its gradients agree with it within 1e-12. The
+L2 penalty is one tensor.sum_squares node, with the bits of the
+per-tensor chain of mul, reduce_sum and add.
 
 Eval and validation stay on the edge list too: a split's pair scores,
 or a baseline's vertex scores, rank each query's neighborhood, and the

@@ -8,8 +8,11 @@ table.
 These compute over every (query, candidate) pair and mask the pairs
 outside the neighborhoods afterwards, as parkrank did before it kept
 training, ranking and scoring on the edge list and the neighborhood
-pack. The production path must match them bit for bit: scores, labels,
-loss, every parameter gradient, every ranking's pack, and every metric.
+pack. The production path matches them bit for bit in the labels, the
+relu scores, every ranking's pack and every metric. Where a per-query
+row sum is on the path (softmax scores, the loss and every parameter
+gradient) it agrees within 1e-12 (assert_close): production adds each
+row's pairs in pair order, the dense arrays in numpy's pairwise order.
 """
 
 import numpy as np
@@ -264,3 +267,9 @@ def assert_same_pack(got, want):
         assert a.dtype == b.dtype, field
         assert a.shape == b.shape, field
         assert a.tobytes() == b.tobytes(), field
+
+
+def assert_close(got, want):
+    """Equal shapes and values within 1e-12, the bound where a per-query
+    sum in pair order meets numpy's pairwise sum over the dense row."""
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)

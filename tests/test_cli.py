@@ -4,7 +4,7 @@ import json
 import shutil
 import struct
 from dataclasses import asdict
-from datetime import timedelta
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -77,11 +77,7 @@ class TestIngest:
         loc_file = tmp_path / "loc.csv"
         ingest.save_locations(locations, loc_file)
         rec_file = tmp_path / "rec.csv"
-        lines = ["meter_id,timestamp,state"]
-        for i, mid in enumerate(matrix.meter_ids):
-            for t in range(20):
-                ts = matrix.start_time + timedelta(minutes=5 * t)
-                lines.append(f"{mid},{ts.isoformat()},{int(matrix.states[i, t])}")
+        lines = record_lines(matrix, "space")
         rec_file.write_text("\n".join(lines) + "\n")
         return rec_file, loc_file, matrix
 
@@ -1232,20 +1228,28 @@ def test_ingest_option_out_of_range_exit_3(
     assert f"error: {says}" in capsys.readouterr().err
 
 
+def record_lines(matrix, kind):
+    """The lines of a space or street record file holding every cell of
+    matrix, header first: a street is one space, occupied or not."""
+    if kind == "space":
+        lines = ["meter_id,timestamp,state"]
+    else:
+        lines = ["street_id,timestamp,occupied_count,capacity"]
+    step = timedelta(minutes=matrix.interval_minutes)
+    for i, mid in enumerate(matrix.meter_ids):
+        for t in range(matrix.num_intervals):
+            ts = matrix.start_time + t * step
+            row = f"{mid},{ts.isoformat()},{int(matrix.states[i, t])}"
+            lines.append(row if kind == "space" else row + ",1")
+    return lines
+
+
 def _write_ingest_inputs(tmp_path, kind):
     """Valid loc.csv and rec.csv (space or street records) in tmp_path."""
     cfg = ingest.SynthConfig(num_locations=4, num_intervals=20, rng_seed=0)
     locations, matrix = ingest.synth_generate(cfg)
     ingest.save_locations(locations, tmp_path / "loc.csv")
-    if kind == "space":
-        lines = ["meter_id,timestamp,state"]
-    else:
-        lines = ["street_id,timestamp,occupied_count,capacity"]
-    for i, mid in enumerate(matrix.meter_ids):
-        for t in range(20):
-            ts = matrix.start_time + timedelta(minutes=5 * t)
-            row = f"{mid},{ts.isoformat()},{int(matrix.states[i, t])}"
-            lines.append(row if kind == "space" else row + ",1")
+    lines = record_lines(matrix, kind)
     (tmp_path / "rec.csv").write_text("\n".join(lines) + "\n")
 
 
@@ -1352,3 +1356,99 @@ def test_ingest_parse_error_names_file(tmp_path, capsys, kind, name, edit, says)
     err = capsys.readouterr().err
     assert "error:" in err and says in err
     assert name in err
+
+
+RECORD_IDS = st.sampled_from(["m000", "m003", " m001", '"m002"', "", "m9"])
+RECORD_CELLS = {
+    "meter_id": RECORD_IDS,
+    "street_id": RECORD_IDS,
+    "timestamp": st.sampled_from([
+        "", "2022-08-01", "2022-08-01T00:00:00+05:30", "2022-08-01T00:02:29Z",
+        "2022-08-01 07:30:15.25", "0001-01-01", "9999-12-31T23:59:59",
+        "22-8-1", "nan",
+    ]),
+    "state": st.sampled_from(["0", "1", "", "2", "-1", " 1", "01", "1.0"]),
+    "occupied_count": st.sampled_from(["0", "1", "3", "-1", "", "1e2", "١"]),
+    "capacity": st.sampled_from(["1", "2", "0", "-1", "", str(10**20)]),
+}
+
+
+def mutated_record_lines(draw, lines):
+    """A record file's lines with one drawn mutation: a cell (an id, a
+    timestamp off the grid, in another zone or malformed, a state or a
+    count out of range or not a number), a header field, a line dropped,
+    repeated or moved, or a single byte."""
+    kind = draw(st.sampled_from(["cell", "header", "line", "byte"]))
+    names = lines[0].split(",")
+    text = st.text(max_size=6)
+    if kind == "cell":
+        row = draw(st.integers(1, len(lines) - 1))
+        cells = lines[row].split(",")
+        column = draw(st.integers(0, len(cells) - 1))
+        stamp = datetime.fromisoformat(cells[1])
+        moved = stamp + timedelta(minutes=draw(st.integers(-20, 200)))
+        cells[column] = draw(st.one_of(
+            RECORD_CELLS[names[column]], text,
+            *([st.just(moved.isoformat())] if column == 1 else []),
+        ))
+        lines[row] = ",".join(cells)
+    elif kind == "header":
+        column = draw(st.integers(0, len(names) - 1))
+        names[column] = draw(
+            st.one_of(st.sampled_from(sorted(RECORD_CELLS)), text)
+        )
+        lines[0] = ",".join(names)
+    elif kind == "line":
+        row = draw(st.integers(1, len(lines) - 1))
+        line = lines.pop(row)
+        if draw(st.booleans()):  # repeated or moved, not dropped
+            lines.insert(draw(st.integers(1, len(lines))), line)
+            if draw(st.booleans()):
+                lines.insert(row, line)
+    data = bytearray("\n".join(lines).encode() + b"\n")
+    if kind == "byte":
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def ingest_inputs(tmp_path_factory):
+    """A directory holding loc.csv, and the record lines of its matrix."""
+    work = tmp_path_factory.mktemp("ingest")
+    cfg = ingest.SynthConfig(num_locations=4, num_intervals=20, rng_seed=0)
+    locations, matrix = ingest.synth_generate(cfg)
+    ingest.save_locations(locations, work / "loc.csv")
+    kinds = ("space", "street")
+    return work, {kind: record_lines(matrix, kind) for kind in kinds}
+
+
+def ingest_records(work, records, kind, out):
+    """cmd_ingest of the record file at records, as the CLI resolves it."""
+    args = PARSER.parse_args([
+        "ingest", "--records", str(records), "--locations",
+        str(work / "loc.csv"), "--kind", kind, "--out", str(out),
+    ])
+    cli.cmd_ingest(args, cli.resolve(args, cli.COMMANDS["ingest"][3]))
+
+
+@pytest.mark.parametrize("kind", ["space", "street"])
+@given(st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_mutated_records_round_trip_or_raise(ingest_inputs, kind, data):
+    # an ingested data dir, written back out as records of the same kind
+    # and ingested again, gives the same bytes
+    work, lines = ingest_inputs
+    records = work / f"fuzzed-{kind}.csv"
+    records.write_bytes(mutated_record_lines(data.draw, list(lines[kind])))
+    try:
+        ingest_records(work, records, kind, work / "first")
+    except ParkrankError:
+        return
+    matrix, _graph = cli.load_data_dir(work / "first")
+    again = work / f"again-{kind}.csv"
+    again.write_text("\n".join(record_lines(matrix, kind)) + "\n")
+    ingest_records(work, again, kind, work / "second")
+    for name in (cli.LOCATIONS_FILE, cli.MATRIX_FILE, "matrix.meta.json",
+                 cli.GRAPH_FILE):
+        first = (work / "first" / name).read_bytes()
+        assert first == (work / "second" / name).read_bytes(), name

@@ -624,10 +624,24 @@ class TestNumpyEquivalents:
         assert np.asarray(out).tobytes() == np.asarray(want).tobytes()
 
 
+def loop_row_sums(values, rows, count):
+    """Per row, a plain Python sum of its cells from +0.0, left to right in
+    pair order: [..., cells] -> [..., count]; rows gives each cell's row."""
+    lead = values.shape[:-1]
+    flat = values.reshape(-1, values.shape[-1])
+    out = np.zeros((len(flat), count))
+    for b, cells in enumerate(flat.tolist()):
+        sums = [0.0] * count
+        for row, value in zip(rows.tolist(), cells):
+            sums[row] += value
+        out[b] = sums
+    return out.reshape(lead + (count,))
+
+
 class TestRowOps:
-    """row_sum, softmax and log_softmax over the cells of a grid against
-    the dense zero-filled (or -1e30-filled) arrays they stand for, bit for
-    bit (tobytes)."""
+    """row_sum, softmax and log_softmax over the cells of a grid: bit for
+    bit (tobytes) against a row sum in pair order, and within 1e-12 against
+    the dense zero-filled (or -1e30-filled) arrays they stand for."""
 
     @staticmethod
     def cells(rng, lead, shape, density):
@@ -660,7 +674,7 @@ class TestRowOps:
         want = self.dense(x, index, shape).sum(-1)
         pairs = T.Pairs(index, shape)
         out, gx = forward_and_grad(lambda t: T.row_sum(t, pairs), x, g)
-        assert out.tobytes() == want.tobytes()
+        dense_oracle.assert_close(out, want)
         assert gx.tobytes() == g[..., index // shape[1]].tobytes()
 
     def test_row_sum_of_signed_zeros(self):
@@ -673,48 +687,6 @@ class TestRowOps:
             want = self.dense(values, index, shape).sum(-1)
             out = T.row_sum(T.Tensor(values), T.Pairs(index, shape)).data
             assert out.tobytes() == want.tobytes()
-
-    @given(
-        # widths cross numpy's 8-lane block, its 128-term halving and 256
-        st.one_of(
-            st.integers(1, 1100),
-            st.sampled_from([7, 8, 9, 127, 128, 129, 255, 256, 257, 263]),
-        ),
-        st.sampled_from([(), (3,), (2, 2)]),
-        st.lists(
-            st.sampled_from(["empty", "sparse", "full", "-0.0", "+-0.0"]),
-            min_size=1, max_size=4,
-        ),
-        st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=250, deadline=None, derandomize=True)
-    def test_row_sums_equal_dense_sum(self, width, lead, kinds, seed):
-        # per row: no cell, 30% or every cell stored, with magnitudes from
-        # 1e-8 to 1e8, about a third of them ±0.0; or only -0.0 cells, or
-        # only ±0.0 cells
-        rng = np.random.default_rng(seed)
-        shape = (len(kinds), width)
-        keep = np.zeros(shape, bool)
-        size = lead + shape
-        values = rng.choice([-1.0, 1.0], size)
-        values *= 10.0 ** rng.uniform(-8, 8, size)
-        values[rng.random(size) < 0.2] = 0.0
-        values[rng.random(size) < 0.2] = -0.0
-        for row, kind in enumerate(kinds):
-            keep[row] = rng.random(width) < (
-                {"empty": 0.0, "sparse": 0.3}.get(kind, 1.0)
-            )
-            if kind.endswith("0.0"):
-                values[..., row, :] = -0.0
-            if kind == "+-0.0":
-                values[..., row, rng.random(width) < 0.5] = 0.0
-        index = np.flatnonzero(keep)
-        values = values.reshape(lead + (-1,))[..., index]
-        out = T.Pairs(index, shape).row_sums(values)
-        # C order too: a later reduction of the sums follows their layout
-        assert out.flags.c_contiguous
-        want = self.dense(values, index, shape).sum(-1)
-        assert out.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("lead, shape", SHAPES)
     def test_softmax_matches_dense(self, lead, shape):
@@ -731,10 +703,55 @@ class TestRowOps:
                 oracle, self.dense(x, index, shape, -1e30),
                 self.dense(g, index, shape),
             )
-            assert out.tobytes() == want.reshape(lead + (-1,))[
-                ..., index].tobytes()
-            assert gx.tobytes() == want_gx.reshape(lead + (-1,))[
-                ..., index].tobytes()
+            for got, grid in ((out, want), (gx, want_gx)):
+                dense_oracle.assert_close(
+                    got, grid.reshape(lead + (-1,))[..., index]
+                )
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
+    def test_rows_sum_in_pair_order(self, lead):
+        # row 0: 20 cells, where numpy's pairwise order (8 lanes) differs
+        # from left to right; row 1: no cell; row 2: 9 cells; row 3: one;
+        # row 4: -0.0 cells only, which sum to +0.0
+        shape = (5, 24)
+        index = np.concatenate([
+            np.arange(20), 48 + np.arange(1, 24, 2)[:9], [80],
+            96 + np.arange(0, 24, 4),
+        ])
+        rows = index // shape[1]
+        rng = np.random.default_rng(42)
+        size = lead + index.shape
+        values = rng.choice([-1.0, 1.0], size)
+        values *= 10.0 ** rng.uniform(-8, 8, size)
+        values[..., rows == 4] = -0.0
+        g = rng.standard_normal(lead + (shape[0],))
+        pairs = T.Pairs(index, shape)
+        out, gx = forward_and_grad(lambda t: T.row_sum(t, pairs), values, g)
+        want = loop_row_sums(values, rows, shape[0])
+        assert out.tobytes() == want.tobytes()
+        assert gx.tobytes() == g[..., rows].tobytes()
+        assert not np.signbit(out[..., [1, 4]]).any()
+
+        # softmax and log_softmax, forward and backward, with each row sum
+        # taken left to right; the max and every other step are per cell
+        x = rng.standard_normal(size) * 4.0
+        g = rng.standard_normal(size)
+        shifted = x - self.dense(x, index, shape, -np.inf).max(-1)[..., rows]
+        e = np.exp(shifted)
+
+        def row_sum_at_cells(v):
+            return loop_row_sums(v, rows, shape[0])[..., rows]
+
+        soft = e / row_sum_at_cells(e)
+        soft_gx = soft * (g - row_sum_at_cells(g * soft))
+        log_soft = shifted - np.log(row_sum_at_cells(e))
+        log_gx = g - np.exp(log_soft) * row_sum_at_cells(g)
+        for op, want, want_gx in (
+            (T.softmax, soft, soft_gx), (T.log_softmax, log_soft, log_gx),
+        ):
+            out, gx = forward_and_grad(lambda t: op(t, pairs), x, g)
+            assert out.tobytes() == want.tobytes(), op.__name__
+            assert gx.tobytes() == want_gx.tobytes(), op.__name__
 
     @pytest.mark.parametrize("op", [T.row_sum, T.softmax, T.log_softmax])
     def test_bad_positions_rejected(self, op):

@@ -449,8 +449,7 @@ class TestTrainLoop:
         [{}, {"score_activation": "softmax", "dropout_rate": 0.3, "beta": 2}],
         ids=["relu", "softmax-dropout"],
     )
-    def test_edge_list_training_matches_dense(self, monkeypatch, tmp_path,
-                                              variant):
+    def test_edge_list_training_matches_dense(self, monkeypatch, variant):
         # criterion 9's shape and settings, trained on the edge list and
         # then with the dense scores, labels and loss patched in
         matrix, graph = small_world(seed=4, locs=9, intervals=150)
@@ -471,12 +470,17 @@ class TestTrainLoop:
         ):
             monkeypatch.setattr(owner, name, oracle)
         dense = train.train_loop(matrix, graph, cfg)
-        assert edge.log == dense.log
-        edge.params.save(tmp_path / "edge.bin")
-        dense.params.save(tmp_path / "dense.bin")
-        assert (tmp_path / "edge.bin").read_bytes() == (
-            tmp_path / "dense.bin"
-        ).read_bytes()
+        # the loss sums each query's pairs, so the log and the weights
+        # agree within 1e-12; the selected step is the same
+        assert edge.best_step == dense.best_step
+        assert [row[0] for row in edge.log] == [row[0] for row in dense.log]
+        dense_oracle.assert_close(
+            [row[1:] for row in edge.log], [row[1:] for row in dense.log]
+        )
+        got, want = edge.params.snapshot(), dense.params.snapshot()
+        assert list(got) == list(want)
+        for name in want:
+            dense_oracle.assert_close(got[name], want[name])
 
     def test_neighbour_tables_built_only_with_params(self, monkeypatch):
         # building the tables inside each op call made recommend slower
