@@ -17,13 +17,15 @@ its candidates, averaged over queries (AWTP); its ratio to the oracle
 ranking's value (RNWTR) is 1.0 for a perfect ranking. Both restrict
 candidates to the query's neighborhood, where labels live.
 
-The bits match a computation over the whole row: DCG terms go back to
-their rank positions in a zero buffer before the same row sum, the ideal
-ordering is the packed labels sorted and zero-padded (labels are
-non-negative and zero outside the neighborhood), MAP's running sum only
-skips +0.0 terms, and the wait columns hold the same integers.
-``ndcg_at`` and ``map_at`` pack the nonzero labels of their rows and run
-the same code.
+The bits match a computation over the whole row. ``rank_metrics``
+grades every list size in one pass over a pack's slots as [Q] columns:
+DCG terms sit at their rank positions, zero elsewhere, and the ideal
+terms are the packed labels sorted once and zero-padded (labels are
+non-negative and zero outside the neighborhood), in the same layout.
+Fewer than 8 terms add column by column to +0.0, as numpy's row sum adds
+them, and 8 or more along rows, in its pairwise order. MAP's running sum
+only skips +0.0 terms, and the wait columns hold the same integers.
+``ndcg_at`` and ``map_at`` pack their rows and run the same code.
 
 The model and the baselines rank on the edge list of allowed pairs and
 never build a ranking row. Each query's candidates sit in slots ordered
@@ -308,43 +310,52 @@ def pack_pairs(
 # ---------------------------------------------------------------------------
 
 
-def packed_ndcg(batch: Candidates, n: int) -> np.ndarray:
-    """[Q] NDCG at n of each query of a pack; see ndcg_at."""
-    if n < 1:
+def rank_metrics(batch: Candidates, ns) -> dict[str, dict[int, np.ndarray]]:
+    """{"ndcg": {n: [Q] NDCG at n}, "map": {n: [Q] MAP at n}} of each query
+    of a pack for each list size n of ns, in one pass over its slot
+    columns, each a [Q] row once the pack is slot-major; see ndcg_at."""
+    if min(ns, default=1) < 1:
         raise ConfigError("n must be at least 1")
-    label = batch.labels
-    width = min(n, batch.num_vertices)
-    discounts = (1.0 / np.log2(np.arange(2, n + 2, dtype=np.float64)))[:width]
-    rows, slots = np.nonzero(batch.position < width)
-    at = batch.position[rows, slots]
-    # each gain at its rank position, zero elsewhere: DCG and the ideal
-    # then sum the same layout, so a perfect ranking reads exactly 1.0
-    gains = np.zeros((len(label), width))
-    gains[rows, at] = label[rows, slots] * discounts[at]
-    dcg = gains.sum(axis=-1)
-    top = np.sort(label, axis=-1)[:, ::-1][:, :width]
-    ideal = np.zeros((len(label), width))
-    ideal[:, : top.shape[1]] = top
-    idcg = (ideal * discounts).sum(axis=-1)
-    return np.divide(dcg, idcg, out=np.ones_like(dcg), where=idcg != 0.0)
-
-
-def packed_map(batch: Candidates, n: int) -> np.ndarray:
-    """[Q] MAP at n of each query of a pack; see map_at."""
-    if n < 1:
-        raise ConfigError("n must be at least 1")
-    relevant = batch.labels > 0.0
-    hits = relevant & (batch.position < n)
-    precision = np.cumsum(hits, axis=-1) / (batch.position + 1)
-    # a running sum adds the hit terms in rank order, as a scalar loop would
-    ap = np.cumsum(np.where(hits, precision, 0.0), axis=-1)[:, -1]
-    denom = np.minimum(relevant.sum(axis=-1), n)
-    return np.divide(ap, denom, out=np.zeros_like(ap), where=denom > 0)
+    labels = np.ascontiguousarray(batch.labels.T)
+    position = np.ascontiguousarray(batch.position.T)
+    widest = min(max(ns, default=0), batch.num_vertices)
+    top = min(len(labels), widest)
+    # per rank position below widest, the DCG term of the label there, or
+    # zero, and the ideal term of the labels sorted, zero-padded; slot s
+    # holds position s or a later one, so only the slots below widest count
+    gains = np.zeros((widest, 2, len(batch)))
+    places = np.arange(widest)[:, np.newaxis]
+    for s in range(top):
+        np.copyto(gains[s:, 0], labels[s], where=position[s] == places[s:])
+    gains[:top, 1] = np.sort(batch.labels, axis=-1).T[::-1][:top]
+    gains *= 1.0 / np.log2(np.arange(2.0, widest + 2))[:, None, None]
+    # a hit ranks before n, and so does every relevant slot before it, so
+    # its precision is the same at every n
+    relevant = labels[: max(ns, default=0)] > 0.0
+    count = relevant * 1.0
+    for s in range(1, len(count)):
+        count[s] += count[s - 1]
+    precision = relevant * count / (position[: len(count)] + 1.0)
+    found = np.count_nonzero(labels > 0.0, axis=0)
+    ndcg, mean_ap = {}, {}
+    for n in ns:
+        terms = gains[: min(n, batch.num_vertices)]
+        # numpy's row sum: fewer than 8 terms one by one, as sum() adds
+        # them, 8 or more pairwise; a perfect ranking reads exactly 1.0
+        dcg, idcg = sum(terms, 0.0) if len(terms) < 8 else (
+            np.ascontiguousarray(terms.transpose(1, 2, 0)).sum(axis=-1))
+        ndcg[n] = np.divide(dcg, idcg, out=np.ones_like(dcg), where=idcg != 0)
+        # the hit terms in rank order; a slot at or past n ranks no hit
+        ap = sum(precision[:n] * (position[:n] < n), 0.0)
+        mean_ap[n] = np.divide(
+            ap, np.minimum(found, n), out=np.zeros_like(ap), where=found > 0
+        )
+    return {"ndcg": ndcg, "map": mean_ap}
 
 
 def _row_metric(metric, ranking, labels, n):
-    """metric over the rows along the last axis of same-shape ranking and
-    labels, on the pack of each row's nonzero labels."""
+    """rank_metrics' named metric over the rows along the last axis of
+    same-shape ranking and labels, packed to each row's nonzero labels."""
     ranking = np.asarray(ranking, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.float64)
     if ranking.shape != labels.shape or ranking.ndim < 1:
@@ -356,7 +367,7 @@ def _row_metric(metric, ranking, labels, n):
         ranking.reshape(rows), label_rows != 0.0, label_rows, True,
         untimed, untimed, untimed,
     )
-    out = metric(pack, n).reshape(ranking.shape[:-1])
+    out = rank_metrics(pack, (n,))[metric][n].reshape(ranking.shape[:-1])
     return float(out) if out.ndim == 0 else out
 
 
@@ -367,19 +378,20 @@ def ndcg_at(ranking, labels, n: int):
     Returns 1.0 when the ideal is zero (an all-zero label row ranks
     perfectly by convention). Rows lie along the last axis; each ranking
     row is a permutation of its label row's indices, and labels are
-    non-negative. One row gives a float.
+    non-negative. Each row is packed to its nonzero labels and graded by
+    rank_metrics, with the bits of whole rows. One row gives a float.
     """
-    return _row_metric(packed_ndcg, ranking, labels, n)
+    return _row_metric("ndcg", ranking, labels, n)
 
 
 def map_at(ranking, labels, n: int):
     """Mean average precision at n with labels binarized at y > 0.
 
     The AP denominator is min(number of relevant items, n); a row with no
-    relevant items scores 0. Rows lie along the last axis, as in ndcg_at;
-    one row gives a float.
+    relevant items scores 0. Rows lie along the last axis and are graded
+    as in ndcg_at; one row gives a float.
     """
-    return _row_metric(packed_map, ranking, labels, n)
+    return _row_metric("map", ranking, labels, n)
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +407,8 @@ def _best_waits(batch: Candidates, matrix: OccupancyMatrix, max_wait: int):
     """
     if max_wait < 1:
         raise ConfigError("max_wait must be at least 1")
-    ranked = batch.position < batch.num_vertices
-    if not ranked[:, 0].all():
+    ranked = batch.position.T < batch.num_vertices
+    if not ranked[0].all():
         raise DataError("every query needs a non-empty neighborhood")
     # next-vacant distances look only forward, so the table can start at
     # the earliest horizon and still hold the whole-matrix integers; an
@@ -405,9 +417,11 @@ def _best_waits(batch: Candidates, matrix: OccupancyMatrix, max_wait: int):
     waits = np.minimum(
         kernels.next_vacant_steps(matrix.states[:, start:]), max_wait
     )
-    at = batch.horizon_time[:, np.newaxis] - start
-    waits = np.where(ranked, waits[batch.vertex, at], max_wait)
-    return np.minimum.accumulate(waits, axis=-1)
+    at = batch.horizon_time - start
+    waits = np.where(ranked, waits[batch.vertex.T, at], max_wait)
+    for j in range(1, len(waits)):
+        np.minimum(waits[j - 1], waits[j], out=waits[j])
+    return waits.T
 
 
 def _wait_scores(best: np.ndarray, n: int) -> tuple[float, float, float]:
@@ -595,8 +609,7 @@ def empty_report(model: str, scenario: str) -> MetricsReport:
 def _reports(batch, matrix, model_name, masks, rank_ns, wait_ns, max_wait):
     """One report per named [Q] mask of one pack; per-query values are
     computed once."""
-    ndcg = {n: packed_ndcg(batch, n) for n in rank_ns}
-    mean_ap = {n: packed_map(batch, n) for n in rank_ns}
+    graded = rank_metrics(batch, rank_ns)
     best = _best_waits(batch, matrix, max_wait)
     out = {}
     for name, mask in masks.items():
@@ -609,8 +622,8 @@ def _reports(batch, matrix, model_name, masks, rank_ns, wait_ns, max_wait):
             model=model_name,
             scenario=name,
             num_queries=int(mask.sum()),
-            ndcg={n: _mean_std(v[mask]) for n, v in ndcg.items()},
-            mean_ap={n: _mean_std(v[mask]) for n, v in mean_ap.items()},
+            ndcg={n: _mean_std(v[mask]) for n, v in graded["ndcg"].items()},
+            mean_ap={n: _mean_std(v[mask]) for n, v in graded["map"].items()},
             awtp={n: w[0] for n, w in waits.items()},
             iawtp=waits[wait_ns[-1]][1] if wait_ns else 0.0,
             rnwtr={n: w[2] for n, w in waits.items()},

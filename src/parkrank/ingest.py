@@ -408,11 +408,12 @@ def parse_street_records(
         if not street:
             raise ParseError("empty street_id", line=line)
         ts = _parse_timestamp(rec["timestamp"], line)
-        try:
-            occupied = int(rec["occupied_count"])
-            capacity = int(rec["capacity"])
-        except ValueError:
-            raise ParseError("counts must be integers", line=line) from None
+        # ASCII digits and a sign: int() also takes "1_0" and "\u0661"
+        counts = [rec[k].strip() for k in ("occupied_count", "capacity")]
+        digits = [c.removeprefix("-") for c in counts]
+        if not all(d.isascii() and d.isdigit() for d in digits):
+            raise ParseError("counts must be integers", line=line)
+        occupied, capacity = map(int, counts)
         if capacity <= 0:
             raise ParseError(
                 f"capacity must be positive, got {capacity}", line=line

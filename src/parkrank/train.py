@@ -337,7 +337,7 @@ def split_ndcg(
 ) -> float:
     """Mean NDCG@1 over all queries of a split, used for model selection."""
     (batch,) = split_results(params, dataset, spatial, split_idx, cfg)
-    ndcg = evaluate.packed_ndcg(batch, 1)
+    ndcg = evaluate.rank_metrics(batch, (1,))["ndcg"][1]
     # summed in query order: np.sum's pairwise order would move the low bits
     return float(np.add.accumulate(ndcg)[-1]) / len(ndcg)
 

@@ -746,12 +746,19 @@ class TestNeighborhoodPack:
     """The pack's metrics against the same metrics over whole [Q, n] rows
     (tests/dense_oracle.py), by bytes."""
 
-    LIST_SIZES = (1, 3, 5, 8, 12)  # 12 lies beyond the rows of 8
+    # 12 and 16 lie beyond the rows of 8; from 8 terms up numpy's row sum
+    # goes pairwise
+    LIST_SIZES = (1, 3, 5, 8, 12, 16)
+    # (row width, largest neighborhood); 16 wide holds up to 13 candidates
+    SHAPES = pytest.mark.parametrize(
+        "width, largest", [(8, 8), (8, 5), (8, 1), (16, 13)],
+        ids=["whole-row", "5", "1", "wide"],
+    )
 
-    @pytest.mark.parametrize("largest", [8, 5, 1], ids=["whole-row", "5", "1"])
+    @SHAPES
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_row_metrics_match_dense(self, seed, largest):
-        batch, _ = random_batch(seed, largest=largest)
+    def test_row_metrics_match_dense(self, seed, width, largest):
+        batch, _ = random_batch(seed, width=width, largest=largest)
         for n in self.LIST_SIZES:
             for metric in ("ndcg_at", "map_at"):
                 got = getattr(evaluate, metric)(batch.ranking, batch.labels, n)
@@ -759,7 +766,8 @@ class TestNeighborhoodPack:
                     batch.ranking, batch.labels, n
                 )
                 assert got.tobytes() == want.tobytes(), (metric, n)
-                for q in (0, 1, 5):  # one row gives a float, same bits
+                # one row gives a float, same bits; rows 0 and 5 are zero
+                for q in (0, 5, *range(1, len(batch), 7)):
                     row = getattr(evaluate, metric)(
                         batch.ranking[q], batch.labels[q], n
                     )
@@ -767,10 +775,10 @@ class TestNeighborhoodPack:
                     assert np.float64(row).tobytes() == want[q].tobytes()
 
     @pytest.mark.parametrize("max_wait", [1, 3])
-    @pytest.mark.parametrize("largest", [8, 5, 1], ids=["whole-row", "5", "1"])
+    @SHAPES
     @pytest.mark.parametrize("seed", [2, 3])
-    def test_reports_match_dense(self, seed, largest, max_wait):
-        batch, mat = random_batch(seed, largest=largest)
+    def test_reports_match_dense(self, seed, width, largest, max_wait):
+        batch, mat = random_batch(seed, width=width, largest=largest)
         rng = np.random.default_rng(seed)
         masks = {
             "all": np.ones(len(batch), dtype=bool),
@@ -800,6 +808,24 @@ class TestNeighborhoodPack:
             assert evaluate.awtp_rnwtr([batch], mat, n, max_wait) == (
                 evaluate._wait_scores(dense, n)
             )
+
+    def test_one_label_sort_per_pack(self, monkeypatch):
+        batch, mat = random_batch(6, width=16, largest=13)
+        pack = evaluate._concat([batch])
+        sorts, real_sort = [], np.sort
+
+        def counting_sort(*args, **kwargs):
+            sorts.append(args[0].shape)
+            return real_sort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", counting_sort)
+        for ns in ((1,), (1, 5), tuple(range(1, 17))):
+            monkeypatch.setattr(evaluate, "RANK_NS", ns)
+            sorts.clear()
+            reports = evaluate.slice_scenarios([pack], mat, "m")
+            assert sorts == [pack.labels.shape]
+            assert tuple(reports["all"].ndcg) == ns
+            assert tuple(reports["all"].mean_ap) == ns
 
     def test_label_outside_neighborhood_rejected(self):
         batch, mat = random_batch(4)

@@ -373,6 +373,20 @@ class TestParseStreetRecords:
         with pytest.raises(ParseError, match="non-negative"):
             ingest.parse_street_records(lines)
 
+    @pytest.mark.parametrize(
+        "counts", ["1_0,1_1", "\u0661,\u0662", "3,+4", "3,4.0", "3,--4", "3,"]
+    )
+    def test_counts_only_ascii_digits(self, counts):
+        lines = [self.header(), "s1,2022-01-01T00:00,1,2",
+                 f"s1,2022-01-01T00:05,{counts}"]
+        with pytest.raises(ParseError, match="line 3: counts must be integers"):
+            ingest.parse_street_records(lines)
+
+    def test_counts_padding_stripped(self):
+        lines = [self.header(), "s1,2022-01-01T00:00, 10 ,\t11 "]
+        mat = ingest.parse_street_records(lines)
+        assert mat.states.tolist() == [[True]]
+
 
 class TestSynthGenerate:
     def test_shapes_and_determinism(self):

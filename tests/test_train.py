@@ -423,6 +423,26 @@ class TestTrainLoop:
             train.baseline_split_results(name, matrix, ds, graph,
                                          ds.test_idx, cfg)
 
+    def test_split_ndcg_grades_through_rank_metrics(self, monkeypatch):
+        # validation reads NDCG@1 from the metric pass eval uses
+        matrix, graph = small_world(seed=2)
+        cfg = train.TrainConfig(
+            alpha=3, beta=1, conv_channels=3, embed_dim=4, kernel_len=2,
+            horizon_intervals=2, iterations=3, batch_size=16, eval_every=3,
+        )
+        result = train.train_loop(matrix, graph, cfg)
+        args = (result.params, result.dataset, graph, result.dataset.val_idx,
+                cfg)
+        calls, real = [], evaluate.rank_metrics
+
+        def spy(batch, ns):
+            calls.append(ns)
+            return real(batch, ns)
+
+        monkeypatch.setattr(evaluate, "rank_metrics", spy)
+        train.split_ndcg(*args)
+        assert calls == [(1,)]
+
     def test_split_results_blocks_fill_one_batch(self, monkeypatch):
         # ranked 4 snapshots at a time, the split's batch has the bytes of
         # the split ranked in one block
