@@ -31,10 +31,12 @@ The model and the baselines rank on the edge list of allowed pairs and
 never build a ranking row. Each query's candidates sit in slots ordered
 by (hop, id): the query itself, then its neighbors by id. One stable
 sort along the slots orders them by score, ties by (hop, id), as
-model.rank_candidates orders a whole row; the rank position in that row
-follows from counting, because every vertex outside the neighborhood
-lies 2 or more hops away and so after every candidate it ties with
-(``rank_pair_scores``, ``rank_vertex_scores``, ``pack_pairs``).
+model.rank_candidates orders a whole row, and that slot order is a
+ranked split: ``pack_pairs`` takes each slot's vertex and label through
+it. The rank position in the whole row follows from counting on the
+sorted slots, because every vertex outside the neighborhood lies 2 or
+more hops away and so after every candidate it ties with
+(``rank_pair_scores``, ``rank_vertex_scores``).
 """
 
 from __future__ import annotations
@@ -194,65 +196,45 @@ def _pack_rows(
     )
 
 
-class _Slots:
-    """A graph's allowed pairs in the [n, K] slots of
-    SpatialGraph.pair_slots, laid out once per graph."""
+def _slots(spatial: SpatialGraph, values: np.ndarray, fill) -> np.ndarray:
+    """[S * n, K], of fill's dtype: [S, pairs] values of the allowed pairs
+    laid into each snapshot's [n, K] pair_slots, fill elsewhere."""
+    _, width, cell = spatial.pair_slots()
+    out = np.full((len(values), spatial.num_vertices * width), fill)
+    out[:, cell] = values
+    return out.reshape(-1, width)
 
-    def __init__(self, spatial: SpatialGraph):
-        self.src, self.dst = spatial.allowed_pairs()
-        self.num_vertices = spatial.num_vertices
-        self.size, self.width, self.cell = spatial.pair_slots()
 
-    def scatter(self, cells: np.ndarray, values, fill) -> np.ndarray:
-        """[S * n, K]: per-pair values put at [S, pairs] flat cells of each
-        snapshot's [n, K] slots, fill elsewhere."""
-        size = self.num_vertices * self.width
-        at = cells + size * np.arange(len(cells))[:, np.newaxis]
-        values = np.broadcast_to(values, cells.shape)
-        out = np.full(len(cells) * size, fill, dtype=values.dtype)
-        out[at.ravel()] = values.ravel()
-        return out.reshape(-1, self.width)
-
-    def sort(self, keys: np.ndarray):
-        """(order, sorted keys) along the [S * n, K] slots of [S, pairs]
-        keys: one stable sort, so ties keep (hop, id) order; NaN keys sort
-        after every number and padding after them."""
-        pad = np.nan if keys.dtype.kind == "f" else np.iinfo(keys.dtype).max
-        grid = self.scatter(np.broadcast_to(self.cell, keys.shape), keys, pad)
-        order = np.argsort(grid, axis=-1, kind="stable")
-        return order, np.take_along_axis(grid, order, axis=-1)
-
-    def unsort(self, order: np.ndarray, values) -> np.ndarray:
-        """[S, pairs]: each pair's entry of values, which run along the
-        sorted slots of the [S * n, K] order."""
-        width = self.width
-        at = order + width * np.arange(len(order))[:, np.newaxis]
-        out = np.empty(order.size, dtype=np.asarray(values).dtype)
-        out[at.ravel()] = np.broadcast_to(values, order.shape).ravel()
-        return out.reshape(-1, self.num_vertices * width)[:, self.cell]
+def _sort(spatial: SpatialGraph, keys: np.ndarray):
+    """(order, sorted keys) along the [S * n, K] slots of [S, pairs] keys:
+    one stable sort, so ties keep (hop, id) order; NaN keys sort after
+    every number and padding after them."""
+    pad = np.nan if keys.dtype.kind == "f" else np.iinfo(keys.dtype).max
+    grid = _slots(spatial, keys, pad)
+    order = np.argsort(grid, axis=-1, kind="stable")
+    return order, np.take_along_axis(grid, order, axis=-1)
 
 
 def rank_pair_scores(spatial: SpatialGraph, scores: np.ndarray):
-    """(rank, position) of each allowed pair under [S, pairs] scores in
-    the order of spatial.allowed_pairs(), such as model.edge_scores gives.
+    """(order, position) under [S, pairs] scores in the order of
+    spatial.allowed_pairs(), such as model.edge_scores gives.
 
-    rank is the pair's place in its query's neighborhood and position
-    its place in model.rank_candidates of the query's whole row: the
+    Row s * n + q of each [S * n, K] array serves query q of snapshot s:
+    order sorts its slots best first, and position holds each sorted
+    slot's place in model.rank_candidates of the query's whole row: the
     pair scores, 0 elsewhere. The n - K_q vertices outside a
     neighborhood of K_q read that 0 at 2 or more hops, so they come
     after each candidate whose score is 0 or more and before each
     negative or NaN one.
     """
-    slots = _Slots(spatial)
-    keys = -np.asarray(scores, dtype=np.float64)
-    order, _ = slots.sort(keys)
-    rank = slots.unsort(order, np.arange(slots.width))
-    outside = (slots.num_vertices - slots.size)[slots.src]
-    return rank, rank + outside * ~(keys <= 0.0)
+    size, width, _ = spatial.pair_slots()
+    order, ranked = _sort(spatial, -np.asarray(scores, dtype=np.float64))
+    outside = np.tile(spatial.num_vertices - size, len(scores))[:, np.newaxis]
+    return order, np.arange(width) + outside * ~(ranked <= 0.0)
 
 
 def rank_vertex_scores(spatial: SpatialGraph, scores: np.ndarray):
-    """(rank, position) as rank_pair_scores gives them, for [S, n] scores
+    """(order, position) as rank_pair_scores gives them, for [S, n] scores
     of each vertex shared by every query's row, as the baselines score.
 
     Every score gets a dense descending rank r from np.unique, shared by
@@ -263,21 +245,21 @@ def rank_vertex_scores(spatial: SpatialGraph, scores: np.ndarray):
     with an equal r: a tied vertex outside the neighborhood lies 2 or
     more hops away, so after it.
     """
-    slots = _Slots(spatial)
+    dst = spatial.allowed_pairs()[1]
     r = np.unique(-scores, return_inverse=True)[1].reshape(scores.shape)
     # ranks lie below r.size, so offsetting snapshot s by s * r.size
     # keeps the snapshots apart in one sorted array
     offset = r.size * np.arange(len(r))[:, np.newaxis]
     lower = np.searchsorted(np.sort(r + offset, axis=None), r + offset)
-    lower -= slots.num_vertices * np.arange(len(r))[:, np.newaxis]
-    order, ranked = slots.sort(r[:, slots.dst])
+    lower -= spatial.num_vertices * np.arange(len(r))[:, np.newaxis]
+    order, ranked = _sort(spatial, r[:, dst])
     # each sorted slot's distance from the first of its tie group
     step = np.ones(ranked.shape, dtype=bool)
     step[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    place = np.arange(slots.width)
+    place = np.arange(ranked.shape[1])
     ties = place - np.maximum.accumulate(np.where(step, place, 0), axis=-1)
-    rank = slots.unsort(order, place)
-    return rank, lower[:, slots.dst] + slots.unsort(order, ties)
+    below = np.take_along_axis(_slots(spatial, lower[:, dst], 0), order, -1)
+    return order, below + ties
 
 
 def pack_pairs(
@@ -288,19 +270,20 @@ def pack_pairs(
     horizon_time: np.ndarray,
 ) -> Candidates:
     """One batch of every query of S snapshots, snapshot-major, from the
-    (rank, position) of each allowed pair that rank_pair_scores or
-    rank_vertex_scores give, and the pairs' labels, all [S, pairs]."""
-    slots = _Slots(spatial)
-    rank, position = ranked
-    n = slots.num_vertices
-    cells = slots.src * slots.width + rank
+    [S * n, K] (order, position) that rank_pair_scores or
+    rank_vertex_scores give and the [S, pairs] labels of the allowed
+    pairs: the slots' vertices and labels are taken in each row's order."""
+    order, position = ranked
+    n = spatial.num_vertices
+    dst = np.broadcast_to(spatial.allowed_pairs()[1], labels.shape)
+    vertex = np.take_along_axis(_slots(spatial, dst, -1), order, -1)
     return Candidates(
         query_vertex=np.tile(np.arange(n), len(query_time)),
         query_time=np.repeat(query_time, n),
         horizon_time=np.repeat(horizon_time, n),
-        vertex=slots.scatter(cells, slots.dst, -1),
-        position=slots.scatter(cells, position, n),
-        labels=slots.scatter(cells, labels, 0.0),
+        vertex=vertex,
+        position=np.where(vertex < 0, n, position),
+        labels=np.take_along_axis(_slots(spatial, labels, 0.0), order, -1),
         num_vertices=n,
     )
 
@@ -407,6 +390,7 @@ def _best_waits(batch: Candidates, matrix: OccupancyMatrix, max_wait: int):
     """
     if max_wait < 1:
         raise ConfigError("max_wait must be at least 1")
+    _check_times(matrix, batch.horizon_time, "horizon")
     ranked = batch.position.T < batch.num_vertices
     if not ranked[0].all():
         raise DataError("every query needs a non-empty neighborhood")
@@ -466,10 +450,16 @@ def _clock(matrix: OccupancyMatrix, times: np.ndarray):
     return np.divmod(minutes, 24 * 60)
 
 
-def _check_times(matrix: OccupancyMatrix, t) -> np.ndarray:
+def _check_times(matrix: OccupancyMatrix, t, name="time") -> np.ndarray:
+    """t as an array; a DataError names its first entry outside the
+    matrix's intervals."""
     times = np.asarray(t)
-    if ((times < 0) | (times >= matrix.num_intervals)).any():
-        raise DataError(f"time must lie in [0, {matrix.num_intervals}), got {t}")
+    outside = (times < 0) | (times >= matrix.num_intervals)
+    if outside.any():
+        raise DataError(
+            f"{name} must lie in [0, {matrix.num_intervals}), got "
+            f"{times.ravel()[np.argmax(outside)]}"
+        )
     return times
 
 
@@ -518,8 +508,6 @@ _PREDICTORS: dict[str, Callable] = {
 }
 
 
-
-
 def baseline_predict_then_recommend(
     matrix: OccupancyMatrix,
     spatial: SpatialGraph,
@@ -531,8 +519,8 @@ def baseline_predict_then_recommend(
 
     The predictor scores each vertex once per time; every query then ranks
     all vertices by that score, breaking ties toward fewer hops and lower
-    index. The result is each allowed pair's (rank, position), as
-    rank_vertex_scores gives them: [pairs] each at an int t, [S, pairs]
+    index. The result is the (order, position) of every query's slots, as
+    rank_vertex_scores gives them: [n, K] each at an int t, [S * n, K]
     at a 1-D array of S times, such as a whole split, scored and ranked
     in one call.
     """
@@ -544,8 +532,7 @@ def baseline_predict_then_recommend(
     if predictor == "historical_mean" and train_end is None:
         raise ConfigError("historical_mean needs the training range")
     scores = _PREDICTORS[predictor](matrix, t, train_end)
-    ranked = rank_vertex_scores(spatial, np.atleast_2d(scores))
-    return tuple(a.reshape(scores.shape[:-1] + (-1,)) for a in ranked)
+    return rank_vertex_scores(spatial, np.atleast_2d(scores))
 
 
 # ---------------------------------------------------------------------------

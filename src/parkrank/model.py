@@ -10,7 +10,7 @@ readout, one tensor.pair_readout node, scores only the allowed (query,
 candidate) pairs, each candidate in the query's own neighborhood, over an
 edge list, and multiplies each by a learnable mask weight; the activation
 runs on that list too, so training stays on it through the loss, and
-eval and validation rank on it as well (evaluate.rank_pair_scores). Only
+eval and validation rank each query's slots (evaluate.rank_pair_scores). Only
 recommend places the scores into a [batch, query, candidate] matrix
 (forward_scores) whose entries outside the neighborhoods are structural
 zeros, so only reachable candidates can score.

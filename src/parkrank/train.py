@@ -281,8 +281,8 @@ def _inputs(dataset: Dataset, idx):
 
 
 def _candidates(dataset: Dataset, spatial: SpatialGraph, idx, cfg, ranked):
-    """One batch of the (snapshot, query) pairs of idx from each allowed
-    pair's (rank, position) per snapshot, [B, pairs] each."""
+    """One batch of the (snapshot, query) pairs of idx from the
+    (order, position) of every query's slots, [B * n, K] each."""
     times = dataset.times[idx]
     labels = edge_labels(spatial, *_label_args(dataset, idx, cfg))
     return evaluate.pack_pairs(

@@ -17,7 +17,8 @@ left out, so what remains is code that only tests reach.
 The optional argument is the src/ directory to import parkrank from; by
 default it is the one next to this file. Keys are module.qualname; the
 lines of comprehensions, generator expressions and lambdas count under
-the function that holds them. pytest does not collect this script.
+the function that holds them. pytest does not collect this script;
+tests/test_contract.py pins the names it lists.
 """
 
 import ast
@@ -117,11 +118,9 @@ def function_lines(path: Path) -> dict[str, set[int]]:
     return out
 
 
-def main() -> None:
-    here = Path(__file__).resolve().parents[1] / "src"
-    src = Path(sys.argv[1]) if len(sys.argv) > 1 else here
-    sys.path.insert(0, str(src.resolve()))
-    cli = importlib.import_module("parkrank.cli")
+def unrun_lines(cli) -> dict[str, list[int]]:
+    """{module.qualname: sorted unrun lines} of each function in the cli
+    module's package that the flows leave wholly or partly unrun."""
     package = Path(cli.__file__).resolve().parent
     with tempfile.TemporaryDirectory() as tmp:
         hit = traced_lines(package, lambda: flows(cli, Path(tmp)))
@@ -131,7 +130,15 @@ def main() -> None:
             missed = sorted(n for n in lines if (str(path), n) not in hit)
             if missed:
                 unrun[f"{path.stem}.{name}"] = missed
-    print(json.dumps(unrun, indent=1, sort_keys=True))
+    return unrun
+
+
+def main() -> None:
+    here = Path(__file__).resolve().parents[1] / "src"
+    src = Path(sys.argv[1]) if len(sys.argv) > 1 else here
+    sys.path.insert(0, str(src.resolve()))
+    cli = importlib.import_module("parkrank.cli")
+    print(json.dumps(unrun_lines(cli), indent=1, sort_keys=True))
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """The behaviour contract in tier-1: every output that
 tests/contract_digests.py hashes keeps the bytes recorded in
-tests/contract_digests.json.
+tests/contract_digests.json, and tests/production_lines.py finds the
+same functions with lines that only tests run.
 
 A change that alters one of those outputs on purpose re-records the file
 with ``python3 tests/contract_digests.py > tests/contract_digests.json``
@@ -11,6 +12,7 @@ import json
 from pathlib import Path
 
 import contract_digests
+import production_lines
 from parkrank import cli
 
 RECORDED = Path(__file__).with_name("contract_digests.json")
@@ -22,3 +24,40 @@ def test_outputs_keep_recorded_digests(tmp_path):
     assert sorted(got) == sorted(want)
     changed = sorted(key for key in want if got[key] != want[key])
     assert changed == []
+
+
+# Each function that the production flows of tests/production_lines.py
+# leave lines of unrun (ROADMAP aim 2: no production function only tests
+# call). A change that alters this set updates it in the same diff.
+TESTS_ONLY = (
+    "errors.DataError.in_file",
+    "errors.ParseError.__init__",
+    "evaluate.QueryResults.__len__",
+    "evaluate.QueryResults.__post_init__",
+    "evaluate._concat",
+    "evaluate._pack_rows",
+    "evaluate._pack_rows.<locals>.spread",
+    "evaluate._row_metric",
+    "evaluate.awtp_rnwtr",
+    "evaluate.make_result",
+    "evaluate.map_at",
+    "evaluate.ndcg_at",
+    "evaluate.rank_metrics",
+    "evaluate.slice_scenarios",
+    "evaluate.summarize",
+    "ingest.OccupancyMatrix.equals",
+    "ingest.SpatialGraph.all_hop_distances",
+    "ingest._records",
+    "model.rank_candidates",
+    "tensor.backward",
+    "tensor.masked_fill",
+    "tensor.masked_fill.<locals>.bw",
+    "tensor.reduce_sum",
+    "tensor.reduce_sum.<locals>.bw",
+    "train.make_labels",
+    "train.train_loop",
+)
+
+
+def test_tests_only_functions_stay_listed():
+    assert sorted(production_lines.unrun_lines(cli)) == list(TESTS_ONLY)

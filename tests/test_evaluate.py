@@ -227,6 +227,19 @@ class TestAwtpRnwtr:
         with pytest.raises(DataError, match="neighborhood"):
             evaluate.awtp_rnwtr([res, empty], mat, 1)
 
+    @pytest.mark.parametrize("horizon", [-1, 4])
+    def test_horizon_outside_matrix_rejected(self, horizon):
+        # a negative horizon once read the matrix from its end, and one
+        # past it raised a bare IndexError
+        mat = matrix_of(np.zeros((2, 4), dtype=bool))
+        res = result_of(0, 0, 0, [0, 1], [1.0, 0.5], (0, 1))
+        bad = result_of(1, 0, horizon, [1, 0], [1.0, 0.5], (0, 1))
+        message = rf"^horizon must lie in \[0, 4\), got {horizon}$"
+        with pytest.raises(DataError, match=message):
+            evaluate.awtp_rnwtr([res, bad], mat, 1)
+        with pytest.raises(DataError, match=message):
+            evaluate.summarize([res, bad], mat, "m")
+
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_property_ideal_bounds_achieved(self, seed):
@@ -263,11 +276,9 @@ def baseline_pack(mat, graph, t, predictor, train_end=None):
     ranked = evaluate.baseline_predict_then_recommend(
         mat, graph, t, predictor, train_end
     )
-    ranked = tuple(np.atleast_2d(a) for a in ranked)
     times = np.atleast_1d(t)
-    return evaluate.pack_pairs(
-        graph, ranked, np.zeros(ranked[0].shape), times, times
-    )
+    labels = np.zeros((len(times), len(graph.allowed_pairs()[0])))
+    return evaluate.pack_pairs(graph, ranked, labels, times, times)
 
 
 def dense_pack(graph, times, rankings, labels=None):
@@ -546,7 +557,7 @@ class TestBatchedBaselines:
         mat = matrix_of(np.random.default_rng(0).random((4, 30)) < 0.5)
         graph = synth_graph(4)
         score = evaluate._PREDICTORS[predictor]
-        pairs = len(graph.allowed_pairs()[0])
+        width = graph.pair_slots()[1]
         want = dense_pack(graph, [3], baseline_oracle.predict_then_recommend(
             mat, graph, 3, predictor, 20
         )[np.newaxis])
@@ -555,7 +566,7 @@ class TestBatchedBaselines:
             ranked = evaluate.baseline_predict_then_recommend(
                 mat, graph, t, predictor, 20
             )
-            assert [a.shape for a in ranked] == [(pairs,), (pairs,)]
+            assert [a.shape for a in ranked] == [(4, width), (4, width)]
             got = baseline_pack(mat, graph, t, predictor, 20)
             dense_oracle.assert_same_pack(got, want)
         times = np.array([3, 29, 0])
@@ -563,20 +574,24 @@ class TestBatchedBaselines:
         ranked = evaluate.baseline_predict_then_recommend(
             mat, graph, times, predictor, 20
         )
-        assert [a.shape for a in ranked] == [(3, pairs), (3, pairs)]
+        assert [a.shape for a in ranked] == [(12, width), (12, width)]
         for s, t in enumerate(times):
             one = evaluate.baseline_predict_then_recommend(
                 mat, graph, int(t), predictor, 20
             )
             for a, b in zip(ranked, one):
-                assert np.array_equal(a[s], b)
+                assert np.array_equal(a[s * 4 : (s + 1) * 4], b)
 
     @pytest.mark.parametrize("predictor", evaluate.BASELINE_NAMES)
     @pytest.mark.parametrize("t", [-1, 30, np.array([0, 30]), np.array([-2, 4])])
     def test_time_outside_matrix_rejected(self, predictor, t):
         mat = matrix_of(np.zeros((2, 30), dtype=bool))
         graph = synth_graph(2)
-        with pytest.raises(DataError, match=r"time must lie in \[0, 30\)"):
+        times = np.atleast_1d(t)
+        first = times[(times < 0) | (times >= 30)][0]
+        with pytest.raises(
+            DataError, match=rf"^time must lie in \[0, 30\), got {first}$"
+        ):
             evaluate._PREDICTORS[predictor](mat, t, 20)
         with pytest.raises(DataError, match=r"\[0, 30\)"):
             evaluate.baseline_predict_then_recommend(
