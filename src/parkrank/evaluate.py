@@ -41,7 +41,7 @@ more hops away and so after every candidate it ties with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -595,13 +595,17 @@ def empty_report(model: str, scenario: str) -> MetricsReport:
 
 def _reports(batch, matrix, model_name, masks, rank_ns, wait_ns, max_wait):
     """One report per named [Q] mask of one pack; per-query values are
-    computed once."""
+    computed once, and so is the report of every mask that selects all Q."""
     graded = rank_metrics(batch, rank_ns)
     best = _best_waits(batch, matrix, max_wait)
     out = {}
+    whole = None
     for name, mask in masks.items():
         if not mask.any():
             out[name] = empty_report(model_name, name)
+            continue
+        if whole is not None and mask.all():
+            out[name] = replace(whole, scenario=name)
             continue
         sliced = best[mask]
         waits = {n: _wait_scores(sliced, n) for n in wait_ns}
@@ -615,6 +619,8 @@ def _reports(batch, matrix, model_name, masks, rank_ns, wait_ns, max_wait):
             iawtp=waits[wait_ns[-1]][1] if wait_ns else 0.0,
             rnwtr={n: w[2] for n, w in waits.items()},
         )
+        if mask.all():
+            whole = out[name]
     return out
 
 

@@ -256,10 +256,54 @@ def haversine_distance(a: MeterLocation, b: MeterLocation) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
 
 
+# Adjacency cells are CELL_SLACK times wider than the distance bounds need,
+# plus CELL_MIN_RAD, both far above the rounding in the cell arithmetic and
+# in haversine_distance, so no pair the scalar distance keeps is dropped.
+CELL_SLACK = 1.01
+CELL_MIN_RAD = 1e-12
+
+
+def _cell_pairs(here, near, lat, lon, reach):
+    """Index pairs (lower, higher) that join a latitude band's locations
+    ``here`` to ``near`` (the same locations, then those of the next band)
+    in the same or an adjacent longitude column; each pair comes once.
+
+    Columns are at least reach * pi / (2 c) radians wide, c the least
+    cos(lat) over ``near``: d >= (2 / pi) * R * c * |dlon|, so no pair
+    closer than R * reach lies two columns apart. Columns wrap at +-180
+    degrees; where fewer than three fit, near a pole, all share one.
+    """
+    top = math.radians(np.abs(lat[near]).max())
+    count = int(4.0 * max(math.cos(top) - CELL_MIN_RAD, 0.0) / reach)
+    count = count if count >= 3 else 1
+    col = np.floor(np.radians(lon[near] + 180.0) * (count / (2.0 * math.pi)))
+    col = col.astype(np.int64) % count
+    pos = np.argsort(col, kind="stable")
+    steps = (-1, 0, 1) if count > 1 else (0,)
+    want = (col[: len(here)][:, np.newaxis] + steps) % count
+    lo = np.searchsorted(col[pos], want, "left").ravel()
+    size = np.searchsorted(col[pos], want, "right").ravel() - lo
+    first = np.repeat(lo - np.cumsum(size) + size, size)
+    at = pos[np.arange(size.sum()) + first]
+    i = np.repeat(np.repeat(here, len(steps)), size)
+    j = near[at]
+    # a pair inside the band is found from both ends; keep one
+    keep = (i < j) | (at >= len(here))
+    i, j = i[keep], j[keep]
+    return np.minimum(i, j), np.maximum(i, j)
+
+
 def build_adjacency(
     locations: list[MeterLocation], threshold_m: float = DEFAULT_ADJACENCY_M
 ) -> SpatialGraph:
-    """Connect every pair of locations closer than threshold_m meters."""
+    """Connect every pair of locations closer than threshold_m meters.
+
+    Only pairs in the same or adjacent cells are measured. Latitude bands
+    are reach = threshold_m / EARTH_RADIUS_M radians high, since d >= R *
+    |dlat|, and _cell_pairs splits each band and the next into longitude
+    columns. haversine_distance measures each such pair, lower index
+    first, as an all-pairs loop would, so the edges are the same.
+    """
     if not 0.0 < threshold_m < math.inf:
         raise ConfigError(
             f"threshold_m must be finite and positive, got {threshold_m!r}"
@@ -269,9 +313,20 @@ def build_adjacency(
         if loc.meter_id in seen:
             raise DataError(f"duplicate meter_id {loc.meter_id!r}")
         seen.add(loc.meter_id)
+    lat = np.array([loc.lat for loc in locations], dtype=np.float64)
+    lon = np.array([loc.lon for loc in locations], dtype=np.float64)
+    reach = threshold_m / EARTH_RADIUS_M * CELL_SLACK + CELL_MIN_RAD
+    band = np.floor(np.radians(lat + 90.0) / reach).astype(np.int64)
+    order = np.argsort(band, kind="stable")
+    bands, starts = np.unique(band[order], return_index=True)
+    groups = np.split(order, starts[1:]) if len(order) else []
     edges = set()
-    for i in range(len(locations)):
-        for j in range(i + 1, len(locations)):
+    for k, here in enumerate(groups):
+        near = here
+        if k + 1 < len(groups) and bands[k + 1] == bands[k] + 1:
+            near = np.concatenate([here, groups[k + 1]])
+        lower, higher = _cell_pairs(here, near, lat, lon, reach)
+        for i, j in zip(lower.tolist(), higher.tolist()):
             if haversine_distance(locations[i], locations[j]) < threshold_m:
                 edges.add((i, j))
     return SpatialGraph(vertices=tuple(locations), edges=frozenset(edges))
@@ -463,9 +518,14 @@ def synth_generate(cfg: SynthConfig) -> tuple[list[MeterLocation], OccupancyMatr
     locations = synth_locations(cfg)
     side = math.ceil(math.sqrt(cfg.num_locations))
     m = cfg.num_locations
-    # generator neighbours: the grid cells one step up, down, left or right
+    # generator neighbours: the grid cells one step up, down, left or
+    # right, padded with m; the last grid row may be partial
     r, c = np.divmod(np.arange(m), side)
-    adj = (abs(r[:, None] - r) + abs(c[:, None] - c) == 1).astype(np.float64)
+    rr = np.stack([r - 1, r + 1, r, r], axis=1)
+    cc = np.stack([c, c, c - 1, c + 1], axis=1)
+    cell = rr * side + cc
+    inside = (0 <= cc) & (cc < side) & (0 <= cell) & (cell < m)
+    neighbors = np.where(inside, cell, m)
 
     base = cfg.base_occupancy_rate
     amp = DIURNAL_AMP_FRAC * min(base, 1.0 - base)
@@ -480,8 +540,7 @@ def synth_generate(cfg: SynthConfig) -> tuple[list[MeterLocation], OccupancyMatr
         init_u,
         step_u,
         sin_mod,
-        adj,
-        adj.sum(axis=1),
+        neighbors,
         base,
         cfg.spatial_correlation,
         TURNOVER_RATE,

@@ -3,9 +3,11 @@
 Each kernel is plain numpy over a whole matrix: run-length decomposition
 of occupancy rows, signed-duration event windows at one or many reference
 columns, next-vacant distances, and the two-state occupancy chain of the
-synthetic generator, the only one that loops (over its time steps).
-Every stochastic input is pre-drawn with numpy's Generator by the caller,
-so each kernel is a pure function of its arguments.
+synthetic generator, the only one that loops (over its time steps). The
+chain reads each row's neighbors from an [rows, K] table, so a step costs
+O(rows * K), not a dense [rows, rows] product. Every stochastic input is
+pre-drawn with numpy's Generator by the caller, so each kernel is a pure
+function of its arguments.
 """
 
 from __future__ import annotations
@@ -79,8 +81,7 @@ def markov_occupancy(
     init_u,
     step_u,
     sin_mod,
-    neighbor_w,
-    neighbor_cnt,
+    neighbors,
     base,
     gamma,
     rho0,
@@ -93,30 +94,58 @@ def markov_occupancy(
 
     All randomness comes from the pre-drawn uniforms ``init_u`` [rows] and
     ``step_u`` [steps-1, rows]; ``sin_mod[t]`` is the precomputed diurnal
-    term (amplitude included). The switch hazard grows with the age of the
-    current run, so stale runs end sooner than fresh ones.
+    term (amplitude included). ``neighbors`` [rows, K] lists each row's
+    neighbor rows, padded with ``rows``; at each step a row's target rate
+    moves toward the occupied share of its neighbors at strength
+    ``gamma``. The switch hazard grows with the age of the current run,
+    so stale runs end sooner than fresh ones.
+
+    Every state-free term is computed once: the diurnal rate per step,
+    the neighbor pull per (row, occupied neighbor count) and the hazard
+    per run age. A step counts each row's occupied neighbors, an exact
+    integer sum, and looks the terms up, in O(rows * K).
     """
     rows = init_u.shape[0]
     steps = step_u.shape[0] + 1
     occ = np.empty((rows, steps), dtype=np.bool_)
-    occ[:, 0] = init_u < base
-    prev = occ[:, 0].astype(np.float64)
-    age = np.ones(rows, dtype=np.float64)
+    # the current state; row `rows` is the padding, always vacant
+    state = np.zeros(rows + 1, dtype=np.bool_)
+    prev = state[:rows]
+    prev[:] = init_u < base
+    occ[:, 0] = prev
+
+    diurnal = base + sin_mod
+    width = neighbors.shape[1] + 1
+    count = np.count_nonzero(neighbors < rows, axis=1)[:, np.newaxis]
+    mean = np.where(count > 0, np.arange(width) / np.maximum(count, 1.0), base)
+    # pull[r * width + k]: the neighbor term of row r with k occupied
+    pull = (gamma * (mean - base)).ravel()
+    first = np.arange(0, rows * width, width)
+    # at step t a run that started at step s is t - s steps old, and
+    # its hazard is by_start[steps - 1 - t + s]
+    by_start = rho0 * np.minimum(
+        hazard_max,
+        hazard_base + hazard_slope * np.arange(steps - 1, -1, -1.0),
+    )
+    # by_slot[k] holds every row's k-th neighbor, so a step sums K
+    # contiguous rows
+    by_slot = np.ascontiguousarray(neighbors.T)
+    start = np.zeros(rows, dtype=np.int64)
     for t in range(1, steps):
-        nbr_sum = neighbor_w @ prev
-        nbr_mean = np.where(
-            neighbor_cnt > 0.0, nbr_sum / np.maximum(neighbor_cnt, 1.0), base
-        )
-        p_occ = base + sin_mod[t] + gamma * (nbr_mean - base)
-        p_occ = np.minimum(np.maximum(p_occ, 0.0), 1.0)
-        hazard = rho0 * np.minimum(hazard_max, hazard_base + hazard_slope * age)
-        q = np.where(prev == 1.0, hazard * (1.0 - p_occ), hazard * p_occ)
-        q = np.minimum(q, switch_cap)
+        cell = state[by_slot].sum(axis=0)
+        cell += first
+        q = pull[cell]
+        q += diurnal[t]
+        np.maximum(q, 0.0, out=q)
+        np.minimum(q, 1.0, out=q)
+        # an occupied row switches toward vacancy
+        np.subtract(1.0, q, out=q, where=prev)
+        q *= by_start[steps - 1 - t:][start]
+        np.minimum(q, switch_cap, out=q)
         switch = step_u[t - 1] < q
-        cur = np.where(switch, 1.0 - prev, prev)
-        age = np.where(switch, 1.0, age + 1.0)
-        occ[:, t] = cur == 1.0
-        prev = cur
+        prev ^= switch
+        start[switch] = t
+        occ[:, t] = prev
     return occ
 
 

@@ -13,12 +13,19 @@ relu scores, every ranking's pack and every metric. Where a per-query
 row sum is on the path (softmax scores, the loss and every parameter
 gradient) it agrees within 1e-12 (assert_close): production adds each
 row's pairs in pair order, the dense arrays in numpy's pairwise order.
+
+The synthetic generator's chain has a dense oracle too: an [m, m]
+neighbour matrix and a mat-vec per interval, as the generator ran before
+it read an [m, K] neighbour table; its occupancy matrix is equal byte for
+byte.
 """
+
+import math
 
 import numpy as np
 
 import unfused_oracle
-from parkrank import evaluate, kernels, model, train
+from parkrank import evaluate, ingest, kernels, model, train
 from parkrank import tensor as T
 from parkrank.errors import ConfigError, DataError
 
@@ -273,3 +280,73 @@ def assert_close(got, want):
     """Equal shapes and values within 1e-12, the bound where a per-query
     sum in pair order meets numpy's pairwise sum over the dense row."""
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def neighbor_matrix(neighbors) -> np.ndarray:
+    """The dense [rows, rows] float neighbour matrix of an [rows, K]
+    neighbour table padded with rows."""
+    rows = len(neighbors)
+    dense = np.zeros((rows, rows + 1))
+    np.add.at(dense, (np.arange(rows)[:, None], neighbors), 1.0)
+    return dense[:, :rows]
+
+
+def markov_occupancy(
+    init_u,
+    step_u,
+    sin_mod,
+    neighbor_w,
+    neighbor_cnt,
+    base,
+    gamma,
+    rho0,
+    hazard_base,
+    hazard_slope,
+    hazard_max,
+    switch_cap,
+):
+    """The generator's two-state chain with a dense [rows, rows] neighbour
+    matrix: one mat-vec and every term recomputed at each step."""
+    rows = init_u.shape[0]
+    steps = step_u.shape[0] + 1
+    occ = np.empty((rows, steps), dtype=np.bool_)
+    occ[:, 0] = init_u < base
+    prev = occ[:, 0].astype(np.float64)
+    age = np.ones(rows, dtype=np.float64)
+    for t in range(1, steps):
+        nbr_sum = neighbor_w @ prev
+        nbr_mean = np.where(
+            neighbor_cnt > 0.0, nbr_sum / np.maximum(neighbor_cnt, 1.0), base
+        )
+        p_occ = base + sin_mod[t] + gamma * (nbr_mean - base)
+        p_occ = np.minimum(np.maximum(p_occ, 0.0), 1.0)
+        hazard = rho0 * np.minimum(hazard_max, hazard_base + hazard_slope * age)
+        q = np.where(prev == 1.0, hazard * (1.0 - p_occ), hazard * p_occ)
+        q = np.minimum(q, switch_cap)
+        switch = step_u[t - 1] < q
+        cur = np.where(switch, 1.0 - prev, prev)
+        age = np.where(switch, 1.0, age + 1.0)
+        occ[:, t] = cur == 1.0
+        prev = cur
+    return occ
+
+
+def synth_states(cfg) -> np.ndarray:
+    """The occupancy states of ingest.synth_generate(cfg), from the dense
+    [m, m] matrix of grid steps and the dense chain."""
+    side = math.ceil(math.sqrt(cfg.num_locations))
+    m = cfg.num_locations
+    r, c = np.divmod(np.arange(m), side)
+    adj = (abs(r[:, None] - r) + abs(c[:, None] - c) == 1).astype(np.float64)
+    base = cfg.base_occupancy_rate
+    amp = ingest.DIURNAL_AMP_FRAC * min(base, 1.0 - base)
+    period = 24 * 60 // ingest.DEFAULT_INTERVAL_MINUTES
+    phase = 2.0 * np.pi * (np.arange(cfg.num_intervals) % period) / period
+    rng = np.random.default_rng(cfg.rng_seed)
+    init_u = rng.random(m)
+    step_u = rng.random((cfg.num_intervals - 1, m))
+    return markov_occupancy(
+        init_u, step_u, amp * np.sin(phase), adj, adj.sum(axis=1), base,
+        cfg.spatial_correlation, ingest.TURNOVER_RATE, ingest.HAZARD_BASE,
+        ingest.HAZARD_SLOPE, ingest.HAZARD_MAX, ingest.SWITCH_CAP,
+    )

@@ -1,13 +1,15 @@
 """Time graph and model set-up at city scale and print the wall times, in
-seconds, as JSON: for 400, 800 and 1200 synthetic meters (one synthetic day
-of intervals, grid spacing 40 m, adjacency threshold 50 m), the time of
-``synth_generate``, of ``build_adjacency``, of ``allowed_mask()`` plus
-``all_hop_distances()`` on the new graph, and of ``ModelParams`` at the
-criterion-8 model settings on a fresh copy of that graph (so it pays for
-the candidate mask and pairs as a set-up does).
+seconds, as JSON: for 400, 800 and 1200 synthetic meters (288 intervals,
+one synthetic day, unless --intervals says otherwise; grid spacing 40 m,
+adjacency threshold 50 m), the time of ``synth_generate``, of
+``build_adjacency``, of ``allowed_mask()`` plus ``all_hop_distances()`` on
+the new graph, and of ``ModelParams`` at the criterion-8 model settings on
+a fresh copy of that graph (so it pays for the candidate mask and pairs as
+a set-up does).
 
     python3 tests/setup_scale.py > after.json
     python3 tests/setup_scale.py /path/to/other/checkout/src > before.json
+    python3 tests/setup_scale.py --intervals 2016 > week.json
 
 The optional argument is the src/ directory to import parkrank from; by
 default it is the one next to this file. BLAS runs on one thread, as in
@@ -19,6 +21,7 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse
 import importlib
 import json
 import sys
@@ -28,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 SIZES = (400, 800, 1200)
-INTERVALS = 288  # one day of five-minute intervals
 
 
 def timed(fn, *args):
@@ -38,9 +40,9 @@ def timed(fn, *args):
     return out, round(time.perf_counter() - start, 4)
 
 
-def scale_point(ingest, model, train, n: int) -> dict[str, float]:
+def scale_point(ingest, model, train, n: int, intervals: int) -> dict:
     (locations, _), synth_s = timed(ingest.synth_generate, ingest.SynthConfig(
-        num_locations=n, num_intervals=INTERVALS
+        num_locations=n, num_intervals=intervals
     ))
     graph, adjacency_s = timed(ingest.build_adjacency, locations)
     _, tables_s = timed(
@@ -60,16 +62,26 @@ def scale_point(ingest, model, train, n: int) -> dict[str, float]:
 
 
 def main() -> None:
-    here = Path(__file__).resolve().parents[1] / "src"
-    src = Path(sys.argv[1]) if len(sys.argv) > 1 else here
-    sys.path.insert(0, str(src.resolve()))
+    parser = argparse.ArgumentParser(description="Time set-up at city scale.")
+    parser.add_argument(
+        "src", nargs="?", type=Path,
+        default=Path(__file__).resolve().parents[1] / "src",
+        help="the src/ directory to import parkrank from",
+    )
+    parser.add_argument(
+        "--intervals", type=int, default=288,
+        help="synthetic intervals per meter (default 288, one day)",
+    )
+    args = parser.parse_args()
+    sys.path.insert(0, str(args.src.resolve()))
     ingest, model, train = (
         importlib.import_module(f"parkrank.{mod}")
         for mod in ("ingest", "model", "train")
     )
-    print(json.dumps(
-        {n: scale_point(ingest, model, train, n) for n in SIZES}, indent=1
-    ))
+    times = {
+        n: scale_point(ingest, model, train, n, args.intervals) for n in SIZES
+    }
+    print(json.dumps(times, indent=1))
 
 
 if __name__ == "__main__":

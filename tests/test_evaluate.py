@@ -1,6 +1,7 @@
 """Metric tests against independently coded textbook references."""
 
 import csv
+import dataclasses
 import math
 from datetime import datetime, timedelta
 
@@ -728,6 +729,35 @@ class TestSummarize:
                 evaluate._concat(mixed)
             with pytest.raises(DataError, match="one Candidates pack"):
                 evaluate.summarize(mixed, mat, "m")
+
+    def test_masks_selecting_every_query_reuse_the_whole(self, monkeypatch):
+        # 40 intervals from a Monday midnight: every query is a workday
+        # and a nighttime one, none a weekend or daytime one
+        batch, mat = random_batch(7, intervals=40)
+        every = {"workday": np.ones(len(batch), dtype=bool)}
+        alone = evaluate._reports(
+            evaluate._concat([batch]), mat, "m", every,
+            evaluate.RANK_NS, evaluate.WAIT_NS, 20,
+        )["workday"]
+        calls = []
+        for name in ("_mean_std", "_wait_scores"):
+            real = getattr(evaluate, name)
+
+            def spy(*a, real=real, name=name):
+                calls.append(name)
+                return real(*a)
+
+            monkeypatch.setattr(evaluate, name, spy)
+        reports = evaluate.slice_scenarios([batch], mat, "m", max_wait=20)
+        # one report's worth of work, for "all"
+        assert calls.count("_mean_std") == 2 * len(evaluate.RANK_NS)
+        assert calls.count("_wait_scores") == len(evaluate.WAIT_NS)
+        assert reports["workday"] == alone
+        for name in ("workday", "nighttime"):
+            want = dataclasses.replace(reports["all"], scenario=name)
+            assert reports[name] == want
+        for name in ("weekend", "daytime"):
+            assert reports[name].num_queries == 0
 
 
 def random_batch(seed, queries=200, width=8, largest=8, intervals=40):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracle
 from dense_oracle import adjacency
 from parkrank import ingest
 from parkrank.errors import (
@@ -94,6 +95,72 @@ class TestBuildAdjacency:
         ]
         graph = ingest.build_adjacency(locs, 50.0)
         assert graph.hop_distances(0)[1] == 3  # n + 1
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_edges_match_all_pairs(self, data):
+        locs, threshold_m = data.draw(stressed_locations())
+        want = {
+            (i, j)
+            for i in range(len(locs))
+            for j in range(i + 1, len(locs))
+            if ingest.haversine_distance(locs[i], locs[j]) < threshold_m
+        }
+        assert ingest.build_adjacency(locs, threshold_m).edges == want
+
+
+@st.composite
+def stressed_locations(draw):
+    """(locations, threshold_m): 0-30 locations on the adjacency cells'
+    borders, within one threshold of a pole, across +-180 degrees of
+    longitude, repeating an earlier location, about one threshold from an
+    earlier one, or anywhere; thresholds from 0.5 m to 2e7 m."""
+    threshold_m = draw(st.one_of(
+        st.sampled_from([0.5, 50.0, 2e7]),
+        st.floats(math.log10(0.5), math.log10(2e7)).map(lambda e: 10.0**e),
+    ))
+    # the cells' band height in degrees, as build_adjacency sizes it
+    band = math.degrees(
+        threshold_m / ingest.EARTH_RADIUS_M * ingest.CELL_SLACK
+        + ingest.CELL_MIN_RAD
+    )
+    near = math.degrees(threshold_m / ingest.EARTH_RADIUS_M)
+    unit = st.floats(-1.0, 1.0)
+    points = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(
+            ["border", "pole", "dateline", "repeat", "near", "any"]
+        ))
+        if kind == "border":
+            lat = -90.0 + draw(st.integers(0, int(180.0 / band))) * band
+            # the columns of a band that holds lat alone
+            wide = 4.0 * math.cos(math.radians(lat)) / math.radians(band)
+            cols = max(int(wide), 1)
+            lon = -180.0 + draw(st.integers(0, cols)) * 360.0 / cols
+        elif kind == "pole":
+            lat = math.copysign(90.0 - abs(draw(unit)) * near, draw(unit))
+            lon = draw(unit) * 180.0
+        elif kind == "dateline":
+            lat = draw(unit) * 60.0
+            lon = math.copysign(180.0 - abs(draw(unit)) * near, draw(unit))
+        elif kind in ("repeat", "near") and points:
+            lat, lon = points[draw(st.integers(0, len(points) - 1))]
+            if kind == "near":
+                # mostly along one axis, so chains of these cross borders
+                dlat, dlon = draw(st.sampled_from(
+                    [(unit, st.just(0.0)), (st.just(0.0), unit), (unit, unit)]
+                ))
+                stretch = max(math.cos(math.radians(lat)), 1e-9)
+                lat += draw(dlat) * near
+                lon += draw(dlon) * near / stretch
+        else:
+            lat, lon = draw(unit) * 90.0, draw(unit) * 180.0
+        points.append((np.clip(lat, -90.0, 90.0), np.clip(lon, -180.0, 180.0)))
+    locs = [
+        ingest.MeterLocation(f"m{i}", lat, lon)
+        for i, (lat, lon) in enumerate(points)
+    ]
+    return locs, threshold_m
 
 
 def bfs_oracle(graph, source):
@@ -455,9 +522,9 @@ class TestSynthGenerate:
         seen = []
         markov = ingest.kernels.markov_occupancy
 
-        def spy(init_u, step_u, sin_mod, neighbor_w, *rest):
-            seen.append(neighbor_w)
-            return markov(init_u, step_u, sin_mod, neighbor_w, *rest)
+        def spy(init_u, step_u, sin_mod, neighbors, *rest):
+            seen.append(neighbors)
+            return markov(init_u, step_u, sin_mod, neighbors, *rest)
 
         monkeypatch.setattr(ingest.kernels, "markov_occupancy", spy)
         ingest.synth_generate(ingest.SynthConfig(num_locations=m, num_intervals=2))
@@ -471,8 +538,29 @@ class TestSynthGenerate:
                 if 0 <= rr < side and 0 <= cc < side and rr * side + cc < m:
                     want[i, rr * side + cc] = 1.0
         assert len(seen) == 1
-        assert seen[0].dtype == want.dtype
-        assert seen[0].tobytes() == want.tobytes()
+        # an [m, K] table padded with m, no neighbour listed twice
+        table = seen[0]
+        assert table.dtype == np.int64 and table.shape == (m, 4)
+        got = dense_oracle.neighbor_matrix(table)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @given(
+        st.integers(1, 40), st.integers(1, 80),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        st.floats(0.0, 1.0), st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_states_match_dense_chain(self, m, intervals, base, corr, seed):
+        # m in [1, 40] leaves the last grid row partial for most m
+        cfg = ingest.SynthConfig(
+            num_locations=m, num_intervals=intervals, rng_seed=seed,
+            base_occupancy_rate=base, spatial_correlation=corr,
+        )
+        got = ingest.synth_generate(cfg)[1].states
+        want = dense_oracle.synth_states(cfg)
+        assert got.shape == want.shape == (m, intervals)
+        assert got.tobytes() == want.tobytes()
 
     def test_invalid_config(self):
         with pytest.raises(ConfigError):

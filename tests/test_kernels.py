@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracle
 from parkrank import kernels
 
 
@@ -161,20 +162,19 @@ class TestNextVacantSteps:
 class TestMarkovOccupancy:
     def _inputs(self, rng, rows=9, steps=400):
         side = 3
-        adj = np.zeros((rows, rows))
+        neighbors = np.full((rows, 4), rows)
         for i in range(rows):
             r, c = divmod(i, side)
-            for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            for k, (dr, dc) in enumerate(((1, 0), (-1, 0), (0, 1), (0, -1))):
                 rr, cc = r + dr, c + dc
                 if 0 <= rr < side and 0 <= cc < side:
-                    adj[i, rr * side + cc] = 1.0
+                    neighbors[i, k] = rr * side + cc
         sin_mod = 0.1 * np.sin(2 * np.pi * (np.arange(steps) % 96) / 96)
         return dict(
             init_u=rng.random(rows),
             step_u=rng.random((steps - 1, rows)),
             sin_mod=sin_mod,
-            neighbor_w=adj,
-            neighbor_cnt=adj.sum(axis=1),
+            neighbors=neighbors,
             base=0.45,
             gamma=0.5,
             rho0=0.3,
@@ -183,6 +183,33 @@ class TestMarkovOccupancy:
             hazard_max=1.8,
             switch_cap=0.95,
         )
+
+    @given(
+        st.integers(1, 12), st.integers(0, 5), st.integers(1, 60),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        st.floats(0.0, 1.0), st.floats(0.0, 0.5), st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_matches_dense_oracle(
+        self, rows, k, steps, base, gamma, amp, seed
+    ):
+        # any table, padding, repeats and self entries included, against
+        # the dense [rows, rows] chain it stands for
+        rng = np.random.default_rng(seed)
+        kw = self._inputs(rng, rows=rows, steps=steps)
+        kw.update(
+            neighbors=rng.integers(0, rows + 1, (rows, k)),
+            base=base,
+            gamma=gamma,
+            sin_mod=amp * np.sin(rng.random(steps) * 2 * np.pi),
+        )
+        got = kernels.markov_occupancy(**kw)
+        dense = dense_oracle.neighbor_matrix(kw.pop("neighbors"))
+        want = dense_oracle.markov_occupancy(
+            neighbor_w=dense, neighbor_cnt=dense.sum(axis=1), **kw
+        )
+        assert got.shape == want.shape == (rows, steps)
+        assert got.tobytes() == want.tobytes()
 
     def test_zero_base_rate_all_vacant(self):
         # amplitude scales with min(base, 1-base) upstream, so it is 0 here
