@@ -4,9 +4,12 @@ A row of the occupancy matrix is a path of per-interval cells. Contracting
 every maximal constant run into a single node turns it into turnover
 events: the completed runs become (state, duration) events and the final
 run becomes the current state with its age. ``RunTable`` holds the runs of
-every meter at once and serves the newest events at one or many reference
-intervals as an ``EventWindow``, so downstream consumers read at most a
-fixed number of events per vertex instead of scanning raw cells.
+every meter at once and stores each event once: for a window size alpha
+it builds, on first use, one table of every run's newest alpha completed
+predecessors. A snapshot at any reference interval indexes that table by
+the run holding the interval, and adds the run's age, to serve an
+``EventWindow``; downstream consumers read at most a fixed number of
+events per vertex instead of scanning raw cells.
 """
 
 from __future__ import annotations
@@ -82,6 +85,9 @@ class RunTable:
             self.run_states,
             self.run_of,
         ) = kernels.encode_runs(states)
+        self.ends = self.starts + self.lengths
+        # alpha -> kernels.preceding_runs table, built on first use
+        self._preceding: dict[int, np.ndarray] = {}
 
     @property
     def num_intervals(self) -> int:
@@ -113,13 +119,16 @@ class RunTable:
         if alpha < 1:
             raise ConfigError("alpha must be at least 1")
         self._checked_time(reference_time)
+        if alpha not in self._preceding:
+            self._preceding[alpha] = kernels.preceding_runs(
+                self.lengths, self.run_states, alpha
+            )
         signed, current = kernels.extract_windows(
+            self._preceding[alpha],
             self.starts,
-            self.lengths,
             self.run_states,
             self.run_of,
             reference_time,
-            alpha,
         )
         return EventWindow(
             signed_durations=signed,
@@ -130,9 +139,10 @@ class RunTable:
     def remaining_run_lengths(self, reference_time) -> np.ndarray:
         """Intervals from reference_time to the end of each row's current
         run, inclusive of reference_time."""
-        run = self._current_run(reference_time)
-        end = self.starts[run] + self.lengths[run]
-        return end - np.asarray(reference_time)[..., np.newaxis]
+        return (
+            self.ends[self._current_run(reference_time)]
+            - np.asarray(reference_time)[..., np.newaxis]
+        )
 
 
 def bench_complexity(matrix: OccupancyMatrix, alpha: int) -> ComplexityReport:

@@ -1,13 +1,14 @@
 """Numeric kernels behind run encoding, windowing and the synthetic chain.
 
 Each kernel is plain numpy over a whole matrix: run-length decomposition
-of occupancy rows, signed-duration event windows at one or many reference
-columns, next-vacant distances, and the two-state occupancy chain of the
-synthetic generator, the only one that loops (over its time steps). The
-chain reads each row's neighbors from an [rows, K] table, so a step costs
-O(rows * K), not a dense [rows, rows] product. Every stochastic input is
-pre-drawn with numpy's Generator by the caller, so each kernel is a pure
-function of its arguments.
+of occupancy rows, a per-run table of signed-duration event windows and
+the gather that reads it at one or many reference columns, next-vacant
+distances, and the two-state occupancy chain of the synthetic generator,
+the only one that loops (over its time steps). The chain reads each
+row's neighbors from an [rows, K] table, so a step costs O(rows * K),
+not a dense [rows, rows] product. Every stochastic input is pre-drawn
+with numpy's Generator by the caller, so each kernel is a pure function
+of its arguments.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "extract_windows",
     "markov_occupancy",
     "next_vacant_steps",
+    "preceding_runs",
 ]
 
 # Always False: there is no compiled path; perfbench/bootstrap.py reports it.
@@ -54,26 +56,38 @@ def encode_runs(states):
     return counts, starts, lengths, run_states, run_of
 
 
-def extract_windows(starts, lengths, run_states, run_of, t, alpha):
+def preceding_runs(lengths, run_states, alpha):
+    """Each run's newest ``alpha`` predecessors as signed durations.
+
+    ``table[i, r, :]`` holds runs ``r - alpha .. r - 1`` of row i as
+    sign * duration (vacant +, occupied -), oldest first, zero where the
+    index falls before the row's first run: a ``[rows, max_runs, alpha]``
+    table, one entry per run.
+    """
+    rows, runs = lengths.shape
+    padded = np.zeros((rows, alpha + runs))
+    padded[:, alpha:] = np.where(run_states, -1.0, 1.0) * lengths.astype(
+        np.float64
+    )
+    window = np.lib.stride_tricks.sliding_window_view(padded, alpha, axis=1)
+    return np.ascontiguousarray(window[:, :runs])
+
+
+def extract_windows(preceding, starts, run_states, run_of, t):
     """Signed-duration event windows for every row at reference column t.
 
-    Returns ``(signed, current_signed)``: ``signed[..., i, :]`` holds the
-    newest ``alpha`` completed runs of row i as sign * duration (vacant +,
-    occupied -), oldest first, zero-padded on the oldest side when fewer
-    exist; ``current_signed[..., i]`` is the signed age of the run
-    containing t. An int array t adds its shape in front of both.
+    Returns ``(signed, current_signed)``: ``signed[..., i, :]`` is the
+    ``preceding_runs`` entry of the run containing t in row i, its newest
+    completed runs; ``current_signed[..., i]`` is the signed age of that
+    run. An int array t adds its shape in front of both.
     """
-    rows = np.arange(starts.shape[0])
-    cur = run_of.T[t]
-    cur_sign = np.where(run_states[rows, cur], -1.0, 1.0)
-    age = np.asarray(t)[..., np.newaxis] - starts[rows, cur] + 1
-    current_signed = cur_sign * age.astype(np.float64)
-
-    idx = cur[..., np.newaxis] - alpha + np.arange(alpha, dtype=np.int64)
-    safe = (rows[:, np.newaxis], np.maximum(idx, 0))
-    ev_len = lengths[safe].astype(np.float64)
-    ev_sign = np.where(run_states[safe], -1.0, 1.0)
-    signed = np.where(idx >= 0, ev_sign * ev_len, 0.0)
+    rows, runs = starts.shape
+    # flat index of each row's run at t into the [rows, max_runs] arrays
+    run = run_of.T[t] + np.arange(0, rows * runs, runs)
+    age = np.asarray(t)[..., np.newaxis] - np.take(starts, run) + 1
+    current_signed = np.where(np.take(run_states, run), -1.0, 1.0)
+    current_signed *= age
+    signed = np.take(preceding.reshape(rows * runs, -1), run, axis=0)
     return signed, current_signed
 
 

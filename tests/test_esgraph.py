@@ -2,14 +2,16 @@
 
 import json
 from itertools import groupby
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parkrank import cli, esgraph, ingest
+from parkrank import cli, esgraph, ingest, kernels
 from parkrank.errors import ConfigError, DataError
+from window_oracle import extract_windows as formula_windows
 
 
 def rle_oracle(seq):
@@ -313,6 +315,37 @@ class TestRunTable:
                 table.remaining_run_lengths(times),
                 np.stack([table.remaining_run_lengths(int(t)) for t in times]),
             )
+
+    @given(
+        st.integers(1, 6), st.integers(1, 60),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        st.integers(0, 2**32 - 1), st.integers(1, 6), st.data(),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_windows_match_oracle(self, rows, cols, p, seed, alpha, data):
+        rng = np.random.default_rng(seed)
+        states = rng.random((rows, cols)) < p
+        # row 0 is one run, so it has fewer than alpha completed runs
+        states[0] = states[0, 0]
+        table = esgraph.RunTable(states)
+        times = st.integers(0, cols - 1)
+        scalar = data.draw(times)
+        array = np.array(
+            data.draw(st.lists(times, min_size=1, max_size=12)), dtype=np.int64
+        ).reshape(data.draw(st.sampled_from([(-1,), (1, -1), (-1, 1)])))
+        with mock.patch.object(
+            kernels, "preceding_runs", wraps=kernels.preceding_runs
+        ) as build:
+            for t in (scalar, array):
+                window = table.window_at(t, alpha)
+                signed, current = formula_windows(
+                    table.starts, table.lengths, table.run_states,
+                    table.run_of, t, alpha,
+                )
+                assert same_bytes(window.signed_durations, signed)
+                assert same_bytes(window.current_signed_duration, current)
+        # the second call with the same alpha reads the first one's table
+        assert build.call_count == 1
 
     @pytest.mark.parametrize(
         "times",

@@ -96,19 +96,25 @@ class TestEncodeRuns:
         assert np.array_equal(rebuilt, states[0])
 
 
+def windows(row, t, alpha):
+    """extract_windows of one-row matrix row at t, through its
+    preceding_runs table."""
+    _, starts, lengths, run_states, run_of = kernels.encode_runs(row)
+    preceding = kernels.preceding_runs(lengths, run_states, alpha)
+    return kernels.extract_windows(preceding, starts, run_states, run_of, t)
+
+
 class TestExtractWindows:
     def test_hand_example(self):
         # row: vacant 2, occupied 3, vacant 1 (current)
         row = np.array([[0, 0, 1, 1, 1, 0]], dtype=bool)
-        table = kernels.encode_runs(row)
-        signed, current = kernels.extract_windows(*table[1:], t=5, alpha=5)
+        signed, current = windows(row, t=5, alpha=5)
         assert signed[0].tolist() == [0.0, 0.0, 0.0, 2.0, -3.0]
         assert current[0] == 1.0
 
     def test_alpha_truncates_to_newest(self):
         row = np.array([[0, 1, 0, 1, 0, 1]], dtype=bool)
-        table = kernels.encode_runs(row)
-        signed, current = kernels.extract_windows(*table[1:], t=5, alpha=2)
+        signed, current = windows(row, t=5, alpha=2)
         # newest two completed runs are (vacant 1) then (occupied 1)... the
         # final occupied run is current, so completed are runs 3 and 4.
         assert signed[0].tolist() == [-1.0, 1.0]
@@ -116,10 +122,21 @@ class TestExtractWindows:
 
     def test_reference_mid_matrix(self):
         row = np.array([[1, 1, 0, 0, 0, 1, 0]], dtype=bool)
-        table = kernels.encode_runs(row)
-        signed, current = kernels.extract_windows(*table[1:], t=3, alpha=3)
+        signed, current = windows(row, t=3, alpha=3)
         assert signed[0].tolist() == [0.0, 0.0, -2.0]
         assert current[0] == 2.0
+
+    def test_preceding_runs_zero_padding(self):
+        # row 0: occupied 2, vacant 1, occupied 3; row 1: vacant 6, one run
+        rows = np.array([[1, 1, 0, 1, 1, 1], [0] * 6], dtype=bool)
+        _, _, lengths, run_states, _ = kernels.encode_runs(rows)
+        table = kernels.preceding_runs(lengths, run_states, 2)
+        assert table.shape == (2, 3, 2) and table.dtype == np.float64
+        # run r lists runs r - 2 and r - 1; zeros stand for runs before
+        # the first, and for the padded slots of the one-run row
+        assert table[0].tolist() == [[0.0, 0.0], [0.0, -2.0], [-2.0, 1.0]]
+        assert table[1].tolist() == [[0.0, 0.0], [0.0, 6.0], [6.0, 0.0]]
+        assert not np.signbit(table[table == 0]).any()
 
 
 class TestNextVacantSteps:
