@@ -46,6 +46,8 @@ def read_config(path, allowed_keys) -> dict[str, str]:
                 )
             if not value:
                 raise ParseError(f"empty value for {key}", line=lineno)
+            if key in options:
+                raise ParseError(f"repeated config key: {key}", line=lineno)
             options[key] = value
     return options
 
@@ -276,10 +278,6 @@ def cmd_recommend(args, opts) -> int:
     params, cfg = load_checkpoint_bundle(args.checkpoint, graph)
     if args.query not in matrix.location_index:
         raise DataError(f"unknown meter id: {args.query}")
-    if not 0 <= args.time < matrix.num_intervals:
-        raise DataError(
-            f"time must lie in [0, {matrix.num_intervals}), got {args.time}"
-        )
     q = matrix.location_index[args.query]
     table = esgraph.RunTable(matrix.states)
     window = table.window_at(args.time, cfg.alpha)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, DataError
-from .ingest import OccupancyMatrix
+from .ingest import OccupancyMatrix, check_times
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,8 @@ class RunTable:
     Wraps the padded run arrays from the kernel layer and serves event
     windows, prefix run counts and remaining-run queries without rescanning
     raw cells. A reference time is an int or an int array; an array adds
-    its shape in front of each answer.
+    its shape in front of each answer. Every reference time passes
+    ``ingest.check_times``, so one outside the matrix raises its DataError.
     """
 
     def __init__(self, states: np.ndarray):
@@ -103,22 +104,16 @@ class RunTable:
         _, run = self._current_run(prefix_len - 1)
         return int((run + 1).sum())
 
-    def _checked_time(self, reference_time) -> np.ndarray:
-        """reference_time as an array, each inside the matrix's intervals."""
-        t = np.asarray(reference_time)
-        if t.min(initial=0) < 0 or t.max(initial=0) >= self.num_intervals:
-            raise DataError(f"interval out of range [0, {self.num_intervals})")
-        return t
-
     def _current_run(self, reference_time):
         """(row, run) index of the run holding each row's reference time."""
-        t = self._checked_time(reference_time)
+        t = check_times(reference_time, self.num_intervals)
         return np.arange(self.run_of.shape[0]), self.run_of.T[t]
 
     def window_at(self, reference_time, alpha: int) -> EventWindow:
         if alpha < 1:
             raise ConfigError("alpha must be at least 1")
-        self._checked_time(reference_time)
+        # before the kernel, which would read a negative time from the end
+        check_times(reference_time, self.num_intervals)
         if alpha not in self._preceding:
             self._preceding[alpha] = kernels.preceding_runs(
                 self.lengths, self.run_states, alpha

@@ -15,7 +15,9 @@ at y > 0. Waiting-time quality simulates following the recommendations:
 the achieved waiting time of a top-n list is the best waiting time among
 its candidates, averaged over queries (AWTP); its ratio to the oracle
 ranking's value (RNWTR) is 1.0 for a perfect ranking. Both restrict
-candidates to the query's neighborhood, where labels live.
+candidates to the query's neighborhood, where labels live. A baseline's
+time or a wait's horizon outside the matrix raises the DataError of
+``ingest.check_times``, the one interval check.
 
 The bits match a computation over the whole row. ``rank_metrics``
 grades every list size in one pass over a pack's slots as [Q] columns:
@@ -48,7 +50,9 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, DataError
-from .ingest import OccupancyMatrix, SpatialGraph, json_text, write_csv
+from .ingest import (
+    OccupancyMatrix, SpatialGraph, check_times, json_text, write_csv
+)
 
 DEFAULT_MAX_WAIT = 24
 RANK_NS = (1, 5)
@@ -390,7 +394,7 @@ def _best_waits(batch: Candidates, matrix: OccupancyMatrix, max_wait: int):
     """
     if max_wait < 1:
         raise ConfigError("max_wait must be at least 1")
-    _check_times(matrix, batch.horizon_time, "horizon")
+    check_times(batch.horizon_time, matrix.num_intervals, "horizon")
     ranked = batch.position.T < batch.num_vertices
     if not ranked[0].all():
         raise DataError("every query needs a non-empty neighborhood")
@@ -450,24 +454,12 @@ def _clock(matrix: OccupancyMatrix, times: np.ndarray):
     return np.divmod(minutes, 24 * 60)
 
 
-def _check_times(matrix: OccupancyMatrix, t, name="time") -> np.ndarray:
-    """t as an array; a DataError names its first entry outside the
-    matrix's intervals."""
-    times = np.asarray(t)
-    outside = (times < 0) | (times >= matrix.num_intervals)
-    if outside.any():
-        raise DataError(
-            f"{name} must lie in [0, {matrix.num_intervals}), got "
-            f"{times.ravel()[np.argmax(outside)]}"
-        )
-    return times
-
-
 def persistence_scores(
     matrix: OccupancyMatrix, t: int | np.ndarray, train_end: int | None = None
 ) -> np.ndarray:
     """1.0 where vacant at t, else 0.0; [n] at an int t, [S, n] at S times."""
-    return (~matrix.states.T[_check_times(matrix, t)]).astype(np.float64)
+    vacant = ~matrix.states.T[check_times(t, matrix.num_intervals)]
+    return vacant.astype(np.float64)
 
 
 def historical_mean_scores(
@@ -483,7 +475,7 @@ def historical_mean_scores(
     location's overall training vacancy rate. [n] at an int t, [S, n] at
     a 1-D array of S times.
     """
-    times = _check_times(matrix, t)
+    times = check_times(t, matrix.num_intervals)
     if not 1 <= train_end <= matrix.num_intervals:
         raise DataError(f"train_end must lie in [1, {matrix.num_intervals}]")
     step = matrix.interval_minutes

@@ -118,6 +118,20 @@ class OccupancyMatrix:
         )
 
 
+def check_times(times, num_intervals: int, name: str = "time") -> np.ndarray:
+    """times as an array, each an interval of an [n, num_intervals]
+    matrix; else a DataError names the first entry outside. This is the
+    one interval check: the run table, both baselines, the waiting-time
+    metric and recommend read their times through it."""
+    t = np.asarray(times)
+    if t.min(initial=0) < 0 or t.max(initial=0) >= num_intervals:
+        raise DataError(
+            f"{name} must lie in [0, {num_intervals}), got "
+            f"{t.ravel()[np.argmax((t < 0) | (t >= num_intervals))]}"
+        )
+    return t
+
+
 @dataclass(frozen=True)
 class SpatialGraph:
     """Proximity graph over meter locations.

@@ -333,15 +333,9 @@ def forward_scores(params: ModelParams, *args, **kwargs) -> T.Tensor:
 
 
 def rank_candidates(scores: np.ndarray, hops: np.ndarray) -> np.ndarray:
-    """Order candidates along the last axis: score descending, ties by hop
-    then by index. Leading axes rank row by row; hops broadcast to the
-    scores' shape, so one [n, n] hop table serves a [batch, n, n] batch.
-    """
-    ids = np.arange(scores.shape[-1])
-    if scores.ndim > 1:
-        hops = np.broadcast_to(hops, scores.shape)
-        ids = np.broadcast_to(ids, scores.shape)
-    return np.lexsort((ids, hops, -scores))
+    """Order one row of candidates: score descending, ties by hop then by
+    index."""
+    return np.lexsort((np.arange(len(scores)), hops, -scores))
 
 
 def recommend_top_n(

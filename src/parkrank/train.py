@@ -104,6 +104,10 @@ class TrainConfig:
         extra = set(payload) - set(known)
         if extra:
             raise ConfigError(f"unknown training fields: {sorted(extra)}")
+        # a default in place of a lost setting would change the model
+        missing = set(known) - set(payload)
+        if missing:
+            raise ConfigError(f"missing training fields: {sorted(missing)}")
         for name, value in payload.items():
             # exact types: bool is an int subclass, but JSON true is no number
             kinds = (int, float) if known[name] is float else (known[name],)

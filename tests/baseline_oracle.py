@@ -11,7 +11,7 @@ slices once per scenario; tests compare the two by bytes.
 import numpy as np
 
 import dense_oracle
-from parkrank import evaluate, model
+from parkrank import evaluate
 
 
 def persistence_scores(matrix, t, train_end=None):
@@ -44,7 +44,7 @@ def predict_then_recommend(matrix, spatial, t, predictor, train_end=None):
     """[n, n] rankings at one time."""
     scores = PREDICTORS[predictor](matrix, t, train_end)
     hops = spatial.all_hop_distances()
-    return model.rank_candidates(np.broadcast_to(scores, hops.shape), hops)
+    return dense_oracle.rank_rows(np.broadcast_to(scores, hops.shape), hops)
 
 
 def baseline_split_results(predictor, matrix, dataset, spatial, split_idx, cfg):

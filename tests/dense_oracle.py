@@ -201,6 +201,14 @@ def best_waits(batch, matrix, max_wait):
     return np.minimum.accumulate(np.take_along_axis(ranked, packed, -1), -1)
 
 
+def rank_rows(scores: np.ndarray, hops: np.ndarray) -> np.ndarray:
+    """model.rank_candidates row by row along the last axis: score
+    descending, ties by hop then by index. hops broadcast to the scores'
+    shape, so one [n, n] hop table serves a [batch, n, n] batch."""
+    ids = np.broadcast_to(np.arange(scores.shape[-1]), scores.shape)
+    return np.lexsort((ids, np.broadcast_to(hops, scores.shape), -scores))
+
+
 def rank_by_vertex_score(scores: np.ndarray, hops: np.ndarray) -> np.ndarray:
     """model.rank_candidates of every query's row of one shared score.
 
@@ -247,13 +255,13 @@ def query_results(dataset, spatial, idx, cfg, rankings):
 
 def split_results(params, dataset, spatial, split_idx, cfg):
     """train.split_results as whole rows: model.forward_scores' [B, n, n]
-    scores ranked by model.rank_candidates, one block at a time."""
+    scores ranked by rank_rows, one block at a time."""
     hops = spatial.all_hop_distances()
     rankings = np.empty((len(split_idx), *hops.shape), dtype=np.intp)
     for lo in range(0, len(split_idx), model.RANK_BLOCK):
         idx = split_idx[lo : lo + model.RANK_BLOCK]
         scores = model.forward_scores(params, *train._inputs(dataset, idx))
-        rankings[lo : lo + len(idx)] = model.rank_candidates(scores.data, hops)
+        rankings[lo : lo + len(idx)] = rank_rows(scores.data, hops)
     return [query_results(dataset, spatial, split_idx, cfg, rankings)]
 
 

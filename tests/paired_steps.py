@@ -136,6 +136,9 @@ def main() -> None:
     parser.add_argument("--eval", action="store_true",
                         help="time eval passes instead of training steps")
     args = parser.parse_args()
+    if args.pairs < 2:
+        # the ratio's quartiles need two pairs
+        parser.error(f"--pairs must be at least 2, got {args.pairs}")
     this = Tree(HERE, "parkrank", args)
     other = Tree(args.other, "parkrank_other", args)
     this.run()  # warm both trees' caches before timing

@@ -241,7 +241,7 @@ class TestEval:
         self, monkeypatch, tmp_path, intervals, split
     ):
         # the eval files as eval writes them, then with whole ranking
-        # rows patched in: the model's from model.rank_candidates, each
+        # rows patched in: the model's from dense_oracle.rank_rows, each
         # baseline's from the per-snapshot loop, and the reports from
         # whole-row metrics with per-list-size wait slicing; 150
         # intervals leave training under a day, and the 700-interval
@@ -457,6 +457,21 @@ def test_bad_config_option_names_file(tmp_path, capsys, content, says):
     assert code == 3
     err = capsys.readouterr().err
     assert f"{cfg_file}: " in err and says in err
+
+
+def test_repeated_config_key_exit_2(tmp_path, capsys):
+    # the last of a repeated key once won, and training ran 7 steps
+    data = synth_dir(tmp_path)
+    cfg_file = tmp_path / "twice.cfg"
+    cfg_file.write_text("iterations = 5\niterations = 7\n")
+    code = run("train", "--data", data, "--out", tmp_path / "x",
+               "--config", cfg_file)
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == (
+        f"error: {cfg_file}: line 2: repeated config key: iterations"
+    )
+    assert not (tmp_path / "x").exists()
 
 
 def required_flags(command, tmp_path):
@@ -983,6 +998,100 @@ def test_checkpoint_bool_setting_exit_2(
     assert line.startswith("error: ")
     assert "edited.bin" in line
     assert f"training field {key} has value True" in line
+
+
+@pytest.mark.parametrize("command", ["eval", "recommend"])
+def test_checkpoint_missing_train_setting_exit_2(
+    pristine_tree, tmp_path, capsys, command
+):
+    # the checkpoint was trained at horizon 2: a default of 4 in place of
+    # the lost setting once evaluated and recommended without a word
+    checkpoint = tmp_path / "edited.bin"
+    entries, manifest = T.load_checkpoint(
+        pristine_tree / "run" / "checkpoint.bin"
+    )
+    del manifest["train"]["horizon_intervals"], manifest["train"]["prox_weight"]
+    T.save_checkpoint(checkpoint, entries, manifest)
+    extra = (["--out", tmp_path / "x"] if command == "eval"
+             else ["--query", "m000", "--time", 100])
+    code = run(command, "--data", pristine_tree / "data", "--checkpoint",
+               checkpoint, *extra)
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == (
+        f"error: {checkpoint}: missing training fields: "
+        "['horizon_intervals', 'prox_weight']"
+    )
+
+
+def _one_query_pack(matrix, horizon):
+    """A pack of one candidate per horizon, for the waiting-time metric."""
+    horizon = np.atleast_1d(horizon)
+    single = np.zeros((len(horizon), 1), dtype=np.intp)
+    return evaluate.Candidates(
+        query_vertex=single[:, 0], query_time=horizon, horizon_time=horizon,
+        vertex=single, position=single, labels=np.zeros(single.shape),
+        num_vertices=matrix.num_locations,
+    )
+
+
+# every library entry point that reads an interval, and the name its
+# message gives that interval
+INTERVAL_READERS = {
+    "window_at": (
+        "time", lambda m, t: esgraph.RunTable(m.states).window_at(t, 2)
+    ),
+    "remaining_run_lengths": (
+        "time",
+        lambda m, t: esgraph.RunTable(m.states).remaining_run_lengths(t),
+    ),
+    "persistence_scores": ("time", evaluate.persistence_scores),
+    "historical_mean_scores": (
+        "time", lambda m, t: evaluate.historical_mean_scores(m, t, 100)
+    ),
+    "awtp_rnwtr": (
+        "horizon",
+        lambda m, t: evaluate.awtp_rnwtr([_one_query_pack(m, t)], m, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "reader, times",
+    [
+        pytest.param(reader, times, id=f"{reader}-{label}")
+        for reader in (*INTERVAL_READERS, "recommend")
+        for label, times in (
+            ("minus-one", -1), ("num-intervals", 150),
+            ("array-past-end", [3, 150, -1]), ("array-negative", [-1, 7]),
+        )
+        # the CLI's --time is one int
+        if reader != "recommend" or np.ndim(times) == 0
+    ],
+)
+def test_interval_outside_matrix_one_message(
+    pristine_tree, capsys, reader, times
+):
+    # one check (ingest.check_times) gives every reader the same message,
+    # naming the first entry outside the 150 intervals
+    data = pristine_tree / "data"
+    flat = np.ravel(times)
+    first = flat[(flat < 0) | (flat >= 150)][0]
+    if reader == "recommend":
+        code = run("recommend", "--data", data, "--checkpoint",
+                   pristine_tree / "run" / "checkpoint.bin", "--query",
+                   "m000", "--time", times)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: time must lie in [0, 150), got {first}"
+        ]
+        return
+    name, read = INTERVAL_READERS[reader]
+    matrix, _graph = cli.load_data_dir(data)
+    with pytest.raises(
+        DataError, match=rf"^{name} must lie in \[0, 150\), got {first}$"
+    ):
+        read(matrix, np.array(times) if np.ndim(times) else times)
 
 
 FLOAT_TRAIN_FIELDS = ("prox_weight", "dur_weight", "softmax_weight",

@@ -48,7 +48,6 @@ TESTS_ONLY = (
     "ingest.OccupancyMatrix.equals",
     "ingest.SpatialGraph.all_hop_distances",
     "ingest._records",
-    "model.rank_candidates",
     "tensor.backward",
     "tensor.masked_fill",
     "tensor.masked_fill.<locals>.bw",

@@ -83,7 +83,8 @@ class TestContractPath:
 
     def test_reference_time_out_of_range(self):
         table = esgraph.RunTable(np.array([[0, 1]], dtype=bool))
-        with pytest.raises(DataError):
+        message = r"^time must lie in \[0, 2\), got 2$"
+        with pytest.raises(DataError, match=message):
             table.window_at(2, alpha=2)
 
     @given(st.lists(st.booleans(), min_size=1, max_size=120))
@@ -354,9 +355,12 @@ class TestRunTable:
     )
     def test_reference_time_out_of_range(self, times):
         table = esgraph.RunTable(np.array([[0, 0, 1, 1, 1, 0]], dtype=bool))
-        with pytest.raises(DataError, match="out of range"):
+        flat = np.ravel(times)
+        first = flat[(flat < 0) | (flat >= 6)][0]
+        message = rf"^time must lie in \[0, 6\), got {first}$"
+        with pytest.raises(DataError, match=message):
             table.remaining_run_lengths(np.array(times))
-        with pytest.raises(DataError, match="out of range"):
+        with pytest.raises(DataError, match=message):
             table.window_at(np.array(times), alpha=2)
 
     def test_runs_in_prefix_monotone(self):

@@ -110,9 +110,10 @@ class TestNdcg:
         # against one [query, candidate] hop table
         batch = rng.integers(0, 3, (4, 10, 10)) / 2.0
         table = rng.integers(0, 4, (10, 10))
-        for s, h in ((scores, hops), (batch, table)):
-            base = model.rank_candidates(s, h)
-            shifted = model.rank_candidates(3.0 * s + 7.0, h)
+        for s, h, rank in ((scores, hops, model.rank_candidates),
+                           (batch, table, dense_oracle.rank_rows)):
+            base = rank(s, h)
+            shifted = rank(3.0 * s + 7.0, h)
             assert np.array_equal(base, shifted)
         for b in range(4):
             for q in range(10):
@@ -396,7 +397,7 @@ TIED_SCORES = st.sampled_from(
 
 class TestSharedScoreRanking:
     """dense_oracle.rank_by_vertex_score, the whole-row oracle of the
-    baselines' rankings, against model.rank_candidates over the score row
+    baselines' rankings, against dense_oracle.rank_rows over the score row
     broadcast to every query, byte for byte."""
 
     @settings(max_examples=200, deadline=None)
@@ -418,7 +419,7 @@ class TestSharedScoreRanking:
             label="hops",
         )
         rows = np.broadcast_to(scores[:, np.newaxis, :], (snapshots, n, n))
-        want = model.rank_candidates(rows, hops)
+        want = dense_oracle.rank_rows(rows, hops)
         got = dense_oracle.rank_by_vertex_score(scores, hops)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
@@ -449,7 +450,7 @@ def hood_graphs(draw):
 
 class TestEdgeListPack:
     """rank_pair_scores and rank_vertex_scores packed by pack_pairs against
-    the dense oracle, model.rank_candidates of whole rows packed by
+    the dense oracle, dense_oracle.rank_rows of whole rows packed by
     evaluate._concat, byte for byte, on scores with ties, -0.0 against
     +0.0, negatives, infinities and NaN."""
 
@@ -480,7 +481,7 @@ class TestEdgeListPack:
             times,
         )
         want = dense_pack(
-            graph, times, model.rank_candidates(rows, hops), dense_labels
+            graph, times, dense_oracle.rank_rows(rows, hops), dense_labels
         )
         dense_oracle.assert_same_pack(got, want)
         assert got.vertex.shape[1] == max(1, np.bincount(src).max())
@@ -766,7 +767,7 @@ def random_batch(seed, queries=200, width=8, largest=8, intervals=40):
     inside, every fifth row all zero."""
     rng = np.random.default_rng(seed)
     scores = rng.integers(0, 3, (queries, width)) / 2.0
-    ranking = model.rank_candidates(scores, rng.integers(0, 3, (queries, width)))
+    ranking = dense_oracle.rank_rows(scores, rng.integers(0, 3, (queries, width)))
     sizes = rng.integers(1, largest + 1, queries)
     sizes[0] = largest
     hood = np.zeros((queries, width), dtype=bool)

@@ -240,6 +240,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown training fields"):
             train.TrainConfig.from_manifest({"alpha": 2, "bogus": 1})
 
+    def test_missing_manifest_field_rejected(self):
+        # a default in place of a lost setting once loaded without a word
+        manifest = train.TrainConfig(horizon_intervals=2).to_manifest()
+        del manifest["horizon_intervals"], manifest["prox_weight"]
+        with pytest.raises(
+            ConfigError,
+            match=r"^missing training fields: "
+            r"\['horizon_intervals', 'prox_weight'\]$",
+        ):
+            train.TrainConfig.from_manifest(manifest)
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             train.TrainConfig(horizon_intervals=0)
@@ -370,7 +381,7 @@ class TestTrainLoop:
     @pytest.mark.parametrize("activation", ["relu", "softmax"])
     def test_split_results_match_dense_oracle(self, activation, threshold):
         # the pack of the edge-list ranking against the pack of whole rows
-        # ranked by model.rank_candidates, on briefly trained weights; at
+        # ranked by dense_oracle.rank_rows, on briefly trained weights; at
         # 85 m neighborhoods hold up to 9 candidates
         locations, matrix = ingest.synth_generate(ingest.SynthConfig(
             num_locations=12, num_intervals=200, rng_seed=5
