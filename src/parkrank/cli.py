@@ -294,7 +294,7 @@ def cmd_recommend(args, opts) -> int:
     return 0
 
 
-BENCH_SPEC = {"alpha": (int64, 6), "points": (int64, 12)}
+BENCH_SPEC = {"alpha": (int64, train.TrainConfig.alpha), "points": (int64, 12)}
 
 
 def cmd_bench(args, opts) -> int:

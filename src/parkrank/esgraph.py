@@ -15,6 +15,7 @@ events per vertex instead of scanning raw cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,24 +24,17 @@ from .errors import ConfigError, DataError
 from .ingest import OccupancyMatrix, check_times
 
 
-@dataclass(frozen=True)
-class EventWindow:
+class EventWindow(NamedTuple):
     """Newest events per vertex as signed durations, vacant positive.
 
-    ``signed_durations[..., i, :]`` lists up to ``alpha`` completed events
-    of vertex i oldest first, zero-padded on the oldest side;
-    ``current_signed_duration[..., i]`` is the signed age of the ongoing
-    run; leading axes follow the reference times.
+    ``signed_durations[..., i, :]`` lists vertex i's newest completed
+    events, alpha of them on the last axis, oldest first and zero-padded
+    on the oldest side; ``current_signed_duration[..., i]`` is the signed
+    age of the ongoing run; leading axes follow the reference times.
     """
 
     signed_durations: np.ndarray
     current_signed_duration: np.ndarray
-    alpha: int
-
-    def __post_init__(self):
-        current = self.current_signed_duration
-        if self.signed_durations.shape != current.shape + (self.alpha,):
-            raise DataError("window shape does not match alpha")
 
 
 @dataclass(frozen=True)
@@ -68,10 +62,10 @@ class RunTable:
     """Run decomposition of a whole occupancy matrix, for fast windowing.
 
     Wraps the padded run arrays from the kernel layer and serves event
-    windows, prefix run counts and remaining-run queries without rescanning
-    raw cells. A reference time is an int or an int array; an array adds
-    its shape in front of each answer. Every reference time passes
-    ``ingest.check_times``, so one outside the matrix raises its DataError.
+    windows and remaining-run queries without rescanning raw cells. A
+    reference time is an int or an int array; an array adds its shape in
+    front of each answer. Every reference time passes
+    ``ingest.check_times``, which rejects any other with a DataError.
     """
 
     def __init__(self, states: np.ndarray):
@@ -94,16 +88,6 @@ class RunTable:
     def num_intervals(self) -> int:
         return self.states.shape[1]
 
-    @property
-    def total_runs(self) -> int:
-        return int(self.counts.sum())
-
-    def runs_in_prefix(self, prefix_len: int) -> int:
-        """Total maximal runs over all rows restricted to the first
-        prefix_len columns."""
-        _, run = self._current_run(prefix_len - 1)
-        return int((run + 1).sum())
-
     def _current_run(self, reference_time):
         """(row, run) index of the run holding each row's reference time."""
         t = check_times(reference_time, self.num_intervals)
@@ -118,18 +102,13 @@ class RunTable:
             self._preceding[alpha] = kernels.preceding_runs(
                 self.lengths, self.run_states, alpha
             )
-        signed, current = kernels.extract_windows(
+        return EventWindow(*kernels.extract_windows(
             self._preceding[alpha],
             self.starts,
             self.run_states,
             self.run_of,
             reference_time,
-        )
-        return EventWindow(
-            signed_durations=signed,
-            current_signed_duration=current,
-            alpha=alpha,
-        )
+        ))
 
     def remaining_run_lengths(self, reference_time) -> np.ndarray:
         """Intervals from reference_time to the end of each row's current
@@ -148,7 +127,7 @@ def bench_complexity(matrix: OccupancyMatrix, alpha: int) -> ComplexityReport:
     table = RunTable(matrix.states)
     m = matrix.num_locations
     n = matrix.num_intervals
-    nodes = table.total_runs
+    nodes = int(table.counts.sum())
     edges = int((table.counts - 1).sum())
 
     # task 2: the cell grid must span the same events it reads: the newest
@@ -170,9 +149,10 @@ def bench_complexity(matrix: OccupancyMatrix, alpha: int) -> ComplexityReport:
 
 
 def complexity_curve(
-    matrix: OccupancyMatrix, num_points: int = 12
+    matrix: OccupancyMatrix, num_points: int
 ) -> list[tuple[int, int, int]]:
-    """(prefix_len, cell_count, event_node_count) at growing history sizes."""
+    """(prefix_len, cell_count, event_node_count) at growing history sizes;
+    a prefix's node count is the runs up to the one holding its last cell."""
     if num_points < 1:
         raise ConfigError("num_points must be at least 1")
     table = RunTable(matrix.states)
@@ -180,7 +160,6 @@ def complexity_curve(
     lens = np.unique(
         np.geomspace(1, n, num=min(num_points, n)).round().astype(int)
     )
-    return [
-        (p, matrix.num_locations * p, table.runs_in_prefix(p))
-        for p in lens.tolist()
-    ]
+    _, run = table._current_run(lens - 1)
+    cells = (matrix.num_locations * lens).tolist()
+    return list(zip(lens.tolist(), cells, (run + 1).sum(-1).tolist()))

@@ -58,8 +58,6 @@ DEFAULT_MAX_WAIT = 24
 RANK_NS = (1, 5)
 WAIT_NS = (1, 2, 3, 4, 5)
 
-BASELINE_NAMES = ("persistence", "historical_mean")
-
 
 @dataclass(frozen=True)
 class Candidates:
@@ -498,6 +496,7 @@ _PREDICTORS: dict[str, Callable] = {
     "persistence": persistence_scores,
     "historical_mean": historical_mean_scores,
 }
+BASELINE_NAMES = tuple(_PREDICTORS)
 
 
 def baseline_predict_then_recommend(
@@ -505,7 +504,7 @@ def baseline_predict_then_recommend(
     spatial: SpatialGraph,
     t: int | np.ndarray,
     predictor: str,
-    train_end: int | None = None,
+    train_end: int,
 ):
     """Per-query candidate rankings from a per-vertex availability score.
 
@@ -521,8 +520,6 @@ def baseline_predict_then_recommend(
             f"unknown predictor {predictor!r}; expected one of "
             f"{BASELINE_NAMES}"
         )
-    if predictor == "historical_mean" and train_end is None:
-        raise ConfigError("historical_mean needs the training range")
     scores = _PREDICTORS[predictor](matrix, t, train_end)
     return rank_vertex_scores(spatial, np.atleast_2d(scores))
 
@@ -585,10 +582,11 @@ def empty_report(model: str, scenario: str) -> MetricsReport:
     return MetricsReport(model, scenario, 0, {}, {}, {}, 0.0, {})
 
 
-def _reports(batch, matrix, model_name, masks, rank_ns, wait_ns, max_wait):
-    """One report per named [Q] mask of one pack; per-query values are
-    computed once, and so is the report of every mask that selects all Q."""
-    graded = rank_metrics(batch, rank_ns)
+def _reports(batch, matrix, model_name, masks, max_wait):
+    """One report per named [Q] mask of one pack at the RANK_NS and
+    WAIT_NS list sizes; per-query values are computed once, and so is the
+    report of every mask that selects all Q."""
+    graded = rank_metrics(batch, RANK_NS)
     best = _best_waits(batch, matrix, max_wait)
     out = {}
     whole = None
@@ -600,7 +598,7 @@ def _reports(batch, matrix, model_name, masks, rank_ns, wait_ns, max_wait):
             out[name] = replace(whole, scenario=name)
             continue
         sliced = best[mask]
-        waits = {n: _wait_scores(sliced, n) for n in wait_ns}
+        waits = {n: _wait_scores(sliced, n) for n in WAIT_NS}
         out[name] = MetricsReport(
             model=model_name,
             scenario=name,
@@ -608,7 +606,7 @@ def _reports(batch, matrix, model_name, masks, rank_ns, wait_ns, max_wait):
             ndcg={n: _mean_std(v[mask]) for n, v in graded["ndcg"].items()},
             mean_ap={n: _mean_std(v[mask]) for n, v in graded["map"].items()},
             awtp={n: w[0] for n, w in waits.items()},
-            iawtp=waits[wait_ns[-1]][1] if wait_ns else 0.0,
+            iawtp=waits[WAIT_NS[-1]][1],
             rnwtr={n: w[2] for n, w in waits.items()},
         )
         if mask.all():
@@ -663,9 +661,7 @@ def slice_scenarios(
     batch = _concat(results)
     masks = {"all": np.ones(len(batch), dtype=bool)}
     masks.update(scenario_masks(matrix, batch.query_time))
-    return _reports(
-        batch, matrix, model_name, masks, RANK_NS, WAIT_NS, max_wait
-    )
+    return _reports(batch, matrix, model_name, masks, max_wait)
 
 
 METRICS_CSV_COLUMNS = (

@@ -120,10 +120,12 @@ class OccupancyMatrix:
 
 def check_times(times, num_intervals: int, name: str = "time") -> np.ndarray:
     """times as an array, each an interval of an [n, num_intervals]
-    matrix; else a DataError names the first entry outside. This is the
-    one interval check: the run table, both baselines, the waiting-time
-    metric and recommend read their times through it."""
+    matrix; else a DataError names the first entry of a non-integer dtype
+    (bool too) or the first entry outside. The run table, both baselines,
+    the waiting-time metric and recommend read their times through it."""
     t = np.asarray(times)
+    if t.size and t.dtype.kind not in "iu":
+        raise DataError(f"{name} must be an integer, got {t.ravel()[0]}")
     if t.min(initial=0) < 0 or t.max(initial=0) >= num_intervals:
         raise DataError(
             f"{name} must lie in [0, {num_intervals}), got "
@@ -224,6 +226,9 @@ class SpatialGraph:
 
     def hop_distances(self, source: int) -> np.ndarray:
         """BFS hop counts from source; unreachable vertices get n + 1."""
+        n = self.num_vertices
+        if not 0 <= source < n:
+            raise DataError(f"vertex must lie in [0, {n}), got {source}")
         return self._hops[source]
 
     def all_hop_distances(self) -> np.ndarray:
@@ -438,22 +443,35 @@ def _matrix_from_observations(
     )
 
 
+def _parse_records(rows, columns, state_of, interval_minutes):
+    """The record loop of both layouts: columns[0] holds the id, and
+    state_of(record, line) reads the state once the id and time pass."""
+    observations: dict[str, list[tuple[datetime, bool]]] = {}
+    for line, rec in _records(rows, columns):
+        key = rec[columns[0]].strip()
+        if not key:
+            raise ParseError(f"empty {columns[0]}", line=line)
+        ts = _parse_timestamp(rec["timestamp"], line)
+        observations.setdefault(key, []).append((ts, state_of(rec, line)))
+    return _matrix_from_observations(observations, interval_minutes)
+
+
+def _space_state(rec, line) -> bool:
+    state_text = rec["state"].strip()
+    if state_text not in ("0", "1"):
+        raise ParseError(f"invalid state {state_text!r}", line=line)
+    return state_text == "1"
+
+
 def parse_space_records(
     rows,
     interval_minutes: int = DEFAULT_INTERVAL_MINUTES,
 ) -> OccupancyMatrix:
     """Parse per-space CSV records: meter_id, timestamp, state(0/1)."""
-    observations: dict[str, list[tuple[datetime, bool]]] = {}
-    for line, rec in _records(rows, ("meter_id", "timestamp", "state")):
-        meter = rec["meter_id"].strip()
-        if not meter:
-            raise ParseError("empty meter_id", line=line)
-        ts = _parse_timestamp(rec["timestamp"], line)
-        state_text = rec["state"].strip()
-        if state_text not in ("0", "1"):
-            raise ParseError(f"invalid state {state_text!r}", line=line)
-        observations.setdefault(meter, []).append((ts, state_text == "1"))
-    return _matrix_from_observations(observations, interval_minutes)
+    return _parse_records(
+        rows, ("meter_id", "timestamp", "state"), _space_state,
+        interval_minutes,
+    )
 
 
 def parse_street_records(
@@ -469,14 +487,8 @@ def parse_street_records(
         raise ConfigError(
             f"full_loaded_ratio must lie in [0, 1], got {full_loaded_ratio!r}"
         )
-    observations: dict[str, list[tuple[datetime, bool]]] = {}
-    for line, rec in _records(
-        rows, ("street_id", "timestamp", "occupied_count", "capacity")
-    ):
-        street = rec["street_id"].strip()
-        if not street:
-            raise ParseError("empty street_id", line=line)
-        ts = _parse_timestamp(rec["timestamp"], line)
+
+    def street_state(rec, line) -> bool:
         # ASCII digits and a sign: int() also takes "1_0" and "\u0661"
         counts = [rec[k].strip() for k in ("occupied_count", "capacity")]
         digits = [c.removeprefix("-") for c in counts]
@@ -492,9 +504,12 @@ def parse_street_records(
                 f"occupied_count must be non-negative, got {occupied}",
                 line=line,
             )
-        state = occupied / capacity > full_loaded_ratio
-        observations.setdefault(street, []).append((ts, state))
-    return _matrix_from_observations(observations, interval_minutes)
+        return occupied / capacity > full_loaded_ratio
+
+    return _parse_records(
+        rows, ("street_id", "timestamp", "occupied_count", "capacity"),
+        street_state, interval_minutes,
+    )
 
 
 # ---------------------------------------------------------------------------

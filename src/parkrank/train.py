@@ -128,7 +128,6 @@ class Dataset:
     times: np.ndarray
     windows: np.ndarray
     current_signed: np.ndarray
-    states_now: np.ndarray
     vacant_future: np.ndarray
     remaining_future: np.ndarray
     horizon: int
@@ -168,7 +167,6 @@ def build_dataset(
     table = RunTable(states)
     window = table.window_at(times, cfg.alpha)
     remaining = table.remaining_run_lengths(times + cfg.horizon_intervals)
-    states_now = states[:, times].T.copy()
     vacant_future = ~states[:, times + cfg.horizon_intervals].T
 
     n_train, n_val, _ = split_sizes(len(times))
@@ -179,7 +177,6 @@ def build_dataset(
         times=times,
         windows=window.signed_durations,
         current_signed=window.current_signed_duration,
-        states_now=states_now,
         vacant_future=vacant_future,
         remaining_future=remaining,
         horizon=cfg.horizon_intervals,
@@ -251,8 +248,8 @@ def training_loss(
     labels,
     scores,
     params: model.ModelParams,
-    softmax_weight: float = 0.0,
-    l2_coeff: float = 0.0,
+    softmax_weight: float,
+    l2_coeff: float,
 ) -> T.Tensor:
     """Squared error plus weighted listwise NLL and L2 penalty over the
     per-pair labels and scores ([batch, pairs]) of params.pairs."""
@@ -277,11 +274,9 @@ def _label_args(dataset: Dataset, idx, cfg: TrainConfig):
 
 
 def _inputs(dataset: Dataset, idx):
-    return (
-        dataset.windows[idx],
-        dataset.current_signed[idx],
-        dataset.states_now[idx],
-    )
+    # the current run's signed age is negative while occupied
+    current = dataset.current_signed[idx]
+    return dataset.windows[idx], current, current < 0
 
 
 def _candidates(dataset: Dataset, spatial: SpatialGraph, idx, cfg, ranked):

@@ -54,7 +54,7 @@ def test_criterion_1_contraction_oracle():
         runs = np.append(signed[signed != 0], window.current_signed_duration)
         groups = [(k, len(list(g))) for k, g in itertools.groupby(seq)]
         assert [(v < 0, int(abs(v))) for v in runs] == groups
-        assert table.runs_in_prefix(length) == len(groups)
+        assert table.counts[0] == len(groups)
         mid = length // 2
         left = [d - i for _, d in groups for i in range(d)]
         assert table.remaining_run_lengths(mid)[0] == left[mid]
@@ -286,7 +286,7 @@ def test_criterion_6_loss_sanity():
     )
     params = model.ModelParams(cfg, graph, rng)
     y = rng.random((3, len(params.pairs.src)))
-    zero = train.training_loss(y, y.copy(), params).item()
+    zero = train.training_loss(y, y.copy(), params, 0.0, 0.0).item()
     assert zero == 0.0
     closed = train.listwise_nll(
         [1.0, 0.0], [10.0, -10.0], T.Pairs(np.arange(2), (1, 2))

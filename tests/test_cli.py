@@ -1094,6 +1094,32 @@ def test_interval_outside_matrix_one_message(
         read(matrix, np.array(times) if np.ndim(times) else times)
 
 
+@pytest.mark.parametrize(
+    "times, shown",
+    [(2.5, "2.5"), (np.array([1.0, 2.0]), "1.0"), (True, "True"),
+     (np.array([False, True]), "False")],
+    ids=["float", "float-array", "bool", "bool-array"],
+)
+@pytest.mark.parametrize(
+    "reader", [r for r in INTERVAL_READERS if r != "awtp_rnwtr"]
+)
+def test_non_integer_interval_rejected(pristine_tree, reader, times, shown):
+    # these raised numpy's IndexError, or read True as time 1 and answered
+    # with an extra leading axis
+    name, read = INTERVAL_READERS[reader]
+    matrix, _graph = cli.load_data_dir(pristine_tree / "data")
+    with pytest.raises(
+        DataError, match=rf"^{name} must be an integer, got {shown}$"
+    ):
+        read(matrix, times)
+
+
+def test_empty_times_of_any_dtype_pass():
+    for dtype in (np.float64, np.bool_, np.int64):
+        times = ingest.check_times(np.array([], dtype=dtype), 150)
+        assert times.size == 0
+
+
 FLOAT_TRAIN_FIELDS = ("prox_weight", "dur_weight", "softmax_weight",
                       "l2_coeff", "dropout_rate", "learning_rate")
 

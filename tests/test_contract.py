@@ -8,14 +8,17 @@ with ``python3 tests/contract_digests.py > tests/contract_digests.json``
 and names each changed key and why.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
 import contract_digests
+import parkrank
 import production_lines
 from parkrank import cli
 
 RECORDED = Path(__file__).with_name("contract_digests.json")
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def test_outputs_keep_recorded_digests(tmp_path):
@@ -60,3 +63,15 @@ TESTS_ONLY = (
 
 def test_tests_only_functions_stay_listed():
     assert sorted(production_lines.unrun_lines(cli)) == list(TESTS_ONLY)
+
+
+def test_benchmark_trace_targets_resolve():
+    # the benchmark's tracer looks up every name of its TARGETS at the
+    # start of each run, so deleting or renaming one breaks every workload
+    spec = importlib.util.spec_from_file_location("tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    found = tracer.snapshot(parkrank)
+    want = [tracer.span_name(*target) for target in tracer.TARGETS]
+    assert sorted(found) == sorted(want)
+    assert all(callable(obj) for obj in found.values())

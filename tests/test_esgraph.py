@@ -118,7 +118,7 @@ class TestContractPath:
         table = esgraph.RunTable(np.array([bits], dtype=bool))
         window = table.window_at(len(bits) - 1, alpha=len(bits))
         num_events = int(np.count_nonzero(window.signed_durations))
-        assert table.runs_in_prefix(len(bits)) == num_events + 1
+        assert table.counts[0] == num_events + 1
         assert num_events + 1 <= len(bits)
         covered = np.abs(window.signed_durations).sum() + abs(
             window.current_signed_duration[0]
@@ -363,13 +363,6 @@ class TestRunTable:
         with pytest.raises(DataError, match=message):
             table.window_at(np.array(times), alpha=2)
 
-    def test_runs_in_prefix_monotone(self):
-        states = small_matrix(seed=7, rows=5, cols=60)
-        table = esgraph.RunTable(states)
-        counts = [table.runs_in_prefix(p) for p in range(1, 61)]
-        assert all(b >= a for a, b in zip(counts, counts[1:]))
-        assert counts[-1] == table.total_runs
-
 
 class TestBenchComplexity:
     def test_alternating_matrix_hits_cell_bound(self):
@@ -444,9 +437,26 @@ class TestBenchComplexity:
         report = esgraph.bench_complexity(matrix_of(states), alpha=2)
         assert esgraph.ComplexityReport(**payload) == report
 
+    def test_curve_counts_runs_of_every_prefix(self):
+        for seed in (7, 8, 9):
+            states = small_matrix(seed=seed, rows=5, cols=60)
+            # 60 points over 60 intervals: every prefix length the rounded
+            # geometric spacing reaches, 1 and 60 among them
+            curve = esgraph.complexity_curve(matrix_of(states), 60)
+            assert curve[0][0] == 1 and curve[-1][0] == 60
+            counts = [nodes for _, _, nodes in curve]
+            assert all(b >= a for a, b in zip(counts, counts[1:]))
+            for p, cells, nodes in curve:
+                assert cells == 5 * p
+                want = sum(len(rle_oracle(row[:p])) for row in states)
+                assert nodes == want
+            runs = esgraph.RunTable(states).counts
+            assert runs.tolist() == [len(rle_oracle(row)) for row in states]
+            assert counts[-1] == runs.sum()
+
     def test_curve_monotone_and_bounded(self):
         states = small_matrix(seed=12, rows=6, cols=400)
-        curve = esgraph.complexity_curve(matrix_of(states))
+        curve = esgraph.complexity_curve(matrix_of(states), 12)
         es_counts = [es for _, _, es in curve]
         assert all(b >= a for a, b in zip(es_counts, es_counts[1:]))
         assert all(es <= st_ for _, st_, es in curve)

@@ -368,17 +368,6 @@ class TestBaselines:
             got = evaluate.historical_mean_scores(mat, t, train_end)
             assert got.tobytes() == want.tobytes()
 
-    def test_historical_mean_needs_train_end(self):
-        mat = matrix_of(np.zeros((2, 10), dtype=bool))
-        locs = ingest.synth_locations(
-            ingest.SynthConfig(num_locations=2, num_intervals=1)
-        )
-        graph = ingest.build_adjacency(locs)
-        with pytest.raises(ConfigError, match="training range"):
-            evaluate.baseline_predict_then_recommend(
-                mat, graph, 0, "historical_mean"
-            )
-
     def test_unknown_predictor_rejected(self):
         mat = matrix_of(np.zeros((2, 10), dtype=bool))
         locs = ingest.synth_locations(
@@ -386,7 +375,7 @@ class TestBaselines:
         )
         graph = ingest.build_adjacency(locs)
         with pytest.raises(ConfigError, match="unknown predictor"):
-            evaluate.baseline_predict_then_recommend(mat, graph, 0, "magic")
+            evaluate.baseline_predict_then_recommend(mat, graph, 0, "magic", 10)
 
 
 # few distinct values, so rows tie often, -0.0 against +0.0, and NaN
@@ -737,8 +726,7 @@ class TestSummarize:
         batch, mat = random_batch(7, intervals=40)
         every = {"workday": np.ones(len(batch), dtype=bool)}
         alone = evaluate._reports(
-            evaluate._concat([batch]), mat, "m", every,
-            evaluate.RANK_NS, evaluate.WAIT_NS, 20,
+            evaluate._concat([batch]), mat, "m", every, 20
         )["workday"]
         calls = []
         for name in ("_mean_std", "_wait_scores"):
@@ -823,7 +811,9 @@ class TestNeighborhoodPack:
     @pytest.mark.parametrize("max_wait", [1, 3])
     @SHAPES
     @pytest.mark.parametrize("seed", [2, 3])
-    def test_reports_match_dense(self, seed, width, largest, max_wait):
+    def test_reports_match_dense(
+        self, monkeypatch, seed, width, largest, max_wait
+    ):
         batch, mat = random_batch(seed, width=width, largest=largest)
         rng = np.random.default_rng(seed)
         masks = {
@@ -831,10 +821,15 @@ class TestNeighborhoodPack:
             "some": rng.random(len(batch)) < 0.3,
             "none": np.zeros(len(batch), dtype=bool),
         }
-        args = (batch, mat, "m", masks, self.LIST_SIZES, (1, 2, 5, 8, 12),
-                max_wait)
-        got = evaluate._reports(evaluate._concat([batch]), *args[1:])
-        want = baseline_oracle.reports(*args)
+        wait_ns = (1, 2, 5, 8, 12)
+        monkeypatch.setattr(evaluate, "RANK_NS", self.LIST_SIZES)
+        monkeypatch.setattr(evaluate, "WAIT_NS", wait_ns)
+        got = evaluate._reports(
+            evaluate._concat([batch]), mat, "m", masks, max_wait
+        )
+        want = baseline_oracle.reports(
+            batch, mat, "m", masks, self.LIST_SIZES, wait_ns, max_wait
+        )
         assert evaluate.reports_to_json({"m": got}) == evaluate.reports_to_json(
             {"m": want}
         )

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import dense_oracle
 from dense_oracle import adjacency
-from parkrank import ingest
+from parkrank import ingest, model
 from parkrank.errors import (
     ConfigError,
     DataError,
@@ -87,6 +87,21 @@ class TestBuildAdjacency:
         graph = ingest.build_adjacency(locs, 35.0)
         hops = graph.hop_distances(0)
         assert hops.tolist() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("source", [-1, 2, 7])
+    def test_vertex_outside_graph_rejected(self, source):
+        # an index of -1 once read the last vertex's hops, and 2 raised
+        # numpy's IndexError
+        locs = [
+            ingest.MeterLocation("a", 22.28, 114.16),
+            ingest.MeterLocation("b", 22.28, 114.1603),
+        ]
+        graph = ingest.build_adjacency(locs, 50.0)
+        message = rf"^vertex must lie in \[0, 2\), got {source}$"
+        with pytest.raises(DataError, match=message):
+            graph.hop_distances(source)
+        with pytest.raises(DataError, match=message):
+            model.recommend_top_n(np.zeros(2), source, graph, 2)
 
     def test_unreachable_sentinel(self):
         locs = [
@@ -407,6 +422,31 @@ class TestParseSpaceRecords:
     def test_missing_column_named(self):
         with pytest.raises(ParseError, match="state"):
             ingest.parse_space_records(["meter_id,timestamp", "m1,2022-01-01"])
+
+    @pytest.mark.parametrize(
+        "layout, record, message",
+        [
+            ("space", ",not-a-time,2", "empty meter_id"),
+            ("space", "m1,not-a-time,2", "invalid timestamp"),
+            ("space", "m1,2022-01-01T00:00,2", "invalid state '2'"),
+            ("street", ",not-a-time,x,0", "empty street_id"),
+            ("street", "s1,not-a-time,x,0", "invalid timestamp"),
+            ("street", "s1,2022-01-01T00:00,x,0", "counts must be integers"),
+            ("street", "s1,2022-01-01T00:00,1,0", "capacity must be positive"),
+        ],
+    )
+    def test_checks_run_id_then_timestamp_then_state(
+        self, layout, record, message
+    ):
+        # both layouts share one record loop: each bad line reports the
+        # first of its faults in this order
+        header = {
+            "space": "meter_id,timestamp,state",
+            "street": "street_id,timestamp,occupied_count,capacity",
+        }[layout]
+        parse = getattr(ingest, f"parse_{layout}_records")
+        with pytest.raises(ParseError, match=f"line 2: {message}"):
+            parse([header, record])
 
     def test_empty_input(self):
         with pytest.raises(EmptyDatasetError):

@@ -301,7 +301,8 @@ class TestDataset:
         i = 10
         t = int(ds.times[i])
         assert np.array_equal(ds.vacant_future[i], ~matrix.states[:, t + 4])
-        assert np.array_equal(ds.states_now[i], matrix.states[:, t])
+        # the signed age of the current run is negative while occupied
+        assert np.array_equal(ds.current_signed[i] < 0, matrix.states[:, t])
 
     def test_too_short_rejected(self):
         matrix, _ = small_world(intervals=6)
@@ -543,7 +544,7 @@ class TestTrainLoop:
         i = ds.test_idx[:1]
         model.forward_scores(
             result.params, ds.windows[i], ds.current_signed[i],
-            ds.states_now[i],
+            ds.current_signed[i] < 0,
         )
         assert builds["with params"] > 0
         assert builds["elsewhere"] == 0
