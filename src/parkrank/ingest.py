@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import logging
 import math
@@ -122,7 +123,8 @@ def check_times(times, num_intervals: int, name: str = "time") -> np.ndarray:
     """times as an array, each an interval of an [n, num_intervals]
     matrix; else a DataError names the first entry of a non-integer dtype
     (bool too) or the first entry outside. The run table, both baselines,
-    the waiting-time metric and recommend read their times through it."""
+    the waiting-time metric and recommend read their times through it, and
+    SpatialGraph.hop_distances its vertex."""
     t = np.asarray(times)
     if t.size and t.dtype.kind not in "iu":
         raise DataError(f"{name} must be an integer, got {t.ravel()[0]}")
@@ -226,9 +228,7 @@ class SpatialGraph:
 
     def hop_distances(self, source: int) -> np.ndarray:
         """BFS hop counts from source; unreachable vertices get n + 1."""
-        n = self.num_vertices
-        if not 0 <= source < n:
-            raise DataError(f"vertex must lie in [0, {n}), got {source}")
+        check_times(source, self.num_vertices, "vertex")
         return self._hops[source]
 
     def all_hop_distances(self) -> np.ndarray:
@@ -275,41 +275,15 @@ def haversine_distance(a: MeterLocation, b: MeterLocation) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
 
 
-# Adjacency cells are CELL_SLACK times wider than the distance bounds need,
-# plus CELL_MIN_RAD, both far above the rounding in the cell arithmetic and
-# in haversine_distance, so no pair the scalar distance keeps is dropped.
+# The adjacency cubes are CELL_SLACK times wider than the chord bound needs,
+# plus CELL_MIN_RAD, both far above the rounding in the unit vectors and in
+# haversine_distance, so no pair the scalar distance keeps is dropped.
 CELL_SLACK = 1.01
 CELL_MIN_RAD = 1e-12
 
-
-def _cell_pairs(here, near, lat, lon, reach):
-    """Index pairs (lower, higher) that join a latitude band's locations
-    ``here`` to ``near`` (the same locations, then those of the next band)
-    in the same or an adjacent longitude column; each pair comes once.
-
-    Columns are at least reach * pi / (2 c) radians wide, c the least
-    cos(lat) over ``near``: d >= (2 / pi) * R * c * |dlon|, so no pair
-    closer than R * reach lies two columns apart. Columns wrap at +-180
-    degrees; where fewer than three fit, near a pole, all share one.
-    """
-    top = math.radians(np.abs(lat[near]).max())
-    count = int(4.0 * max(math.cos(top) - CELL_MIN_RAD, 0.0) / reach)
-    count = count if count >= 3 else 1
-    col = np.floor(np.radians(lon[near] + 180.0) * (count / (2.0 * math.pi)))
-    col = col.astype(np.int64) % count
-    pos = np.argsort(col, kind="stable")
-    steps = (-1, 0, 1) if count > 1 else (0,)
-    want = (col[: len(here)][:, np.newaxis] + steps) % count
-    lo = np.searchsorted(col[pos], want, "left").ravel()
-    size = np.searchsorted(col[pos], want, "right").ravel() - lo
-    first = np.repeat(lo - np.cumsum(size) + size, size)
-    at = pos[np.arange(size.sum()) + first]
-    i = np.repeat(np.repeat(here, len(steps)), size)
-    j = near[at]
-    # a pair inside the band is found from both ends; keep one
-    keep = (i < j) | (at >= len(here))
-    i, j = i[keep], j[keep]
-    return np.minimum(i, j), np.maximum(i, j)
+# the 13 of a cube's 26 neighbours that come after it, so each pair of
+# cubes is visited once
+FORWARD = [d for d in itertools.product((-1, 0, 1), repeat=3) if d > (0, 0, 0)]
 
 
 def build_adjacency(
@@ -317,11 +291,13 @@ def build_adjacency(
 ) -> SpatialGraph:
     """Connect every pair of locations closer than threshold_m meters.
 
-    Only pairs in the same or adjacent cells are measured. Latitude bands
-    are reach = threshold_m / EARTH_RADIUS_M radians high, since d >= R *
-    |dlat|, and _cell_pairs splits each band and the next into longitude
-    columns. haversine_distance measures each such pair, lower index
-    first, as an all-pairs loop would, so the edges are the same.
+    Only pairs in the same or adjacent cubes are measured. Each location
+    maps to its unit vector, in cubes reach = threshold_m / EARTH_RADIUS_M
+    wide: a chord is never longer than its arc, so a pair closer than
+    R * reach differs by less than reach on every axis. This holds at the
+    poles and across +-180 degrees alike. haversine_distance measures each
+    such pair, lower index first, as an all-pairs loop would, so the edges
+    are the same.
     """
     if not 0.0 < threshold_m < math.inf:
         raise ConfigError(
@@ -332,20 +308,24 @@ def build_adjacency(
         if loc.meter_id in seen:
             raise DataError(f"duplicate meter_id {loc.meter_id!r}")
         seen.add(loc.meter_id)
-    lat = np.array([loc.lat for loc in locations], dtype=np.float64)
-    lon = np.array([loc.lon for loc in locations], dtype=np.float64)
+    lat = np.radians([loc.lat for loc in locations]).reshape(-1, 1)
+    lon = np.radians([loc.lon for loc in locations]).reshape(-1, 1)
+    unit = np.hstack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon),
+                      np.sin(lat)])
     reach = threshold_m / EARTH_RADIUS_M * CELL_SLACK + CELL_MIN_RAD
-    band = np.floor(np.radians(lat + 90.0) / reach).astype(np.int64)
-    order = np.argsort(band, kind="stable")
-    bands, starts = np.unique(band[order], return_index=True)
-    groups = np.split(order, starts[1:]) if len(order) else []
+    cubes: dict[tuple[int, ...], list[int]] = {}
+    for i, cube in enumerate(np.floor(unit / reach).astype(np.int64).tolist()):
+        cubes.setdefault(tuple(cube), []).append(i)
     edges = set()
-    for k, here in enumerate(groups):
-        near = here
-        if k + 1 < len(groups) and bands[k + 1] == bands[k] + 1:
-            near = np.concatenate([here, groups[k + 1]])
-        lower, higher = _cell_pairs(here, near, lat, lon, reach)
-        for i, j in zip(lower.tolist(), higher.tolist()):
+    for (x, y, z), here in cubes.items():
+        there = [j for dx, dy, dz in FORWARD
+                 for j in cubes.get((x + dx, y + dy, z + dz), ())]
+        # each pair is tested as it comes: a stored list of pair tuples
+        # wakes the garbage collector, which then costs more than the search
+        for i, j in itertools.chain(itertools.combinations(here, 2),
+                                    itertools.product(here, there)):
+            if i > j:
+                i, j = j, i
             if haversine_distance(locations[i], locations[j]) < threshold_m:
                 edges.add((i, j))
     return SpatialGraph(vertices=tuple(locations), edges=frozenset(edges))

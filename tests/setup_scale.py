@@ -5,7 +5,10 @@ adjacency threshold 50 m), the time of ``synth_generate``, of
 ``build_adjacency``, of ``allowed_mask()`` plus ``all_hop_distances()`` on
 the new graph, and of ``ModelParams`` at the criterion-8 model settings on
 a fresh copy of that graph (so it pays for the candidate mask and pairs as
-a set-up does).
+a set-up does). Then, as "crowded", the time and edge count of
+``build_adjacency`` for 3000 meters 10 m apart at the 50 m threshold
+(about 110k edges), where each adjacency cube holds about 15 meters, as
+dense blocks do.
 
     python3 tests/setup_scale.py > after.json
     python3 tests/setup_scale.py /path/to/other/checkout/src > before.json
@@ -80,6 +83,13 @@ def main() -> None:
     )
     times = {
         n: scale_point(ingest, model, train, n, args.intervals) for n in SIZES
+    }
+    crowded = ingest.synth_locations(ingest.SynthConfig(
+        num_locations=3000, num_intervals=1, grid_spacing_m=10.0
+    ))
+    graph, adjacency_s = timed(ingest.build_adjacency, crowded)
+    times["crowded"] = {
+        "build_adjacency": adjacency_s, "edges": len(graph.edges)
     }
     print(json.dumps(times, indent=1))
 

@@ -103,6 +103,21 @@ class TestBuildAdjacency:
         with pytest.raises(DataError, match=message):
             model.recommend_top_n(np.zeros(2), source, graph, 2)
 
+    @pytest.mark.parametrize("source", [True, 1.5, np.float64(1.0)])
+    def test_non_integer_vertex_rejected(self, source):
+        # True once read the whole hop table with a leading axis of 1, and
+        # 1.5 raised numpy's IndexError
+        locs = [
+            ingest.MeterLocation("a", 22.28, 114.16),
+            ingest.MeterLocation("b", 22.28, 114.1603),
+        ]
+        graph = ingest.build_adjacency(locs, 50.0)
+        message = rf"^vertex must be an integer, got {source}$"
+        with pytest.raises(DataError, match=message):
+            graph.hop_distances(source)
+        with pytest.raises(DataError, match=message):
+            model.recommend_top_n(np.zeros(2), source, graph, 2)
+
     def test_unreachable_sentinel(self):
         locs = [
             ingest.MeterLocation("a", 22.28, 114.16),
@@ -126,16 +141,19 @@ class TestBuildAdjacency:
 
 @st.composite
 def stressed_locations(draw):
-    """(locations, threshold_m): 0-30 locations on the adjacency cells'
-    borders, within one threshold of a pole, across +-180 degrees of
-    longitude, repeating an earlier location, about one threshold from an
-    earlier one, or anywhere; thresholds from 0.5 m to 2e7 m."""
+    """(locations, threshold_m): 0-30 draws, each one location with a
+    unit-vector coordinate on an adjacency cube's face, within one
+    threshold of a pole, across +-180 degrees of longitude, repeating an
+    earlier location, about one threshold from an earlier one, or anywhere;
+    or a crowd of 2-6 (an earlier location repeated, the rest within a
+    fifth of a threshold of it), so most of a crowd shares one cube.
+    Thresholds from 0.5 m to 2e7 m."""
     threshold_m = draw(st.one_of(
         st.sampled_from([0.5, 50.0, 2e7]),
         st.floats(math.log10(0.5), math.log10(2e7)).map(lambda e: 10.0**e),
     ))
-    # the cells' band height in degrees, as build_adjacency sizes it
-    band = math.degrees(
+    # the cubes' side on the unit sphere, as build_adjacency sizes it
+    side = (
         threshold_m / ingest.EARTH_RADIUS_M * ingest.CELL_SLACK
         + ingest.CELL_MIN_RAD
     )
@@ -144,28 +162,42 @@ def stressed_locations(draw):
     points = []
     for _ in range(draw(st.integers(0, 30))):
         kind = draw(st.sampled_from(
-            ["border", "pole", "dateline", "repeat", "near", "any"]
+            ["face", "pole", "dateline", "repeat", "near", "crowd", "any"]
         ))
-        if kind == "border":
-            lat = -90.0 + draw(st.integers(0, int(180.0 / band))) * band
-            # the columns of a band that holds lat alone
-            wide = 4.0 * math.cos(math.radians(lat)) / math.radians(band)
-            cols = max(int(wide), 1)
-            lon = -180.0 + draw(st.integers(0, cols)) * 360.0 / cols
+        if kind == "face":
+            # x, y or z = cos(lat) cos(lon), cos(lat) sin(lon) or sin(lat)
+            # lands on a multiple of the side
+            axis = draw(st.integers(0, 2))
+            c = draw(st.integers(-int(1.0 / side), int(1.0 / side))) * side
+            if axis == 2:
+                lat, lon = math.degrees(math.asin(c)), draw(unit) * 180.0
+            else:
+                lat = draw(unit) * math.degrees(math.acos(abs(c)))
+                r = min(max(c / math.cos(math.radians(lat)), -1.0), 1.0)
+                lon = math.degrees(math.acos(r))  # cos(lon) = r, so x = c
+                # sin(90 - lon) = r, so y = c; a sign flip gives -c
+                lon = math.copysign(90.0 - lon if axis else lon, draw(unit))
         elif kind == "pole":
             lat = math.copysign(90.0 - abs(draw(unit)) * near, draw(unit))
             lon = draw(unit) * 180.0
         elif kind == "dateline":
             lat = draw(unit) * 60.0
             lon = math.copysign(180.0 - abs(draw(unit)) * near, draw(unit))
-        elif kind in ("repeat", "near") and points:
+        elif kind in ("repeat", "near", "crowd") and points:
             lat, lon = points[draw(st.integers(0, len(points) - 1))]
-            if kind == "near":
-                # mostly along one axis, so chains of these cross borders
+            stretch = max(math.cos(math.radians(lat)), 1e-9)
+            if kind == "crowd":
+                for _ in range(draw(st.integers(1, 5))):
+                    points.append((
+                        np.clip(lat + draw(unit) * near / 8.0, -90.0, 90.0),
+                        np.clip(lon + draw(unit) * near / 8.0 / stretch,
+                                -180.0, 180.0),
+                    ))
+            elif kind == "near":
+                # mostly along one axis, so chains of these cross faces
                 dlat, dlon = draw(st.sampled_from(
                     [(unit, st.just(0.0)), (st.just(0.0), unit), (unit, unit)]
                 ))
-                stretch = max(math.cos(math.radians(lat)), 1e-9)
                 lat += draw(dlat) * near
                 lon += draw(dlon) * near / stretch
         else:
