@@ -226,7 +226,7 @@ def load_checkpoint_bundle(checkpoint, graph):
             config = cfg.model_config()
         except ConfigError as exc:
             raise DataError(str(exc)) from None
-        model.check_weights(entries, manifest, config, graph.num_vertices)
+        model.check_weights(entries, manifest, config, graph)
     params = model.ModelParams(config, graph, np.random.default_rng(0))
     params.restore(entries)
     return params, cfg

@@ -192,22 +192,28 @@ class SpatialGraph:
 
     @functools.cached_property
     def _hops(self) -> np.ndarray:
-        # BFS from every source at once: frontier row s holds the vertices
-        # first reached from s at the current depth. Each level is a
-        # grouped OR over the allowed pairs: v is reached from s when some
-        # allowed pair (v, w) has w in s's frontier. Every vertex has its
-        # self pair, so each of the n segments of src is non-empty.
+        # BFS from every source at once over the cells source * n + vertex:
+        # each level expands its cells over their vertex's pair slots (the
+        # padding is the vertex itself, reached at depth 0), and a bool mark
+        # drops repeats and reached cells, so each cell expands once: O(n E)
         n = self.num_vertices
-        src, dst = self._pairs
-        rows = np.searchsorted(src, np.arange(n))
-        frontier = np.eye(n, dtype=np.bool_)
-        hops = np.where(frontier, 0, n + 1).astype(np.int64)
+        _, width, cell = self._slots
+        table = np.repeat(np.arange(n), width)
+        table[cell] = self._pairs[1]
+        table = table.reshape(n, width)
+        hops = np.full(n * n, n + 1, dtype=np.int64)
+        mark = np.zeros(n * n, dtype=np.bool_)
+        frontier = np.arange(n) * (n + 1)
         depth = 0
-        while frontier.any():
-            depth += 1
-            reached = np.logical_or.reduceat(frontier[:, dst], rows, axis=1)
-            frontier = reached & (hops > n)
+        while frontier.size:
             hops[frontier] = depth
+            depth += 1
+            vertex = frontier % n
+            cells = (frontier - vertex)[:, np.newaxis] + table[vertex]
+            mark[cells[hops[cells] > n]] = True
+            frontier = np.flatnonzero(mark)
+            mark[frontier] = False
+        hops = hops.reshape(n, n)
         hops.flags.writeable = False
         return hops
 
@@ -228,8 +234,9 @@ class SpatialGraph:
 
     def hop_distances(self, source: int) -> np.ndarray:
         """BFS hop counts from source; unreachable vertices get n + 1."""
-        check_times(source, self.num_vertices, "vertex")
-        return self._hops[source]
+        if check_times(source, self.num_vertices, "vertex").ndim:
+            raise DataError(f"vertex must be a single integer, got {source}")
+        return self._hops[int(source)]
 
     def all_hop_distances(self) -> np.ndarray:
         return self._hops

@@ -8,7 +8,7 @@ the symmetric-normalized adjacency, each round re-concatenating the event
 embedding as a residual before one tensor.dense_relu layer. A pairwise
 readout, one tensor.pair_readout node, scores only the allowed (query,
 candidate) pairs, each candidate in the query's own neighborhood, over an
-edge list, and multiplies each by a learnable mask weight; the activation
+edge list, and multiplies each by its own learnable mask weight; the activation
 runs on that list too, so training stays on it through the loss, and
 eval and validation rank each query's slots (evaluate.rank_pair_scores). Only
 recommend places the scores into a [batch, query, candidate] matrix
@@ -80,10 +80,12 @@ def normalized_adjacency(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return inv_sqrt[src] * inv_sqrt[dst]
 
 
-def param_shapes(config: ModelConfig, n: int):
-    """The learnable tensors' (name, shape) pairs on n vertices, in the
-    order ModelParams draws them and checkpoints store them. Lazy, so a
-    checkpoint claiming a huge beta fails at its first missing tensor."""
+def param_shapes(config: ModelConfig, pairs: int):
+    """The learnable tensors' (name, shape) pairs over a graph of pairs
+    allowed (query, candidate) pairs, in the order ModelParams draws them
+    and checkpoints store them; mask.weights holds one weight per pair, in
+    SpatialGraph.allowed_pairs order. Lazy, so a checkpoint claiming a
+    huge beta fails at its first missing tensor."""
     a, d, m = config.alpha, config.embed_dim, config.conv_channels
     yield "conv.weight", (m, config.kernel_len)
     yield "conv.bias", (m,)
@@ -95,19 +97,19 @@ def param_shapes(config: ModelConfig, n: int):
     yield "readout.query", (a + 1, d)
     yield "readout.item", (d, d)
     yield "readout.bias", (d,)
-    # only allowed positions are read; the rest stay zero, so the
-    # checkpoint keeps its dense [n, n] layout
-    yield "mask.weights", (n, n)
+    yield "mask.weights", (pairs,)
 
 
 def check_weights(
-    entries: dict, manifest: dict, config: ModelConfig, n: int
+    entries: dict, manifest: dict, config: ModelConfig, spatial: SpatialGraph
 ) -> None:
     """Raise a DataError, naming the first problem in layout order, unless
-    a checkpoint fits the model of config on n vertices: the manifest's
-    top-level model fields and vertex count equal them in type and value
-    (JSON 3.0 or true is not 3 or 1), and the tensors are exactly those of
-    param_shapes, each of its shape and finite."""
+    a checkpoint fits the model of config on the graph spatial: the
+    manifest's top-level model fields and vertex count equal them in type
+    and value (JSON 3.0 or true is not 3 or 1), and the tensors are
+    exactly those of param_shapes over the graph's allowed pairs, each of
+    its shape and finite."""
+    n = spatial.num_vertices
     saved = manifest.get("num_vertices")
     if type(saved) is not int or saved != n:
         raise DataError(
@@ -122,7 +124,7 @@ def check_weights(
                 f"was saved with {saved!r}"
             )
     names = set()
-    for name, shape in param_shapes(config, n):
+    for name, shape in param_shapes(config, len(spatial.allowed_pairs()[0])):
         names.add(name)
         if name not in entries:
             raise DataError(f"checkpoint is missing tensor {name!r}")
@@ -146,8 +148,8 @@ class ModelParams:
     neighbour table of the normalized adjacency over those pairs, which
     neighbor_mix sums through both ways since the graph is undirected.
 
-    The tensors follow param_shapes: biases start at zero, mask.weights at
-    the allowed mask, the rest Glorot normal, drawn from rng in order.
+    The tensors follow param_shapes: biases start at zero, mask.weights
+    (one per pair) at one, the rest Glorot normal, drawn from rng in order.
     """
 
     def __init__(self, config: ModelConfig, spatial: SpatialGraph, rng):
@@ -160,9 +162,9 @@ class ModelParams:
             src, n, dst, normalized_adjacency(src, dst)
         )
         self._tensors: dict[str, T.Tensor] = {}
-        for name, shape in param_shapes(config, n):
+        for name, shape in param_shapes(config, len(src)):
             if name == "mask.weights":
-                init = self.allowed.astype(np.float64)
+                init = np.ones(shape)
             elif len(shape) == 1:
                 init = np.zeros(shape)
             else:
@@ -304,12 +306,7 @@ def edge_scores(
     q = T.matmul(T.Tensor(query_feat), params.get("readout.query"))
     item = T.matmul(z, params.get("readout.item"))
     raw = T.pair_readout(q, item, params.get("readout.bias"), params.pairs)
-
-    mask = T.take(
-        T.reshape(params.get("mask.weights"), (n * n,)),
-        params.pairs.positions, 0,
-    )
-    pre = T.mul(raw, mask)
+    pre = T.mul(raw, params.get("mask.weights"))
     if cfg.score_activation == "relu":
         return T.relu(pre)
     return T.softmax(pre, params.pairs)

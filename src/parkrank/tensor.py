@@ -18,18 +18,18 @@ in pair order from +0.0. That is not numpy's pairwise order, so a dense
 sum over the zero-filled row differs from it only by rounding (the
 tests' dense oracles agree within 1e-12), not bit for bit. neighbor_mix
 sums through one weighted NeighborTable of a symmetric matrix, forward
-and backward alike; take gathers with a plain index and adds its
-gradient back with np.add.at.
+and backward alike.
 
 Three ops fuse a chain of primitives into one tape node: pair_readout
-(take, take, add, add, relu, reduce_sum), dense_relu (matmul, add, relu)
-and sum_squares (mul, reduce_sum and add per tensor). A fused op keeps
-the composition's bits: it makes the same products and sums in the same
-order, in its output and in every gradient, and only saves the
-intermediate nodes and buffers. The rules of matmul, mul, sub,
-pair_readout and dense_relu compute a parent's gradient only if the
-parent requires one, so constants such as the labels cost no backward
-pass.
+(two gathers, add, add, relu, reduce_sum), dense_relu (matmul, add,
+relu) and sum_squares (mul, reduce_sum and add per tensor);
+tests/unfused_oracle.py builds each chain, with the gather op take that
+only the readout's chain uses. A fused op keeps the composition's bits:
+it makes the same products and sums in the same order, in its output and
+in every gradient, and only saves the intermediate nodes and buffers.
+The rules of matmul, mul, sub, pair_readout and dense_relu compute a
+parent's gradient only if the parent requires one, so constants such as
+the labels cost no backward pass.
 """
 
 from __future__ import annotations
@@ -421,42 +421,19 @@ def concat(parts: Sequence, axis: int = -1) -> Tensor:
     return _node(data, tensors, bw)
 
 
-def take(x, index, axis: int) -> Tensor:
-    """Gather entries along one axis, like np.take with the integer
-    index; indices may repeat. The backward adds the gathered gradient
-    back with np.add.at, unbuffered and in index order from +0.0, so
-    repeats add up to the bits of a dense sum.
-    """
-    x = as_tensor(x)
-    axis = axis % x.ndim
-    try:
-        out = np.take(x.data, index, axis=axis)
-    except IndexError:
-        raise DimensionError(
-            f"take: index out of range for axis {axis} of {x.shape}"
-        ) from None
-
-    def bw(g):
-        gx = np.zeros(x.shape)
-        np.add.at(gx, (slice(None),) * axis + (index,), g)
-        return (gx,)
-
-    return _node(out, (x,), bw)
-
-
 def pair_readout(q, item, bias, pairs: Pairs) -> Tensor:
     """Per pair e, the sum over d of relu(q[..., src[e], d] + item[...,
     dst[e], d] + bias[d]): [..., pairs] from [..., vertices, d] features,
     where pairs, over a [vertices, vertices] grid, gives each pair's
     query src and candidate dst.
 
-    take, take, add, add, relu and reduce_sum(-1) as one node. The forward
-    adds the candidate rows, the bias and the clamp in place into the
-    gathered query rows; the backward masks g once, into a buffer that
+    Two gathers, add, add, relu and reduce_sum(-1) as one node. The
+    forward adds the candidate rows, the bias and the clamp in place into
+    the gathered query rows; the backward masks g once, into a buffer that
     ends with the zero slice NeighborTable.sum pads with, and sums it into
     each side through the pairs' by_row and by_col tables, in pair order
-    from +0.0 as take's np.add.at does. The terms and their order are the
-    composition's, so every bit is kept.
+    from +0.0 as the np.add.at of tests/unfused_oracle.py's take does. The
+    terms and their order are the composition's, so every bit is kept.
     """
     q, item, bias = as_tensor(q), as_tensor(item), as_tensor(bias)
     if (

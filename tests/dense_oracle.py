@@ -13,11 +13,14 @@ relu scores, every ranking's pack and every metric. Where a per-query
 row sum is on the path (softmax scores, the loss and every parameter
 gradient) it agrees within 1e-12 (assert_close): production adds each
 row's pairs in pair order, the dense arrays in numpy's pairwise order.
+The dense scores read the model's one mask weight per allowed pair
+scattered into its [n, n] cells (dense_mask).
 
-The synthetic generator's chain has a dense oracle too: an [m, m]
-neighbour matrix and a mat-vec per interval, as the generator ran before
-it read an [m, K] neighbour table; its occupancy matrix is equal byte for
-byte.
+The all-pairs hop table has the dense-frontier BFS it replaced, equal
+byte for byte. The synthetic generator's chain has a dense oracle too:
+an [m, m] neighbour matrix and a mat-vec per interval, as the generator
+ran before it read an [m, K] neighbour table; its occupancy matrix is
+equal byte for byte.
 """
 
 import math
@@ -39,6 +42,27 @@ def adjacency(graph) -> np.ndarray:
     for i, j in graph.edges:
         adj[i, j] = adj[j, i] = True
     return adj
+
+
+def hop_table(graph) -> np.ndarray:
+    """SpatialGraph.all_hop_distances as it was built before it expanded
+    a sparse frontier: a BFS from every source at once, whose frontier row
+    s holds the vertices first reached from s at the current depth. Each
+    level is a grouped OR over the allowed pairs: v is reached from s when
+    some allowed pair (v, w) has w in s's frontier. Every vertex has its
+    self pair, so each of the n segments of src is non-empty."""
+    n = graph.num_vertices
+    src, dst = graph.allowed_pairs()
+    rows = np.searchsorted(src, np.arange(n))
+    frontier = np.eye(n, dtype=np.bool_)
+    hops = np.where(frontier, 0, n + 1).astype(np.int64)
+    depth = 0
+    while frontier.any():
+        depth += 1
+        reached = np.logical_or.reduceat(frontier[:, dst], rows, axis=1)
+        frontier = reached & (hops > n)
+        hops[frontier] = depth
+    return hops
 
 
 def normalized_adjacency(graph) -> np.ndarray:
@@ -81,6 +105,21 @@ def log_softmax(x) -> T.Tensor:
     return T._node(out, (x,), bw)
 
 
+def dense_mask(params) -> T.Tensor:
+    """The [n, n] mask: params' [pairs] mask.weights scattered into their
+    cells at params.pairs.positions, zero at every other cell. The
+    backward gathers the gradient at those cells."""
+    weights, positions = params.get("mask.weights"), params.pairs.positions
+    n = params.num_vertices
+    dense = np.zeros(n * n)
+    dense[positions] = weights.data
+
+    def bw(g):
+        return (g.reshape(n * n)[positions],)
+
+    return T._node(dense.reshape(n, n), (weights,), bw)
+
+
 def scores(params, windows, current, states, dropout_rate=0.0, rng=None):
     """forward_scores with the dense [batch, n, n, embed_dim] pair readout
     over every (query, candidate) pair, masked afterwards."""
@@ -98,10 +137,7 @@ def scores(params, windows, current, states, dropout_rate=0.0, rng=None):
     )
     pair = T.relu(T.add(pair, params.get("readout.bias")))
     raw = T.reduce_sum(pair, axis=-1)
-    mask = T.mul(
-        params.get("mask.weights"), T.Tensor(params.allowed.astype(float))
-    )
-    pre = T.mul(raw, mask)
+    pre = T.mul(raw, dense_mask(params))
     if params.config.score_activation == "relu":
         return T.relu(pre)
     return softmax(T.masked_fill(pre, ~params.allowed, MASK_FILL))

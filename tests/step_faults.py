@@ -4,11 +4,14 @@ source tree, and print what the steps cost the operating system.
     python3 tests/step_faults.py src
     python3 tests/step_faults.py src /path/to/other/checkout/src
     python3 tests/step_faults.py src --steps 100
+    python3 tests/step_faults.py src OTHER_SRC --meters 1200 \
+        --intervals 2016 --steps 3
 
 For each src/ directory given, a child process imports parkrank from it
-and runs synth_generate (30 meters x 5000 intervals, data seed 8),
-build_adjacency, build_dataset and train_loop with the perfbench c8-train
-settings, then saves the checkpoint as ``parkrank train`` does. It prints
+and runs synth_generate (30 meters x 5000 intervals unless --meters and
+--intervals give another shape; data seed 8), build_adjacency,
+build_dataset and train_loop with the perfbench c8-train settings, then
+saves the checkpoint as ``parkrank train`` does. It prints
 one line per tree: the wall time of train_loop, the minor page faults
 (ru_minflt) and system seconds (ru_stime) it took, the process's peak
 RSS (ru_maxrss) and the sha256 of checkpoint.bin. Equal digests mean both
@@ -36,13 +39,13 @@ import time
 from pathlib import Path
 
 
-def child(src: Path, steps: int) -> dict:
+def child(src: Path, steps: int, meters: int, intervals: int) -> dict:
     """Train in this process with parkrank from src; return the costs."""
     sys.path.insert(0, str(src.resolve()))
     from parkrank import ingest, train
 
     locations, matrix = ingest.synth_generate(ingest.SynthConfig(
-        num_locations=30, num_intervals=5000, rng_seed=8
+        num_locations=meters, num_intervals=intervals, rng_seed=8
     ))
     graph = ingest.build_adjacency(locations)
     cfg = train.TrainConfig(
@@ -73,16 +76,21 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("src", type=Path, nargs="+", help="src/ directories")
     parser.add_argument("--steps", type=int, default=400)
+    parser.add_argument("--meters", type=int, default=30)
+    parser.add_argument("--intervals", type=int, default=5000)
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
-        print(json.dumps(child(args.src[0], args.steps)))
+        print(json.dumps(
+            child(args.src[0], args.steps, args.meters, args.intervals)
+        ))
         return
     digests = set()
     for src in args.src:
         out = subprocess.run(
             [sys.executable, __file__, str(src), "--steps", str(args.steps),
-             "--child"],
+             "--meters", str(args.meters), "--intervals",
+             str(args.intervals), "--child"],
             check=True, capture_output=True, text=True,
         ).stdout
         row = json.loads(out.splitlines()[-1])

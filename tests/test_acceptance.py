@@ -12,7 +12,7 @@ from datetime import datetime
 
 import numpy as np
 
-from dense_oracle import adjacency
+from dense_oracle import adjacency, dense_mask
 from gradcheck import grad_check
 from parkrank import cli, esgraph, evaluate, ingest, model, train
 from parkrank import tensor as T
@@ -188,9 +188,11 @@ def test_criterion_4_gcn_oracle_and_equivariance():
         params_p = model.ModelParams(cfg, graph_p, np.random.default_rng(0))
         for name, arr in params.snapshot().items():
             if name == "mask.weights":
-                params_p.get(name).data = arr[perm][:, perm]
-            else:
-                params_p.get(name).data = arr
+                # through the dense [n, n] cells: permute, then gather at
+                # graph_p's pairs
+                cells = dense_mask(params).data[perm][:, perm]
+                arr = cells.reshape(-1)[params_p.pairs.positions]
+            params_p.get(name).data = arr
         scores_p = model.forward_scores(
             params_p, windows[:, perm], current[:, perm], states[:, perm]
         ).data[0]

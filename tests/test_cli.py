@@ -288,6 +288,34 @@ class TestRecommend:
             assert mid in hood
             float(score)
 
+    def test_scores_are_the_trained_models(self, tmp_path, capsys):
+        # the checkpoint's one weight per allowed pair scores as the
+        # trained parameters do in process, byte for byte
+        data = synth_dir(tmp_path)
+        checkpoint = trained_dir(tmp_path, data) / "checkpoint.bin"
+        assert run("recommend", "--data", data, "--checkpoint", checkpoint,
+                   "--query", "m004", "--time", 100, "--top", 9) == 0
+        printed = capsys.readouterr().out
+        matrix, graph = cli.load_data_dir(data)
+        _, manifest = T.load_checkpoint(checkpoint)
+        cfg = train.TrainConfig.from_manifest(manifest["train"])
+        trained = train.train_loop(matrix, graph, cfg).params
+        loaded, _ = cli.load_checkpoint_bundle(checkpoint, graph)
+        window = esgraph.RunTable(matrix.states).window_at(100, cfg.alpha)
+        inputs = (
+            window.signed_durations[np.newaxis],
+            window.current_signed_duration[np.newaxis],
+            matrix.states[:, 100][np.newaxis],
+        )
+        scores = model.forward_scores(trained, *inputs).data
+        assert model.forward_scores(loaded, *inputs).data.tobytes() == (
+            scores.tobytes()
+        )
+        order = model.recommend_top_n(scores[0, 4], 4, graph, 9)
+        assert printed == "".join(
+            f"{matrix.meter_ids[v]}\t{scores[0, 4, v]:.6f}\n" for v in order
+        )
+
     def test_unknown_meter_exit_2(self, tmp_path):
         data = synth_dir(tmp_path)
         run_dir = trained_dir(tmp_path, data)
@@ -1181,6 +1209,17 @@ def _missing_tensor(entries, manifest):
     del entries["readout.bias"]
 
 
+def _dense_mask(entries, manifest):
+    # the layout before mask.weights held one weight per allowed pair:
+    # the pair weights at their [n, n] cells, zero elsewhere
+    graph = ingest.build_adjacency(ingest.synth_locations(
+        ingest.SynthConfig(num_locations=9, num_intervals=1)
+    ))
+    dense = np.zeros((9, 9))
+    dense[graph.allowed_pairs()] = entries["mask.weights"]
+    entries["mask.weights"] = dense
+
+
 @pytest.mark.parametrize(
     "edit, says",
     [
@@ -1202,6 +1241,11 @@ def _missing_tensor(entries, manifest):
         pytest.param(
             _missing_tensor, "is missing tensor 'readout.bias'",
             id="missing-tensor",
+        ),
+        pytest.param(
+            _dense_mask,
+            "tensor 'mask.weights' has shape (9, 9), expected (33,)",
+            id="dense-mask",
         ),
     ],
 )
@@ -1282,7 +1326,9 @@ def test_mutated_checkpoint_loads_or_raises(
     except ParkrankError:
         return
     loaded = params.snapshot()
-    want = model.param_shapes(params.config, pristine_graph.num_vertices)
+    want = model.param_shapes(
+        params.config, len(pristine_graph.allowed_pairs()[0])
+    )
     assert [(k, v.shape) for k, v in loaded.items()] == list(want)
     assert all(np.isfinite(v).all() for v in loaded.values())
 

@@ -2,11 +2,12 @@
 
 import json
 import math
+import re
 from datetime import datetime
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
@@ -117,6 +118,25 @@ class TestBuildAdjacency:
             graph.hop_distances(source)
         with pytest.raises(DataError, match=message):
             model.recommend_top_n(np.zeros(2), source, graph, 2)
+
+    def test_vertex_must_be_scalar(self):
+        # a 0-d array once read a writeable copy of the row, a list the
+        # rows of each entry, and recommend_top_n raised numpy's
+        # ValueError on that list
+        locs = [
+            ingest.MeterLocation("a", 22.28, 114.16),
+            ingest.MeterLocation("b", 22.28, 114.1603),
+        ]
+        graph = ingest.build_adjacency(locs, 50.0)
+        row = graph.hop_distances(np.array(1))
+        assert row.tolist() == graph.hop_distances(1).tolist()
+        assert not row.flags.writeable
+        for source in ([0, 1], np.array([1])):
+            says = f"vertex must be a single integer, got {source}"
+            with pytest.raises(DataError, match=f"^{re.escape(says)}$"):
+                graph.hop_distances(source)
+            with pytest.raises(DataError, match=f"^{re.escape(says)}$"):
+                model.recommend_top_n(np.zeros(2), source, graph, 2)
 
     def test_unreachable_sentinel(self):
         locs = [
@@ -322,6 +342,21 @@ class TestDerivedArrays:
             ingest.MeterLocation(f"m{i}", 22.3, 114.17) for i in range(n)
         )
         assert_tables_match_oracles(ingest.SpatialGraph(vertices, edges))
+
+    @given(edge_sets())
+    @example((1, frozenset()))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_hop_table_matches_dense_frontier_bfs(self, graph_edges):
+        # islands, chains, stars, two components and complete graphs, and
+        # one vertex: the sparse-frontier table has the dense BFS's bytes
+        n, edges = graph_edges
+        vertices = tuple(
+            ingest.MeterLocation(f"m{i}", 22.3, 114.17) for i in range(n)
+        )
+        graph = ingest.SpatialGraph(vertices, edges)
+        got, want = graph.all_hop_distances(), dense_oracle.hop_table(graph)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_read_only_and_computed_once(self):
         graph = random_graph(np.random.default_rng(3), 10, 90.0)

@@ -353,17 +353,37 @@ class TestForwardScores:
         for name in params.snapshot():
             assert params.get(name).grad is not None, name
 
-    def test_mask_grads_zero_outside_allowed(self):
+    @pytest.mark.parametrize("activation", ["relu", "softmax"])
+    def test_mask_grads_match_dense_oracle(self, monkeypatch, activation):
+        # the [pairs] gradient is the dense oracle's [n, n] mask gradient
+        # at the allowed cells, in pair order, and the dense gradient is
+        # zero at every other cell; relu has no row sum on the path, so
+        # its bits agree
         graph = grid_graph(9)
-        params = make_params(graph, alpha=2)
+        params = make_params(graph, alpha=2, score_activation=activation)
         rng = np.random.default_rng(8)
-        windows = rng.integers(-5, 5, (2, 9, 2)).astype(float)
-        current = rng.integers(1, 6, (2, 9)).astype(float)
-        states = rng.random((2, 9)) < 0.5
+        params.get("mask.weights").data = rng.standard_normal(
+            len(params.pairs.positions)
+        )
+        windows = rng.integers(-5, 5, (3, 9, 2)).astype(float)
+        current = rng.integers(1, 6, (3, 9)).astype(float)
+        states = rng.random((3, 9)) < 0.5
+        u = rng.standard_normal((3, 9, 9))
         scores = model.edge_scores(params, windows, current, states)
-        T.backward(T.reduce_sum(scores))
+        edge_u = u[:, params.pairs.src, params.pairs.dst]
+        T.backward(T.reduce_sum(T.mul(scores, edge_u)))
         grad = params.get("mask.weights").grad
-        assert (grad[~params.allowed] == 0.0).all()
+
+        mask = T.Tensor(dense_oracle.dense_mask(params).data, True)
+        monkeypatch.setattr(dense_oracle, "dense_mask", lambda _: mask)
+        dense = dense_oracle.scores(params, windows, current, states)
+        T.backward(T.reduce_sum(T.mul(dense, u)))
+        assert grad.shape == (len(params.pairs.positions),)
+        assert (mask.grad[~params.allowed] == 0.0).all()
+        if activation == "relu":
+            assert grad.tobytes() == mask.grad[params.allowed].tobytes()
+        else:
+            dense_oracle.assert_close(grad, mask.grad[params.allowed])
 
 
 def graph_of(kind):
@@ -410,8 +430,6 @@ class TestEdgeListReadout:
         rng = np.random.default_rng(11)
         for t in params.tensors:
             t.data = rng.standard_normal(t.shape)
-        # training keeps mask weights outside the neighborhoods at zero
-        params.get("mask.weights").data[~params.allowed] = 0.0
         batch = 6
         signs = rng.choice([-1.0, 1.0], (batch, n, 3))
         windows = rng.integers(1, 7, (batch, n, 3)) * signs
@@ -584,24 +602,29 @@ class TestSaveLoad:
     def test_tensors_follow_param_shapes(self):
         graph = grid_graph(9)
         params = make_params(graph)
-        layout = list(model.param_shapes(params.config, 9))
+        pairs = len(graph.allowed_pairs()[0])
+        layout = list(model.param_shapes(params.config, pairs))
+        assert layout[-1] == ("mask.weights", (pairs,))
         assert [(k, v.shape) for k, v in params.snapshot().items()] == layout
         for name, shape in layout:
             data = params.get(name).data
             if name == "mask.weights":
-                assert np.array_equal(data, graph.allowed_mask())
+                assert data.tobytes() == np.ones(pairs).tobytes()
             elif len(shape) == 1:
                 assert not data.any()
             else:
                 assert data.std() > 0
 
     def test_check_weights_reports_first_problem_in_layout_order(self):
-        params = make_params(grid_graph(9))
+        graph = grid_graph(9)
+        pairs = len(graph.allowed_pairs()[0])
+        params = make_params(graph)
         manifest = {**asdict(params.config), "num_vertices": 9}
         entries = {"zzz": np.zeros(1), **params.snapshot()}
         entries["conv.weight"] = entries["conv.weight"][:, :1]
         del entries["gcn.bias.2"]
         entries["readout.item"][0, 0] = np.inf
+        entries["mask.weights"] = np.ones((9, 9))  # the dense layout
         # each problem, in layout order, then its mend (None: drop it)
         problems = [
             ("conv.weight", np.ones((16, 2)),
@@ -609,14 +632,37 @@ class TestSaveLoad:
             ("gcn.bias.2", np.zeros(16), "missing tensor 'gcn.bias.2'"),
             ("readout.item", np.ones((16, 16)),
              "tensor 'readout.item' is not finite"),
+            ("mask.weights", np.ones(pairs),
+             f"tensor 'mask.weights' has shape (9, 9), expected ({pairs},)"),
             ("zzz", None, "unknown tensor 'zzz'"),
         ]
         for name, mended, says in problems:
             for order in (entries, dict(reversed(entries.items()))):
                 with pytest.raises(DataError, match=re.escape(says)):
-                    model.check_weights(order, manifest, params.config, 9)
+                    model.check_weights(order, manifest, params.config, graph)
             if mended is None:
                 del entries[name]
             else:
                 entries[name] = mended
-        model.check_weights(entries, manifest, params.config, 9)
+        model.check_weights(entries, manifest, params.config, graph)
+
+    def test_check_weights_counts_the_graphs_pairs(self):
+        # nine vertices either way, but 85 m allows more pairs than 50 m
+        locs = ingest.synth_locations(
+            ingest.SynthConfig(num_locations=9, num_intervals=1)
+        )
+        near, wide = (ingest.build_adjacency(locs, m) for m in (50.0, 85.0))
+        near_pairs, wide_pairs = (
+            len(g.allowed_pairs()[0]) for g in (near, wide)
+        )
+        assert near_pairs < wide_pairs
+        params = make_params(near)
+        manifest = {**asdict(params.config), "num_vertices": 9}
+        says = (
+            f"tensor 'mask.weights' has shape ({near_pairs},), expected "
+            f"({wide_pairs},)"
+        )
+        with pytest.raises(DataError, match=re.escape(says)):
+            model.check_weights(
+                params.snapshot(), manifest, params.config, wide
+            )
