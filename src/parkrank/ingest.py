@@ -19,7 +19,8 @@ import itertools
 import json
 import logging
 import math
-from dataclasses import asdict, astuple, dataclass
+import re
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -579,9 +580,6 @@ def synth_generate(cfg: SynthConfig) -> tuple[list[MeterLocation], OccupancyMatr
 # ---------------------------------------------------------------------------
 
 
-MATRIX_CELLS = frozenset(("0", "1"))
-
-
 def _meta_path(csv_path: Path) -> Path:
     return csv_path.with_name(csv_path.stem + ".meta.json")
 
@@ -620,10 +618,23 @@ def save_matrix(matrix: OccupancyMatrix, csv_path) -> None:
     })
 
 
+# a line as a file opened with newline="" yields it
+LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+# a quote or a lone "\r" in a row is a byte like any other that is no cell
+STRAY = str.maketrans('"\r', "??")
+
+
 def load_matrix(csv_path) -> OccupancyMatrix:
+    """The matrix save_matrix wrote: a header of meter ids in the csv
+    dialect, then one row per interval of n 0/1 cells between commas, each
+    ending in "\r\n" or "\n" (the last may have none). The rows are read
+    in one numpy pass, and the first bad one raises."""
     csv_path = Path(csv_path)
     with reading(csv_path), csv_path.open(newline="") as fh:
-        reader = csv.reader(fh)
+        raw = fh.buffer.read()
+        text = raw.decode(fh.encoding)
+        # the header through csv, which unquotes ids
+        reader = csv.reader(m.group() for m in LINE.finditer(text))
         meter_ids = next(reader, None)
         if meter_ids is None:
             raise EmptyDatasetError("empty file")
@@ -631,17 +642,15 @@ def load_matrix(csv_path) -> OccupancyMatrix:
         dup = [m for i, m in enumerate(meter_ids) if index[m] != i]
         if dup:
             raise DataError(f"duplicate meter id {dup[0]!r}")
-        rows = []  # one "0"/"1" string per interval
-        for record in reader:
-            if len(record) != len(meter_ids):
-                raise ParseError(
-                    "row width does not match header", line=reader.line_num
-                )
-            if not set(record) <= MATRIX_CELLS:
-                raise ParseError("cells must be 0 or 1", line=reader.line_num)
-            rows.append("".join(record))
-        if not rows:
-            raise EmptyDatasetError("no interval rows")
+        head = 0  # where the header's last line ends
+        for _ in range(reader.line_num):
+            head = LINE.match(text, head).end()
+        body = np.frombuffer(
+            raw, dtype=np.uint8, offset=len(text[:head].encode(fh.encoding))
+        )
+        cells = _matrix_rows(
+            body, len(meter_ids), reader.line_num, fh.encoding
+        )
     meta_path = _meta_path(csv_path)
     with reading(meta_path):
         meta = json.loads(meta_path.read_text())
@@ -654,19 +663,65 @@ def load_matrix(csv_path) -> OccupancyMatrix:
         if interval_minutes <= 0:
             raise DataError("interval_minutes must be positive")
         start_time = datetime.fromisoformat(meta["start_time"])
-    cells = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
-    states = (cells.reshape(len(rows), len(meter_ids)) == ord("1")).T
     return OccupancyMatrix(
-        states=states,
+        states=(cells[:, ::2] == ord("1")).T,
         interval_minutes=interval_minutes,
         start_time=start_time,
         location_index=index,
     )
 
 
+def _matrix_rows(body, n: int, header_lines: int, encoding) -> np.ndarray:
+    """The rows of a matrix body (uint8) as [rows, 2n - 1] bytes: the cells
+    with commas between them. Else a ParseError names the first bad row
+    by its line, counted after header_lines, with the error a csv loop
+    gives there: its width first, then its cells."""
+    ends = np.r_[np.flatnonzero(body == ord("\n")), body.size]
+    starts = np.r_[0, ends[:-1] + 1]
+    # the body's end closes a last row with no line end, and no row after
+    # a final line end
+    count = starts.size - int(starts[-1] == body.size)
+    starts, ends = starts[:count], ends[:count]
+    if not count:
+        raise EmptyDatasetError("no interval rows")
+    # a "\r" just before a "\n" is part of the line end
+    cr = (ends > starts) & (ends < body.size) & (body[ends - 1] == ord("\r"))
+    stops = ends - cr
+    width = max(2 * n - 1, 0)
+    # the rows before the first of another width, gathered from the
+    # windows of width bytes at each offset; no window read runs past the
+    # body, since each of these rows lies inside it
+    regular = int(np.argmax(np.r_[stops - starts != width, True]))
+    windows = np.lib.stride_tricks.as_strided(
+        body, (body.size, width), (1, 1), writeable=False
+    )
+    cells = windows[starts[:regular]]
+    # a valid row XORed with "0,0,...,0" is 0 or 1 at each cell and 0 at
+    # each comma
+    zeros = np.full(width, ord(","), dtype=np.uint8)
+    zeros[::2] = ord("0")
+    bad = ((cells ^ zeros) > (np.arange(width) % 2 == 0)).any(axis=1)
+    first = int(np.argmax(np.r_[bad, True]))  # regular if every row passed
+    if first < count:
+        # csv splits the row and minds its field size limit
+        raise ParseError(
+            "row width does not match header"
+            if len(next(csv.reader([
+                body[starts[first]: stops[first]].tobytes().decode(encoding)
+                .translate(STRAY)
+            ]))) != n
+            else "cells must be 0 or 1",
+            line=header_lines + 1 + first,
+        )
+    return cells
+
+
 def save_graph(graph: SpatialGraph, path) -> None:
     write_json(path, {
-        "vertices": [asdict(v) for v in graph.vertices],
+        "vertices": [
+            {"meter_id": v.meter_id, "lat": v.lat, "lon": v.lon}
+            for v in graph.vertices
+        ],
         "edges": sorted(map(list, graph.edges)),
     })
 
@@ -694,7 +749,8 @@ def load_graph(path) -> SpatialGraph:
 
 
 def save_locations(locations: list[MeterLocation], path) -> None:
-    write_csv(path, ("meter_id", "lat", "lon"), map(astuple, locations))
+    write_csv(path, ("meter_id", "lat", "lon"),
+              ((v.meter_id, v.lat, v.lon) for v in locations))
 
 
 def load_locations(path) -> list[MeterLocation]:

@@ -3,12 +3,13 @@ seconds, as JSON: for 400, 800 and 1200 synthetic meters (288 intervals,
 one synthetic day, unless --intervals says otherwise; grid spacing 40 m,
 adjacency threshold 50 m), the time of ``synth_generate``, of
 ``build_adjacency``, of ``allowed_mask()`` plus ``all_hop_distances()`` on
-the new graph, and of ``ModelParams`` at the criterion-8 model settings on
+the new graph, of ``ModelParams`` at the criterion-8 model settings on
 a fresh copy of that graph (so it pays for the candidate mask and pairs as
-a set-up does). Then, as "crowded", the time and edge count of
-``build_adjacency`` for 3000 meters 10 m apart at the 50 m threshold
-(about 110k edges), where each adjacency cube holds about 15 meters, as
-dense blocks do.
+a set-up does), and of ``cli.write_data_dir`` and ``cli.load_data_dir``
+on that city in a temporary directory. Then, as "crowded", the time and
+edge count of ``build_adjacency`` for 3000 meters 10 m apart at the 50 m
+threshold (about 110k edges), where each adjacency cube holds about 15
+meters, as dense blocks do.
 
     python3 tests/setup_scale.py > after.json
     python3 tests/setup_scale.py /path/to/other/checkout/src > before.json
@@ -28,6 +29,7 @@ import argparse
 import importlib
 import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -43,10 +45,11 @@ def timed(fn, *args):
     return out, round(time.perf_counter() - start, 4)
 
 
-def scale_point(ingest, model, train, n: int, intervals: int) -> dict:
-    (locations, _), synth_s = timed(ingest.synth_generate, ingest.SynthConfig(
-        num_locations=n, num_intervals=intervals
-    ))
+def scale_point(cli, ingest, model, train, n: int, intervals: int) -> dict:
+    (locations, matrix), synth_s = timed(
+        ingest.synth_generate,
+        ingest.SynthConfig(num_locations=n, num_intervals=intervals),
+    )
     graph, adjacency_s = timed(ingest.build_adjacency, locations)
     _, tables_s = timed(
         lambda: (graph.allowed_mask(), graph.all_hop_distances())
@@ -56,11 +59,16 @@ def scale_point(ingest, model, train, n: int, intervals: int) -> dict:
     _, params_s = timed(
         model.ModelParams, cfg.model_config(), fresh, np.random.default_rng(0)
     )
+    with tempfile.TemporaryDirectory() as data:
+        _, write_s = timed(cli.write_data_dir, data, locations, matrix, graph)
+        _, load_s = timed(cli.load_data_dir, data)
     return {
         "synth_generate": synth_s,
         "build_adjacency": adjacency_s,
         "allowed_mask+all_hop_distances": tables_s,
         "ModelParams": params_s,
+        "write_data_dir": write_s,
+        "load_data_dir": load_s,
     }
 
 
@@ -77,12 +85,13 @@ def main() -> None:
     )
     args = parser.parse_args()
     sys.path.insert(0, str(args.src.resolve()))
-    ingest, model, train = (
+    cli, ingest, model, train = (
         importlib.import_module(f"parkrank.{mod}")
-        for mod in ("ingest", "model", "train")
+        for mod in ("cli", "ingest", "model", "train")
     )
     times = {
-        n: scale_point(ingest, model, train, n, args.intervals) for n in SIZES
+        n: scale_point(cli, ingest, model, train, n, args.intervals)
+        for n in SIZES
     }
     crowded = ingest.synth_locations(ingest.SynthConfig(
         num_locations=3000, num_intervals=1, grid_spacing_m=10.0

@@ -1,5 +1,7 @@
 """Ingestion tests: parsers, adjacency, synthetic generator, round-trips."""
 
+import csv
+import io
 import json
 import math
 import re
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
+import matrix_oracle
 from dense_oracle import adjacency
 from parkrank import ingest, model
 from parkrank.errors import (
@@ -799,19 +802,22 @@ def mutated_graph_bytes(draw, payload):
 
 
 def mutated_matrix_bytes(draw, body: bytes, sidecar: bytes):
-    """A saved matrix.csv and its sidecar with one drawn mutation: a cell,
-    a header field, a sidecar field (set to any JSON value, or dropped),
-    or a single byte of either file."""
-    kind = draw(st.sampled_from(["cell", "header", "sidecar", "byte"]))
+    """A saved matrix.csv and its sidecar with one drawn mutation: up to
+    three cells, a header field, a sidecar field (set to any JSON value,
+    or dropped), a single byte of either file, or none. Its line ends are
+    drawn too: all "\r\n" (as saved), all "\n" or mixed, and the last
+    one may be dropped."""
+    kind = draw(st.sampled_from(["cell", "header", "sidecar", "byte", "ends"]))
     lines = body.decode().split("\r\n")
     text = st.text(max_size=4)
     if kind == "cell":
-        row = draw(st.integers(1, len(lines) - 2))
-        cells = lines[row].split(",")
-        cells[draw(st.integers(0, len(cells) - 1))] = draw(
-            st.one_of(st.sampled_from(["0", "1", "", "2", "01", " 1"]), text)
-        )
-        lines[row] = ",".join(cells)
+        for _ in range(draw(st.integers(1, 3))):
+            row = draw(st.integers(1, len(lines) - 2))
+            cells = lines[row].split(",")
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.one_of(
+                st.sampled_from(["0", "1", "", "2", "01", " 1"]), text
+            ))
+            lines[row] = ",".join(cells)
     elif kind == "header":
         ids = lines[0].split(",")
         ids[draw(st.integers(0, len(ids) - 1))] = draw(
@@ -831,7 +837,11 @@ def mutated_matrix_bytes(draw, body: bytes, sidecar: bytes):
         else:
             del payload[key]
         sidecar = ingest.json_text(payload).encode()
-    body = "\r\n".join(lines).encode()
+    style = draw(st.sampled_from([["\r\n"], ["\n"], ["\r\n", "\n"]]))
+    ends = [draw(st.sampled_from(style)) for _ in lines[1:]]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    body = "".join(map("".join, zip(lines, [*ends, ""]))).encode()
     if kind == "byte":
         files = [bytearray(body), bytearray(sidecar)]
         target = files[draw(st.integers(0, 1))]
@@ -840,6 +850,41 @@ def mutated_matrix_bytes(draw, body: bytes, sidecar: bytes):
         )
         body, sidecar = map(bytes, files)
     return body, sidecar
+
+
+def load_outcome(load, path):
+    """What load(path) gives: the matrix's states, ids and times, or the
+    error's class, message and line."""
+    try:
+        m = load(path)
+    except ParkrankError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return (m.states.shape, m.states.tobytes(), m.location_index,
+            m.interval_minutes, m.start_time)
+
+
+def stray_bytes_as_cells(data: bytes) -> bytes:
+    """data with each quote and lone "\r" after the header record made a
+    "?": load_matrix takes either for a byte that is no cell, so the csv
+    record loop must fail on this file where load_matrix fails on data."""
+    try:
+        text = data.decode()
+        lines = io.StringIO(text, newline="")
+        next(csv.reader(lines), None)
+    except (UnicodeDecodeError, csv.Error):
+        return data  # the file, or its header, fails in both loaders alike
+    head = lines.tell()
+    return (text[:head] + re.sub(r'"|\r(?!\n)', "?", text[head:])).encode()
+
+
+def write_matrix_body(directory, body: str):
+    """directory/matrix.csv holding body, next to a valid sidecar."""
+    path = directory / "matrix.csv"
+    path.write_bytes(body.encode())
+    ingest.write_json(directory / "matrix.meta.json", {
+        "interval_minutes": 5, "start_time": "2022-08-01T00:00:00",
+    })
+    return path
 
 
 def mutated_locations_bytes(draw, body: bytes) -> bytes:
@@ -938,6 +983,71 @@ class TestHostileFiles:
         again = path.with_name("again.csv")
         ingest.save_matrix(matrix, again)
         assert ingest.load_matrix(again).equals(matrix)
+
+    @pytest.fixture(scope="class")
+    def saved_matrices(self, tmp_path_factory):
+        """The bytes of saved matrix.csv files and their sidecars: 0, 1
+        and 3 meters, and 4 whose ids the header must quote."""
+        path = tmp_path_factory.mktemp("matrices") / "matrix.csv"
+        rng = np.random.default_rng(5)
+        saved = []
+        for ids, intervals in [
+            ([], 3), (["m0"], 4), (["m0", "m1", "m2"], 6),
+            (["a,b", 'say "hi"', "plain", " padded "], 5),
+        ]:
+            ingest.save_matrix(ingest.OccupancyMatrix(
+                states=rng.random((len(ids), intervals)) < 0.5,
+                interval_minutes=5,
+                start_time=datetime(2022, 8, 1),
+                location_index={m: i for i, m in enumerate(ids)},
+            ), path)
+            sidecar = path.with_name("matrix.meta.json")
+            saved.append((path.read_bytes(), sidecar.read_bytes()))
+        return saved
+
+    @given(st.data())
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_matrix_matches_record_loop(
+        self, tmp_path_factory, saved_matrices, data
+    ):
+        path = tmp_path_factory.getbasetemp() / "oracle" / "matrix.csv"
+        path.parent.mkdir(exist_ok=True)
+        saved = data.draw(st.sampled_from(saved_matrices))
+        body, sidecar = mutated_matrix_bytes(data.draw, *saved)
+        path.with_name("matrix.meta.json").write_bytes(sidecar)
+        path.write_bytes(body)
+        got = load_outcome(ingest.load_matrix, path)
+        path.write_bytes(stray_bytes_as_cells(body))
+        assert got == load_outcome(matrix_oracle.load_matrix, path)
+
+    @pytest.mark.parametrize("body, line, message", [
+        ('a,b\r\n0,1\r\n"1",0\r\n', 3, "cells must be 0 or 1"),
+        ('a,b\n0,1\n1,"0"', 3, "cells must be 0 or 1"),
+        ("a,b\r\n0,1\r\n1,1\r", 3, "cells must be 0 or 1"),
+        # the lone "\r" joins two rows into one line
+        ("a,b\r\n0,1\r1,1\r\n0,0\r\n", 2, "row width does not match header"),
+    ])
+    def test_matrix_quoted_cell_or_lone_cr_rejected(
+        self, tmp_path, body, line, message
+    ):
+        path = write_matrix_body(tmp_path, body)
+        assert matrix_oracle.load_matrix(path).num_locations == 2
+        with pytest.raises(
+            ParseError, match=f"matrix.csv: line {line}: {message}"
+        ):
+            ingest.load_matrix(path)
+
+    @pytest.mark.parametrize("body, message", [
+        # the later bad row's bytes lie further from "0,0"
+        ("a,b\r\n0,1\r\n0,2\r\n0,x\r\n", "cells must be 0 or 1"),
+        ("a,b\r\n0,1\r\n2,0\n0,\n", "cells must be 0 or 1"),
+        ("a,b\n1,0\n0,1,\n,\n", "row width does not match header"),
+    ])
+    def test_matrix_first_bad_row_raises(self, tmp_path, body, message):
+        path = write_matrix_body(tmp_path, body)
+        want = (ParseError, f"{path}: line 3: {message}", 3)
+        assert load_outcome(matrix_oracle.load_matrix, path) == want
+        assert load_outcome(ingest.load_matrix, path) == want
 
     @pytest.fixture(scope="class")
     def saved_locations(self, tmp_path_factory):
