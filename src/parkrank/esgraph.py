@@ -96,17 +96,13 @@ class RunTable:
     def window_at(self, reference_time, alpha: int) -> EventWindow:
         if alpha < 1:
             raise ConfigError("alpha must be at least 1")
-        # before the kernel, which would read a negative time from the end
-        check_times(reference_time, self.num_intervals)
+        _, run = self._current_run(reference_time)
         if alpha not in self._preceding:
             self._preceding[alpha] = kernels.preceding_runs(
                 self.lengths, self.run_states, alpha
             )
         return EventWindow(*kernels.extract_windows(
-            self._preceding[alpha],
-            self.starts,
-            self.run_states,
-            self.run_of,
+            self._preceding[alpha], self.starts, self.run_states, run,
             reference_time,
         ))
 

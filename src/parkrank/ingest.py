@@ -21,7 +21,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -92,9 +92,17 @@ class OccupancyMatrix:
         self.states = np.ascontiguousarray(self.states, dtype=np.bool_)
         if self.states.ndim != 2:
             raise DataError("states must be a 2-D matrix")
+        m, n = self.states.shape
         if self.interval_minutes <= 0:
             raise DataError("interval_minutes must be positive")
-        if len(self.location_index) != self.states.shape[0]:
+        try:  # every interval on the calendar: clock products fit int64
+            self.start_time + timedelta(minutes=self.interval_minutes) * n
+        except OverflowError:
+            raise DataError(
+                f"{n} intervals of {self.interval_minutes} minutes from "
+                f"{self.start_time} end past the calendar"
+            ) from None
+        if len(self.location_index) != m:
             raise DataError(
                 "location_index size does not match the number of rows"
             )
@@ -589,6 +597,12 @@ def json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def json_is(kind: type, *values) -> bool:
+    """Whether each JSON value reads as kind: true is no int, an int a float."""
+    kinds = (int, float) if kind is float else (kind,)
+    return all(type(v) in kinds for v in values)
+
+
 def write_json(path, payload) -> None:
     Path(path).write_text(json_text(payload))
 
@@ -655,20 +669,16 @@ def load_matrix(csv_path) -> OccupancyMatrix:
     with reading(meta_path):
         meta = json.loads(meta_path.read_text())
         interval_minutes = meta["interval_minutes"]
-        # bool is an int subclass, but JSON true is not an integer
-        if type(interval_minutes) is not int:
+        if not json_is(int, interval_minutes):
             raise DataError(
                 f"interval_minutes must be an integer, got {interval_minutes!r}"
             )
-        if interval_minutes <= 0:
-            raise DataError("interval_minutes must be positive")
-        start_time = datetime.fromisoformat(meta["start_time"])
-    return OccupancyMatrix(
-        states=(cells[:, ::2] == ord("1")).T,
-        interval_minutes=interval_minutes,
-        start_time=start_time,
-        location_index=index,
-    )
+        return OccupancyMatrix(
+            states=(cells[:, ::2] == ord("1")).T,
+            interval_minutes=interval_minutes,
+            start_time=datetime.fromisoformat(meta["start_time"]),
+            location_index=index,
+        )
 
 
 def _matrix_rows(body, n: int, header_lines: int, encoding) -> np.ndarray:
@@ -729,10 +739,9 @@ def save_graph(graph: SpatialGraph, path) -> None:
 def load_graph(path) -> SpatialGraph:
     with reading(path):
         payload = json.loads(Path(path).read_text())
-        # JSON true is no number, and "114.17" is a string
         bad = [
             v for v in payload["vertices"]
-            if not {type(v["lat"]), type(v["lon"])} <= {int, float}
+            if not json_is(float, v["lat"], v["lon"])
         ]
         if bad:
             raise DataError(f"vertex coordinates must be numbers: {bad[0]}")
@@ -741,8 +750,8 @@ def load_graph(path) -> SpatialGraph:
             for v in payload["vertices"]
         )
         edges = frozenset((int(i), int(j)) for i, j in payload["edges"])
-        # after int(), which reports 1e400 as infinity; JSON true is no int
-        bad = [e for e in payload["edges"] if {type(x) for x in e} != {int}]
+        # after int(), which reports 1e400 as infinity
+        bad = [e for e in payload["edges"] if not json_is(int, *e)]
         if bad:
             raise DataError(f"edge endpoints must be integers: {bad[0]}")
         return SpatialGraph(vertices=vertices, edges=edges)

@@ -73,17 +73,18 @@ def preceding_runs(lengths, run_states, alpha):
     return np.ascontiguousarray(window[:, :runs])
 
 
-def extract_windows(preceding, starts, run_states, run_of, t):
+def extract_windows(preceding, starts, run_states, run, t):
     """Signed-duration event windows for every row at reference column t.
 
-    Returns ``(signed, current_signed)``: ``signed[..., i, :]`` is the
-    ``preceding_runs`` entry of the run containing t in row i, its newest
-    completed runs; ``current_signed[..., i]`` is the signed age of that
-    run. An int array t adds its shape in front of both.
+    ``run[..., i]`` is row i's run holding t (``run_of.T[t]``). Returns
+    ``(signed, current_signed)``: ``signed[..., i, :]`` is that run's
+    ``preceding_runs`` entry, its newest completed runs, and
+    ``current_signed[..., i]`` its signed age. An int array t adds its
+    shape in front of both.
     """
     rows, runs = starts.shape
-    # flat index of each row's run at t into the [rows, max_runs] arrays
-    run = run_of.T[t] + np.arange(0, rows * runs, runs)
+    # flat index of each row's run into the [rows, max_runs] arrays
+    run = run + np.arange(0, rows * runs, runs)
     age = np.asarray(t)[..., np.newaxis] - np.take(starts, run) + 1
     current_signed = np.where(np.take(run_states, run), -1.0, 1.0)
     current_signed *= age

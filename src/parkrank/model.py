@@ -28,7 +28,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DataError, DimensionError
-from .ingest import SpatialGraph
+from .ingest import SpatialGraph, json_is
 
 SCORE_ACTIVATIONS = ("relu", "softmax")
 RANK_BLOCK = 128  # snapshots per edge_scores call when a split is ranked
@@ -111,14 +111,14 @@ def check_weights(
     its shape and finite."""
     n = spatial.num_vertices
     saved = manifest.get("num_vertices")
-    if type(saved) is not int or saved != n:
+    if not json_is(int, saved) or saved != n:
         raise DataError(
             f"checkpoint was trained on {saved!r} vertices but the graph "
             f"has {n}"
         )
     for key, value in asdict(config).items():
         saved = manifest.get(key)
-        if type(saved) is not type(value) or saved != value:
+        if not json_is(type(value), saved) or saved != value:
             raise DataError(
                 f"training settings give {key} {value!r} but the model "
                 f"was saved with {saved!r}"
@@ -224,12 +224,8 @@ def event_embed(
     and zero padding stays exactly zero; then a 1-D convolution with bias,
     ReLU, and mean-pooling over positions.
     """
-    conv = T.conv1d(np.tanh(windows), params.get("conv.weight"))
-    conv = T.add(
-        conv,
-        T.reshape(
-            params.get("conv.bias"), (1, 1, params.config.conv_channels, 1)
-        ),
+    conv = T.conv1d(
+        np.tanh(windows), params.get("conv.weight"), params.get("conv.bias")
     )
     h = T.reduce_mean(T.relu(conv), axis=-1)
     if dropout_rate > 0.0:

@@ -20,12 +20,13 @@ tests' dense oracles agree within 1e-12), not bit for bit. neighbor_mix
 sums through one weighted NeighborTable of a symmetric matrix, forward
 and backward alike.
 
-Three ops fuse a chain of primitives into one tape node: pair_readout
-(two gathers, add, add, relu, reduce_sum), dense_relu (matmul, add,
-relu) and sum_squares (mul, reduce_sum and add per tensor);
-tests/unfused_oracle.py builds each chain, with the gather op take that
-only the readout's chain uses. A fused op keeps the composition's bits:
-it makes the same products and sums in the same order, in its output and
+Four ops fuse a chain of primitives into one tape node: conv1d
+(correlation, reshape, add), pair_readout (two gathers, add, add, relu,
+reduce_sum), dense_relu (matmul, add, relu) and sum_squares (mul,
+reduce_sum and add per tensor); tests/unfused_oracle.py builds each
+chain, with the primitives this module lacks: take, a bias-free
+correlation and reshape. A fused op keeps the composition's bits: it
+makes the same products and sums in the same order, in its output and
 in every gradient, and only saves the intermediate nodes and buffers.
 The rules of matmul, mul, sub, pair_readout and dense_relu compute a
 parent's gradient only if the parent requires one, so constants such as
@@ -372,19 +373,20 @@ def neighbor_mix(table: NeighborTable, x) -> Tensor:
     return _node(table.sum(x.data, -2), (x,), bw)
 
 
-def conv1d(x: np.ndarray, w) -> Tensor:
-    """Valid-mode correlation over the last axis of the constant array x.
-
-    x: [..., L]; w: [channels, k]; out: [..., channels, L - k + 1]. Only
-    w gets a gradient. The windows are an as_strided view with the shape
-    and strides sliding_window_view would give, built without its Python
-    checks.
-    """
-    x, w = np.asarray(x, dtype=np.float64), as_tensor(w)
+def conv1d(x: np.ndarray, w, b) -> Tensor:
+    """Valid-mode correlation over the last axis of the constant array x,
+    plus b per channel: x [..., L], w [channels, k], b [channels], out
+    [..., channels, L - k + 1]. The windows are an as_strided view with
+    sliding_window_view's shape and strides, built without its checks. b
+    adds in place, and its gradient is add's for b viewed as [1, ...,
+    channels, 1]: the bits of correlation, reshape and add."""
+    x, w, b = np.asarray(x, dtype=np.float64), as_tensor(w), as_tensor(b)
     if w.ndim != 2:
         raise DimensionError(f"conv1d: kernel must be 2-D, got {w.shape}")
     length = x.shape[-1]
     channels, k = w.shape
+    if b.shape != (channels,):
+        raise DimensionError(f"conv1d: bias {b.shape} for kernel {w.shape}")
     if length < k:
         raise DimensionError(
             f"conv1d: input length {length} shorter than kernel {k}"
@@ -393,13 +395,16 @@ def conv1d(x: np.ndarray, w) -> Tensor:
     view = x.shape[:-1] + (positions, k), x.strides + x.strides[-1:]
     windows = np.lib.stride_tricks.as_strided(x, *view, writeable=False)
     out = np.einsum("...pk,mk->...mp", windows, w.data)
+    bias_shape = (1,) * (out.ndim - 2) + (channels, 1)
+    out += b.data.reshape(bias_shape)
 
     def bw(g):
         flat_win = windows.reshape(-1, positions, k)
         flat_g = g.reshape(-1, channels, positions)
-        return (np.einsum("bpk,bmp->mk", flat_win, flat_g),)
+        gb = _unbroadcast(g, bias_shape).reshape(channels)
+        return np.einsum("bpk,bmp->mk", flat_win, flat_g), gb
 
-    return _node(out, (w,), bw)
+    return _node(out, (w, b), bw)
 
 
 def concat(parts: Sequence, axis: int = -1) -> Tensor:
@@ -600,21 +605,6 @@ def reduce_mean(x, axis=None) -> Tensor:
         return (np.broadcast_to(g, x.shape) / count,)
 
     return _node(out, (x,), bw)
-
-
-def reshape(x, shape) -> Tensor:
-    x = as_tensor(x)
-    try:
-        data = x.data.reshape(shape)
-    except ValueError:
-        raise DimensionError(
-            f"reshape: cannot view {x.shape} as {tuple(shape)}"
-        ) from None
-
-    def bw(g):
-        return (g.reshape(x.shape),)
-
-    return _node(data, (x,), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from . import model
 from . import tensor as T
 from .errors import ConfigError, DataError, TrainingDiverged
 from .esgraph import RunTable
-from .ingest import OccupancyMatrix, SpatialGraph
+from .ingest import OccupancyMatrix, SpatialGraph, json_is
 
 SPLIT_FRACS = (0.8, 0.1, 0.1)
 
@@ -109,9 +109,7 @@ class TrainConfig:
         if missing:
             raise ConfigError(f"missing training fields: {sorted(missing)}")
         for name, value in payload.items():
-            # exact types: bool is an int subclass, but JSON true is no number
-            kinds = (int, float) if known[name] is float else (known[name],)
-            if type(value) not in kinds:
+            if not json_is(known[name], value):
                 raise DataError(f"training field {name} has value {value!r}")
         return cls(**payload)
 

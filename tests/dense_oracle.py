@@ -133,7 +133,8 @@ def scores(params, windows, current, states, dropout_rate=0.0, rng=None):
     q = T.matmul(T.Tensor(query_feat), params.get("readout.query"))
     item = T.matmul(z, params.get("readout.item"))
     pair = T.add(
-        T.reshape(q, (batch, n, 1, d)), T.reshape(item, (batch, 1, n, d))
+        unfused_oracle.reshape(q, (batch, n, 1, d)),
+        unfused_oracle.reshape(item, (batch, 1, n, d)),
     )
     pair = T.relu(T.add(pair, params.get("readout.bias")))
     raw = T.reduce_sum(pair, axis=-1)

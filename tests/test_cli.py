@@ -942,6 +942,28 @@ def test_corrupt_file_exit_2(pristine_tree, tmp_path, capsys, name, corrupt):
     assert name.split("/")[-1] in err
 
 
+# 10**17 minutes wrap the eval clock's int64 days negative, and 10**20
+# minutes overflow it
+@pytest.mark.parametrize("minutes", [10**17, 10**20])
+def test_eval_interval_past_calendar_exit_2(
+    pristine_tree, tmp_path, capsys, minutes
+):
+    root = tmp_path / "tree"
+    shutil.copytree(pristine_tree, root)
+    meta = root / "data" / "matrix.meta.json"
+    payload = json.loads(meta.read_text())
+    payload["interval_minutes"] = minutes
+    meta.write_text(json.dumps(payload))
+    code = run("eval", "--data", root / "data", "--checkpoint",
+               root / "run" / "checkpoint.bin", "--out", root / "eval")
+    assert code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1
+    assert "matrix.meta.json" in errors[0]
+    assert "past the calendar" in errors[0]
+
+
 @pytest.mark.parametrize(
     "copy, key, value, says",
     [

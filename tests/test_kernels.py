@@ -101,7 +101,9 @@ def windows(row, t, alpha):
     preceding_runs table."""
     _, starts, lengths, run_states, run_of = kernels.encode_runs(row)
     preceding = kernels.preceding_runs(lengths, run_states, alpha)
-    return kernels.extract_windows(preceding, starts, run_states, run_of, t)
+    return kernels.extract_windows(
+        preceding, starts, run_states, run_of.T[t], t
+    )
 
 
 class TestExtractWindows:

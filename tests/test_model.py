@@ -103,7 +103,9 @@ class TestEventAggregate:
         graph = grid_graph(4)
         params = make_params(graph, alpha=5, kernel_len=2, conv_channels=3)
         windows = np.random.default_rng(1).random((4, 5))
-        conv = T.conv1d(windows, params.get("conv.weight"))
+        conv = T.conv1d(
+            windows, params.get("conv.weight"), params.get("conv.bias")
+        )
         assert conv.shape == (4, 3, 4)  # alpha - kernel_len + 1 positions
         h = model.event_embed(params, windows[np.newaxis])
         assert h.shape == (1, 4, 3)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import dense_oracle
 import unfused_oracle
 from gradcheck import grad_check
-from unfused_oracle import take
+from unfused_oracle import reshape, take
 from parkrank import model
 from parkrank import tensor as T
 from parkrank.errors import DataError, DimensionError
@@ -34,19 +34,19 @@ class TestForwardOracles:
     def test_conv1d_is_sliding_dot_product(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
         w = T.Tensor([[2.0, 1.0]])
-        out = T.conv1d(x, w)
-        # correlation semantics: out[p] = 2*x[p] + 1*x[p+1]
-        assert out.data.tolist() == [[4.0, 7.0, 10.0]]
+        out = T.conv1d(x, w, T.Tensor([0.5]))
+        # correlation semantics: out[p] = 2*x[p] + 1*x[p+1] + 0.5
+        assert out.data.tolist() == [[4.5, 7.5, 10.5]]
 
     def test_conv1d_batched_channels(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((3, 5, 7))
-        w = rng.standard_normal((4, 2))
-        out = T.conv1d(x, T.Tensor(w))
+        w, bias = rng.standard_normal((4, 2)), rng.standard_normal(4)
+        out = T.conv1d(x, T.Tensor(w), T.Tensor(bias))
         assert out.shape == (3, 5, 4, 6)
         # spot-check one entry against the definition
         b, v, c, p = 1, 2, 3, 4
-        expected = x[b, v, p] * w[c, 0] + x[b, v, p + 1] * w[c, 1]
+        expected = x[b, v, p] * w[c, 0] + x[b, v, p + 1] * w[c, 1] + bias[c]
         assert out.data[b, v, c, p] == pytest.approx(expected)
 
     def test_softmax_rows_sum_to_one(self):
@@ -81,7 +81,13 @@ class TestShapeErrors:
 
     def test_conv_kernel_longer_than_input(self):
         with pytest.raises(DimensionError, match="conv1d"):
-            T.conv1d(np.zeros(2), T.Tensor(np.zeros((1, 5))))
+            T.conv1d(np.zeros(2), T.Tensor(np.zeros((1, 5))), np.zeros(1))
+
+    @pytest.mark.parametrize("bias", [(), (3,), (2, 1), (1, 2)])
+    def test_conv1d_bias_mismatch_names_op(self, bias):
+        with pytest.raises(DimensionError, match="conv1d: bias"):
+            T.conv1d(np.zeros((3, 6)), T.Tensor(np.zeros((2, 2))),
+                     T.Tensor(np.zeros(bias)))
 
     def test_dense_relu_mismatch_names_op(self):
         x, w = T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((3, 4)))
@@ -136,12 +142,13 @@ class TestGradients:
         self.check(lambda: T.reduce_sum(T.matmul(a, b)), [a, b])
 
     def test_conv1d(self):
-        # the input is a constant array: only the kernel has a gradient
+        # the input is a constant array: only the kernel and the bias have
+        # gradients
         rng = np.random.default_rng(12)
         x = rng.standard_normal((2, 3, 6))
-        w = leaf(rng, 4, 2)
+        w, b = leaf(rng, 4, 2), leaf(rng, 4)
         u = T.Tensor(rng.standard_normal((2, 3, 4, 5)))
-        self.check(lambda: T.reduce_sum(T.mul(T.conv1d(x, w), u)), [w])
+        self.check(lambda: T.reduce_sum(T.mul(T.conv1d(x, w, b), u)), [w, b])
 
     def test_activations(self):
         rng = np.random.default_rng(13)
@@ -181,7 +188,7 @@ class TestGradients:
         x = leaf(rng, 2, 3, 4)
         self.check(
             lambda: T.reduce_sum(
-                T.reduce_mean(T.reshape(x, (6, 4)), axis=1)
+                T.reduce_mean(reshape(x, (6, 4)), axis=1)
             ),
             [x],
         )
@@ -483,10 +490,10 @@ def fused_and_unfused(fused, unfused, arrays, g):
 
 
 class TestFusedOps:
-    """pair_readout and dense_relu against the chains of primitive ops in
-    unfused_oracle, bit for bit (tobytes): the output and every gradient,
-    at +0.0, -0.0, negative and positive pre-activations, with and
-    without dropout."""
+    """pair_readout, dense_relu and conv1d against the chains of
+    primitive ops in unfused_oracle, bit for bit (tobytes): the output and
+    every gradient, at +0.0, -0.0, negative and positive pre-activations,
+    with and without dropout."""
 
     def readout_case(self, rng, arrays, pairs, dropout):
         n = arrays[0].shape[-2]
@@ -523,6 +530,49 @@ class TestFusedOps:
         return fused_and_unfused(
             wrap(T.dense_relu), wrap(unfused_oracle.dense_relu), arrays, g
         )
+
+    def conv_case(self, rng, x, arrays):
+        w = arrays[0]
+        positions = x.shape[-1] - w.shape[-1] + 1
+        g = signed_zeros(rng, x.shape[:-1] + (w.shape[0], positions))
+
+        def wrap(op):
+            return lambda w, b: op(x, w, b)
+
+        return fused_and_unfused(
+            wrap(T.conv1d), wrap(unfused_oracle.conv1d), arrays, g
+        )
+
+    # batch, vertex and position axes of size 1, which add's _unbroadcast
+    # leaves out of the bias sum, and position axes of 8 and more
+    @pytest.mark.parametrize(
+        "shape, k",
+        [((1, 5, 4), 2), ((3, 1, 4), 2), ((3, 5, 2), 2), ((1, 1, 2), 2),
+         ((2, 4, 9), 2), ((2, 30, 12), 3), ((1, 120, 10), 2), ((7,), 3),
+         ((4, 10), 1)],
+    )
+    @pytest.mark.parametrize("share", [0.0, 1.0])
+    def test_conv1d_matches_composition(self, shape, k, share):
+        rng = np.random.default_rng(38)
+        x = dyadic_mix(rng, shape, share)
+        arrays = [dyadic_mix(rng, (3, k), share), dyadic_mix(rng, (3,), share)]
+        fused, unfused = self.conv_case(rng, x, arrays)
+        assert fused == unfused
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_conv1d_matches_composition_property(self, data):
+        lead = tuple(data.draw(st.lists(st.integers(1, 4), max_size=2)))
+        k = data.draw(st.integers(1, 3))
+        length = k + data.draw(st.integers(0, 10))
+        channels = data.draw(st.integers(1, 4))
+        share = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = dyadic_mix(rng, lead + (length,), share)
+        arrays = [dyadic_mix(rng, shape, share)
+                  for shape in ((channels, k), (channels,))]
+        fused, unfused = self.conv_case(rng, x, arrays)
+        assert fused == unfused
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -604,13 +654,13 @@ class TestNumpyEquivalents:
     )
     def test_conv1d_matches_sliding_window_view(self, shape, k):
         rng = np.random.default_rng(34)
-        w = rng.standard_normal((4, k))
+        w, b = rng.standard_normal((4, k)), signed_zeros(rng, 4)
         base = signed_zeros(rng, shape + (2,))
         # a contiguous input, and one whose last axis is strided
         for x in (np.ascontiguousarray(base[..., 0]), base[..., 1]):
             window = np.lib.stride_tricks.sliding_window_view(x, k, axis=-1)
-            want = np.einsum("...pk,mk->...mp", window, w)
-            out = T.conv1d(x, T.Tensor(w)).data
+            want = np.einsum("...pk,mk->...mp", window, w) + b[:, None]
+            out = T.conv1d(x, T.Tensor(w), T.Tensor(b)).data
             assert out.tobytes() == want.tobytes()
 
     # 130 and 300 terms cross numpy's 128-term pairwise summation block
