@@ -96,14 +96,14 @@ class RunTable:
     def window_at(self, reference_time, alpha: int) -> EventWindow:
         if alpha < 1:
             raise ConfigError("alpha must be at least 1")
-        _, run = self._current_run(reference_time)
         if alpha not in self._preceding:
             self._preceding[alpha] = kernels.preceding_runs(
                 self.lengths, self.run_states, alpha
             )
+        # inline, so the kernel frees the run once it has the flat index
         return EventWindow(*kernels.extract_windows(
-            self._preceding[alpha], self.starts, self.run_states, run,
-            reference_time,
+            self._preceding[alpha], self.starts, self.run_states,
+            self._current_run(reference_time)[1], reference_time,
         ))
 
     def remaining_run_lengths(self, reference_time) -> np.ndarray:

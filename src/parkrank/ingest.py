@@ -95,12 +95,13 @@ class OccupancyMatrix:
         m, n = self.states.shape
         if self.interval_minutes <= 0:
             raise DataError("interval_minutes must be positive")
-        try:  # every interval on the calendar: clock products fit int64
-            self.start_time + timedelta(minutes=self.interval_minutes) * n
+        try:  # the last interval a datetime, so clock products fit int64
+            step = timedelta(minutes=self.interval_minutes)
+            self.start_time + step * max(n - 1, 0)
         except OverflowError:
             raise DataError(
-                f"{n} intervals of {self.interval_minutes} minutes from "
-                f"{self.start_time} end past the calendar"
+                f"the last of {n} intervals of {self.interval_minutes} "
+                f"minutes from {self.start_time} is past the calendar"
             ) from None
         if len(self.location_index) != m:
             raise DataError(

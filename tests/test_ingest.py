@@ -706,6 +706,22 @@ class TestRoundTrips:
         assert header == b'"a,b","say ""hi""",plain, padded '
         assert ingest.load_matrix(path).equals(mat)
 
+    @pytest.mark.parametrize(
+        "intervals, minutes, start",
+        [(1, 10**20, datetime(2022, 8, 1)), (150, 10**17, datetime(2022, 8, 1)),
+         (3, 5, datetime(9999, 12, 31, 23, 50))],
+    )
+    def test_last_interval_must_be_on_the_calendar(
+        self, intervals, minutes, start
+    ):
+        # so the eval clock's int64 products of times and interval_minutes
+        # cannot overflow or wrap, even for a single interval
+        states = np.zeros((2, intervals), dtype=bool)
+        with pytest.raises(DataError, match="is past the calendar"):
+            ingest.OccupancyMatrix(states, minutes, start, {"a": 0, "b": 1})
+        # the last interval may start in the calendar's last minutes
+        ingest.OccupancyMatrix(states[:, :2], 5, start, {"a": 0, "b": 1})
+
     def test_graph_round_trip(self, tmp_path):
         locs = ingest.synth_locations(
             ingest.SynthConfig(num_locations=7, num_intervals=1)
