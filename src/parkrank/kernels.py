@@ -76,7 +76,7 @@ def preceding_runs(lengths, run_states, alpha):
 def extract_windows(preceding, starts, run_states, run, t):
     """Signed-duration event windows for every row at reference column t.
 
-    ``run[..., i]`` is row i's run holding t (``run_of.T[t]``). Returns
+    ``run[..., i]`` is the index of row i's run holding t. Returns
     ``(signed, current_signed)``: ``signed[..., i, :]`` is that run's
     ``preceding_runs`` entry, its newest completed runs, and
     ``current_signed[..., i]`` its signed age. An int array t adds its
