@@ -6,14 +6,10 @@ the gather that reads it at one or many reference columns, next-vacant
 distances, and the two-state occupancy chain of the synthetic generator,
 the only one that loops (over its time steps). The chain reads each
 row's neighbors from an [rows, K] table, so a step costs O(rows * K),
-not a dense [rows, rows] product. Per block of steps it tabulates each
-row's switch probability before the hazard for every (state, neighbor
-count, occupied neighbor count), by the float ops a per-row step would
-do, so a step gathers it with one integer key; and since ``u < min(q,
-cap)`` is ``u < cap and u < q``, the block's uniforms not below the cap
-become +inf and the cap costs no step anything. Every stochastic input
-is pre-drawn with numpy's Generator by the caller, so each kernel is a
-pure function of its arguments.
+not a dense [rows, rows] product, and gathers its switch probabilities
+from a table of the same float ops per block of steps. Every stochastic
+input is pre-drawn with numpy's Generator by the caller, so each kernel
+is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -35,8 +31,7 @@ NUMBA_ACTIVE = False
 # Sentinel for "no vacant interval in range"; larger than any real distance.
 NEVER_VACANT = np.int64(2**31)
 
-# about the most bytes of tables and uniforms one markov_occupancy block
-# holds; each one adds to the peak of every synth set-up
+# about the most bytes of tables and uniforms in a markov_occupancy block
 BLOCK_BYTES = 20 << 10
 
 
@@ -125,54 +120,42 @@ def markov_occupancy(
     so stale runs end sooner than fresh ones.
 
     A row's switch probability before the hazard depends only on the
-    step, the row's state, its neighbour count and its occupied
-    neighbour count. So each block of steps tabulates it for every
-    (state, count, occupied count): ``clip(pull + diurnal[t], 0, 1)`` for
-    a vacant row and ``1 -`` that for an occupied one, where pull is the
-    neighbour term of the count pair. These are the float ops a per-row
-    step would do, on the same operands in the same order, so every
-    entry has the bits that row would compute. A step finds each row's
-    entry by one integer dot over the neighbour table extended with the
-    row itself and a cell holding its count's offset, an exact sum, and
-    reads its hazard by run age with one gather. Since ``u < min(q,
-    cap)`` holds exactly when ``u < cap`` and ``u < q``, each block
-    sets its uniforms that are not below ``switch_cap`` to +inf and
-    compares them with q alone. A block holds about BLOCK_BYTES of
-    tables and uniforms, so the output is the only [rows, steps] array
-    the chain allocates.
+    step, its state and its (neighbor, occupied neighbor) counts. Each
+    block of steps tabulates it for every such triple, ``clip(pull +
+    diurnal[t], 0, 1)`` when vacant and ``1 -`` that when occupied, by
+    the float ops and operand order of a per-row step, so every entry
+    has that step's bits. A step keys each row's entry by one exact
+    integer dot over the neighbor table extended with the row itself
+    and its count's offset. ``u < min(q, cap)`` holds exactly when ``u <
+    cap`` and ``u < q``, so a block's uniforms not below ``switch_cap``
+    become +inf and q needs no cap. A block holds about BLOCK_BYTES of
+    tables and uniforms: the output is the only [rows, steps] array.
     """
     rows = init_u.shape[0]
     steps = step_u.shape[0] + 1
-    slots = neighbors.shape[1]
-    width = slots + 1
     occ = np.empty((rows, steps), dtype=np.bool_)
+    width = neighbors.shape[1] + 1
     count = np.arange(width)[:, np.newaxis]
     mean = np.where(count > 0, np.arange(width) / np.maximum(count, 1.0), base)
-    # pull[c * width + k]: the neighbor term of a row with c neighbors,
-    # k of them occupied
+    # pull[c * width + k]: the neighbor term of c neighbors, k occupied
     pull = (gamma * (mean - base)).ravel()
-    # the current state, then the padding (always vacant) and the key
-    # offset of each neighbor count
-    state = np.zeros(rows + 1 + width, dtype=np.intp)
-    state[rows + 1 :] = np.arange(0, pull.size, width)
+    # the state, then the padding (always vacant) and each count's offset
+    state = np.r_[init_u < base, 0, np.arange(0, pull.size, width)]
     prev = state[:rows]
-    prev[:] = init_u < base
     occ[:, 0] = prev
-    # key = state * width**2 + count * width + occupied, summed over a
-    # slot-major table so the dot reads contiguous rows
-    extended = np.empty((slots + 2, rows), dtype=np.intp)
-    extended[:slots] = neighbors.T
-    extended[slots] = np.arange(rows)
-    extended[slots + 1] = np.count_nonzero(neighbors < rows, axis=1) + rows + 1
-    weights = np.ones(slots + 2, dtype=np.intp)
-    weights[slots] = pull.size
+    # key = state * width**2 + count * width + occupied, slot-major so
+    # the dot reads contiguous rows
+    extended = np.vstack(
+        [neighbors.T, np.arange(rows), (neighbors < rows).sum(1) + rows + 1]
+    )
+    weights = np.r_[np.ones(width - 1, dtype=np.int64), pull.size, 1]
     # at step t a run that started at step s is t - s steps old, and
     # its hazard is by_start[steps - 1 - t + s]
     by_start = rho0 * np.minimum(
         hazard_max,
         hazard_base + hazard_slope * np.arange(steps - 1, -1, -1.0),
     )
-    start = np.zeros(rows, dtype=np.intp)
+    start = np.zeros(rows, dtype=np.int64)
     block = max(1, BLOCK_BYTES // (8 * (rows + 2 * pull.size)))
     table = np.empty((block, 2 * pull.size))
     uniforms = np.empty((block, rows))
@@ -183,8 +166,7 @@ def markov_occupancy(
         np.minimum(p, 1.0, out=p)
         table[: hi - lo, : pull.size] = p
         # an occupied row switches toward vacancy
-        np.subtract(1.0, p, out=p)
-        table[: hi - lo, pull.size :] = p
+        table[: hi - lo, pull.size :] = np.subtract(1.0, p, out=p)
         del p  # it would outlive the block's steps
         u = uniforms[: hi - lo]
         np.copyto(u, step_u[lo - 1 : hi - 1])

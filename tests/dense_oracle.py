@@ -376,6 +376,13 @@ def markov_occupancy(
     return occ
 
 
+def markov_block(rows, slots) -> int:
+    """Steps per block of kernels.markov_occupancy for rows and K = slots:
+    as many as fit BLOCK_BYTES of uniforms and switch tables."""
+    cells = 2 * (slots + 1) ** 2
+    return max(1, kernels.BLOCK_BYTES // (8 * (rows + cells)))
+
+
 def synth_states(cfg) -> np.ndarray:
     """The occupancy states of ingest.synth_generate(cfg), from the dense
     [m, m] matrix of grid steps and the dense chain."""

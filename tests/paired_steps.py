@@ -1,7 +1,7 @@
-"""Time criterion-8 training steps, eval passes or recommend queries of
-two parkrank source trees in one process, alternating them, and print
-each tree's median time, the paired ratio and a digest of what each tree
-computed.
+"""Time criterion-8 training steps, eval passes, recommend queries or
+synthetic data sets of two parkrank source trees in one process,
+alternating them, and print each tree's median time, the paired ratio
+and a digest of what each tree computed.
 
     python3 tests/paired_steps.py /path/to/other/checkout/src
     python3 tests/paired_steps.py /path/to/other/src --pairs 12 --steps 50
@@ -9,6 +9,7 @@ computed.
     python3 tests/paired_steps.py /path/to/other/src --eval --pairs 41
     python3 tests/paired_steps.py /path/to/other/src --eval --meters 120 --intervals 2016
     python3 tests/paired_steps.py /path/to/other/src --recommend --pairs 16
+    python3 tests/paired_steps.py /path/to/other/src --synth --meters 120 --intervals 2016
 
 This tree's src/ loads as the package ``parkrank``, the other as
 ``parkrank_other``. Each pair runs ``train.train_loop`` once per tree with
@@ -35,6 +36,11 @@ RunTable.window_at, forward_scores at B=1 and recommend_top_n for the
 top 5. Both trees answer the same seeded (meter, time) queries; the time
 is ms per query, and the digest is the sha256 of every answer's score
 row and top list, so equal digests mean the same answers.
+
+With --synth, each pair times one ``ingest.synth_generate`` per tree on
+the criterion-8 shape unless --meters and --intervals give another, and
+the digest is the sha256 of its occupancy ``states``, so equal digests
+mean byte-identical matrices.
 
 BLAS runs on one thread, as in perfbench. pytest does not collect this
 script.
@@ -84,19 +90,23 @@ class Tree:
         mods = load_tree(src, name)
         self.name, self.train = name, mods["train"]
         self.evaluate, self.model = mods["evaluate"], mods["model"]
-        ingest = mods["ingest"]
+        self.ingest = ingest = mods["ingest"]
         n, intervals, steps = args.meters, args.intervals, args.steps
-        locations, self.matrix = ingest.synth_generate(ingest.SynthConfig(
+        self.synth_cfg = ingest.SynthConfig(
             num_locations=n, num_intervals=intervals, rng_seed=DATA_SEED
-        ))
+        )
+        self.ms_per_step: list[float] = []
+        self.digest = ""
+        if args.synth:
+            self.run = self.synth
+            return
+        locations, self.matrix = ingest.synth_generate(self.synth_cfg)
         self.graph = ingest.build_adjacency(locations)
         self.cfg = self.train.TrainConfig(
             alpha=2, beta=3, kernel_len=2, horizon_intervals=4,
             batch_size=128, iterations=steps, eval_every=steps,
             softmax_weight=0.1, rng_seed=0,
         )
-        self.ms_per_step: list[float] = []
-        self.digest = ""
         if args.recommend:
             self.params = self.model.ModelParams(
                 self.cfg.model_config(), self.graph,
@@ -153,6 +163,12 @@ class Tree:
         text = evaluate.reports_to_json(reports)
         self.digest = hashlib.sha256(text.encode()).hexdigest()
 
+    def synth(self) -> None:
+        start = time.perf_counter()
+        _, matrix = self.ingest.synth_generate(self.synth_cfg)
+        self.ms_per_step.append(1e3 * (time.perf_counter() - start))
+        self.digest = hashlib.sha256(matrix.states.tobytes()).hexdigest()
+
     def recommend_queries(self) -> None:
         model, params, graph = self.model, self.params, self.graph
         states, alpha = self.matrix.states, self.cfg.alpha
@@ -191,6 +207,8 @@ def main() -> None:
                       help="time eval passes instead of training steps")
     mode.add_argument("--recommend", action="store_true",
                       help="time recommend queries instead of training steps")
+    mode.add_argument("--synth", action="store_true",
+                      help="time synth_generate instead of training steps")
     parser.add_argument("--queries", type=int, default=3000,
                         help="queries per tree in each --recommend pair")
     args = parser.parse_args()
@@ -218,6 +236,8 @@ def main() -> None:
         each = f"{args.queries} queries"
     elif args.eval:
         unit, what, each = "ms/pass", "reports", "one eval pass"
+    elif args.synth:
+        unit, what, each = "ms/call", "states", "one synth_generate"
     else:
         unit, what, each = "ms/step", "params", f"{args.steps} steps"
     for tree in (this, other):

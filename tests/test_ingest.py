@@ -672,6 +672,19 @@ class TestSynthGenerate:
         assert got.shape == want.shape == (m, intervals)
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("m, blocks", [(1, 3), (7, 3), (30, 4), (250, 6)])
+    def test_states_match_dense_chain_over_blocks(self, m, blocks):
+        # the chain tabulates per block of intervals: run it across
+        # several, ending a few intervals into the last
+        intervals = blocks * dense_oracle.markov_block(m, 4) + 3
+        cfg = ingest.SynthConfig(
+            num_locations=m, num_intervals=intervals, rng_seed=m
+        )
+        got = ingest.synth_generate(cfg)[1].states
+        want = dense_oracle.synth_states(cfg)
+        assert got.any() and not got.all()
+        assert got.tobytes() == want.tobytes()
+
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
             ingest.SynthConfig(num_locations=0, num_intervals=10)

@@ -1,13 +1,15 @@
 """Kernel tests against independent oracles."""
 
+import tracemalloc
 from itertools import groupby
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
-from parkrank import kernels
+from parkrank import ingest, kernels
 
 
 def rle_oracle(seq):
@@ -229,6 +231,57 @@ class TestMarkovOccupancy:
         )
         assert got.shape == want.shape == (rows, steps)
         assert got.tobytes() == want.tobytes()
+
+    @given(
+        st.one_of(st.integers(1, 12), st.just(200)), st.integers(0, 5),
+        st.integers(0, 4), st.sampled_from([0.0, 1.0, 0.45]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_block_edges_match_dense_oracle(self, rows, k, edge, base, seed):
+        # a chain of no step, of one step short of a block, exactly one
+        # block, one step into the next and 5 steps into the third, for
+        # any table (K = 0, padding, repeats and self entries included)
+        block = dense_oracle.markov_block(rows, k)
+        steps = 1 + (0, block - 1, block, block + 1, 2 * block + 5)[edge]
+        rng = np.random.default_rng(seed)
+        kw = self._inputs(rng, rows=rows, steps=steps)
+        kw.update(
+            neighbors=rng.integers(0, rows + 1, (rows, k)),
+            base=base,
+            sin_mod=0.3 * np.sin(rng.random(steps) * 2 * np.pi),
+        )
+        got = kernels.markov_occupancy(**kw)
+        dense = dense_oracle.neighbor_matrix(kw.pop("neighbors"))
+        want = dense_oracle.markov_occupancy(
+            neighbor_w=dense, neighbor_cnt=dense.sum(axis=1), **kw
+        )
+        assert got.shape == want.shape == (rows, steps)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("meters", [120, 1200])
+    def test_peak_is_the_output(self, monkeypatch, meters):
+        # no [steps, rows] temporary besides the bool output: the traced
+        # peak of one call stays within 256 KB of it
+        seen = []
+        chain = kernels.markov_occupancy
+
+        def spy(*args):
+            seen.append(args)
+            return chain(*args)
+
+        monkeypatch.setattr(ingest.kernels, "markov_occupancy", spy)
+        ingest.synth_generate(
+            ingest.SynthConfig(num_locations=meters, num_intervals=2016)
+        )
+        tracemalloc.start()
+        try:
+            occ = chain(*seen[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert occ.shape == (meters, 2016)
+        assert peak < occ.nbytes + 256 * 1024
 
     def test_zero_base_rate_all_vacant(self):
         # amplitude scales with min(base, 1-base) upstream, so it is 0 here
