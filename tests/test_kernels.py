@@ -205,17 +205,10 @@ class TestMarkovOccupancy:
             switch_cap=0.95,
         )
 
-    @given(
-        st.integers(1, 12), st.integers(0, 5), st.integers(1, 60),
-        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-        st.floats(0.0, 1.0), st.floats(0.0, 0.5), st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    def test_matches_dense_oracle(
-        self, rows, k, steps, base, gamma, amp, seed
-    ):
-        # any table, padding, repeats and self entries included, against
-        # the dense [rows, rows] chain it stands for
+    def check_dense(self, rows, k, steps, base, gamma, amp, seed):
+        """The chain on a random [rows, k] table, padding, repeats and
+        self entries included, equals the dense [rows, rows] chain it
+        stands for, byte for byte."""
         rng = np.random.default_rng(seed)
         kw = self._inputs(rng, rows=rows, steps=steps)
         kw.update(
@@ -233,31 +226,28 @@ class TestMarkovOccupancy:
         assert got.tobytes() == want.tobytes()
 
     @given(
+        st.integers(1, 12), st.integers(0, 5), st.integers(1, 60),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        st.floats(0.0, 1.0), st.floats(0.0, 0.5), st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_matches_dense_oracle(
+        self, rows, k, steps, base, gamma, amp, seed
+    ):
+        self.check_dense(rows, k, steps, base, gamma, amp, seed)
+
+    @given(
         st.one_of(st.integers(1, 12), st.just(200)), st.integers(0, 5),
         st.integers(0, 4), st.sampled_from([0.0, 1.0, 0.45]),
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_block_edges_match_dense_oracle(self, rows, k, edge, base, seed):
-        # a chain of no step, of one step short of a block, exactly one
-        # block, one step into the next and 5 steps into the third, for
-        # any table (K = 0, padding, repeats and self entries included)
+        # the chain tabulates per block of steps: no step, one step short
+        # of a block, one block, one step into the next, 5 into the third
         block = dense_oracle.markov_block(rows, k)
         steps = 1 + (0, block - 1, block, block + 1, 2 * block + 5)[edge]
-        rng = np.random.default_rng(seed)
-        kw = self._inputs(rng, rows=rows, steps=steps)
-        kw.update(
-            neighbors=rng.integers(0, rows + 1, (rows, k)),
-            base=base,
-            sin_mod=0.3 * np.sin(rng.random(steps) * 2 * np.pi),
-        )
-        got = kernels.markov_occupancy(**kw)
-        dense = dense_oracle.neighbor_matrix(kw.pop("neighbors"))
-        want = dense_oracle.markov_occupancy(
-            neighbor_w=dense, neighbor_cnt=dense.sum(axis=1), **kw
-        )
-        assert got.shape == want.shape == (rows, steps)
-        assert got.tobytes() == want.tobytes()
+        self.check_dense(rows, k, steps, base, 0.5, 0.3, seed)
 
     @pytest.mark.parametrize("meters", [120, 1200])
     def test_peak_is_the_output(self, monkeypatch, meters):
