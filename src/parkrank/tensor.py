@@ -18,7 +18,9 @@ in pair order from +0.0. That is not numpy's pairwise order, so a dense
 sum over the zero-filled row differs from it only by rounding (the
 tests' dense oracles agree within 1e-12), not bit for bit. neighbor_mix
 sums through one weighted NeighborTable of a symmetric matrix, forward
-and backward alike.
+and backward alike. A NeighborTable sums a block of snapshots at a time,
+one gather and one fused sum over its slots, whose inner loop never runs
+along the slots: each target adds in slot order however the blocks fall.
 
 Four ops fuse a chain of primitives into one tape node: conv1d
 (correlation, reshape, add), pair_readout (two gathers, add, add, relu,
@@ -234,22 +236,23 @@ def dense_relu(x, w, b) -> Tensor:
     return _node(out, (x, w, b), bw)
 
 
-GATHER_BYTES = 1 << 18  # most bytes one NeighborTable.sum gather fills
+GATHER_BYTES = 1 << 18  # most bytes of terms one block of snapshots gathers
 
 
 class NeighborTable:
     """Entries grouped by the target each lands on, in entry order.
 
-    index[e] in [0, size) is the target of entry e. slots is [K, size],
+    index[e] in [0, size) is the target of entry e. slots is [K, width],
     slot-major: column t lists the sources of the entries that land on
     t, in increasing entry order, padded with -1, which reads the zero
     that sum appends after the last source; K is the most entries any
-    target has. A source is the entry's own position unless sources
-    gives one per entry. weights, when given, scales each entry (padding
-    scales by 0).
+    target has. width is size, or 2 for a one-target table, whose spare
+    column is all padding. A source is the entry's own position unless
+    sources gives one per entry. weights, when given, scales each entry
+    (padding scales by 0).
     """
 
-    __slots__ = ("slots", "weights", "_broadcast")
+    __slots__ = ("size", "slots", "weights", "_broadcast")
 
     def __init__(self, index, size: int, sources=None, weights=None):
         index = np.asarray(index, dtype=np.intp)
@@ -263,17 +266,15 @@ class NeighborTable:
             np.cumsum(counts) - counts, counts
         )
         slot = (rank, index[order])
-        self.slots = np.full((counts.max(initial=0), size), -1, np.intp)
+        self.size = size
+        width = max(size, 2)
+        self.slots = np.full((counts.max(initial=0), width), -1, np.intp)
         self.slots[slot] = order if sources is None else sources[order]
         self.weights = None
-        self._broadcast = {}  # weights as [K, size, *tail], per tail
+        self._broadcast = {}  # weights as [K, width, *tail], per tail
         if weights is not None:
             self.weights = np.zeros(self.slots.shape)
             self.weights[slot] = weights[order]
-
-    @property
-    def size(self) -> int:
-        return self.slots.shape[1]
 
     def sum(
         self, values: np.ndarray, axis: int, padded: bool = False
@@ -281,41 +282,45 @@ class NeighborTable:
         """Per target, the sum over its entries of (weight times) the
         source's slice of values along axis; axis becomes length size.
 
-        Each target's terms are added one slot at a time, in entry
-        order, to a +0.0 start. Padding reads a zero appended after the
-        last source, so it adds +0.0, which changes no such sum; a caller
-        that builds values can leave that zero slice at the end of axis
-        itself and pass padded, which saves copying values. Each
-        np.take gathers as many whole slots as fit in GATHER_BYTES (the
-        whole table for one snapshot, one slot for a big batch) into one
-        reused buffer, and the weights scale a whole gather at once.
-        Every term is still the same product, added in the same order,
-        so how the slots are grouped cannot change the bits.
+        Each target's terms are added in entry order to a +0.0 start.
+        Padding reads a zero appended after the last source, so it adds
+        +0.0, which changes no such sum; a caller that builds values can
+        leave that zero slice at the end of axis itself and pass padded,
+        which saves copying values. The axes before axis are one axis of
+        snapshots, summed in blocks of as many as fit GATHER_BYTES of
+        terms [block, K, width, *tail], at least one: one np.take gathers
+        a block into a reused buffer, and one np.einsum with the weights
+        (np.add.reduce from +0.0 without) sums its K slots into that
+        block of the output. Its inner loop runs along a slot's width *
+        tail contiguous terms, never fewer than two, so it adds each
+        output's terms one slot at a time, in slot order; only a single
+        output would make numpy add the slots pairwise or unrolled.
         """
         axis = axis % values.ndim
         lead, tail = values.shape[:axis], values.shape[axis + 1 :]
         if not padded:
             zero = np.zeros(lead + (1,) + tail)
             values = np.concatenate([values, zero], axis)
-        out = np.zeros(lead + (self.size,) + tail)
         weights = self._broadcast.get(tail)
         if weights is None and self.weights is not None:
             w = self.weights.reshape(self.slots.shape + (1,) * len(tail))
             weights = np.broadcast_to(w, self.slots.shape + tail).copy()
             self._broadcast[tail] = weights
-        chunk = max(1, GATHER_BYTES // max(out.nbytes, 1))
-        buffer = np.empty(min(chunk, len(self.slots)) * out.size)
-        for lo in range(0, len(self.slots), chunk):
-            slots = self.slots[lo : lo + chunk]
-            shape = lead + slots.shape + tail
-            terms = buffer[: math.prod(shape)].reshape(shape)
+        count, shape = math.prod(lead), self.slots.shape + tail
+        values = values.reshape((count,) + values.shape[axis:])
+        out = np.empty((count,) + shape[1:])
+        block = max(1, GATHER_BYTES // max(8 * math.prod(shape), 1))
+        buffer = np.empty((min(block, count),) + shape)
+        for lo in range(0, count, block):
+            part, at = values[lo : lo + block], out[lo : lo + block]
+            terms = buffer[: len(part)]
             # "wrap" reads -1 as "raise" would, without buffering out
-            np.take(values, slots, axis, out=terms, mode="wrap")
-            if weights is not None:
-                terms *= weights[lo : lo + chunk]
-            for k in range(len(slots)):
-                out += terms[(slice(None),) * axis + (k,)]
-        return out
+            np.take(part, self.slots, 1, out=terms, mode="wrap")
+            if weights is None:
+                np.add.reduce(terms, 1, out=at, initial=0.0)
+            else:
+                np.einsum("bk...,k...->b...", terms, weights, out=at)
+        return out[:, : self.size].reshape(lead + (self.size,) + tail)
 
 
 class Pairs:
@@ -353,11 +358,11 @@ def neighbor_mix(table: NeighborTable, x) -> Tensor:
     NeighborTable over the row indices with the column indices as
     sources), built once per graph. w must be symmetric: column i of w
     then lists the same terms as row i, in the same order, so the
-    backward, w.T @ g, sums g through the same table. Each row's j terms
-    are added in increasing order from +0.0. np.einsum("ij,...jd->...id")
-    adds them in that order too when the feature width d is above 1 (at
-    d = 1 it reorders), and dropping zero terms cannot change such a
-    sum, so the bits match the dense einsum's.
+    backward, w.T @ g, sums g through the same table, in blocks of
+    snapshots. Each row adds its j terms in increasing order from +0.0,
+    as np.einsum("ij,...jd->...id") does when the feature width d is
+    above 1 (at d = 1 it reorders); dropping zero terms cannot change
+    such a sum, so the bits match the dense einsum's.
     """
     x = as_tensor(x)
     n = table.size

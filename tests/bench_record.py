@@ -17,7 +17,8 @@ gain must be wider than that. --smoke passes perfbench's --smoke (the
 criterion-9 shape).
 
 Each run appends {sha, side, seed, provenance, correct, failed, metrics}
-to BENCH_<workload>.json in --out (default: this checkout's root): sha is
+to BENCH_<workload>.json in --out (default: this checkout's root), which
+must be an existing directory, checked before the first run: sha is
 ``git describe --always --dirty`` of the checkout, and the rest is what
 perfbench printed. At the end, each metric's median and quartiles per
 side are printed over this invocation's runs, with the number of seeds
@@ -108,6 +109,9 @@ def main() -> None:
     parser.add_argument("--out", type=Path, default=HERE,
                         help="directory of BENCH_<workload>.json")
     args = parser.parse_args()
+    if not args.out.is_dir():
+        # checked before the first run, which would write nothing to it
+        parser.error(f"--out {args.out} is not a directory")
     checkouts = {"change": HERE, "baseline": args.baseline.resolve()}
     if args.aa is not None:
         checkouts["aa"] = args.aa.resolve()

@@ -42,8 +42,9 @@ the criterion-8 shape unless --meters and --intervals give another, and
 the digest is the sha256 of its occupancy ``states``, so equal digests
 mean byte-identical matrices.
 
-BLAS runs on one thread, as in perfbench. pytest does not collect this
-script.
+When the two digests differ, the last line reads DIFFER and the script
+exits 1, so a script or CI step can gate on it. BLAS runs on one thread,
+as in perfbench. pytest does not collect this script.
 """
 
 import os
@@ -247,6 +248,8 @@ def main() -> None:
           f"[quartiles {q1:.3f}, {q3:.3f}] over {args.pairs} pairs, "
           f"{each} each")
     print(what + (" equal" if this.digest == other.digest else " DIFFER"))
+    if this.digest != other.digest:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

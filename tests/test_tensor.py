@@ -1,5 +1,7 @@
 """Autodiff tests: per-op gradient checks, optimizer, checkpoint container."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -358,27 +360,37 @@ class TestOrderedTables:
         want = table_sum_oracle(index, shape[axis], g, axis)
         assert gx.tobytes() == want.tobytes()
 
-    # slots per np.take in NeighborTable.sum, as GATHER_BYTES set from
-    # the bytes of one slot: one, two (2 + 2 + 1 of K = 5), or all
+    # snapshots per np.take in NeighborTable.sum, as GATHER_BYTES set
+    # from the bytes of one snapshot's terms: one, two (2 + 2 + ... + the
+    # rest), or all
     REGIMES = {"one": 0, "two": 2, "all": 1 << 30}
 
-    def gathers(self, monkeypatch, regime, slot_bytes):
+    def gathers(self, monkeypatch, regime, table, tail):
         """Set the gather budget for regime; the returned list collects
-        the slot count of each np.take that NeighborTable.sum makes."""
-        budget = self.REGIMES[regime] * slot_bytes
+        the snapshot count of each np.take that NeighborTable.sum makes."""
+        budget = self.REGIMES[regime] * 8 * table.slots.size * math.prod(tail)
         monkeypatch.setattr(T, "GATHER_BYTES", budget)
         counts, real_take = [], np.take
 
         def counting_take(a, indices, *args, **kwargs):
             if "out" in kwargs:
-                counts.append(np.shape(indices)[0])
+                counts.append(len(a))
             return real_take(a, indices, *args, **kwargs)
 
         monkeypatch.setattr(np, "take", counting_take)
         return counts
 
+    @staticmethod
+    def blocks(regime, snapshots):
+        """The snapshot count of each block of a sum in regime."""
+        block = {"one": 1, "two": 2, "all": snapshots}[regime]
+        starts = range(0, snapshots, block)
+        return [min(block, snapshots - lo) for lo in starts]
+
     @pytest.mark.parametrize("regime", sorted(REGIMES))
-    @pytest.mark.parametrize("shape", [(7, 3), (1, 7, 5), (3, 7, 2)])
+    @pytest.mark.parametrize(
+        "shape", [(7, 3), (1, 7, 5), (3, 7, 2), (2, 3, 7, 2)]
+    )
     def test_neighbor_mix_gather_regimes(self, monkeypatch, regime, shape):
         rng = np.random.default_rng(32)
         # row and column 3, and row and column 1, hold K = 5 weights,
@@ -393,10 +405,9 @@ class TestOrderedTables:
         x, g = signed_zeros(rng, shape), signed_zeros(rng, shape)
         table, _ = dense_oracle.mix_tables(w)
         assert len(table.slots) == 5
-        counts = self.gathers(monkeypatch, regime, x.nbytes)
+        counts = self.gathers(monkeypatch, regime, table, shape[-1:])
         out, gx = forward_and_grad(lambda t: T.neighbor_mix(table, t), x, g)
-        per_sum = {"one": [1] * 5, "two": [2, 2, 1], "all": [5]}[regime]
-        assert counts == per_sum * 2
+        assert counts == self.blocks(regime, math.prod(shape[:-2])) * 2
         assert out.tobytes() == np.einsum("ij,...jd->...id", w, x).tobytes()
         assert gx.tobytes() == np.einsum("ji,...jd->...id", w, g).tobytes()
 
@@ -407,6 +418,7 @@ class TestOrderedTables:
             ((2, 1, 3), [0] * 9, 1),  # one target hit 9 times
             ((1, 4), [1, 3, 1, 1, 0, 1, 3, 1, 1, 1], -1),
             ((6, 1), [3, 0, 3, 1, 3, 2, 0, 3, 3, 5, 3, 3, 3], 0),
+            ((5, 2, 3), [1, 0, 1, 1, 1, 0, 1, 1], 1),  # five snapshots
         ],
     )
     def test_take_backward_gather_regimes(
@@ -425,19 +437,54 @@ class TestOrderedTables:
             None: T.NeighborTable(index, size),
             "weighted": T.NeighborTable(index, size, weights=weights),
         }
-        depth = tables[None].slots.shape[0]
-        assert depth >= 6
-        counts = self.gathers(monkeypatch, regime, x.nbytes)
+        assert tables[None].slots.shape[0] >= 6
+        axis %= len(shape)
+        tail = shape[axis + 1 :]
+        counts = self.gathers(monkeypatch, regime, tables[None], tail)
         for kind, table in tables.items():
             w = None if kind is None else weights
             want = table_sum_oracle(index, size, g, axis, weights=w)
             assert table.sum(g, axis).tobytes() == want.tobytes(), kind
-        chunk = {"one": 1, "two": 2, "all": depth}[regime]
-        want = [min(chunk, depth - lo) for lo in range(0, depth, chunk)]
-        assert counts == want * 2
+        assert counts == self.blocks(regime, math.prod(shape[:axis])) * 2
         _, gx = forward_and_grad(lambda t: take(t, index, axis), x, g)
         want = table_sum_oracle(index, size, g, axis)
         assert gx.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_sum_matches_oracle_in_every_block(self, data):
+        # one-target tables whose tail is all ones, where a block's slot
+        # sum would have a single output if the table had no spare
+        # column, among others; K up to 17 covers the pairwise sum's
+        # blocks of 8 and the einsum's unrolled loops
+        size = data.draw(st.integers(1, 3))
+        tail = data.draw(st.sampled_from([(), (1,), (1, 1), (2,), (3, 1)]))
+        lead = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2)))
+        counts = data.draw(
+            st.lists(st.integers(0, 17), min_size=size, max_size=size)
+        )
+        sources = data.draw(st.integers(1, 4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        index = rng.permutation(np.repeat(np.arange(size), counts))
+        source = rng.integers(0, sources, index.size)
+        weights = signed_zeros(rng, index.shape)
+        if data.draw(st.booleans()):
+            weights = None
+        table = T.NeighborTable(index, size, source, weights)
+        values = signed_zeros(rng, lead + (sources,) + tail)
+        axis = data.draw(st.sampled_from([len(lead), len(lead) - values.ndim]))
+        want = table_sum_oracle(index, size, values, axis, source, weights)
+        padded = data.draw(st.booleans())
+        if padded:
+            zero = np.zeros(lead + (1,) + tail)
+            values = np.concatenate([values, zero], axis)
+        per_block = data.draw(st.sampled_from([0, 2, 1 << 30]))
+        budget = per_block * 8 * table.slots.size * math.prod(tail)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(T, "GATHER_BYTES", budget)
+            got = table.sum(values, axis, padded)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("axis", [0, 1, -1])
     def test_sum_of_padded_values(self, axis):
