@@ -291,10 +291,10 @@ class NeighborTable:
         terms [block, K, width, *tail], at least one: one np.take gathers
         a block into a reused buffer, and one np.einsum with the weights
         (np.add.reduce from +0.0 without) sums its K slots into that
-        block of the output. Its inner loop runs along a slot's width *
-        tail contiguous terms, never fewer than two, so it adds each
-        output's terms one slot at a time, in slot order; only a single
-        output would make numpy add the slots pairwise or unrolled.
+        block of the output. Either loops innermost along a slot's width
+        * tail terms, two or more (hence the spare column), so each output
+        adds its terms slot by slot, in slot order; with one term numpy
+        would loop along the slots, adding them pairwise or unrolled.
         """
         axis = axis % values.ndim
         lead, tail = values.shape[:axis], values.shape[axis + 1 :]
