@@ -361,8 +361,8 @@ class TestOrderedTables:
         assert gx.tobytes() == want.tobytes()
 
     # snapshots per np.take in NeighborTable.sum, as GATHER_BYTES set
-    # from the bytes of one snapshot's terms: one, two (2 + 2 + ... + the
-    # rest), or all
+    # from the bytes of one snapshot's terms: one, two (the last block
+    # holds the rest), or all
     REGIMES = {"one": 0, "two": 2, "all": 1 << 30}
 
     def gathers(self, monkeypatch, regime, table, tail):
@@ -463,15 +463,15 @@ class TestOrderedTables:
         counts = data.draw(
             st.lists(st.integers(0, 17), min_size=size, max_size=size)
         )
-        sources = data.draw(st.integers(1, 4))
+        source_len = data.draw(st.integers(1, 4))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         index = rng.permutation(np.repeat(np.arange(size), counts))
-        source = rng.integers(0, sources, index.size)
+        source = rng.integers(0, source_len, index.size)
         weights = signed_zeros(rng, index.shape)
         if data.draw(st.booleans()):
             weights = None
         table = T.NeighborTable(index, size, source, weights)
-        values = signed_zeros(rng, lead + (sources,) + tail)
+        values = signed_zeros(rng, lead + (source_len,) + tail)
         axis = data.draw(st.sampled_from([len(lead), len(lead) - values.ndim]))
         want = table_sum_oracle(index, size, values, axis, source, weights)
         padded = data.draw(st.booleans())
