@@ -1,13 +1,15 @@
 """Minimal reverse-mode autodiff on float64 numpy buffers.
 
 Tensors form a dynamic computation graph; each op records its parents and
-a backward rule returning per-parent gradient arrays. ``backward`` runs a
-topological sweep from a scalar loss and accumulates into ``.grad`` of the
-leaves only (tensors created with requires_grad, not by an op); gradients
-of intermediate nodes live just long enough to reach their parents. Inside
-a ``no_grad()`` block ops record nothing, so an intermediate is freed as
-soon as no later op or caller holds it. The module also carries the Adam
-update and a binary checkpoint container.
+a backward rule returning per-parent gradient arrays. Every tensor takes a
+number from one creation counter, and an op's output is made after its
+parents, so ``backward`` runs the nodes a scalar loss reaches newest first,
+a reverse topological order that needs no list of nodes. It accumulates
+into ``.grad`` of the leaves only (tensors created with requires_grad, not
+by an op); gradients of intermediate nodes live just long enough to reach
+their parents. Inside a ``no_grad()`` block ops record nothing, so an
+intermediate is freed as soon as no later op or caller holds it. The
+module also carries the Adam update and a binary checkpoint container.
 
 The pair ops read one index, built and checked once per graph: a Pairs
 holds the cells of a [rows, width] grid that a pair axis stores, in
@@ -38,6 +40,8 @@ the labels cost no backward pass.
 from __future__ import annotations
 
 import contextlib
+import heapq
+import itertools
 import json
 import math
 import struct
@@ -53,11 +57,15 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
+_creation_counter = itertools.count()  # Tensor._created, in creation order
+
 
 class Tensor:
     """A float64 array node in the computation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = (
+        "data", "grad", "requires_grad", "_parents", "_backward_fn", "_created"
+    )
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -65,6 +73,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn: Optional[Callable] = None
+        self._created = next(_creation_counter)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -621,10 +630,12 @@ def backward(loss: Tensor) -> None:
     """Accumulate d loss / d leaf into the .grad of every leaf.
 
     A leaf is a tensor that requires gradients and was not made by an op;
-    each gets its own .grad array. Intermediate nodes keep .grad as None:
-    their pass gradient is dropped once handed to their parents. Repeated
-    calls without zeroing keep adding, matching gradient accumulation
-    over several forward passes.
+    each gets its own .grad array, and repeated calls without zeroing keep
+    adding. Intermediate nodes keep .grad as None. Nodes run newest first
+    by creation number: an op's output is newer than its parents, so a
+    node runs after all of its consumers, and its pass gradient, dropped
+    once handed on, sums their terms newest consumer first. The dict of
+    pass gradients holds the nodes reached and not yet run.
     """
     if loss.data.size != 1:
         raise DimensionError(
@@ -634,29 +645,11 @@ def backward(loss: Tensor) -> None:
         # constant graph: nothing depends on any parameter
         return
 
-    topo: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
-    while stack:
-        node, processed = stack.pop()
-        if processed:
-            topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if parent.requires_grad and id(parent) not in visited:
-                stack.append((parent, False))
-
-    pass_grads: dict[int, np.ndarray] = {
-        id(loss): np.ones_like(loss.data)
-    }
-    for node in reversed(topo):
-        g = pass_grads.pop(id(node), None)
-        if g is None:
-            continue
+    pass_grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
+    newest_first = [(-loss._created, loss)]
+    while newest_first:
+        node = heapq.heappop(newest_first)[1]
+        g = pass_grads.pop(node)
         if node._backward_fn is None:
             # ops may hand one array to several parents, so copy
             node.grad = g.copy() if node.grad is None else node.grad + g
@@ -664,8 +657,10 @@ def backward(loss: Tensor) -> None:
         for parent, pg in zip(node._parents, node._backward_fn(g)):
             if pg is None or not parent.requires_grad:
                 continue
-            held = pass_grads.get(id(parent))
-            pass_grads[id(parent)] = pg if held is None else held + pg
+            held = pass_grads.get(parent)
+            if held is None:
+                heapq.heappush(newest_first, (-parent._created, parent))
+            pass_grads[parent] = pg if held is None else held + pg
 
 
 # ---------------------------------------------------------------------------

@@ -246,17 +246,18 @@ def training_loss(
     labels,
     scores,
     params: model.ModelParams,
+    penalty: T.Tensor,
     softmax_weight: float,
     l2_coeff: float,
 ) -> T.Tensor:
-    """Squared error plus weighted listwise NLL and L2 penalty over the
-    per-pair labels and scores ([batch, pairs]) of params.pairs."""
+    """Squared error plus weighted listwise NLL and L2 penalty (the
+    T.sum_squares node of params.tensors, built before scores; see
+    train_loop) over the per-pair labels and scores ([batch, pairs])."""
     total = squared_error(labels, scores, params.pairs)
     if softmax_weight > 0:
         nll = listwise_nll(labels, scores, params.pairs)
         total = T.add(total, T.mul(nll, softmax_weight))
     if l2_coeff > 0:
-        penalty = T.sum_squares(params.tensors)
         total = T.add(total, T.mul(penalty, l2_coeff))
     return total
 
@@ -386,19 +387,22 @@ def train_loop(
         batch = order[cursor : cursor + cfg.batch_size]
         cursor += cfg.batch_size
 
+        # backward runs nodes newest first, so the L2 node, built before
+        # the forward, adds its g * p terms after the model's gradient
+        penalty = T.sum_squares(params.tensors)
         scores = model.edge_scores(
             params, *_inputs(dataset, batch), cfg.dropout_rate, dropout_rng
         )
         labels = edge_labels(spatial, *_label_args(dataset, batch, cfg))
         loss = training_loss(
-            labels, scores, params, cfg.softmax_weight, cfg.l2_coeff
+            labels, scores, params, penalty, cfg.softmax_weight, cfg.l2_coeff
         )
         loss_val = loss.item()
         if not np.isfinite(loss_val):
             raise TrainingDiverged(f"loss became {loss_val} at step {step}")
         T.backward(loss)
         T.adam_step(params.tensors, opt)
-        del scores, loss  # free this step's tape before the next forward
+        del penalty, scores, loss  # free this step's graph
 
         if step % cfg.eval_every == 0 or step == cfg.iterations:
             val = split_ndcg(params, dataset, spatial, dataset.val_idx, cfg)

@@ -18,12 +18,13 @@ criterion-9 shape).
 
 Each run appends {sha, side, seed, provenance, correct, failed, metrics}
 to BENCH_<workload>.json in --out (default: this checkout's root), which
-must be an existing directory, checked before the first run: sha is
+must be an existing directory: sha is
 ``git describe --always --dirty`` of the checkout, and the rest is what
 perfbench printed. At the end, each metric's median and quartiles per
 side are printed over this invocation's runs, with the number of seeds
 where the change read better than the baseline. pytest does not collect
-this script.
+this script. --out and every checkout's perfbench/run.py are checked
+before the first run, so a bad argument records nothing.
 """
 
 import argparse
@@ -115,6 +116,10 @@ def main() -> None:
     checkouts = {"change": HERE, "baseline": args.baseline.resolve()}
     if args.aa is not None:
         checkouts["aa"] = args.aa.resolve()
+    for side, path in checkouts.items():
+        # checked before the first run, so no side's runs land alone
+        if not (path / "perfbench" / "run.py").is_file():
+            parser.error(f"{side} checkout {path} has no perfbench/run.py")
     shas = {side: git_sha(path) for side, path in checkouts.items()}
     record = args.out / f"BENCH_{args.workload}.json"
     history = json.loads(record.read_text()) if record.exists() else []

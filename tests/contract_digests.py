@@ -17,13 +17,26 @@ write_records.
 The optional argument is the src/ directory to import parkrank from; by
 default it is the one next to this file. pytest does not collect this
 script.
+
+    python3 tests/contract_digests.py --kernels
+
+runs the digests here and again in two child processes, each with one
+variable set for it alone: OPENBLAS_CORETYPE=Sandybridge (OpenBLAS's
+kernels without FMA) and NPY_DISABLE_CPU_FEATURES naming every feature
+numpy dispatches to that this machine has (numpy's baseline loops). It
+prints the keys each child reads differently, and exits 1 if one of them
+is not a checkpoint.bin or train_log.csv: only those may move with the
+CPU kernels, in their last bits.
 """
 
+import argparse
 import contextlib
 import hashlib
 import importlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from datetime import datetime, timedelta
@@ -51,6 +64,8 @@ METERS = ("m000", "m004", "m008")
 BENCH_FILES = ("complexity.json", "complexity_curve.csv")
 DATA_FILES = ("matrix.csv", "matrix.meta.json", "graph.json", "locations.csv")
 START = datetime(2022, 8, 1, 8, 0)
+# the outputs whose bytes may follow the CPU kernels (--kernels)
+KERNEL_DEPENDENT = ("/checkpoint.bin", "/train_log.csv")
 RECORD_HEADERS = {
     "space": "meter_id,timestamp,state",
     "street": "street_id,timestamp,occupied_count,capacity",
@@ -155,13 +170,57 @@ def digests(cli, work: Path) -> dict[str, str]:
     return result
 
 
+def kernel_variables() -> list[tuple[str, str]]:
+    """The variable each --kernels child runs under."""
+    from numpy._core._multiarray_umath import (
+        __cpu_dispatch__, __cpu_features__,
+    )
+    dispatched = [name for name in __cpu_dispatch__ if __cpu_features__[name]]
+    return [("OPENBLAS_CORETYPE", "Sandybridge"),
+            ("NPY_DISABLE_CPU_FEATURES", " ".join(dispatched))]
+
+
+def compare_kernels(src: Path, ours: dict[str, str]) -> bool:
+    """Print the keys each kernel child reads differently from ours; True
+    if every such key is kernel-dependent."""
+    held = True
+    for name, value in kernel_variables():
+        if not value:
+            print(f"{name}: nothing to disable, skipped")
+            continue
+        child = subprocess.run(
+            [sys.executable, __file__, str(src)],
+            env={**os.environ, name: value},
+            capture_output=True, text=True, check=True,
+        )
+        theirs = json.loads(child.stdout)
+        differ = sorted(key for key in ours.keys() | theirs.keys()
+                        if ours.get(key) != theirs.get(key))
+        print(f"{name}={value}: {len(differ)} of {len(ours)} keys differ")
+        for key in differ:
+            allowed = key.endswith(KERNEL_DEPENDENT)
+            held &= allowed
+            print(f"  {key}" + ("" if allowed else "  (must not differ)"))
+    return held
+
+
 def main() -> None:
-    here = Path(__file__).resolve().parents[1] / "src"
-    src = Path(sys.argv[1]) if len(sys.argv) > 1 else here
-    sys.path.insert(0, str(src.resolve()))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument(
+        "src", nargs="?", type=Path,
+        default=Path(__file__).resolve().parents[1] / "src",
+    )
+    parser.add_argument("--kernels", action="store_true")
+    args = parser.parse_args()
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
     cli = importlib.import_module("parkrank.cli")
     with tempfile.TemporaryDirectory() as tmp:
-        print(json.dumps(digests(cli, Path(tmp)), indent=1, sort_keys=True))
+        ours = digests(cli, Path(tmp))
+    if not args.kernels:
+        print(json.dumps(ours, indent=1, sort_keys=True))
+    elif not compare_kernels(src, ours):
+        sys.exit(1)
 
 
 if __name__ == "__main__":

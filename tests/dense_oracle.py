@@ -180,15 +180,15 @@ def listwise_nll(labels, scores, allowed) -> T.Tensor:
 
 
 def training_loss(
-    labels, scores, params, softmax_weight=0.0, l2_coeff=0.0
+    labels, scores, params, penalty, softmax_weight, l2_coeff
 ) -> T.Tensor:
-    """The training loss over dense labels and scores."""
+    """The training loss over dense labels and scores; penalty is the L2
+    node, built before scores as train.train_loop builds it."""
     total = squared_error(labels, scores)
     if softmax_weight > 0:
         nll = listwise_nll(labels, scores, params.allowed)
         total = T.add(total, T.mul(nll, softmax_weight))
     if l2_coeff > 0:
-        penalty = unfused_oracle.sum_squares(params.tensors)
         total = T.add(total, T.mul(penalty, l2_coeff))
     return total
 

@@ -122,8 +122,12 @@ def test_criterion_3_gradient_correctness():
         )
 
         def build():
+            # the L2 node first, as train_loop builds it
+            penalty = T.sum_squares(params.tensors)
             scores = model.edge_scores(params, windows, current, states)
-            return train.training_loss(labels, scores, params, 0.3, 1e-4)
+            return train.training_loss(
+                labels, scores, params, penalty, 0.3, 1e-4
+            )
 
         worst = max(
             worst, grad_check(build, params.tensors, kink_filter=True)
@@ -288,7 +292,8 @@ def test_criterion_6_loss_sanity():
     )
     params = model.ModelParams(cfg, graph, rng)
     y = rng.random((3, len(params.pairs.src)))
-    zero = train.training_loss(y, y.copy(), params, 0.0, 0.0).item()
+    penalty = T.sum_squares(params.tensors)
+    zero = train.training_loss(y, y.copy(), params, penalty, 0.0, 0.0).item()
     assert zero == 0.0
     closed = train.listwise_nll(
         [1.0, 0.0], [10.0, -10.0], T.Pairs(np.arange(2), (1, 2))

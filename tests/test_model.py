@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import dense_oracle
+import unfused_oracle
 from parkrank import cli, esgraph, ingest, model, train
 from parkrank import tensor as T
 from parkrank.errors import ConfigError, DataError, DimensionError
@@ -450,7 +451,7 @@ class TestEdgeListReadout:
             dense_labels[:, params.pairs.src, params.pairs.dst].tobytes()
         )
 
-        def run(forward, labels, loss_fn):
+        def run(forward, labels, loss_fn, sum_squares):
             shapes = []
             make_node = T._node
 
@@ -465,11 +466,12 @@ class TestEdgeListReadout:
                 return make_node(data, parents, bw)
 
             monkeypatch.setattr(T, "_node", recording_node)
+            penalty = sum_squares(params.tensors)  # first, as in train_loop
             scores = forward(
                 params, windows, current, states, 0.3,
                 np.random.default_rng(5),
             )
-            loss = loss_fn(labels, scores, params, 0.3, 1e-4)
+            loss = loss_fn(labels, scores, params, penalty, 0.3, 1e-4)
             T.backward(loss)
             monkeypatch.setattr(T, "_node", make_node)
             grads = {k: params.get(k).grad for k in params.snapshot()}
@@ -478,10 +480,12 @@ class TestEdgeListReadout:
             return scores.data, loss.data, grads, shapes
 
         scores, loss, grads, shapes = run(
-            model.edge_scores, edge_labels, train.training_loss
+            model.edge_scores, edge_labels, train.training_loss,
+            T.sum_squares,
         )
         want_scores, want_loss, want_grads, oracle_shapes = run(
-            dense_oracle.scores, dense_labels, dense_oracle.training_loss
+            dense_oracle.scores, dense_labels, dense_oracle.training_loss,
+            unfused_oracle.sum_squares,
         )
         dense_scores = model.forward_scores(
             params, windows, current, states, 0.3,

@@ -1,6 +1,7 @@
 """Autodiff tests: per-op gradient checks, optimizer, checkpoint container."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -934,6 +935,38 @@ class TestBackwardSemantics:
                 i == lone for i in range(len(shapes))
             ]
             assert grads[lone].shape == shapes[lone]
+
+    def test_leaf_sums_consumers_newest_first(self):
+        # three consumers made in this order hand x 1.0, 1e16 and -1e16;
+        # only the newest-first order keeps the 1.0
+        x = T.Tensor([1.0], requires_grad=True)
+        oldest, middle, newest = (T.mul(x, k) for k in (1.0, 1e16, -1e16))
+        T.backward(T.reduce_sum(T.add(T.add(oldest, middle), newest)))
+        assert (1.0 + 1e16) + -1e16 == 0.0
+        assert x.grad.tobytes() == np.array([(-1e16 + 1e16) + 1.0]).tobytes()
+
+    def test_unused_forward_is_freed(self):
+        # no list of nodes outlives the graph: a forward that is never
+        # backpropagated goes when its last holder does
+        x = T.Tensor([1.0, 2.0], requires_grad=True)
+        middle = T.mul(x, x)
+        out = T.reduce_sum(middle)
+        freed = weakref.ref(middle.data)
+        del middle, out
+        assert freed() is None
+        T.backward(T.reduce_sum(T.mul(x, 3.0)))
+        assert np.array_equal(x.grad, [3.0, 3.0])
+
+    def test_interleaved_graphs_backpropagate_independently(self):
+        x = T.Tensor([1.0], requires_grad=True)
+        twice, thrice = T.mul(x, 2.0), T.mul(x, 3.0)
+        first, second = T.reduce_sum(twice), T.reduce_sum(thrice)
+        T.backward(first)
+        assert np.array_equal(x.grad, [2.0])
+        T.backward(second)  # the earlier pass left this graph whole
+        assert np.array_equal(x.grad, [5.0])
+        T.backward(first)
+        assert np.array_equal(x.grad, [7.0])
 
     def test_no_grad_records_nothing_and_restores(self):
         y = T.Tensor([3.0, 4.0], requires_grad=True)

@@ -148,17 +148,26 @@ class TestLossClosedForms:
             cfg.model_config(), chain_graph(3), np.random.default_rng(0)
         )
 
+    @staticmethod
+    def loss(labels, scores, params, softmax_weight, l2_coeff):
+        """training_loss with the L2 node built first, as train_loop does;
+        scores is called after it."""
+        penalty = T.sum_squares(params.tensors)
+        return train.training_loss(
+            labels, scores(), params, penalty, softmax_weight, l2_coeff
+        )
+
     def test_perfect_scores_zero_loss(self):
         params = self.chain_params()
         y = np.random.default_rng(1).random((2, len(params.pairs.src)))
-        total = train.training_loss(y, y.copy(), params, 0.0, 0.0).item()
+        total = self.loss(y, y.copy, params, 0.0, 0.0).item()
         assert total == 0.0
 
     def test_l2_counts_once(self):
         params = self.chain_params()
         y = np.zeros((1, len(params.pairs.src)))
-        base = train.training_loss(y, y.copy(), params, 0.0, 0.0).item()
-        with_l2 = train.training_loss(y, y.copy(), params, 0.0, 0.5).item()
+        base = self.loss(y, y.copy, params, 0.0, 0.0).item()
+        with_l2 = self.loss(y, y.copy, params, 0.0, 0.5).item()
         expected = 0.5 * sum(
             float((p.data ** 2).sum()) for p in params.tensors
         )
@@ -193,12 +202,14 @@ class TestLossClosedForms:
         )
 
     def test_sum_squares_matches_unfused_chain(self, monkeypatch):
-        # every tensor gets its model gradient first, then g * p twice
+        # every tensor gets its model gradient first, then g * p twice:
+        # the L2 node is older than the forward, and backward runs newest
+        # first
         labels, params, scores = self.c8_batch()
         assert len(params.tensors) == 16
 
         def step():
-            loss = train.training_loss(labels, scores(), params, 0.1, 1e-3)
+            loss = self.loss(labels, scores, params, 0.1, 1e-3)
             T.backward(loss)
             grads = [p.grad for p in params.tensors]
             for p in params.tensors:
@@ -212,16 +223,14 @@ class TestLossClosedForms:
         for got, want in zip(grads, want_grads, strict=True):
             assert got.tobytes() == want.tobytes()
         # the chain records 49 nodes where the fused penalty records 3
-        base = self.tape_size(
-            train.training_loss(labels, scores(), params, 0.1, 0.0)
-        )
+        base = self.tape_size(self.loss(labels, scores, params, 0.1, 0.0))
         assert self.tape_size(want_loss) - base == 49
         assert self.tape_size(loss) - base == 3
 
     def test_no_l2_adds_no_node(self):
         labels, params, scores = self.c8_batch()
         s = scores()
-        loss = train.training_loss(labels, s, params, 0.1, 0.0)
+        loss = self.loss(labels, lambda: s, params, 0.1, 0.0)
         nll = train.listwise_nll(labels, s, params.pairs)
         alone = T.add(
             train.squared_error(labels, s, params.pairs), T.mul(nll, 0.1)
@@ -498,6 +507,7 @@ class TestTrainLoop:
             (train, "edge_labels", dense_oracle.labels),
             (train, "make_labels", dense_oracle.labels),
             (train, "training_loss", dense_oracle.training_loss),
+            (T, "sum_squares", unfused_oracle.sum_squares),
             (train, "split_ndcg", dense_oracle.split_ndcg),
         ):
             monkeypatch.setattr(owner, name, oracle)
