@@ -387,8 +387,8 @@ def train_loop(
         batch = order[cursor : cursor + cfg.batch_size]
         cursor += cfg.batch_size
 
-        # backward runs nodes newest first, so the L2 node, built before
-        # the forward, adds its g * p terms after the model's gradient
+        # built before the forward, so that backward (newest first) adds
+        # its g * p terms after the model's, the checkpoints' recorded order
         penalty = T.sum_squares(params.tensors)
         scores = model.edge_scores(
             params, *_inputs(dataset, batch), cfg.dropout_rate, dropout_rng

@@ -191,7 +191,7 @@ def compare_kernels(src: Path, ours: dict[str, str]) -> bool:
         child = subprocess.run(
             [sys.executable, __file__, str(src)],
             env={**os.environ, name: value},
-            capture_output=True, text=True, check=True,
+            stdout=subprocess.PIPE, text=True, check=True,
         )
         theirs = json.loads(child.stdout)
         differ = sorted(key for key in ours.keys() | theirs.keys()
